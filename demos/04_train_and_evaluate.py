@@ -45,7 +45,6 @@ def make_model(variant="full", seed=0):
         vocab, catalog, graph, dim=48,
         encoder_config=EncoderConfig(kernel_size=5, rates=(1, 2, 4), dropout=0.2),
         seed=seed, embedding_matrix=table.matrix.data, variant=variant,
-        hard_gating=variant != "no_mask",
     )
 
 
@@ -82,9 +81,9 @@ doc = next(
     if int(np.argmax(model.predict_scores(d.tokens, make_doc_mask(d, index)))) in d.labels
 )
 doc_mask = make_doc_mask(doc, index)
-scores = model.predict_scores(doc.tokens, doc_mask, doc_id=doc.doc_id)
+scores, alpha = model.predict_scores(doc.tokens, doc_mask, doc_id=doc.doc_id,
+                                     with_attention=True)
 top = int(np.argmax(scores))
-alpha = model.attention_weights(doc.tokens, doc_mask)
 heavy = np.argsort(-alpha[top])[:5]
 tokens = [vocab.id_to_token[t] for t in doc.tokens]
 print(f"doc {doc.doc_id}: top label {catalog.codes[top]} (p={scores[top]:.3f}), "

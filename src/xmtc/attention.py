@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .tensor import Tensor, add, bce_loss, matmul, mul, reshape, sigmoid, softmax, transpose
+from .tensor import Tensor, add, matmul, reshape, sigmoid, softmax, transpose
 
 _NEG_INF = -1e30
 
@@ -71,11 +71,6 @@ def classify(context: Tensor, params: ClassifierParams) -> Tensor:
         raise ShapeError(f"context dim {context.shape[1]} != classifier dim {params.w.shape[0]}")
     logits = add(reshape(matmul(context, params.w), (context.shape[0],)), params.b)
     return sigmoid(logits)
-
-
-def loss(predictions: Tensor, gold_vec) -> Tensor:
-    """Multi-label binary cross-entropy (delegates to the tensor op)."""
-    return bce_loss(predictions, gold_vec)
 
 
 def attention_heat_records(doc_id: str, alpha: np.ndarray, label_codes: list[str],

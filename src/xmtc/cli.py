@@ -24,10 +24,8 @@ import logging
 import sys
 from pathlib import Path
 
-
 from . import attention, corpus, embeddings, graph, mask, model, synth, training
 from .config import RunConfig, config_hash, load_run_config
-from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, DivergenceError, StalenessError, XmtcError
 from .metrics import top_k_labels
 
@@ -92,17 +90,6 @@ def _first_comment_hash(path: Path) -> str:
     return ""
 
 
-def _encoder_config(cfg: RunConfig) -> EncoderConfig:
-    return EncoderConfig(
-        kernel_size=cfg.filter_size,
-        rates=cfg.dilation_rates,
-        num_blocks=cfg.num_blocks,
-        dropout=cfg.dropout,
-        activation=cfg.activation,
-        causal=cfg.causal_conv,
-    )
-
-
 def _load_stage(workdir: Path, cfg: RunConfig, cfg_hash: str, need_mask: bool = True):
     """Load the shared artifacts (vocab, catalog, graph, mask index)."""
     catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
@@ -129,26 +116,17 @@ def _load_encoded(workdir: Path, split: str, cfg_hash: str):
     return records
 
 
-def _build_model(cfg: RunConfig, vocab, catalog, g, emb_matrix, variant=None):
-    return model.model_from_artifacts(
-        vocab=vocab,
-        catalog=catalog,
-        graph=g,
-        dim=cfg.embedding_size,
-        encoder_config=_encoder_config(cfg),
-        seed=cfg.seed,
-        embedding_matrix=emb_matrix,
-        variant=variant if variant is not None else cfg.variant,
-        norm_mode=cfg.norm_mode,
-        hard_gating=cfg.hard_gating,
-    )
+def _load_embeddings(workdir: Path, cfg: RunConfig, cfg_hash: str, vocab):
+    path = _artifact(workdir, "embeddings", "preprocess")
+    _check_hash(_first_comment_hash(path), cfg_hash, path)
+    return embeddings.load_embeddings(path, vocab, cfg.embedding_size, seed=cfg.seed).matrix.data
 
 
 def _restore_model(workdir: Path, cfg: RunConfig, cfg_hash: str):
     catalog, vocab, g, index = _load_stage(workdir, cfg, cfg_hash)
     params, state, manifest = training.load_checkpoint(_artifact(workdir, "checkpoint", "train"))
     _check_hash(manifest.get("config_hash", ""), cfg_hash, ARTIFACTS["checkpoint"])
-    m = _build_model(cfg, vocab, catalog, g, None, variant=manifest.get("variant", cfg.variant))
+    m = model.model_from_config(cfg, vocab, catalog, g, variant=manifest.get("variant"))
     m.params.load_arrays(params)
     return m, catalog, vocab, index
 
@@ -277,16 +255,10 @@ def cmd_train(args) -> None:
     catalog, vocab, g, index = _load_stage(workdir, cfg, cfg_hash)
     train_docs = _load_encoded(workdir, "train", cfg_hash)
     val_docs = _load_encoded(workdir, "val", cfg_hash)
-    emb_path = _artifact(workdir, "embeddings", "preprocess")
-    _check_hash(_first_comment_hash(emb_path), cfg_hash, emb_path)
-    table = embeddings.load_embeddings(emb_path, vocab, cfg.embedding_size, seed=cfg.seed)
+    emb = _load_embeddings(workdir, cfg, cfg_hash, vocab)
 
-    m = _build_model(cfg, vocab, catalog, g, table.matrix.data)
-    tc = training.TrainConfig(
-        lr=cfg.learning_rate, lr_decay=cfg.lr_decay, clip_norm=cfg.clip_norm,
-        batch_size=cfg.batch_size, max_epochs=cfg.max_epochs, patience=cfg.patience,
-        seed=cfg.seed, prediction_threshold=cfg.prediction_threshold,
-    )
+    m = model.model_from_config(cfg, vocab, catalog, g, emb)
+    tc = training.TrainConfig.from_run_config(cfg)
     result = training.train(train_docs, val_docs, m, index, tc, ks=cfg.p_at_k)
 
     ckpt_path = workdir / ARTIFACTS["checkpoint"]
@@ -334,22 +306,22 @@ def cmd_predict(args) -> None:
     records = corpus.encode_documents(raw_docs, vocab, catalog, max_len=cfg.max_len)
 
     h_label = m.label_representations()
+    gated = m.hard_gating and training.uses_masks(m, index)
     out_path = workdir / ARTIFACTS["predictions"]
     heat_records = []
     with open(out_path, "w") as fh:
         fh.write(json.dumps({"format": "xmtc-predictions", "config": cfg_hash}) + "\n")
-        for doc in records:
-            doc_mask = mask.make_doc_mask(doc, index)
-            scores = m.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id)
+        for doc, doc_mask in zip(records, training.doc_masks(records, m, index)):
+            scores, alpha = m.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id,
+                                             with_attention=True)
             top = top_k_labels(scores, cfg.predict_top_k)
             row = {
                 "doc_id": doc.doc_id,
                 "topk": [[catalog.codes[i], float(scores[i])] for i in top],
-                "masked": not doc_mask.empty,
+                "masked": gated and not doc_mask.empty,
             }
             fh.write(json.dumps(row) + "\n")
             if args.attention_out:
-                alpha = m.attention_weights(doc.tokens, doc_mask, h_label)
                 heat_records.extend(attention.attention_heat_records(
                     doc.doc_id, alpha[top], [catalog.codes[i] for i in top]))
     outputs = [out_path]
@@ -368,13 +340,11 @@ def cmd_ablate(args) -> None:
     train_docs = _load_encoded(workdir, "train", cfg_hash)
     val_docs = _load_encoded(workdir, "val", cfg_hash)
     test_docs = _load_encoded(workdir, "test", cfg_hash)
-    emb_path = _artifact(workdir, "embeddings", "preprocess")
-    table = embeddings.load_embeddings(emb_path, vocab, cfg.embedding_size, seed=cfg.seed)
+    emb = _load_embeddings(workdir, cfg, cfg_hash, vocab)
 
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     report = training.ablate(
-        variants, train_docs, val_docs, test_docs, vocab, catalog, g, index,
-        table.matrix.data, cfg,
+        variants, train_docs, val_docs, test_docs, vocab, catalog, g, index, emb, cfg,
     )
     out = workdir / ARTIFACTS["ablation"]
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -90,12 +90,17 @@ def load_graph(path) -> tuple[CooccurrenceGraph, str]:
     try:
         num_labels_s, lam_s, pair_count_s = lines[0].split()
         num_labels, lam, pair_count = int(num_labels_s), float(lam_s), int(pair_count_s)
+        adj = np.zeros((num_labels, num_labels))
     except ValueError:
         raise DataError(f"{path}: malformed graph header {lines[0]!r}") from None
-    adj = np.zeros((num_labels, num_labels))
     for line in lines[1:]:
-        i_s, j_s = line.split()
-        adj[int(i_s), int(j_s)] = 1.0
+        try:
+            i, j = (int(x) for x in line.split())
+        except ValueError:
+            raise DataError(f"{path}: malformed coordinate line {line!r}") from None
+        if not (0 <= i < num_labels and 0 <= j < num_labels):
+            raise DataError(f"{path}: coordinate {line!r} outside {num_labels} labels")
+        adj[i, j] = 1.0
     graph = CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
     if int(np.triu(adj, k=1).sum()) != pair_count:
         raise DataError(f"{path}: pair count does not match stored coordinates")
@@ -104,13 +109,6 @@ def load_graph(path) -> tuple[CooccurrenceGraph, str]:
 
 # ---------------------------------------------------------------------------
 # label features
-
-
-@dataclass
-class LabelFeatures:
-    """Descriptor-averaged label feature matrix, one row per label."""
-
-    values: Tensor  # [L, d_e]
 
 
 def descriptor_average_matrix(catalog: LabelCatalog, vocab: Vocabulary) -> np.ndarray:
@@ -130,12 +128,6 @@ def descriptor_average_matrix(catalog: LabelCatalog, vocab: Vocabulary) -> np.nd
         for tok in ids:
             s[i, tok] += 1.0 / len(ids)
     return s
-
-
-def build_label_features(catalog: LabelCatalog, embedding: Tensor, vocab: Vocabulary) -> LabelFeatures:
-    """Average each label's descriptor token embeddings (OOV tokens use UNK)."""
-    s = descriptor_average_matrix(catalog, vocab)
-    return LabelFeatures(values=matmul(Tensor(s), embedding))
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +173,13 @@ def normalize_adjacency(adjacency: np.ndarray, norm_mode: str) -> np.ndarray:
     raise ConfigError(f"unknown norm_mode {norm_mode!r}; choose from {NORM_MODES}")
 
 
-def gcn_forward(graph: CooccurrenceGraph, features, params: GcnParams) -> Tensor:
+def gcn_forward(graph: CooccurrenceGraph, features: Tensor, params: GcnParams) -> Tensor:
     """Two aggregation layers: ReLU after the first, identity after the
     second so label representations can carry signed components."""
-    values = features.values if isinstance(features, LabelFeatures) else features
-    if values.shape[0] != graph.num_labels:
+    if features.shape[0] != graph.num_labels:
         raise ShapeError(
-            f"feature rows {values.shape[0]} != graph labels {graph.num_labels}"
+            f"feature rows {features.shape[0]} != graph labels {graph.num_labels}"
         )
     a_hat = Tensor(normalize_adjacency(graph.adjacency, params.norm_mode))
-    h1 = relu(matmul(matmul(a_hat, values), params.w1))
+    h1 = relu(matmul(matmul(a_hat, features), params.w1))
     return matmul(matmul(a_hat, h1), params.w2)

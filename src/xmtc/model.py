@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ClassifierParams, classify, init_classifier_params, label_attention
+from .config import RunConfig
 from .corpus import PAD_ID, LabelCatalog, Vocabulary
 from .encoder import BlockParams, EncoderConfig, encode, init_block_params
 from .errors import ConfigError
@@ -114,54 +115,45 @@ class CodingModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
         pad_mask: np.ndarray | None = None,
-    ) -> Tensor:
-        """Per-label probabilities for one document."""
+    ) -> tuple[Tensor, Tensor]:
+        """Per-label probabilities [L] and attention weights [L, n] for one document."""
         if pad_mask is None:
             pad_mask = (np.asarray(list(token_ids)) != PAD_ID).astype(np.float64)
         encoded = encode(token_ids, self.embedding, self.blocks, self.encoder_config,
                          train=train, rng=rng)
         h_masked = apply_mask(h_label, doc_mask)
         att = label_attention(encoded, h_masked, pad_mask=pad_mask)
-        return classify(att.context, self.classifier)
-
-    def attention_weights(self, token_ids, doc_mask: DocMask,
-                          h_label: Tensor | None = None) -> np.ndarray:
-        """[L, n] attention weight matrix for one document (inference mode)."""
-        if h_label is None:
-            h_label = self.label_representations()
-        pad_mask = (np.asarray(list(token_ids)) != PAD_ID).astype(np.float64)
-        encoded = encode(token_ids, self.embedding, self.blocks, self.encoder_config)
-        att = label_attention(encoded, apply_mask(h_label, doc_mask), pad_mask=pad_mask)
-        return att.alpha.data
+        return classify(att.context, self.classifier), att.alpha
 
     def predict_scores(self, token_ids, doc_mask: DocMask, h_label: Tensor | None = None,
-                       doc_id: str = "?") -> np.ndarray:
+                       doc_id: str = "?", with_attention: bool = False):
         """Inference scores with optional hard gating.
 
         With gating on, labels outside the candidate set get probability 0.
         An empty candidate set suspends gating for the document (otherwise
-        nothing could ever be predicted) and is logged.
+        nothing could ever be predicted) and is logged.  ``with_attention``
+        also returns the [L, n] attention weights of the same pass.
         """
         if h_label is None:
             h_label = self.label_representations()
-        scores = self.forward_doc(token_ids, doc_mask, h_label).data.copy()
+        y_hat, alpha = self.forward_doc(token_ids, doc_mask, h_label)
+        scores = y_hat.data.copy()
         if self.hard_gating:
             if doc_mask.empty:
                 logger.info("doc %s: empty candidate mask; hard gating suspended", doc_id)
             else:
                 scores *= doc_mask.vec
-        return scores
+        return (scores, alpha.data) if with_attention else scores
 
 
-def build_model(
-    vocab_size: int,
-    num_labels: int,
-    dim: int,
+def model_from_artifacts(
+    vocab: Vocabulary,
+    catalog: LabelCatalog,
     graph: CooccurrenceGraph,
+    dim: int,
     encoder_config: EncoderConfig,
     seed: int = 0,
     embedding_matrix: np.ndarray | None = None,
-    feature_matrix: np.ndarray | None = None,
     variant: str = "full",
     norm_mode: str = "self_loop_row_norm",
     hard_gating: bool = True,
@@ -169,12 +161,15 @@ def build_model(
     """Initialize all parameters and assemble a model.
 
     ``embedding_matrix`` (e.g. skip-gram pretrained) seeds the embedding
-    table; otherwise rows are random.  ``feature_matrix`` is required for
-    the graph variants and maps the embedding table to descriptor-averaged
-    label features.
+    table; otherwise rows are random.  The graph variants map the table to
+    descriptor-averaged label features through ``descriptor_average_matrix``.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    vocab_size, num_labels = len(vocab), len(catalog)
+    feature_matrix = None
+    if variant != "no_label_feature":
+        feature_matrix = descriptor_average_matrix(catalog, vocab)
     rng = np.random.default_rng(seed)
     params = ModelParams()
 
@@ -208,8 +203,6 @@ def build_model(
         params.register(Tensor(rng.uniform(-wlim, wlim, (dim, dim)),
                                requires_grad=True, name="labelfc.w"))
     else:
-        if feature_matrix is None:
-            raise ConfigError("graph variants need a descriptor feature matrix")
         gcn = init_gcn_params(dim, rng, norm_mode=norm_mode)
         params.register(gcn.w1)
         params.register(gcn.w2)
@@ -231,32 +224,21 @@ def build_model(
     )
 
 
-def model_from_artifacts(
-    vocab: Vocabulary,
-    catalog: LabelCatalog,
-    graph: CooccurrenceGraph,
-    dim: int,
-    encoder_config: EncoderConfig,
-    seed: int = 0,
-    embedding_matrix: np.ndarray | None = None,
-    variant: str = "full",
-    norm_mode: str = "self_loop_row_norm",
-    hard_gating: bool = True,
-) -> CodingModel:
-    """Convenience constructor computing the descriptor feature matrix."""
-    feature_matrix = None
-    if variant != "no_label_feature":
-        feature_matrix = descriptor_average_matrix(catalog, vocab)
-    return build_model(
-        vocab_size=len(vocab),
-        num_labels=len(catalog),
-        dim=dim,
-        graph=graph,
-        encoder_config=encoder_config,
-        seed=seed,
-        embedding_matrix=embedding_matrix,
-        feature_matrix=feature_matrix,
-        variant=variant,
-        norm_mode=norm_mode,
-        hard_gating=hard_gating,
+def model_from_config(cfg: RunConfig, vocab: Vocabulary, catalog: LabelCatalog,
+                      graph: CooccurrenceGraph, embedding_matrix: np.ndarray | None = None,
+                      variant: str | None = None) -> CodingModel:
+    """The model a resolved ``RunConfig`` describes; ``variant`` overrides
+    ``cfg.variant``."""
+    encoder_config = EncoderConfig(
+        kernel_size=cfg.filter_size,
+        rates=cfg.dilation_rates,
+        num_blocks=cfg.num_blocks,
+        dropout=cfg.dropout,
+        activation=cfg.activation,
+        causal=cfg.causal_conv,
+    )
+    return model_from_artifacts(
+        vocab, catalog, graph, dim=cfg.embedding_size, encoder_config=encoder_config,
+        seed=cfg.seed, embedding_matrix=embedding_matrix,
+        variant=variant or cfg.variant, norm_mode=cfg.norm_mode, hard_gating=cfg.hard_gating,
     )

@@ -61,14 +61,13 @@ class Tensor:
     ``grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "tape_id")
+    __slots__ = ("data", "grad", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self.tape_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -138,7 +137,6 @@ class GradTape:
         assert popped is self
 
     def _record(self, out: Tensor, backward_fn) -> None:
-        out.tape_id = len(self.nodes)
         self.nodes.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .corpus import PAD_ID, DocumentRecord, LabelCatalog, Vocabulary
 from .errors import ConfigError, DataError, DivergenceError
 from .graph import CooccurrenceGraph
 from .mask import AuxMaskIndex, DocMask, make_doc_mask
 from .metrics import MetricsReport, compute_metrics
-from .model import VARIANTS, CodingModel, ModelParams, model_from_artifacts
+from .model import VARIANTS, CodingModel, ModelParams, model_from_config
 from .tensor import GradTape, Tensor, add, bce_loss, mul
 
 logger = logging.getLogger(__name__)
@@ -44,6 +45,14 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+
+    @classmethod
+    def from_run_config(cls, cfg: RunConfig) -> "TrainConfig":
+        return cls(
+            lr=cfg.learning_rate, lr_decay=cfg.lr_decay, clip_norm=cfg.clip_norm,
+            batch_size=cfg.batch_size, max_epochs=cfg.max_epochs, patience=cfg.patience,
+            seed=cfg.seed, prediction_threshold=cfg.prediction_threshold,
+        )
 
 
 class Adam:
@@ -122,10 +131,17 @@ class TrainResult:
     history: list[EpochStats] = field(default_factory=list)
 
 
-def _doc_masks(docs: list[DocumentRecord], index: AuxMaskIndex | None,
-               num_labels: int, masking: bool) -> list[DocMask]:
-    if not masking or index is None:
-        return [DocMask.all_ones(num_labels) for _ in docs]
+def uses_masks(model: CodingModel, index: AuxMaskIndex | None) -> bool:
+    """Whether ``model`` is trained and scored under candidate masks: every
+    variant but ``no_mask`` is, when there is an index to draw them from."""
+    return index is not None and model.variant != "no_mask"
+
+
+def doc_masks(docs: list[DocumentRecord], model: CodingModel,
+              index: AuxMaskIndex | None) -> list[DocMask]:
+    """One candidate mask per document; all-ones where ``uses_masks`` is false."""
+    if not uses_masks(model, index):
+        return [DocMask.all_ones(model.num_labels) for _ in docs]
     return [make_doc_mask(doc, index) for doc in docs]
 
 
@@ -136,7 +152,7 @@ def batch_loss(model: CodingModel, docs: list[DocumentRecord], masks: list[DocMa
     h_label = model.label_representations()
     total = None
     for doc, doc_mask in zip(docs, masks):
-        y_hat = model.forward_doc(doc.tokens, doc_mask, h_label, train=True, rng=rng)
+        y_hat, _ = model.forward_doc(doc.tokens, doc_mask, h_label, train=True, rng=rng)
         doc_loss = bce_loss(y_hat, doc.label_vector(model.num_labels))
         total = doc_loss if total is None else add(total, doc_loss)
     return mul(total, 1.0 / len(docs))
@@ -158,8 +174,7 @@ def train(
     """
     if not train_docs:
         raise DataError("empty training split")
-    masking = model.variant != "no_mask"
-    train_masks = _doc_masks(train_docs, mask_index, model.num_labels, masking)
+    train_masks = doc_masks(train_docs, model, mask_index)
 
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, lr=config.lr)
@@ -219,8 +234,7 @@ def collect_scores(
     mask_index: AuxMaskIndex | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(gold, gated scores) matrices for an evaluation split, fixed doc order."""
-    masking = model.variant != "no_mask"
-    masks = _doc_masks(docs, mask_index, model.num_labels, masking)
+    masks = doc_masks(docs, model, mask_index)
     h_label = model.label_representations()
     gold = np.zeros((len(docs), model.num_labels), dtype=bool)
     scores = np.zeros((len(docs), model.num_labels))
@@ -276,6 +290,7 @@ def ablate(
     in-repo pretrained table with the file named by ``cfg.embedding_path``;
     the other variants share ``embedding_matrix``.
     """
+    tc = TrainConfig.from_run_config(cfg)
     report: dict = {"seed": cfg.seed, "variants": {}}
     for variant in variants:
         if variant not in VARIANTS:
@@ -288,29 +303,7 @@ def ablate(
 
             emb = load_embeddings(cfg.embedding_path, vocab, cfg.embedding_size,
                                   seed=cfg.seed).matrix.data
-        from .encoder import EncoderConfig
-
-        model = model_from_artifacts(
-            vocab=vocab,
-            catalog=catalog,
-            graph=graph,
-            dim=cfg.embedding_size,
-            encoder_config=EncoderConfig(
-                kernel_size=cfg.filter_size, rates=cfg.dilation_rates,
-                num_blocks=cfg.num_blocks, dropout=cfg.dropout,
-                activation=cfg.activation, causal=cfg.causal_conv,
-            ),
-            seed=cfg.seed,
-            embedding_matrix=emb,
-            variant=variant,
-            norm_mode=cfg.norm_mode,
-            hard_gating=cfg.hard_gating and variant != "no_mask",
-        )
-        tc = TrainConfig(
-            lr=cfg.learning_rate, lr_decay=cfg.lr_decay, clip_norm=cfg.clip_norm,
-            batch_size=cfg.batch_size, max_epochs=cfg.max_epochs, patience=cfg.patience,
-            seed=cfg.seed, prediction_threshold=cfg.prediction_threshold,
-        )
+        model = model_from_config(cfg, vocab, catalog, graph, emb, variant=variant)
         result = train(train_docs, val_docs, model, mask_index, tc, ks=cfg.p_at_k)
         test_report = evaluate(test_docs, model, mask_index, cfg.prediction_threshold,
                                ks=cfg.p_at_k)

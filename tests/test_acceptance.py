@@ -249,8 +249,9 @@ def test_criterion_2_shapes_and_padding_invariance():
         for extra in (1, 5, 40):
             padded = m.predict_scores(tokens + [corpus.PAD_ID] * extra, doc_mask)
             np.testing.assert_allclose(padded, base, atol=1e-10)
-        alpha_base = m.attention_weights(tokens, doc_mask)
-        alpha_padded = m.attention_weights(tokens + [corpus.PAD_ID] * 6, doc_mask)
+        alpha_base = m.predict_scores(tokens, doc_mask, with_attention=True)[1]
+        alpha_padded = m.predict_scores(tokens + [corpus.PAD_ID] * 6, doc_mask,
+                                        with_attention=True)[1]
         np.testing.assert_allclose(alpha_padded[:, : len(tokens)], alpha_base, atol=1e-10)
         np.testing.assert_array_equal(alpha_padded[:, len(tokens):], 0.0)
 

@@ -11,7 +11,6 @@ from xmtc.attention import (
     classify,
     init_classifier_params,
     label_attention,
-    loss,
 )
 from xmtc.errors import DataError, ShapeError
 from xmtc.tensor import Tensor, bce_loss, grad_check
@@ -113,18 +112,18 @@ class TestLoss:
     def test_confident_correct(self):
         y = Tensor(np.where(np.arange(6) % 2 == 0, 1.0 - 1e-12, 1e-12))
         gold = (np.arange(6) % 2 == 0).astype(float)
-        assert float(loss(y, gold).data) < 1e-6
+        assert float(bce_loss(y, gold).data) < 1e-6
 
     def test_uniform_half(self):
         l = 7
-        value = float(loss(Tensor(np.full(l, 0.5)), np.zeros(l)).data)
+        value = float(bce_loss(Tensor(np.full(l, 0.5)), np.zeros(l)).data)
         np.testing.assert_allclose(value, l * math.log(2.0), rtol=1e-12)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(6)
         p = rng.uniform(0.01, 0.99, 9)
         gold = (rng.random(9) < 0.5).astype(float)
-        value = float(loss(Tensor(p), gold).data)
+        value = float(bce_loss(Tensor(p), gold).data)
         manual = sum(
             -g * math.log(pi) - (1 - g) * math.log(1 - pi) for pi, g in zip(p, gold)
         )

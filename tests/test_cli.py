@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line pipeline."""
 
 import json
-
+import shutil
 
 import pytest
 
+from xmtc import cli, training
 from xmtc.cli import main
+from xmtc.config import config_hash, load_run_config
+from xmtc.metrics import top_k_labels
 
 CONFIG = """\
 embedding_size = 32
@@ -97,6 +100,43 @@ class TestPipeline:
         assert len(row["topk"]) == 8  # unmasked ranking over all labels
 
 
+@pytest.fixture(scope="module", params=["variant = no_mask", "hard_gating = false"])
+def ungated_pipeline(pipeline, request):
+    """A pipeline whose model never gates: trained without masks, or with
+    hard gating switched off."""
+    root, data, _, _ = pipeline
+    name = request.param.split()[0]
+    work = root / f"work_{name}"
+    cfg = root / f"{name}.cfg"
+    cfg.write_text(CONFIG + request.param + "\n")
+    base = ["--workdir", str(work), "--config", str(cfg)]
+    assert main(["preprocess", *base, "--train", str(data / "train.jsonl"),
+                 "--val", str(data / "val.jsonl"), "--test", str(data / "test.jsonl"),
+                 "--catalog", str(data / "raw_catalog.tsv")]) == 0
+    assert main(["build-graph", *base]) == 0
+    assert main(["build-mask", *base]) == 0
+    assert main(["train", *base]) == 0
+    assert main(["predict", *base, "--input", str(data / "test.jsonl")]) == 0
+    return work, cfg
+
+
+class TestUngatedPredict:
+    def test_predict_matches_evaluate_scores_and_is_unmasked(self, ungated_pipeline):
+        work, cfg_path = ungated_pipeline
+        cfg = load_run_config(cfg_path)
+        m, catalog, _, index = cli._restore_model(work, cfg, config_hash(cfg))
+        docs = cli._load_encoded(work, "test", config_hash(cfg))
+        _, scores = training.collect_scores(docs, m, index)
+        rows = [json.loads(line)
+                for line in (work / "predictions.jsonl").read_text().splitlines()[1:]]
+        assert len(rows) == len(docs) > 0
+        for row, doc, doc_scores in zip(rows, docs, scores):
+            assert row["doc_id"] == doc.doc_id
+            assert row["masked"] is False
+            top = top_k_labels(doc_scores, cfg.predict_top_k)
+            assert row["topk"] == [[catalog.codes[i], float(doc_scores[i])] for i in top]
+
+
 class TestAblate:
     def test_ablate_writes_comparative_report(self, pipeline):
         _, _, work, cfg = pipeline
@@ -112,6 +152,16 @@ class TestAblate:
         _, _, work, cfg = pipeline
         assert main(["ablate", "--workdir", str(work), "--config", str(cfg),
                      "--variants", "bogus"]) == 2
+
+    def test_stale_embeddings_refused(self, pipeline, tmp_path):
+        _, _, work, cfg = pipeline
+        stale = tmp_path / "work"
+        shutil.copytree(work, stale)
+        emb = stale / "embeddings.txt"
+        lines = emb.read_text().splitlines(keepends=True)
+        emb.write_text("# config=0123456789abcdef\n" + "".join(lines[1:]))
+        assert main(["ablate", "--workdir", str(stale), "--config", str(cfg),
+                     "--variants", "full"]) == 2
 
 
 class TestErrors:

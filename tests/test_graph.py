@@ -11,7 +11,6 @@ from xmtc.graph import (
     CooccurrenceGraph,
     GcnParams,
     build_cooccurrence,
-    build_label_features,
     descriptor_average_matrix,
     gcn_forward,
     init_gcn_params,
@@ -19,7 +18,7 @@ from xmtc.graph import (
     normalize_adjacency,
     save_graph,
 )
-from xmtc.tensor import Tensor, grad_check, tensor_sum
+from xmtc.tensor import Tensor, grad_check, matmul, tensor_sum
 
 from oracles import conditional_prob_matrix
 
@@ -103,6 +102,14 @@ class TestBuildCooccurrence:
         assert loaded.pair_count == g.pair_count
         np.testing.assert_array_equal(loaded.adjacency, g.adjacency)
 
+    @pytest.mark.parametrize("line", ["-1 0", "0 3", "0 x", "0 1 2"])
+    def test_malformed_coordinate_is_data_error(self, tmp_path, line):
+        # "-1 0" would index from the end and pass the pair-count check
+        path = tmp_path / "graph.txt"
+        path.write_text(f"# xmtc-graph v1 config=abcd\n3 1.0 0\n0 0\n{line}\n")
+        with pytest.raises(DataError):
+            load_graph(path)
+
 
 class TestLabelFeatures:
     def _setup(self):
@@ -119,23 +126,23 @@ class TestLabelFeatures:
         table = Tensor(np.zeros((len(vocab), dim)))
         table.data[vocab.token_to_id["red"]] = [1.0, 0.0]
         table.data[vocab.token_to_id["blue"]] = [0.0, 1.0]
-        features = build_label_features(catalog, table, vocab)
-        np.testing.assert_allclose(features.values.data[0], [0.5, 0.5])
+        features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), table)
+        np.testing.assert_allclose(features.data[0], [0.5, 0.5])
 
     def test_single_token_descriptor_verbatim(self):
         vocab, catalog = self._setup()
         table = Tensor(np.arange(len(vocab) * 3, dtype=float).reshape(len(vocab), 3))
-        features = build_label_features(catalog, table, vocab)
+        features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), table)
         np.testing.assert_array_equal(
-            features.values.data[1], table.data[vocab.token_to_id["green"]]
+            features.data[1], table.data[vocab.token_to_id["green"]]
         )
 
     def test_empty_descriptor_zero_row_and_warning(self, caplog):
         vocab, catalog = self._setup()
         table = Tensor(np.ones((len(vocab), 2)))
         with caplog.at_level(logging.WARNING, logger="xmtc.graph"):
-            features = build_label_features(catalog, table, vocab)
-        np.testing.assert_array_equal(features.values.data[2], [0.0, 0.0])
+            features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), table)
+        np.testing.assert_array_equal(features.data[2], [0.0, 0.0])
         assert any("l3" in rec.message for rec in caplog.records)
 
     def test_mean_matches_direct_oracle(self):
@@ -144,9 +151,9 @@ class TestLabelFeatures:
         vocab = build_vocab([tokens], min_count=1)
         catalog = LabelCatalog(["l1"], ["aa bb cc dd ee"])
         table = Tensor(rng.standard_normal((len(vocab), 4)))
-        features = build_label_features(catalog, table, vocab)
+        features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), table)
         direct = np.mean([table.data[vocab.token_to_id[t]] for t in tokens], axis=0)
-        np.testing.assert_allclose(features.values.data[0], direct, atol=1e-12)
+        np.testing.assert_allclose(features.data[0], direct, atol=1e-12)
 
     def test_duplicate_tokens_weighted_per_occurrence(self):
         vocab = build_vocab([["aa", "bb"]], min_count=1)
