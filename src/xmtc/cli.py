@@ -90,28 +90,30 @@ def _first_comment_hash(path: Path) -> str:
     return ""
 
 
+def _load_vocab(workdir: Path, cfg_hash: str):
+    vocab_path = _artifact(workdir, "vocab", "preprocess")
+    _check_hash(_first_comment_hash(vocab_path), cfg_hash, vocab_path)
+    return corpus.Vocabulary.load(vocab_path)
+
+
 def _load_stage(workdir: Path, cfg: RunConfig, cfg_hash: str, need_mask: bool = True):
     """Load the shared artifacts (vocab, catalog, graph, mask index)."""
     catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
-    vocab_path = _artifact(workdir, "vocab", "preprocess")
-    _check_hash(_first_comment_hash(vocab_path), cfg_hash, vocab_path)
-    vocab = corpus.Vocabulary.load(vocab_path)
+    vocab = _load_vocab(workdir, cfg_hash)
     graph_path = _artifact(workdir, "graph", "build-graph")
     g, found = graph.load_graph(graph_path)
     _check_hash(found, cfg_hash, graph_path)
     index = None
     if need_mask:
         mask_path = _artifact(workdir, "mask_index", "build-mask")
-        index, found = mask.load_mask_index(
-            mask_path, catalog, tau=cfg.tau, tau_overrides=cfg.tau_overrides()
-        )
+        index, found = mask.load_mask_index(mask_path, catalog, tau=cfg.tau)
         _check_hash(found, cfg_hash, mask_path)
     return catalog, vocab, g, index
 
 
-def _load_encoded(workdir: Path, split: str, cfg_hash: str):
+def _load_encoded(workdir: Path, split: str, cfg_hash: str, vocab, catalog):
     path = _artifact(workdir, split, "preprocess")
-    records, found = corpus.load_encoded(path)
+    records, found = corpus.load_encoded(path, len(vocab), len(catalog))
     _check_hash(found, cfg_hash, path)
     return records
 
@@ -124,9 +126,14 @@ def _load_embeddings(workdir: Path, cfg: RunConfig, cfg_hash: str, vocab):
 
 def _restore_model(workdir: Path, cfg: RunConfig, cfg_hash: str):
     catalog, vocab, g, index = _load_stage(workdir, cfg, cfg_hash)
-    params, state, manifest = training.load_checkpoint(_artifact(workdir, "checkpoint", "train"))
-    _check_hash(manifest.get("config_hash", ""), cfg_hash, ARTIFACTS["checkpoint"])
-    m = model.model_from_config(cfg, vocab, catalog, g, variant=manifest.get("variant"))
+    params, manifest = training.load_checkpoint(_artifact(workdir, "checkpoint", "train"))
+    _check_hash(manifest["config_hash"], cfg_hash, ARTIFACTS["checkpoint"])
+    if manifest["vocab_hash"] != _sha256(workdir / ARTIFACTS["vocab"]):
+        raise StalenessError(
+            f"{ARTIFACTS['checkpoint']} was trained on a different {ARTIFACTS['vocab']}; "
+            "re-run 'xmtc train'"
+        )
+    m = model.model_from_config(cfg, vocab, catalog, g, variant=manifest["variant"])
     m.params.load_arrays(params)
     return m, catalog, vocab, index
 
@@ -221,7 +228,8 @@ def cmd_build_graph(args) -> None:
     cfg_hash = config_hash(cfg)
     workdir = Path(args.workdir)
     catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
-    train_docs = _load_encoded(workdir, "train", cfg_hash)
+    vocab = _load_vocab(workdir, cfg_hash)
+    train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
     g = graph.build_cooccurrence(train_docs, len(catalog), lam=cfg.lambda_)
     graph_path = workdir / ARTIFACTS["graph"]
     graph.save_graph(g, graph_path, config_hash=cfg_hash)
@@ -236,9 +244,9 @@ def cmd_build_mask(args) -> None:
     cfg_hash = config_hash(cfg)
     workdir = Path(args.workdir)
     catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
-    train_docs = _load_encoded(workdir, "train", cfg_hash)
-    index = mask.build_mask_index(train_docs, len(catalog), tau=cfg.tau,
-                                  tau_overrides=cfg.tau_overrides())
+    vocab = _load_vocab(workdir, cfg_hash)
+    train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
+    index = mask.build_mask_index(train_docs, len(catalog), tau=cfg.tau)
     mask_path = workdir / ARTIFACTS["mask_index"]
     mask.save_mask_index(index, catalog, mask_path, config_hash=cfg_hash)
     stats = mask.mask_stats(index, train_docs)
@@ -253,8 +261,8 @@ def cmd_train(args) -> None:
     cfg_hash = config_hash(cfg)
     workdir = Path(args.workdir)
     catalog, vocab, g, index = _load_stage(workdir, cfg, cfg_hash)
-    train_docs = _load_encoded(workdir, "train", cfg_hash)
-    val_docs = _load_encoded(workdir, "val", cfg_hash)
+    train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
+    val_docs = _load_encoded(workdir, "val", cfg_hash, vocab, catalog)
     emb = _load_embeddings(workdir, cfg, cfg_hash, vocab)
 
     m = model.model_from_config(cfg, vocab, catalog, g, emb)
@@ -263,9 +271,8 @@ def cmd_train(args) -> None:
 
     ckpt_path = workdir / ARTIFACTS["checkpoint"]
     vocab_hash = _sha256(workdir / ARTIFACTS["vocab"])
-    training.save_checkpoint(ckpt_path, result.params_arrays, result.optimizer_state,
-                             epoch=result.best_epoch, config_hash=cfg_hash,
-                             vocab_hash=vocab_hash, variant=cfg.variant)
+    training.save_checkpoint(ckpt_path, result.params_arrays, epoch=result.best_epoch,
+                             config_hash=cfg_hash, vocab_hash=vocab_hash, variant=cfg.variant)
     history_path = workdir / ARTIFACTS["history"]
     with open(history_path, "w") as fh:
         fh.write(f"# config={cfg_hash}\n")
@@ -284,7 +291,7 @@ def cmd_evaluate(args) -> None:
     cfg_hash = config_hash(cfg)
     workdir = Path(args.workdir)
     m, catalog, vocab, index = _restore_model(workdir, cfg, cfg_hash)
-    docs = _load_encoded(workdir, args.split, cfg_hash)
+    docs = _load_encoded(workdir, args.split, cfg_hash, vocab, catalog)
     report = training.evaluate(docs, m, index, cfg.prediction_threshold,
                                ks=cfg.p_at_k, label_codes=catalog.codes)
     metrics_path = workdir / ARTIFACTS["metrics"]
@@ -337,9 +344,9 @@ def cmd_ablate(args) -> None:
     cfg_hash = config_hash(cfg)
     workdir = Path(args.workdir)
     catalog, vocab, g, index = _load_stage(workdir, cfg, cfg_hash)
-    train_docs = _load_encoded(workdir, "train", cfg_hash)
-    val_docs = _load_encoded(workdir, "val", cfg_hash)
-    test_docs = _load_encoded(workdir, "test", cfg_hash)
+    train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
+    val_docs = _load_encoded(workdir, "val", cfg_hash, vocab, catalog)
+    test_docs = _load_encoded(workdir, "test", cfg_hash, vocab, catalog)
     emb = _load_embeddings(workdir, cfg, cfg_hash, vocab)
 
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]

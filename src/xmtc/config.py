@@ -33,11 +33,6 @@ def _parse_int_list(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.replace("[", "").replace("]", "").split(",") if x.strip())
 
 
-def _parse_opt_float(s: str):
-    s = s.strip()
-    return None if s == "" else float(s)
-
-
 @dataclass
 class RunConfig:
     embedding_size: int = 100
@@ -46,7 +41,6 @@ class RunConfig:
     num_blocks: int = 1
     dropout: float = 0.2
     activation: str = "relu"
-    causal_conv: bool = False
     learning_rate: float = 0.0001
     lr_decay: float = 0.9
     clip_norm: float = 5.0
@@ -55,11 +49,7 @@ class RunConfig:
     patience: int = 5
     prediction_threshold: float = 0.0005
     tau: float = 0.005
-    tau_drg: float | None = None
-    tau_cpt: float | None = None
-    tau_drugs: float | None = None
     lambda_: float = 1.0
-    norm_mode: str = "self_loop_row_norm"
     hard_gating: bool = True
     p_at_k: tuple[int, ...] = (5, 8, 15)
     predict_top_k: int = 8
@@ -72,49 +62,6 @@ class RunConfig:
     skipgram_epochs: int = 5
     embedding_path: str = ""
 
-    def tau_overrides(self) -> dict[str, float]:
-        out = {}
-        for term, value in (("drg", self.tau_drg), ("cpt", self.tau_cpt), ("drugs", self.tau_drugs)):
-            if value is not None:
-                out[term] = value
-        return out
-
-
-# file key -> (attribute, parser); "lambda" is a Python keyword, hence the alias
-_PARSERS = {
-    "embedding_size": int,
-    "filter_size": int,
-    "dilation_rates": _parse_int_list,
-    "num_blocks": int,
-    "dropout": float,
-    "activation": str,
-    "causal_conv": _parse_bool,
-    "learning_rate": float,
-    "lr_decay": float,
-    "clip_norm": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "patience": int,
-    "prediction_threshold": float,
-    "tau": float,
-    "tau_drg": _parse_opt_float,
-    "tau_cpt": _parse_opt_float,
-    "tau_drugs": _parse_opt_float,
-    "lambda": float,
-    "norm_mode": str,
-    "hard_gating": _parse_bool,
-    "p_at_k": _parse_int_list,
-    "predict_top_k": int,
-    "seed": int,
-    "variant": str,
-    "max_len": int,
-    "min_count": int,
-    "skipgram_window": int,
-    "skipgram_negatives": int,
-    "skipgram_epochs": int,
-    "embedding_path": str,
-}
-
 
 def _attr_for(key: str) -> str:
     return "lambda_" if key == "lambda" else key
@@ -122,6 +69,19 @@ def _attr_for(key: str) -> str:
 
 def _key_for(attr: str) -> str:
     return "lambda" if attr == "lambda_" else attr
+
+
+def _parser_for(default):
+    if isinstance(default, bool):  # before int: bool is an int subclass
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_int_list
+    return type(default)
+
+
+# file key -> parser, by each field's default type; "lambda" is a Python
+# keyword, hence the alias
+_PARSERS = {_key_for(f.name): _parser_for(f.default) for f in fields(RunConfig)}
 
 
 def load_run_config(
@@ -170,8 +130,6 @@ def canonical_text(cfg: RunConfig) -> str:
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
-        elif value is None:
-            rendered = ""
         elif isinstance(value, bool):
             rendered = "true" if value else "false"
         elif isinstance(value, float):

@@ -248,21 +248,56 @@ def save_encoded(records: list[DocumentRecord], path, config_hash: str = "") -> 
             fh.write(json.dumps(row) + "\n")
 
 
-def load_encoded(path) -> tuple[list[DocumentRecord], str]:
-    """Load an encoded corpus artifact; returns (records, config_hash)."""
+def _ids_in_range(ids, size: int) -> bool:
+    return isinstance(ids, list) and all(type(i) is int and 0 <= i < size for i in ids)
+
+
+def _encoded_row_problem(row, vocab_size: int, num_labels: int) -> str | None:
+    """What is wrong with one encoded-corpus row, or None."""
+    if not isinstance(row, dict) or not {"doc_id", "tokens", "labels"} <= row.keys():
+        return "a row needs 'doc_id', 'tokens' and 'labels'"
+    if not isinstance(row["doc_id"], str):
+        return "doc_id must be a string"
+    if not _ids_in_range(row["tokens"], vocab_size):
+        return f"token ids must be integers in [0, {vocab_size})"
+    if not _ids_in_range(row["labels"], num_labels):
+        return f"label ids must be integers in [0, {num_labels})"
+    for term in TERMINOLOGIES:
+        codes = row.get(term, [])
+        if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
+            return f"{term} codes must be a list of strings"
+    return None
+
+
+def load_encoded(path, vocab_size: int, num_labels: int) -> tuple[list[DocumentRecord], str]:
+    """Load an encoded corpus artifact; returns (records, config_hash).
+
+    Every token id must index the ``vocab_size``-row vocabulary and every
+    label id the ``num_labels``-label catalog; a malformed line is a
+    ``DataError`` naming the file and line.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise DataError(f"{path}: empty encoded corpus")
-    header = json.loads(lines[0])
-    if header.get("format") != _ENCODED_FORMAT:
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:1: invalid JSON header ({exc})") from None
+    if not isinstance(header, dict) or header.get("format") != _ENCODED_FORMAT:
         raise DataError(f"{path}: not an encoded corpus artifact")
     records = []
-    for line in lines[1:]:
-        row = json.loads(line)
+    for ln, line in enumerate(lines[1:], start=2):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{ln}: invalid JSON ({exc})") from None
+        problem = _encoded_row_problem(row, vocab_size, num_labels)
+        if problem:
+            raise DataError(f"{path}:{ln}: {problem}")
         records.append(
             DocumentRecord(
                 doc_id=row["doc_id"],
-                tokens=list(row["tokens"]),
+                tokens=row["tokens"],
                 labels=set(row["labels"]),
                 aux_codes={t: tuple(row.get(t, ())) for t in TERMINOLOGIES},
             )

@@ -28,11 +28,10 @@ class EncoderConfig:
     num_blocks: int = 1
     dropout: float = 0.2
     activation: str = "relu"
-    causal: bool = False
 
     def __post_init__(self):
         self.rates = tuple(int(r) for r in self.rates)
-        if self.kernel_size % 2 == 0 and not self.causal:
+        if self.kernel_size % 2 == 0:
             raise ConfigError(
                 f"kernel size must be odd for length-preserving padding, got {self.kernel_size}"
             )
@@ -46,11 +45,6 @@ class EncoderConfig:
             )
         if self.num_blocks < 0:
             raise ConfigError(f"num_blocks must be nonnegative, got {self.num_blocks}")
-
-    def padding_for(self, rate: int) -> int:
-        if self.causal:
-            return rate * (self.kernel_size - 1)
-        return same_padding(self.kernel_size, rate)
 
     def receptive_field(self) -> int:
         """Positions one output element can see, per block stack."""
@@ -103,8 +97,8 @@ def dilated_stack(
     """Chain of dilated convolutions, one level per rate."""
     h = embedded
     for filt, rate in zip(params.level_filters, config.rates):
-        h = conv1d_dilated(h, filt, dilation=rate, padding=config.padding_for(rate),
-                           causal=config.causal)
+        h = conv1d_dilated(h, filt, dilation=rate,
+                           padding=same_padding(config.kernel_size, rate))
         h = _zero_padded_rows(h, pad_mask)
     return h
 
@@ -131,8 +125,7 @@ def residual_block(
         embedded,
         params.residual_filter,
         dilation=config.rates[0],
-        padding=config.padding_for(config.rates[0]),
-        causal=config.causal,
+        padding=same_padding(config.kernel_size, config.rates[0]),
     )
     residual = _zero_padded_rows(residual, pad_mask)
     out = act(add(main, residual))

@@ -9,6 +9,7 @@ the shared embedding table.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,12 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary, preprocess
-from .errors import ConfigError, DataError, ShapeError
+from .errors import DataError, ShapeError
 from .tensor import Tensor, matmul, relu
 
 logger = logging.getLogger(__name__)
-
-NORM_MODES = ("raw", "self_loop_row_norm")
 
 
 @dataclass
@@ -36,6 +35,12 @@ class CooccurrenceGraph:
     @property
     def num_labels(self) -> int:
         return self.adjacency.shape[0]
+
+    @functools.cached_property
+    def propagation(self) -> np.ndarray:
+        """The GCN's propagation matrix, computed on first use and kept, so
+        ``adjacency`` must not change after the first forward pass."""
+        return normalize_adjacency(self.adjacency)
 
 
 def build_cooccurrence(
@@ -138,14 +143,9 @@ def descriptor_average_matrix(catalog: LabelCatalog, vocab: Vocabulary) -> np.nd
 class GcnParams:
     w1: Tensor  # [d_e, d_e]
     w2: Tensor  # [d_e, d_e]
-    norm_mode: str = "self_loop_row_norm"
-
-    def __post_init__(self):
-        if self.norm_mode not in NORM_MODES:
-            raise ConfigError(f"unknown norm_mode {self.norm_mode!r}; choose from {NORM_MODES}")
 
 
-def init_gcn_params(dim: int, rng: np.random.Generator, norm_mode: str = "self_loop_row_norm") -> GcnParams:
+def init_gcn_params(dim: int, rng: np.random.Generator) -> GcnParams:
     """Near-identity init: label representations start as (graph-smoothed)
     descriptor averages, which keeps them aligned with the shared word
     embedding space; the layers learn mixing as a refinement."""
@@ -155,22 +155,14 @@ def init_gcn_params(dim: int, rng: np.random.Generator, norm_mode: str = "self_l
         noise = rng.uniform(-limit, limit, (dim, dim))
         return Tensor(np.eye(dim) + 0.1 * noise, requires_grad=True, name=name)
 
-    return GcnParams(w1=weight("gcn.w1"), w2=weight("gcn.w2"), norm_mode=norm_mode)
+    return GcnParams(w1=weight("gcn.w1"), w2=weight("gcn.w2"))
 
 
-def normalize_adjacency(adjacency: np.ndarray, norm_mode: str) -> np.ndarray:
-    """Propagation matrix for the GCN.
-
-    ``raw`` uses the binary adjacency as-is; ``self_loop_row_norm`` adds a
-    self loop and row-normalizes, which keeps activation scale independent
-    of node degree.
-    """
-    if norm_mode == "raw":
-        return adjacency.copy()
-    if norm_mode == "self_loop_row_norm":
-        a = adjacency + np.eye(adjacency.shape[0])
-        return a / a.sum(axis=1, keepdims=True)
-    raise ConfigError(f"unknown norm_mode {norm_mode!r}; choose from {NORM_MODES}")
+def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """Propagation matrix for the GCN: add a self loop and row-normalize,
+    which keeps activation scale independent of node degree."""
+    a = adjacency + np.eye(adjacency.shape[0])
+    return a / a.sum(axis=1, keepdims=True)
 
 
 def gcn_forward(graph: CooccurrenceGraph, features: Tensor, params: GcnParams) -> Tensor:
@@ -180,6 +172,6 @@ def gcn_forward(graph: CooccurrenceGraph, features: Tensor, params: GcnParams) -
         raise ShapeError(
             f"feature rows {features.shape[0]} != graph labels {graph.num_labels}"
         )
-    a_hat = Tensor(normalize_adjacency(graph.adjacency, params.norm_mode))
+    a_hat = Tensor(graph.propagation)
     h1 = relu(matmul(matmul(a_hat, features), params.w1))
     return matmul(matmul(a_hat, h1), params.w2)

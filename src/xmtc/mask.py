@@ -34,13 +34,9 @@ class AuxMaskIndex:
 
     num_labels: int
     tau: float = DEFAULT_TAU
-    tau_overrides: dict[str, float] = field(default_factory=dict)
     probs: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     pair_counts: dict[str, dict[str, np.ndarray]] | None = None
     code_counts: dict[str, dict[str, int]] | None = None
-
-    def tau_for(self, terminology: str) -> float:
-        return self.tau_overrides.get(terminology, self.tau)
 
     def candidates(self, terminology: str, code: str) -> np.ndarray | None:
         """Boolean candidate vector for one code, or None if the code is
@@ -49,14 +45,13 @@ class AuxMaskIndex:
         p = per_term.get(code)
         if p is None:
             return None
-        return p > self.tau_for(terminology)
+        return p > self.tau
 
 
 def build_mask_index(
     train_docs: list[DocumentRecord],
     num_labels: int,
     tau: float = DEFAULT_TAU,
-    tau_overrides: dict[str, float] | None = None,
 ) -> AuxMaskIndex:
     """Count label / auxiliary-code co-occurrence on the training split.
 
@@ -87,7 +82,6 @@ def build_mask_index(
     return AuxMaskIndex(
         num_labels=num_labels,
         tau=tau,
-        tau_overrides=dict(tau_overrides or {}),
         probs=probs,
         pair_counts=pair_counts,
         code_counts=code_counts,
@@ -184,10 +178,7 @@ def save_mask_index(index: AuxMaskIndex, catalog: LabelCatalog, path, config_has
 
 
 def load_mask_index(
-    path,
-    catalog: LabelCatalog,
-    tau: float | None = None,
-    tau_overrides: dict[str, float] | None = None,
+    path, catalog: LabelCatalog, tau: float | None = None
 ) -> tuple[AuxMaskIndex, str]:
     """Load a saved index; pass ``tau`` to re-threshold, else the saved
     value applies.  Audit counts are not stored in the artifact."""
@@ -200,7 +191,10 @@ def load_mask_index(
             if part.startswith("config="):
                 config_hash = part[len("config="):]
             elif part.startswith("tau="):
-                saved_tau = float(part[len("tau="):])
+                try:
+                    saved_tau = float(part[len("tau="):])
+                except ValueError:
+                    raise DataError(f"{path}:1: malformed header field {part!r}") from None
     probs: dict[str, dict[str, np.ndarray]] = {t: {} for t in TERMINOLOGIES}
     term = None
     for ln, line in enumerate(lines, start=2):
@@ -215,14 +209,16 @@ def load_mask_index(
             raise DataError(f"{path}:{ln}: entry before any terminology section")
         try:
             code, label_code, prob_s = line.split("\t")
+            prob = float(prob_s)
         except ValueError:
-            raise DataError(f"{path}:{ln}: expected 'code<TAB>label<TAB>prob'") from None
+            raise DataError(
+                f"{path}:{ln}: expected 'code<TAB>label<TAB>prob', got {line!r}"
+            ) from None
         vec = probs[term].setdefault(code, np.zeros(len(catalog)))
-        vec[catalog.id_of(label_code)] = float(prob_s)
+        vec[catalog.id_of(label_code)] = prob
     index = AuxMaskIndex(
         num_labels=len(catalog),
         tau=saved_tau if tau is None else tau,
-        tau_overrides=dict(tau_overrides or {}),
         probs=probs,
     )
     return index, config_hash

@@ -64,9 +64,6 @@ class ModelParams:
         for p in self._params.values():
             p.zero_grad()
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self._params.items()}
-
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         missing = set(self._params) ^ set(arrays)
         if missing:
@@ -155,7 +152,6 @@ def model_from_artifacts(
     seed: int = 0,
     embedding_matrix: np.ndarray | None = None,
     variant: str = "full",
-    norm_mode: str = "self_loop_row_norm",
     hard_gating: bool = True,
 ) -> CodingModel:
     """Initialize all parameters and assemble a model.
@@ -203,7 +199,7 @@ def model_from_artifacts(
         params.register(Tensor(rng.uniform(-wlim, wlim, (dim, dim)),
                                requires_grad=True, name="labelfc.w"))
     else:
-        gcn = init_gcn_params(dim, rng, norm_mode=norm_mode)
+        gcn = init_gcn_params(dim, rng)
         params.register(gcn.w1)
         params.register(gcn.w2)
 
@@ -235,10 +231,9 @@ def model_from_config(cfg: RunConfig, vocab: Vocabulary, catalog: LabelCatalog,
         num_blocks=cfg.num_blocks,
         dropout=cfg.dropout,
         activation=cfg.activation,
-        causal=cfg.causal_conv,
     )
     return model_from_artifacts(
         vocab, catalog, graph, dim=cfg.embedding_size, encoder_config=encoder_config,
         seed=cfg.seed, embedding_matrix=embedding_matrix,
-        variant=variant or cfg.variant, norm_mode=cfg.norm_mode, hard_gating=cfg.hard_gating,
+        variant=variant or cfg.variant, hard_gating=cfg.hard_gating,
     )

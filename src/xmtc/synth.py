@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -457,9 +456,3 @@ def split_docs(docs: list[dict], fractions: tuple[float, float, float], seed: in
     val = [docs[i] for i in order[n_train : n_train + n_val]]
     test = [docs[i] for i in order[n_train + n_val :]]
     return train, val, test
-
-
-def verify_corpus_file(corpus_path, truth_path) -> VerifyReport:
-    docs = [json.loads(line) for line in Path(corpus_path).read_text().splitlines() if line]
-    truth = GroundTruth.from_json(Path(truth_path).read_text())
-    return verify(docs, truth)

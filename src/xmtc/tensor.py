@@ -252,14 +252,12 @@ def conv1d_dilated(
     filters: Tensor,
     dilation: int,
     padding: int,
-    causal: bool = False,
 ) -> Tensor:
     """Stride-1 dilated 1-d convolution over a [n, d_in] sequence.
 
     ``filters`` has shape [K, d_in, d_out].  Kernel taps are spaced
-    ``dilation`` positions apart.  By default ``padding`` zeros are added on
-    both ends (centered/same convolution); with ``causal=True`` all padding
-    goes on the left, so output position s never sees inputs right of s.
+    ``dilation`` positions apart, and ``padding`` zeros are added on both
+    ends (centered/same convolution).
     """
     x, filters = _as_tensor(x), _as_tensor(filters)
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
@@ -276,8 +274,7 @@ def conv1d_dilated(
     if f_in != d_in:
         raise ShapeError(f"filter input channels {f_in} != sequence channels {d_in}")
 
-    pad = (padding, 0) if causal else (padding, padding)
-    xp = np.pad(x.data, (pad, (0, 0)))
+    xp = np.pad(x.data, ((padding, padding), (0, 0)))
     span = dilation * (k - 1)
     n_out = xp.shape[0] - span
     if n_out < 1:
@@ -300,7 +297,7 @@ def conv1d_dilated(
             gxp = np.zeros_like(xp)
             for j in range(k):
                 gxp[j * dilation : j * dilation + n_out] += gwin[:, j, :]
-            _accumulate(x, gxp[pad[0] : pad[0] + n, :])
+            _accumulate(x, gxp[padding : padding + n, :])
 
     return _make(out, (x, filters), bwd)
 

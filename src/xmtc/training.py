@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,14 +80,6 @@ class Adam:
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
-    def state(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v}
-
-    def load_state(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = {k: np.array(v, dtype=np.float64) for k, v in state["m"].items()}
-        self.v = {k: np.array(v, dtype=np.float64) for k, v in state["v"].items()}
-
 
 def clip_global_norm(params: ModelParams, max_norm: float) -> float:
     """Scale all gradients together so their joint norm is at most
@@ -125,7 +118,6 @@ class EpochStats:
 @dataclass
 class TrainResult:
     params_arrays: dict[str, np.ndarray]
-    optimizer_state: dict
     best_epoch: int
     best_val_micro_f1: float
     history: list[EpochStats] = field(default_factory=list)
@@ -168,8 +160,8 @@ def train(
 ) -> TrainResult:
     """Mini-batch training with early stopping on validation micro-F1.
 
-    Returns the best-validation parameter snapshot along with the optimizer
-    state and per-epoch history.  The candidate-mask index must have been
+    Returns the best-validation parameter snapshot along with the per-epoch
+    history.  The candidate-mask index must have been
     built from the training split beforehand.
     """
     if not train_docs:
@@ -178,7 +170,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, lr=config.lr)
-    best = TrainResult(params_arrays={}, optimizer_state={}, best_epoch=-1, best_val_micro_f1=-1.0)
+    best = TrainResult(params_arrays={}, best_epoch=-1, best_val_micro_f1=-1.0)
     since_best = 0
 
     order = np.arange(len(train_docs))
@@ -212,11 +204,6 @@ def train(
             best.best_val_micro_f1 = val_report.micro_f1
             best.best_epoch = epoch
             best.params_arrays = {name: p.data.copy() for name, p in model.params.items()}
-            best.optimizer_state = {
-                "t": optimizer.t,
-                "m": {k: v.copy() for k, v in optimizer.m.items()},
-                "v": {k: v.copy() for k, v in optimizer.v.items()},
-            }
             since_best = 0
         else:
             since_best += 1
@@ -323,19 +310,20 @@ def ablate(
 # ---------------------------------------------------------------------------
 # checkpointing
 
-_CKPT_MAGIC = b"XMTC-CKPT-v1\n"
+_CKPT_MAGIC = b"XMTC-CKPT-v2\n"
+_CKPT_KEYS = ("config_hash", "epoch", "params", "variant", "vocab_hash")
 
 
 def save_checkpoint(
     path,
     params_arrays: dict[str, np.ndarray],
-    optimizer_state: dict,
     epoch: int,
     config_hash: str = "",
     vocab_hash: str = "",
     variant: str = "full",
 ) -> None:
-    """Self-describing binary container: magic, JSON manifest, raw blobs.
+    """Self-describing binary container: magic, manifest length, JSON
+    manifest, then one raw blob per parameter.
 
     Arrays are stored as little-endian float64 bytes, so a reload reproduces
     forward passes bit-exactly.
@@ -347,7 +335,6 @@ def save_checkpoint(
         "vocab_hash": vocab_hash,
         "variant": variant,
         "params": [{"name": n, "shape": list(params_arrays[n].shape)} for n in names],
-        "adam_t": int(optimizer_state.get("t", 0)),
     }
     payload = json.dumps(manifest, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -356,34 +343,40 @@ def save_checkpoint(
         fh.write(payload)
         for n in names:
             fh.write(np.ascontiguousarray(params_arrays[n], dtype="<f8").tobytes())
-        for state_name in ("m", "v"):
-            table = optimizer_state.get(state_name, {})
-            for n in names:
-                arr = table.get(n, np.zeros_like(params_arrays[n]))
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, dict]:
-    """Returns (parameter arrays, optimizer state, manifest metadata)."""
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Returns (parameter arrays, manifest metadata).  A file that is cut
+    short, carries trailing bytes or has a malformed manifest is a
+    ``DataError``."""
     raw = Path(path).read_bytes()
     if not raw.startswith(_CKPT_MAGIC):
         raise DataError(f"{path}: not a checkpoint file")
-    offset = len(_CKPT_MAGIC)
-    (length,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    manifest = json.loads(raw[offset : offset + length])
+    offset = len(_CKPT_MAGIC) + 8
+    if len(raw) < offset:
+        raise DataError(f"{path}: checkpoint cut short inside its header")
+    (length,) = struct.unpack_from("<Q", raw, len(_CKPT_MAGIC))
+    try:
+        manifest = json.loads(raw[offset : offset + length])
+        missing = [k for k in _CKPT_KEYS if k not in manifest]
+        if missing:
+            raise DataError(f"{path}: checkpoint manifest lacks {missing}")
+        shapes = {spec["name"]: tuple(int(d) for d in spec["shape"])
+                  for spec in manifest["params"]}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
+    if any(d < 0 for shape in shapes.values() for d in shape):
+        raise DataError(f"{path}: negative dimension in checkpoint manifest")
     offset += length
+    expected = offset + 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(raw) != expected:
+        raise DataError(f"{path}: checkpoint is {len(raw)} bytes, its manifest "
+                        f"describes {expected}")
 
-    def read_block(shape):
-        nonlocal offset
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
+    params = {}
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        params[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 8
-        return np.array(arr, dtype=np.float64)
-
-    params = {spec["name"]: read_block(spec["shape"]) for spec in manifest["params"]}
-    state = {"t": manifest["adam_t"], "m": {}, "v": {}}
-    for state_name in ("m", "v"):
-        for spec in manifest["params"]:
-            state[state_name][spec["name"]] = read_block(spec["shape"])
-    return params, state, manifest
+    return params, manifest

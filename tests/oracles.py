@@ -8,16 +8,14 @@ implementations it checks.
 import numpy as np
 
 
-def naive_conv1d(x, filters, dilation, padding, causal=False):
+def naive_conv1d(x, filters, dilation, padding):
     """Sliding-window dilated convolution, triple loop."""
     x = np.asarray(x, dtype=np.float64)
     filters = np.asarray(filters, dtype=np.float64)
     n, d_in = x.shape
     k, _, d_out = filters.shape
-    left = padding
-    right = 0 if causal else padding
-    xp = np.zeros((n + left + right, d_in))
-    xp[left : left + n] = x
+    xp = np.zeros((n + 2 * padding, d_in))
+    xp[padding : padding + n] = x
     n_out = xp.shape[0] - dilation * (k - 1)
     out = np.zeros((n_out, d_out))
     for s in range(n_out):

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 
 import pytest
 
@@ -124,8 +125,8 @@ class TestUngatedPredict:
     def test_predict_matches_evaluate_scores_and_is_unmasked(self, ungated_pipeline):
         work, cfg_path = ungated_pipeline
         cfg = load_run_config(cfg_path)
-        m, catalog, _, index = cli._restore_model(work, cfg, config_hash(cfg))
-        docs = cli._load_encoded(work, "test", config_hash(cfg))
+        m, catalog, vocab, index = cli._restore_model(work, cfg, config_hash(cfg))
+        docs = cli._load_encoded(work, "test", config_hash(cfg), vocab, catalog)
         _, scores = training.collect_scores(docs, m, index)
         rows = [json.loads(line)
                 for line in (work / "predictions.jsonl").read_text().splitlines()[1:]]
@@ -164,12 +165,82 @@ class TestAblate:
                      "--variants", "full"]) == 2
 
 
+def _evaluate_copy(work, cfg, tmp_path, name, edit):
+    """Exit code of ``evaluate`` on a copy of ``work`` whose artifact
+    ``name`` was rewritten by ``edit`` (bytes -> bytes)."""
+    copy = tmp_path / "work"
+    shutil.copytree(work, copy)
+    path = copy / name
+    path.write_bytes(edit(path.read_bytes()))
+    return main(["evaluate", "--workdir", str(copy), "--config", str(cfg)])
+
+
+def _drop_manifest_key(raw, key="variant"):
+    head = len(b"XMTC-CKPT-v2\n")
+    (length,) = struct.unpack_from("<Q", raw, head)
+    manifest = json.loads(raw[head + 8 : head + 8 + length])
+    del manifest[key]
+    payload = json.dumps(manifest, sort_keys=True).encode()
+    return raw[:head] + struct.pack("<Q", len(payload)) + payload + raw[head + 8 + length :]
+
+
+def _replace_line(raw, index, text):
+    lines = raw.decode().splitlines(keepends=True)
+    lines[index] = text + "\n"
+    return "".join(lines).encode()
+
+
 class TestErrors:
     def test_unknown_config_key_is_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_key = 1\n")
         code = main(["build-graph", "--workdir", str(tmp_path), "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["causal_conv", "norm_mode", "tau_drg", "tau_cpt",
+                                     "tau_drugs"])
+    def test_removed_config_key_is_exit_2(self, tmp_path, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code = main(["build-graph", "--workdir", str(tmp_path), "--config", str(cfg)])
+        assert code == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw[:18],
+        lambda raw: raw[:30],
+        lambda raw: raw[:2000],
+        lambda raw: raw + b"\0" * 8,
+        _drop_manifest_key,
+        lambda raw: raw.replace(b"XMTC-CKPT-v2", b"XMTC-CKPT-v1", 1),
+    ], ids=["cut18", "cut30", "cut2000", "trailing", "no_variant", "v1_magic"])
+    def test_malformed_checkpoint_is_exit_3(self, pipeline, tmp_path, edit):
+        _, _, work, cfg = pipeline
+        assert _evaluate_copy(work, cfg, tmp_path, "checkpoint.bin", edit) == 3
+
+    @pytest.mark.parametrize("row", [
+        "{bad json",
+        '{"doc_id": "x", "labels": [0]}',
+        '{"doc_id": "x", "tokens": [99999], "labels": [0]}',
+        '{"doc_id": "x", "tokens": [-5], "labels": [0]}',
+        '{"doc_id": "x", "tokens": [2], "labels": [999]}',
+    ], ids=["bad_json", "no_tokens", "token_99999", "token_-5", "label_999"])
+    def test_malformed_encoded_split_is_exit_3(self, pipeline, tmp_path, capsys, row):
+        _, _, work, cfg = pipeline
+        code = _evaluate_copy(work, cfg, tmp_path, "test.enc.jsonl",
+                              lambda raw: _replace_line(raw, 3, row))
+        assert code == 3
+        assert "test.enc.jsonl:4:" in capsys.readouterr().err
+
+    def test_checkpoint_on_another_vocabulary_is_exit_2(self, pipeline, tmp_path):
+        _, _, work, cfg = pipeline
+
+        def swap_two_tokens(raw):
+            lines = raw.decode().splitlines(keepends=True)
+            assert lines[0].startswith("# config=")
+            lines[3], lines[4] = lines[4], lines[3]
+            return "".join(lines).encode()
+
+        assert _evaluate_copy(work, cfg, tmp_path, "vocab.txt", swap_two_tokens) == 2
 
     def test_missing_artifact_is_exit_3_and_actionable(self, tmp_path, capsys):
         code = main(["train", "--workdir", str(tmp_path)])

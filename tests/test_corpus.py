@@ -1,9 +1,13 @@
 """Tests for preprocessing, vocabulary, catalogs, and corpus I/O."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmtc.corpus import (
     DocumentRecord,
@@ -141,7 +145,7 @@ class TestCorpusIO:
 
         enc_path = tmp_path / "enc.jsonl"
         save_encoded(records, enc_path, config_hash="feed")
-        loaded, found_hash = load_encoded(enc_path)
+        loaded, found_hash = load_encoded(enc_path, len(vocab), len(catalog))
         assert found_hash == "feed"
         assert [r.doc_id for r in loaded] == ["d1", "d2"]
         assert loaded[1].labels == {0, 1}
@@ -160,6 +164,52 @@ class TestCorpusIO:
         path.write_text('{"doc_id": "d1", "text": "ok"}\nnot json\n')
         with pytest.raises(DataError, match="2"):
             load_corpus_jsonl(path)
+
+    @pytest.mark.parametrize("row", [
+        "{bad json",
+        '["d1", [2], [0]]',
+        '{"doc_id": "d1", "labels": [0]}',
+        '{"doc_id": "d1", "tokens": [2]}',
+        '{"tokens": [2], "labels": [0]}',
+        '{"doc_id": "d1", "tokens": [99999], "labels": [0]}',
+        '{"doc_id": "d1", "tokens": [-5], "labels": [0]}',
+        '{"doc_id": "d1", "tokens": [2.0], "labels": [0]}',
+        '{"doc_id": "d1", "tokens": [2], "labels": [999]}',
+        '{"doc_id": "d1", "tokens": [2], "labels": [-1]}',
+    ])
+    def test_malformed_encoded_row_is_data_error_with_line(self, tmp_path, row):
+        path = tmp_path / "enc.jsonl"
+        save_encoded([DocumentRecord(doc_id="d0", tokens=[2, 3], labels={1})], path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(DataError, match="enc.jsonl:3:"):
+            load_encoded(path, vocab_size=4, num_labels=2)
+
+    def test_malformed_encoded_header_is_data_error(self, tmp_path):
+        path = tmp_path / "enc.jsonl"
+        path.write_text('{"format": "xmtc-enc\n')
+        with pytest.raises(DataError, match="enc.jsonl:1:"):
+            load_encoded(path, vocab_size=4, num_labels=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+            st.sampled_from(["doc_id", "tokens", "labels", "drg", "cpt", "drugs"]),
+            inner, max_size=6),
+        max_leaves=8))
+    def test_fuzzed_row_loads_in_range_or_is_data_error(self, row):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "enc.jsonl"
+            save_encoded([], path)
+            path.write_text(path.read_text() + json.dumps(row) + "\n")
+            try:
+                records, _ = load_encoded(path, vocab_size=4, num_labels=2)
+            except DataError:
+                return
+        (rec,) = records
+        assert all(0 <= t < 4 for t in rec.tokens)
+        assert rec.labels <= {0, 1}
+        assert all(isinstance(c, str) for codes in rec.aux_codes.values() for c in codes)
 
     def test_label_vector(self):
         doc = DocumentRecord(doc_id="d", tokens=[2, 3], labels={1, 3})

@@ -12,7 +12,7 @@ from xmtc.encoder import (
     residual_block,
 )
 from xmtc.errors import ConfigError, DataError
-from xmtc.tensor import GradTape, Tensor, grad_check, tensor_sum
+from xmtc.tensor import GradTape, Tensor, grad_check, same_padding, tensor_sum
 
 from oracles import naive_conv1d
 
@@ -54,7 +54,7 @@ class TestEncoderConfig:
 
     def test_padding_formula(self):
         cfg = EncoderConfig()
-        assert cfg.padding_for(4) == 16
+        assert same_padding(cfg.kernel_size, 4) == 16
 
 
 class TestDilatedStack:
@@ -77,7 +77,8 @@ class TestDilatedStack:
         out = dilated_stack(Tensor(e), block, cfg)
         expect = e
         for filt, rate in zip(block.level_filters, cfg.rates):
-            expect = naive_conv1d(expect, filt.data, rate, cfg.padding_for(rate))
+            expect = naive_conv1d(expect, filt.data, rate,
+                                  same_padding(cfg.kernel_size, rate))
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
@@ -110,9 +111,10 @@ class TestResidualBlock:
 
         main = e
         for filt, rate in zip(block.level_filters, cfg.rates):
-            main = naive_conv1d(main, filt.data, rate, cfg.padding_for(rate))
+            main = naive_conv1d(main, filt.data, rate,
+                                same_padding(cfg.kernel_size, rate))
         residual = naive_conv1d(e, block.residual_filter.data, cfg.rates[0],
-                                cfg.padding_for(cfg.rates[0]))
+                                same_padding(cfg.kernel_size, cfg.rates[0]))
         np.testing.assert_allclose(out.data, np.maximum(main + residual, 0.0), atol=1e-12)
 
     def test_single_position_sequence(self):
@@ -176,7 +178,7 @@ class TestLocality:
             from xmtc.tensor import add, conv1d_dilated
 
             res = conv1d_dilated(e, block.residual_filter, cfg.rates[0],
-                                 cfg.padding_for(cfg.rates[0]))
+                                 same_padding(cfg.kernel_size, cfg.rates[0]))
             return add(main, res).data
 
         base = preact(x)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from xmtc.corpus import DocumentRecord, LabelCatalog, build_vocab
-from xmtc.errors import ConfigError, DataError, ShapeError
+from xmtc import graph as graph_module
+from xmtc.encoder import EncoderConfig
+from xmtc.errors import DataError, ShapeError
 from xmtc.graph import (
     CooccurrenceGraph,
     GcnParams,
@@ -18,6 +20,7 @@ from xmtc.graph import (
     normalize_adjacency,
     save_graph,
 )
+from xmtc.model import model_from_artifacts
 from xmtc.tensor import Tensor, grad_check, matmul, tensor_sum
 
 from oracles import conditional_prob_matrix
@@ -167,35 +170,30 @@ class TestGcn:
     def test_identity_propagation(self):
         g = CooccurrenceGraph(adjacency=np.eye(3), lam=1.0, pair_count=0)
         v = Tensor(np.abs(np.random.default_rng(0).standard_normal((3, 4))))
-        params = GcnParams(w1=Tensor(np.eye(4)), w2=Tensor(np.eye(4)), norm_mode="raw")
+        params = GcnParams(w1=Tensor(np.eye(4)), w2=Tensor(np.eye(4)))
         out = gcn_forward(g, v, params)
         np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
     def test_one_layer_path_graph_matches_dense_oracle(self):
-        # 3-node path, raw adjacency, one layer checked by direct arithmetic
+        # 3-node path, both layers checked by direct arithmetic
         adj = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         g = CooccurrenceGraph(adjacency=adj, lam=0.0, pair_count=2)
         rng = np.random.default_rng(5)
         v = rng.standard_normal((3, 2))
         w1 = rng.standard_normal((2, 2))
         w2 = rng.standard_normal((2, 2))
-        params = GcnParams(w1=Tensor(w1), w2=Tensor(w2), norm_mode="raw")
+        params = GcnParams(w1=Tensor(w1), w2=Tensor(w2))
         out = gcn_forward(g, Tensor(v), params)
-        h1 = np.maximum(adj @ v @ w1, 0.0)
-        expect = adj @ h1 @ w2
+        a_hat = normalize_adjacency(adj)
+        h1 = np.maximum(a_hat @ v @ w1, 0.0)
+        expect = a_hat @ h1 @ w2
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_self_loop_row_norm(self):
         adj = np.array([[1.0, 1.0], [0.0, 1.0]])
-        norm = normalize_adjacency(adj, "self_loop_row_norm")
+        norm = normalize_adjacency(adj)
         np.testing.assert_allclose(norm.sum(axis=1), 1.0)
         np.testing.assert_allclose(norm[0], [2 / 3, 1 / 3])
-
-    def test_raw_mode_allows_zero_rows(self):
-        g = CooccurrenceGraph(adjacency=np.zeros((2, 2)), lam=1.0, pair_count=0)
-        params = GcnParams(w1=Tensor(np.eye(3)), w2=Tensor(np.eye(3)), norm_mode="raw")
-        out = gcn_forward(g, Tensor(np.ones((2, 3))), params)
-        np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(31)
@@ -223,17 +221,51 @@ class TestGcn:
 
         def op(tbl, w1, w2):
             feats = Tensor(s) @ tbl
-            return gcn_forward(g, feats, GcnParams(w1=w1, w2=w2, norm_mode="self_loop_row_norm"))
+            return gcn_forward(g, feats, GcnParams(w1=w1, w2=w2))
 
         report = grad_check(op, [table, params.w1, params.w2], tol=1e-4)
         assert report.passed, report
-
-    def test_bad_norm_mode(self):
-        with pytest.raises(ConfigError):
-            GcnParams(w1=Tensor(np.eye(2)), w2=Tensor(np.eye(2)), norm_mode="bogus")
 
     def test_feature_row_mismatch(self):
         g = CooccurrenceGraph(adjacency=np.eye(2), lam=1.0, pair_count=0)
         params = GcnParams(w1=Tensor(np.eye(3)), w2=Tensor(np.eye(3)))
         with pytest.raises(ShapeError):
             gcn_forward(g, Tensor(np.ones((5, 3))), params)
+
+
+class TestPropagationCache:
+    def _model(self, variant):
+        catalog = LabelCatalog(["a", "b", "c"], ["alpha beta", "beta", "gamma"])
+        vocab = build_vocab([["alpha", "beta", "gamma"]], min_count=1)
+        adj = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        g = CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=1)
+        return model_from_artifacts(vocab, catalog, g, dim=4, variant=variant,
+                                    encoder_config=EncoderConfig(kernel_size=3, rates=(1,)))
+
+    def _count_calls(self, monkeypatch):
+        calls = []
+        real = graph_module.normalize_adjacency
+
+        def counting(adjacency):
+            calls.append(1)
+            return real(adjacency)
+
+        monkeypatch.setattr(graph_module, "normalize_adjacency", counting)
+        return calls
+
+    def test_label_side_normalizes_adjacency_once(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        m = self._model("full")
+        assert len(calls) == 0  # built on first use, not with the model
+        first = m.label_representations().data
+        second = m.label_representations().data
+        assert len(calls) == 1
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(m.graph.propagation,
+                                      normalize_adjacency(m.graph.adjacency))
+
+    def test_no_label_feature_never_normalizes(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        m = self._model("no_label_feature")
+        m.label_representations()
+        assert len(calls) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xmtc.corpus import DocumentRecord, LabelCatalog
-from xmtc.errors import ShapeError
+from xmtc.errors import DataError, ShapeError
 from xmtc.mask import (
     AuxMaskIndex,
     DocMask,
@@ -212,11 +212,17 @@ class TestMaskIndexIO:
             for code in relow.probs[term]:
                 assert np.all(relow.candidates(term, code) >= loaded.candidates(term, code))
 
-    def test_per_terminology_overrides(self):
-        docs = [doc("d1", {0}, drg=["D"], cpt=["C"])]
-        index = build_mask_index(docs, 1, tau=2.0, tau_overrides={"drg": 0.5})
-        assert index.candidates("drg", "D")[0]
-        assert not index.candidates("cpt", "C")[0]
+    @pytest.mark.parametrize("text, line", [
+        ("# xmtc-mask-index v1 config=ab tau=abc\n[drg]\nD\tc0\t0.5\n", 1),
+        ("# xmtc-mask-index v1 config=ab tau=0.1\n[drg]\nD\tc0\tmany\n", 3),
+        ("# xmtc-mask-index v1 config=ab tau=0.1\n[drg]\nD\tc0\n", 3),
+    ])
+    def test_malformed_file_is_data_error_with_line(self, tmp_path, text, line):
+        path = tmp_path / "mask.tsv"
+        path.write_text(text)
+        catalog = LabelCatalog(["c0"], ["x"])
+        with pytest.raises(DataError, match=f"mask.tsv:{line}:"):
+            load_mask_index(path, catalog)
 
 
 class TestLeakageGuard:

@@ -105,14 +105,11 @@ class TestConv1dDilated:
             k = int(rng.choice([1, 3, 5]))
             r = int(rng.integers(1, 4))
             p = same_padding(k, r)
-            causal = bool(rng.integers(0, 2))
-            if causal:
-                p = r * (k - 1)
             x = rng.standard_normal((n, d_in))
             f = rng.standard_normal((k, d_in, d_out))
-            out = conv1d_dilated(Tensor(x), Tensor(f), dilation=r, padding=p, causal=causal)
+            out = conv1d_dilated(Tensor(x), Tensor(f), dilation=r, padding=p)
             np.testing.assert_allclose(
-                out.data, naive_conv1d(x, f, r, p, causal), rtol=1e-12, atol=1e-12
+                out.data, naive_conv1d(x, f, r, p), rtol=1e-12, atol=1e-12
             )
             assert out.shape == (n, d_out)
 

@@ -1,11 +1,17 @@
 """Tests for the optimizer, training loop, checkpointing, and ablation."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmtc.corpus import LabelCatalog, build_vocab
 from xmtc.encoder import EncoderConfig
-from xmtc.errors import ConfigError, DivergenceError
+from xmtc.errors import ConfigError, DataError, DivergenceError
 from xmtc.graph import build_cooccurrence
 from xmtc.mask import build_mask_index
 from xmtc.model import ModelParams, model_from_artifacts
@@ -187,18 +193,14 @@ class TestCheckpoint:
         before = evaluate(records, model, index, 0.5)
 
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, result.params_arrays, result.optimizer_state,
-                        epoch=result.best_epoch, config_hash="c0de", vocab_hash="v0c",
-                        variant="full")
-        params, state, manifest = load_checkpoint(path)
+        save_checkpoint(path, result.params_arrays, epoch=result.best_epoch,
+                        config_hash="c0de", vocab_hash="v0c", variant="full")
+        params, manifest = load_checkpoint(path)
         assert manifest["config_hash"] == "c0de"
         assert manifest["vocab_hash"] == "v0c"
         assert manifest["epoch"] == result.best_epoch
         for name, arr in result.params_arrays.items():
             assert arr.tobytes() == params[name].tobytes()
-        assert state["t"] == result.optimizer_state["t"]
-        for name in result.optimizer_state["m"]:
-            assert state["m"][name].tobytes() == result.optimizer_state["m"][name].tobytes()
 
         model.params.load_arrays(params)
         after = evaluate(records, model, index, 0.5)
@@ -206,11 +208,41 @@ class TestCheckpoint:
 
     def test_identical_saves_are_byte_identical(self, tmp_path):
         arrays = {"w": np.arange(6.0).reshape(2, 3)}
-        state = {"t": 3, "m": {"w": np.ones((2, 3))}, "v": {"w": np.full((2, 3), 2.0)}}
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, arrays, state, epoch=1, config_hash="x")
-        save_checkpoint(p2, arrays, state, epoch=1, config_hash="x")
+        save_checkpoint(p1, arrays, epoch=1, config_hash="x")
+        save_checkpoint(p2, arrays, epoch=1, config_hash="x")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fuzzed_file_loads_or_is_data_error(self, data):
+        """Cutting, splicing or extending a checkpoint never escapes as
+        anything but ``DataError``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}, epoch=0)
+            raw = path.read_bytes()
+            start = data.draw(st.integers(0, len(raw)))
+            stop = data.draw(st.integers(start, len(raw)))
+            path.write_bytes(raw[:start] + data.draw(st.binary(max_size=12)) + raw[stop:])
+            try:
+                params, manifest = load_checkpoint(path)
+            except DataError:
+                return
+        assert ({name: arr.shape for name, arr in params.items()}
+                == {spec["name"]: tuple(spec["shape"]) for spec in manifest["params"]})
+
+    def test_holds_parameters_only(self, tmp_path):
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(4), "s": np.array(2.0)}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, arrays, epoch=0)
+        raw = path.read_bytes()
+        assert raw.startswith(b"XMTC-CKPT-v2\n")
+        (length,) = struct.unpack_from("<Q", raw, 13)
+        assert len(raw) == 13 + 8 + length + 8 * (6 + 4 + 1)
+        params, _ = load_checkpoint(path)
+        for name, arr in arrays.items():
+            assert params[name].tobytes() == arr.tobytes()
 
 
 class TestGatingInvariant:
