@@ -96,18 +96,16 @@ def _load_vocab(workdir: Path, cfg_hash: str):
     return corpus.Vocabulary.load(vocab_path)
 
 
-def _load_stage(workdir: Path, cfg: RunConfig, cfg_hash: str, need_mask: bool = True):
+def _load_stage(workdir: Path, cfg_hash: str):
     """Load the shared artifacts (vocab, catalog, graph, mask index)."""
     catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
     vocab = _load_vocab(workdir, cfg_hash)
     graph_path = _artifact(workdir, "graph", "build-graph")
-    g, found = graph.load_graph(graph_path)
+    g, found = graph.load_graph(graph_path, len(catalog))
     _check_hash(found, cfg_hash, graph_path)
-    index = None
-    if need_mask:
-        mask_path = _artifact(workdir, "mask_index", "build-mask")
-        index, found = mask.load_mask_index(mask_path, catalog, tau=cfg.tau)
-        _check_hash(found, cfg_hash, mask_path)
+    mask_path = _artifact(workdir, "mask_index", "build-mask")
+    index, found = mask.load_mask_index(mask_path, catalog)
+    _check_hash(found, cfg_hash, mask_path)
     return catalog, vocab, g, index
 
 
@@ -125,7 +123,7 @@ def _load_embeddings(workdir: Path, cfg: RunConfig, cfg_hash: str, vocab):
 
 
 def _restore_model(workdir: Path, cfg: RunConfig, cfg_hash: str):
-    catalog, vocab, g, index = _load_stage(workdir, cfg, cfg_hash)
+    catalog, vocab, g, index = _load_stage(workdir, cfg_hash)
     params, manifest = training.load_checkpoint(_artifact(workdir, "checkpoint", "train"))
     _check_hash(manifest["config_hash"], cfg_hash, ARTIFACTS["checkpoint"])
     if manifest["vocab_hash"] != _sha256(workdir / ARTIFACTS["vocab"]):
@@ -260,7 +258,7 @@ def cmd_train(args) -> None:
     cfg = load_run_config(args.config, overrides=_cli_overrides(args))
     cfg_hash = config_hash(cfg)
     workdir = Path(args.workdir)
-    catalog, vocab, g, index = _load_stage(workdir, cfg, cfg_hash)
+    catalog, vocab, g, index = _load_stage(workdir, cfg_hash)
     train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
     val_docs = _load_encoded(workdir, "val", cfg_hash, vocab, catalog)
     emb = _load_embeddings(workdir, cfg, cfg_hash, vocab)
@@ -313,7 +311,6 @@ def cmd_predict(args) -> None:
     records = corpus.encode_documents(raw_docs, vocab, catalog, max_len=cfg.max_len)
 
     h_label = m.label_representations()
-    gated = m.hard_gating and training.uses_masks(m, index)
     out_path = workdir / ARTIFACTS["predictions"]
     heat_records = []
     with open(out_path, "w") as fh:
@@ -325,7 +322,7 @@ def cmd_predict(args) -> None:
             row = {
                 "doc_id": doc.doc_id,
                 "topk": [[catalog.codes[i], float(scores[i])] for i in top],
-                "masked": gated and not doc_mask.empty,
+                "masked": training.uses_masks(m, index) and not doc_mask.empty,
             }
             fh.write(json.dumps(row) + "\n")
             if args.attention_out:
@@ -343,7 +340,7 @@ def cmd_ablate(args) -> None:
     cfg = load_run_config(args.config, overrides=_cli_overrides(args))
     cfg_hash = config_hash(cfg)
     workdir = Path(args.workdir)
-    catalog, vocab, g, index = _load_stage(workdir, cfg, cfg_hash)
+    catalog, vocab, g, index = _load_stage(workdir, cfg_hash)
     train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
     val_docs = _load_encoded(workdir, "val", cfg_hash, vocab, catalog)
     test_docs = _load_encoded(workdir, "test", cfg_hash, vocab, catalog)

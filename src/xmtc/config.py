@@ -50,7 +50,6 @@ class RunConfig:
     prediction_threshold: float = 0.0005
     tau: float = 0.005
     lambda_: float = 1.0
-    hard_gating: bool = True
     p_at_k: tuple[int, ...] = (5, 8, 15)
     predict_top_k: int = 8
     seed: int = 0

@@ -173,7 +173,6 @@ class DocumentRecord:
     aux_codes: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: {t: () for t in TERMINOLOGIES}
     )
-    text: str = ""
 
     def label_vector(self, num_labels):
         import numpy as np
@@ -184,8 +183,25 @@ class DocumentRecord:
         return vec
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _raw_row_problem(rec) -> str | None:
+    """What is wrong with one raw-corpus row, or None."""
+    if not isinstance(rec, dict) or "doc_id" not in rec or "text" not in rec:
+        return "document needs 'doc_id' and 'text' fields"
+    if not isinstance(rec["text"], str):
+        return "text must be a string"
+    for key in ("labels", *TERMINOLOGIES):
+        if not _is_str_list(rec.get(key, [])):
+            return f"{key} must be a list of strings"
+    return None
+
+
 def load_corpus_jsonl(path) -> list[dict]:
-    """Read a raw JSONL corpus into dicts, validating the schema."""
+    """Read a raw JSONL corpus into dicts; a row that breaks the schema is a
+    ``DataError`` naming the file and line."""
     docs = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -194,8 +210,9 @@ def load_corpus_jsonl(path) -> list[dict]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{ln}: invalid JSON ({exc})") from None
-        if "doc_id" not in rec or "text" not in rec:
-            raise DataError(f"{path}:{ln}: document needs 'doc_id' and 'text' fields")
+        problem = _raw_row_problem(rec)
+        if problem:
+            raise DataError(f"{path}:{ln}: {problem}")
         docs.append(rec)
     if not docs:
         raise DataError(f"{path}: empty corpus")
@@ -220,7 +237,6 @@ def encode_documents(
                 tokens=tokens,
                 labels=labels,
                 aux_codes=aux,
-                text=rec["text"],
             )
         )
     return records
@@ -263,8 +279,7 @@ def _encoded_row_problem(row, vocab_size: int, num_labels: int) -> str | None:
     if not _ids_in_range(row["labels"], num_labels):
         return f"label ids must be integers in [0, {num_labels})"
     for term in TERMINOLOGIES:
-        codes = row.get(term, [])
-        if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
+        if not _is_str_list(row.get(term, [])):
             return f"{term} codes must be a list of strings"
     return None
 

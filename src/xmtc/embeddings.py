@@ -7,6 +7,7 @@ a header line ``V d``, then one line per token holding the token followed by
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,10 +35,6 @@ class EmbeddingTable:
     def __post_init__(self):
         self.matrix.data[PAD_ID] = 0.0
 
-    @property
-    def vocab_size(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def random(cls, vocab_size: int, dim: int, seed: int = 0) -> "EmbeddingTable":
         rng = np.random.default_rng(seed)
@@ -47,20 +44,17 @@ class EmbeddingTable:
 
 
 def _subsample_pairs(tokens: np.ndarray, window: int, rng: np.random.Generator):
-    """Center/context index pairs with the usual randomly shrunk window."""
+    """Center/context token pairs with the usual randomly shrunk window,
+    ordered by center position, then context position."""
     n = tokens.size
     if n < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     spans = rng.integers(1, window + 1, size=n)
-    centers, contexts = [], []
-    for pos in range(n):
-        lo = max(0, pos - spans[pos])
-        hi = min(n, pos + spans[pos] + 1)
-        for ctx in range(lo, hi):
-            if ctx != pos:
-                centers.append(pos)
-                contexts.append(ctx)
-    return tokens[np.array(centers)], tokens[np.array(contexts)]
+    offsets = np.arange(-window, window + 1)
+    ctx = np.arange(n)[:, None] + offsets  # [n, 2 * window + 1]
+    keep = (np.abs(offsets) <= spans[:, None]) & (offsets != 0) & (ctx >= 0) & (ctx < n)
+    centers, _ = np.nonzero(keep)
+    return tokens[centers], tokens[ctx[keep]]
 
 
 def train_skipgram(
@@ -86,10 +80,8 @@ def train_skipgram(
     w_out = np.zeros((vocab_size, dim))
     w_in[PAD_ID] = 0.0
 
-    counts = np.zeros(vocab_size)
-    for doc in token_docs:
-        for t in doc:
-            counts[t] += 1
+    all_ids = np.fromiter(itertools.chain.from_iterable(token_docs), dtype=np.int64)
+    counts = np.bincount(all_ids, minlength=vocab_size).astype(np.float64)
     counts[PAD_ID] = 0.0
     noise = counts ** 0.75
     total = noise.sum()
@@ -151,7 +143,7 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
         raise DataError(f"{path}: empty embedding file")
     header_ln, header = body[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise DataError(f"{path}:{header_ln}: expected header 'V d', got {header!r}")
     file_dim = int(parts[1])
     if file_dim != dim:
@@ -176,6 +168,8 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
             mat[idx] = [float(v) for v in fields[1:]]
         except ValueError:
             raise DataError(f"{path}:{ln}: non-numeric embedding value") from None
+        if not np.isfinite(mat[idx]).all():
+            raise DataError(f"{path}:{ln}: non-finite embedding value")
         seen[idx] = True
     mat[PAD_ID] = 0.0
     return EmbeddingTable(Tensor(mat, requires_grad=True, name="embedding"), dim)

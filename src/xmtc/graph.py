@@ -83,7 +83,10 @@ def save_graph(graph: CooccurrenceGraph, path, config_hash: str = "") -> None:
             fh.write(f"{i} {j}\n")
 
 
-def load_graph(path) -> tuple[CooccurrenceGraph, str]:
+def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
+    """Load a saved graph over the ``num_labels``-label catalog; returns
+    (graph, config_hash).  A header giving another label count, or a
+    malformed line, is a ``DataError``."""
     lines = Path(path).read_text().splitlines()
     config_hash = ""
     if lines and lines[0].startswith("#"):
@@ -94,10 +97,12 @@ def load_graph(path) -> tuple[CooccurrenceGraph, str]:
         raise DataError(f"{path}: empty graph file")
     try:
         num_labels_s, lam_s, pair_count_s = lines[0].split()
-        num_labels, lam, pair_count = int(num_labels_s), float(lam_s), int(pair_count_s)
-        adj = np.zeros((num_labels, num_labels))
+        found, lam, pair_count = int(num_labels_s), float(lam_s), int(pair_count_s)
     except ValueError:
         raise DataError(f"{path}: malformed graph header {lines[0]!r}") from None
+    if found != num_labels:
+        raise DataError(f"{path}: graph has {found} labels, the catalog has {num_labels}")
+    adj = np.zeros((num_labels, num_labels))
     for line in lines[1:]:
         try:
             i, j = (int(x) for x in line.split())

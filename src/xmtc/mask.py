@@ -136,8 +136,6 @@ class MaskStats:
     recall_of_gold: float
     mean_mask_size: float
     mask_fraction: float
-    num_docs: int
-    num_gold_pairs: int
 
 
 def mask_stats(index: AuxMaskIndex, docs: list[DocumentRecord]) -> MaskStats:
@@ -155,8 +153,6 @@ def mask_stats(index: AuxMaskIndex, docs: list[DocumentRecord]) -> MaskStats:
         recall_of_gold=covered / gold_pairs if gold_pairs else 0.0,
         mean_mask_size=mean_size,
         mask_fraction=mean_size / index.num_labels if index.num_labels else 0.0,
-        num_docs=len(docs),
-        num_gold_pairs=gold_pairs,
     )
 
 
@@ -165,8 +161,8 @@ def mask_stats(index: AuxMaskIndex, docs: list[DocumentRecord]) -> MaskStats:
 
 
 def save_mask_index(index: AuxMaskIndex, catalog: LabelCatalog, path, config_hash: str = "") -> None:
-    """Persist the full probability tables (no tau filtering), so the
-    threshold can be re-applied at load time without recounting."""
+    """Persist the full probability tables (no tau filtering) and the tau
+    the index was built with."""
     with open(path, "w") as fh:
         fh.write(f"# xmtc-mask-index v1 config={config_hash} tau={float(index.tau)!r}\n")
         for term in TERMINOLOGIES:
@@ -177,11 +173,11 @@ def save_mask_index(index: AuxMaskIndex, catalog: LabelCatalog, path, config_has
                     fh.write(f"{code}\t{catalog.codes[lab]}\t{float(p[lab])!r}\n")
 
 
-def load_mask_index(
-    path, catalog: LabelCatalog, tau: float | None = None
-) -> tuple[AuxMaskIndex, str]:
-    """Load a saved index; pass ``tau`` to re-threshold, else the saved
-    value applies.  Audit counts are not stored in the artifact."""
+def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
+    """Load a saved index with its saved tau; returns (index, config_hash).
+    Audit counts are not stored in the artifact.  A malformed line, or a
+    probability that is not a number in [0, 1], is a ``DataError`` naming
+    the file and line."""
     lines = Path(path).read_text().splitlines()
     config_hash = ""
     saved_tau = DEFAULT_TAU
@@ -214,11 +210,8 @@ def load_mask_index(
             raise DataError(
                 f"{path}:{ln}: expected 'code<TAB>label<TAB>prob', got {line!r}"
             ) from None
+        if not 0.0 <= prob <= 1.0:
+            raise DataError(f"{path}:{ln}: probability {prob_s!r} outside [0, 1]")
         vec = probs[term].setdefault(code, np.zeros(len(catalog)))
         vec[catalog.id_of(label_code)] = prob
-    index = AuxMaskIndex(
-        num_labels=len(catalog),
-        tau=saved_tau if tau is None else tau,
-        probs=probs,
-    )
-    return index, config_hash
+    return AuxMaskIndex(num_labels=len(catalog), tau=saved_tau, probs=probs), config_hash

@@ -31,7 +31,7 @@ from .tensor import Tensor, matmul
 
 logger = logging.getLogger(__name__)
 
-VARIANTS = ("full", "no_label_feature", "no_mask", "swap_embeddings")
+VARIANTS = ("full", "no_label_feature", "no_mask")
 
 
 class ModelParams:
@@ -51,14 +51,8 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def items(self):
         return self._params.items()
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def zero_grads(self) -> None:
         for p in self._params.values():
@@ -87,7 +81,6 @@ class CodingModel:
     classifier: ClassifierParams
     feature_matrix: np.ndarray | None  # [L, V] descriptor averaging operator
     variant: str
-    hard_gating: bool = True
 
     @property
     def embedding(self) -> Tensor:
@@ -111,11 +104,9 @@ class CodingModel:
         h_label: Tensor,
         train: bool = False,
         rng: np.random.Generator | None = None,
-        pad_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor]:
         """Per-label probabilities [L] and attention weights [L, n] for one document."""
-        if pad_mask is None:
-            pad_mask = (np.asarray(list(token_ids)) != PAD_ID).astype(np.float64)
+        pad_mask = (np.asarray(list(token_ids)) != PAD_ID).astype(np.float64)
         encoded = encode(token_ids, self.embedding, self.blocks, self.encoder_config,
                          train=train, rng=rng)
         h_masked = apply_mask(h_label, doc_mask)
@@ -124,22 +115,22 @@ class CodingModel:
 
     def predict_scores(self, token_ids, doc_mask: DocMask, h_label: Tensor | None = None,
                        doc_id: str = "?", with_attention: bool = False):
-        """Inference scores with optional hard gating.
+        """Inference scores under hard gating.
 
-        With gating on, labels outside the candidate set get probability 0.
-        An empty candidate set suspends gating for the document (otherwise
-        nothing could ever be predicted) and is logged.  ``with_attention``
-        also returns the [L, n] attention weights of the same pass.
+        Labels outside the candidate set get probability 0; an all-ones mask
+        (unmasked models) gates nothing.  An empty candidate set suspends
+        gating for the document (otherwise nothing could ever be predicted)
+        and is logged.  ``with_attention`` also returns the [L, n] attention
+        weights of the same pass.
         """
         if h_label is None:
             h_label = self.label_representations()
         y_hat, alpha = self.forward_doc(token_ids, doc_mask, h_label)
         scores = y_hat.data.copy()
-        if self.hard_gating:
-            if doc_mask.empty:
-                logger.info("doc %s: empty candidate mask; hard gating suspended", doc_id)
-            else:
-                scores *= doc_mask.vec
+        if doc_mask.empty:
+            logger.info("doc %s: empty candidate mask; hard gating suspended", doc_id)
+        else:
+            scores *= doc_mask.vec
         return (scores, alpha.data) if with_attention else scores
 
 
@@ -152,7 +143,6 @@ def model_from_artifacts(
     seed: int = 0,
     embedding_matrix: np.ndarray | None = None,
     variant: str = "full",
-    hard_gating: bool = True,
 ) -> CodingModel:
     """Initialize all parameters and assemble a model.
 
@@ -216,7 +206,6 @@ def model_from_artifacts(
         classifier=classifier,
         feature_matrix=feature_matrix,
         variant=variant,
-        hard_gating=hard_gating,
     )
 
 
@@ -235,5 +224,5 @@ def model_from_config(cfg: RunConfig, vocab: Vocabulary, catalog: LabelCatalog,
     return model_from_artifacts(
         vocab, catalog, graph, dim=cfg.embedding_size, encoder_config=encoder_config,
         seed=cfg.seed, embedding_matrix=embedding_matrix,
-        variant=variant or cfg.variant, hard_gating=cfg.hard_gating,
+        variant=variant or cfg.variant,
     )

@@ -164,19 +164,6 @@ class GroundTruth:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        raw = json.loads(text)
-        return cls(
-            doc_labels={k: tuple(v) for k, v in raw["doc_labels"].items()},
-            cliques=tuple(tuple(c) for c in raw["cliques"]),
-            planted_aux={t: {c: tuple(v) for c, v in m.items()}
-                         for t, m in raw["planted_aux"].items()},
-            aux_tables=raw["aux_tables"],
-            perfect_pairs=tuple((a, b) for a, b in raw["perfect_pairs"]),
-            label_weights=raw["label_weights"],
-        )
-
 
 def _label_code(i: int) -> str:
     return f"L{i:04d}"

@@ -271,26 +271,19 @@ def ablate(
     embedding_matrix: np.ndarray,
     cfg,
 ) -> dict:
-    """Train and evaluate architecture variants on identical data and seed.
+    """Train and evaluate architecture variants on identical data, seed and
+    ``embedding_matrix``.
 
-    ``cfg`` is a resolved RunConfig.  ``swap_embeddings`` replaces the
-    in-repo pretrained table with the file named by ``cfg.embedding_path``;
-    the other variants share ``embedding_matrix``.
+    ``cfg`` is a resolved RunConfig.  Every variant is checked before the
+    first one trains.
     """
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        raise ConfigError(f"unknown ablation variants {unknown}; choose from {VARIANTS}")
     tc = TrainConfig.from_run_config(cfg)
     report: dict = {"seed": cfg.seed, "variants": {}}
     for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown ablation variant {variant!r}; choose from {VARIANTS}")
-        emb = embedding_matrix
-        if variant == "swap_embeddings":
-            if not cfg.embedding_path:
-                raise ConfigError("swap_embeddings ablation needs embedding_path in the config")
-            from .embeddings import load_embeddings
-
-            emb = load_embeddings(cfg.embedding_path, vocab, cfg.embedding_size,
-                                  seed=cfg.seed).matrix.data
-        model = model_from_config(cfg, vocab, catalog, graph, emb, variant=variant)
+        model = model_from_config(cfg, vocab, catalog, graph, embedding_matrix, variant=variant)
         result = train(train_docs, val_docs, model, mask_index, tc, ks=cfg.p_at_k)
         test_report = evaluate(test_docs, model, mask_index, cfg.prediction_threshold,
                                ks=cfg.p_at_k)

@@ -144,3 +144,19 @@ def precision_at_k_bruteforce(gold, scores, k):
         top = [i for i in order if scores[d, i] > 0][:k]
         vals.append(sum(1 for i in top if gold[d, i]) / k)
     return float(np.mean(vals)) if vals else 0.0
+
+
+def skipgram_pairs_loop(tokens, window, rng):
+    """(center, context) token pairs, center by center: each center's window
+    shrinks to a random span in [1, window], drawn once per position."""
+    n = tokens.size
+    if n < 2:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    spans = rng.integers(1, window + 1, size=n)
+    centers, contexts = [], []
+    for pos in range(n):
+        for ctx in range(max(0, pos - spans[pos]), min(n, pos + spans[pos] + 1)):
+            if ctx != pos:
+                centers.append(tokens[pos])
+                contexts.append(tokens[ctx])
+    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)

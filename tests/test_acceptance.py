@@ -461,7 +461,6 @@ def test_criterion_7_ablation_direction():
                     vocab, catalog, g, dim=48,
                     encoder_config=EncoderConfig(kernel_size=5, rates=(1, 2, 4), dropout=0.2),
                     seed=seed, embedding_matrix=table.matrix.data, variant=variant,
-                    hard_gating=variant != "no_mask",
                 )
                 cfg = training.TrainConfig(lr=2e-3, lr_decay=0.95, max_epochs=2,
                                            batch_size=16, seed=seed,

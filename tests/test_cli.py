@@ -101,10 +101,9 @@ class TestPipeline:
         assert len(row["topk"]) == 8  # unmasked ranking over all labels
 
 
-@pytest.fixture(scope="module", params=["variant = no_mask", "hard_gating = false"])
+@pytest.fixture(scope="module", params=["variant = no_mask"])
 def ungated_pipeline(pipeline, request):
-    """A pipeline whose model never gates: trained without masks, or with
-    hard gating switched off."""
+    """A pipeline whose model never gates: trained without masks."""
     root, data, _, _ = pipeline
     name = request.param.split()[0]
     work = root / f"work_{name}"
@@ -154,6 +153,17 @@ class TestAblate:
         assert main(["ablate", "--workdir", str(work), "--config", str(cfg),
                      "--variants", "bogus"]) == 2
 
+    @pytest.mark.parametrize("variants", ["swap_embeddings", "full,bogus"])
+    def test_unknown_variant_rejected_before_training(self, pipeline, monkeypatch, variants):
+        _, _, work, cfg = pipeline
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a variant was trained")
+
+        monkeypatch.setattr(training, "train", no_training)
+        assert main(["ablate", "--workdir", str(work), "--config", str(cfg),
+                     "--variants", variants]) == 2
+
     def test_stale_embeddings_refused(self, pipeline, tmp_path):
         _, _, work, cfg = pipeline
         stale = tmp_path / "work"
@@ -198,7 +208,7 @@ class TestErrors:
         assert code == 2
 
     @pytest.mark.parametrize("key", ["causal_conv", "norm_mode", "tau_drg", "tau_cpt",
-                                     "tau_drugs"])
+                                     "tau_drugs", "hard_gating"])
     def test_removed_config_key_is_exit_2(self, tmp_path, key):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"{key} = 1\n")
@@ -230,6 +240,41 @@ class TestErrors:
                               lambda raw: _replace_line(raw, 3, row))
         assert code == 3
         assert "test.enc.jsonl:4:" in capsys.readouterr().err
+
+    def test_graph_for_another_label_count_is_exit_3(self, pipeline, tmp_path, capsys):
+        _, _, work, cfg = pipeline
+
+        def nineteen_labels(raw):
+            head = raw.decode().splitlines(keepends=True)[0]
+            return (head + "19 1.0 0\n" + "".join(f"{i} {i}\n" for i in range(19))).encode()
+
+        assert _evaluate_copy(work, cfg, tmp_path, "graph.txt", nineteen_labels) == 3
+        assert "19 labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["preprocess", "predict"])
+    @pytest.mark.parametrize("row", [
+        '["x", "a b"]',
+        '{"doc_id": "x", "text": 5}',
+        '{"doc_id": "x", "text": "a b", "labels": "L0001"}',
+        '{"doc_id": "x", "text": "a b", "drg": "DRG0001"}',
+        '{"doc_id": "x", "text": "a b", "cpt": [1]}',
+        '{"doc_id": "x", "text": "a b", "drugs": null}',
+    ], ids=["not_object", "text_int", "labels_str", "drg_str", "cpt_ints", "drugs_null"])
+    def test_malformed_raw_corpus_is_exit_3(self, pipeline, tmp_path, capsys, stage, row):
+        _, data, work, cfg = pipeline
+        good = (data / "train.jsonl").read_text().splitlines()[0]
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(good + "\n" + row + "\n")
+        if stage == "preprocess":
+            argv = ["preprocess", "--workdir", str(tmp_path / "work"), "--config", str(cfg),
+                    "--train", str(raw), "--catalog", str(data / "raw_catalog.tsv")]
+        else:
+            copy = tmp_path / "work"
+            shutil.copytree(work, copy)
+            argv = ["predict", "--workdir", str(copy), "--config", str(cfg),
+                    "--input", str(raw)]
+        assert main(argv) == 3
+        assert "raw.jsonl:2:" in capsys.readouterr().err
 
     def test_checkpoint_on_another_vocabulary_is_exit_2(self, pipeline, tmp_path):
         _, _, work, cfg = pipeline

@@ -89,6 +89,21 @@ class TestVocabulary:
         loaded = Vocabulary.load(path)
         assert loaded.id_to_token == vocab.id_to_token
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.text(max_size=8),
+                              st.sampled_from([PAD_TOKEN, UNK_TOKEN, "# config=ab", "x", ""])),
+                    max_size=8))
+    def test_fuzzed_file_loads_or_is_data_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vocab.txt"
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                vocab = Vocabulary.load(path)
+            except DataError:
+                return
+        assert vocab.id_to_token[:2] == [PAD_TOKEN, UNK_TOKEN]
+        assert len(vocab.token_to_id) == len(vocab)
+
     def test_specials_never_collide(self):
         # corpus text cannot produce "<pad>"/"<unk>" because preprocessing
         # strips angle brackets from everything except the <num> placeholder
@@ -119,6 +134,22 @@ class TestLabelCatalog:
         path.write_text("justonecolumn\n")
         with pytest.raises(DataError, match="1"):
             LabelCatalog.load_tsv(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(max_size=10),
+        st.builds("\t".join, st.lists(st.sampled_from(["c1", "c2", "", "a b", "#c"]),
+                                       max_size=3)),
+    ), max_size=8))
+    def test_fuzzed_file_loads_or_is_data_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "catalog.tsv"
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                catalog = LabelCatalog.load_tsv(path)
+            except DataError:
+                return
+        assert 0 < len(catalog) == len(catalog.code_to_id) == len(catalog.descriptors)
 
 
 class TestCorpusIO:

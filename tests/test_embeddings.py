@@ -1,11 +1,24 @@
 """Tests for skip-gram pretraining and embedding file I/O."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmtc.corpus import PAD_ID, build_vocab
-from xmtc.embeddings import EmbeddingTable, load_embeddings, save_embeddings, train_skipgram
+from xmtc.embeddings import (
+    EmbeddingTable,
+    _subsample_pairs,
+    load_embeddings,
+    save_embeddings,
+    train_skipgram,
+)
 from xmtc.errors import DataError
+
+from oracles import skipgram_pairs_loop
 
 
 def clique_corpus(rng, n_docs=120):
@@ -76,6 +89,19 @@ class TestSkipgram:
         table = train_skipgram(docs, 4, dim=6, epochs=2, seed=0)
         np.testing.assert_array_equal(table.matrix.data[PAD_ID], np.zeros(6))
 
+    def test_pairs_match_loop_oracle(self):
+        rng = np.random.default_rng(21)
+        for case in range(300):
+            tokens = rng.integers(2, 40, size=int(rng.integers(0, 80)))
+            window = int(rng.integers(1, 7))
+            fast_rng, loop_rng = np.random.default_rng(case), np.random.default_rng(case)
+            got = _subsample_pairs(tokens, window, fast_rng)
+            expect = skipgram_pairs_loop(tokens, window, loop_rng)
+            for g, e in zip(got, expect):
+                assert g.dtype == e.dtype
+                np.testing.assert_array_equal(g, e)
+            assert fast_rng.random() == loop_rng.random()  # same draws consumed
+
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             train_skipgram([[2, 3]], 4, dim=0)
@@ -121,6 +147,36 @@ class TestEmbeddingIO:
         path.write_text("1 100\nalpha 0.1 0.2\n")
         with pytest.raises(DataError, match="2"):
             load_embeddings(path, vocab, 100, seed=0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_is_data_error_with_line(self, tmp_path, value):
+        vocab = self._vocab()
+        path = tmp_path / "emb.txt"
+        path.write_text(f"# config=ab\n2 3\nalpha 0.1 0.2 0.3\nbeta 0.1 {value} 0.3\n")
+        with pytest.raises(DataError, match="emb.txt:4:"):
+            load_embeddings(path, vocab, 3, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(max_size=12),
+        st.builds(lambda v, d: f"{v} {d}", st.integers(-1, 5), st.integers(0, 4)),
+        st.sampled_from(["2 ³", "² 3", "1 ٣"]),  # str.isdigit accepts all three
+        st.builds(lambda tok, vals: " ".join([tok, *vals]),
+                  st.sampled_from(["<pad>", "alpha", "beta", "zeta", ""]),
+                  st.lists(st.sampled_from(["0.5", "-1", "nan", "x", "", "1e999"]),
+                           max_size=4)),
+    ), max_size=6))
+    def test_fuzzed_file_loads_or_is_data_error(self, lines):
+        vocab = self._vocab()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.txt"
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                table = load_embeddings(path, vocab, 3, seed=0)
+            except DataError:
+                return
+        assert table.matrix.shape == (len(vocab), 3)
+        assert np.isfinite(table.matrix.data).all()
 
     def test_pad_forced_zero(self, tmp_path):
         vocab = self._vocab()

@@ -1,9 +1,13 @@
 """Tests for the co-occurrence graph and the label-side GCN."""
 
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmtc.corpus import DocumentRecord, LabelCatalog, build_vocab
 from xmtc import graph as graph_module
@@ -99,7 +103,7 @@ class TestBuildCooccurrence:
         g = build_cooccurrence(docs, 3, lam=0.5)
         path = tmp_path / "graph.txt"
         save_graph(g, path, config_hash="abcd")
-        loaded, found = load_graph(path)
+        loaded, found = load_graph(path, 3)
         assert found == "abcd"
         assert loaded.lam == 0.5
         assert loaded.pair_count == g.pair_count
@@ -111,7 +115,39 @@ class TestBuildCooccurrence:
         path = tmp_path / "graph.txt"
         path.write_text(f"# xmtc-graph v1 config=abcd\n3 1.0 0\n0 0\n{line}\n")
         with pytest.raises(DataError):
-            load_graph(path)
+            load_graph(path, 3)
+
+    @pytest.mark.parametrize("count", [2, 4, -1])
+    def test_label_count_other_than_catalog_is_data_error(self, tmp_path, count):
+        path = tmp_path / "graph.txt"
+        path.write_text(f"# xmtc-graph v1 config=abcd\n{count} 1.0 0\n0 0\n")
+        with pytest.raises(DataError, match=f"{count} labels"):
+            load_graph(path, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 50), st.data())
+    def test_fuzzed_file_loads_or_is_data_error(self, num_labels, data):
+        header = data.draw(st.one_of(
+            st.text(max_size=12),
+            st.builds(lambda n, lam, pairs: f"{n} {lam} {pairs}",
+                      st.sampled_from([num_labels, num_labels + 1, -1, 0]),
+                      st.sampled_from(["1.0", "0.5", "x"]), st.integers(-1, 4)),
+        ))
+        coords = data.draw(st.lists(st.one_of(
+            st.text(max_size=6),
+            st.builds(lambda i, j: f"{i} {j}", st.integers(-2, num_labels + 1),
+                      st.integers(-2, num_labels + 1)),
+        ), max_size=8))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.txt"
+            path.write_text("\n".join(["# xmtc-graph v1 config=ab", header, *coords]) + "\n")
+            try:
+                g, found = load_graph(path, num_labels)
+            except DataError:
+                return
+        assert found == "ab"
+        assert g.adjacency.shape == (num_labels, num_labels)
+        assert g.pair_count == int(np.triu(g.adjacency, k=1).sum())
 
 
 class TestLabelFeatures:
@@ -220,7 +256,7 @@ class TestGcn:
         params = init_gcn_params(3, rng)
 
         def op(tbl, w1, w2):
-            feats = Tensor(s) @ tbl
+            feats = matmul(Tensor(s), tbl)
             return gcn_forward(g, feats, GcnParams(w1=w1, w2=w2))
 
         report = grad_check(op, [table, params.w1, params.w2], tol=1e-4)

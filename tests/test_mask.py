@@ -207,7 +207,8 @@ class TestMaskIndexIO:
                 np.testing.assert_allclose(loaded.probs[term][code],
                                            index.probs[term][code], atol=1e-15)
         # re-threshold at load time without recounting
-        relow, _ = load_mask_index(path, catalog, tau=0.0)
+        relow, _ = load_mask_index(path, catalog)
+        relow.tau = 0.0
         for term in ("drg", "cpt", "drugs"):
             for code in relow.probs[term]:
                 assert np.all(relow.candidates(term, code) >= loaded.candidates(term, code))
@@ -216,6 +217,9 @@ class TestMaskIndexIO:
         ("# xmtc-mask-index v1 config=ab tau=abc\n[drg]\nD\tc0\t0.5\n", 1),
         ("# xmtc-mask-index v1 config=ab tau=0.1\n[drg]\nD\tc0\tmany\n", 3),
         ("# xmtc-mask-index v1 config=ab tau=0.1\n[drg]\nD\tc0\n", 3),
+        ("# xmtc-mask-index v1 config=ab tau=0.1\n[drg]\nD\tc0\tnan\n", 3),
+        ("# xmtc-mask-index v1 config=ab tau=0.1\n[cpt]\nC\tc0\t0.5\nD\tc0\t1.5\n", 4),
+        ("# xmtc-mask-index v1 config=ab tau=0.1\n[drg]\nD\tc0\t-0.25\n", 3),
     ])
     def test_malformed_file_is_data_error_with_line(self, tmp_path, text, line):
         path = tmp_path / "mask.tsv"
