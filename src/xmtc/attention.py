@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor, add, matmul, reshape, sigmoid, softmax, transpose
-
-_NEG_INF = -1e30
 
 
 @dataclass
 class AttentionOutput:
-    alpha: Tensor  # [L, n] row-stochastic over valid positions
+    alpha: Tensor  # [L, n] row-stochastic
     context: Tensor  # [L, d_e]
 
 
@@ -38,28 +36,14 @@ def init_classifier_params(dim: int, num_labels: int, rng: np.random.Generator) 
     )
 
 
-def label_attention(
-    encoded: Tensor, h_masked: Tensor, pad_mask: np.ndarray | None = None
-) -> AttentionOutput:
-    """Attention weights and per-label context vectors.
-
-    ``pad_mask`` marks valid positions with 1; padded positions get a large
-    negative score before the softmax, so they receive zero weight and
-    contribute nothing to the context.
-    """
+def label_attention(encoded: Tensor, h_masked: Tensor) -> AttentionOutput:
+    """Attention weights and per-label context vectors: each label's softmax
+    runs over every encoded position."""
     if encoded.shape[1] != h_masked.shape[1]:
         raise ShapeError(
             f"encoder dim {encoded.shape[1]} != label representation dim {h_masked.shape[1]}"
         )
-    n = encoded.shape[0]
     scores = matmul(h_masked, transpose(encoded))  # [L, n]
-    if pad_mask is not None:
-        pad_mask = np.asarray(pad_mask, dtype=np.float64).reshape(-1)
-        if pad_mask.shape[0] != n:
-            raise ShapeError(f"pad mask length {pad_mask.shape[0]} != sequence length {n}")
-        if pad_mask.sum() == 0:
-            raise DataError("document has no valid (non-padding) positions")
-        scores = add(scores, Tensor(((1.0 - pad_mask) * _NEG_INF)[None, :]))
     alpha = softmax(scores, axis=1)
     context = matmul(alpha, encoded)
     return AttentionOutput(alpha=alpha, context=context)

@@ -26,7 +26,8 @@ from pathlib import Path
 
 from . import attention, corpus, embeddings, graph, mask, model, synth, training
 from .config import RunConfig, config_hash, load_run_config
-from .errors import ConfigError, DataError, DivergenceError, StalenessError, XmtcError
+from .errors import (ConfigError, DataError, DivergenceError, StalenessError, XmtcError,
+                     read_text)
 from .metrics import top_k_labels
 
 logger = logging.getLogger(__name__)
@@ -65,6 +66,14 @@ def _write_manifest(workdir: Path, command: str, cfg_hash: str,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _setup(args) -> tuple[RunConfig, str, Path]:
+    """The resolved configuration (``--seed`` overrides it), its hash and
+    the work directory of one subcommand."""
+    overrides = {} if args.seed_override is None else {"seed": str(args.seed_override)}
+    cfg = load_run_config(args.config, overrides=overrides)
+    return cfg, config_hash(cfg), Path(args.workdir)
+
+
 def _artifact(workdir: Path, name: str, producer: str) -> Path:
     path = workdir / ARTIFACTS[name]
     if not path.exists():
@@ -83,8 +92,7 @@ def _check_hash(found: str, expected: str, path) -> None:
 
 
 def _first_comment_hash(path: Path) -> str:
-    with open(path) as fh:
-        first = fh.readline()
+    first = read_text(path, first_line=True)
     if first.startswith("#") and "config=" in first:
         return first.split("config=", 1)[1].split()[0].strip()
     return ""
@@ -172,9 +180,7 @@ def cmd_gen_synthetic(args) -> None:
 
 
 def cmd_preprocess(args) -> None:
-    cfg = load_run_config(args.config, overrides=_cli_overrides(args))
-    cfg_hash = config_hash(cfg)
-    workdir = Path(args.workdir)
+    cfg, cfg_hash, workdir = _setup(args)
     workdir.mkdir(parents=True, exist_ok=True)
 
     catalog = corpus.LabelCatalog.load_tsv(args.catalog)
@@ -222,9 +228,7 @@ def cmd_preprocess(args) -> None:
 
 
 def cmd_build_graph(args) -> None:
-    cfg = load_run_config(args.config, overrides=_cli_overrides(args))
-    cfg_hash = config_hash(cfg)
-    workdir = Path(args.workdir)
+    cfg, cfg_hash, workdir = _setup(args)
     catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
     vocab = _load_vocab(workdir, cfg_hash)
     train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
@@ -238,9 +242,7 @@ def cmd_build_graph(args) -> None:
 
 
 def cmd_build_mask(args) -> None:
-    cfg = load_run_config(args.config, overrides=_cli_overrides(args))
-    cfg_hash = config_hash(cfg)
-    workdir = Path(args.workdir)
+    cfg, cfg_hash, workdir = _setup(args)
     catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
     vocab = _load_vocab(workdir, cfg_hash)
     train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
@@ -255,9 +257,7 @@ def cmd_build_mask(args) -> None:
 
 
 def cmd_train(args) -> None:
-    cfg = load_run_config(args.config, overrides=_cli_overrides(args))
-    cfg_hash = config_hash(cfg)
-    workdir = Path(args.workdir)
+    cfg, cfg_hash, workdir = _setup(args)
     catalog, vocab, g, index = _load_stage(workdir, cfg_hash)
     train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
     val_docs = _load_encoded(workdir, "val", cfg_hash, vocab, catalog)
@@ -285,9 +285,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    cfg = load_run_config(args.config, overrides=_cli_overrides(args))
-    cfg_hash = config_hash(cfg)
-    workdir = Path(args.workdir)
+    cfg, cfg_hash, workdir = _setup(args)
     m, catalog, vocab, index = _restore_model(workdir, cfg, cfg_hash)
     docs = _load_encoded(workdir, args.split, cfg_hash, vocab, catalog)
     report = training.evaluate(docs, m, index, cfg.prediction_threshold,
@@ -303,9 +301,7 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    cfg = load_run_config(args.config, overrides=_cli_overrides(args))
-    cfg_hash = config_hash(cfg)
-    workdir = Path(args.workdir)
+    cfg, cfg_hash, workdir = _setup(args)
     m, catalog, vocab, index = _restore_model(workdir, cfg, cfg_hash)
     raw_docs = corpus.load_corpus_jsonl(args.input)
     records = corpus.encode_documents(raw_docs, vocab, catalog, max_len=cfg.max_len)
@@ -337,9 +333,7 @@ def cmd_predict(args) -> None:
 
 
 def cmd_ablate(args) -> None:
-    cfg = load_run_config(args.config, overrides=_cli_overrides(args))
-    cfg_hash = config_hash(cfg)
-    workdir = Path(args.workdir)
+    cfg, cfg_hash, workdir = _setup(args)
     catalog, vocab, g, index = _load_stage(workdir, cfg_hash)
     train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
     val_docs = _load_encoded(workdir, "val", cfg_hash, vocab, catalog)
@@ -356,13 +350,6 @@ def cmd_ablate(args) -> None:
                     [workdir / ARTIFACTS["train"], workdir / ARTIFACTS["val"],
                      workdir / ARTIFACTS["test"]], [out])
     print(json.dumps(report, indent=2, sort_keys=True))
-
-
-def _cli_overrides(args) -> dict[str, str]:
-    out = {}
-    if getattr(args, "seed_override", None) is not None:
-        out["seed"] = str(args.seed_override)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 ENV_PREFIX = "XMTC_"
 
@@ -61,6 +61,12 @@ class RunConfig:
     skipgram_epochs: int = 5
     embedding_path: str = ""
 
+    def __post_init__(self):
+        if not 0.0 <= self.tau < 1.0:  # nan fails too
+            raise ConfigError(f"tau must be in [0, 1), got {self.tau}")
+        if not 0.0 < self.lambda_ <= 1.0:
+            raise ConfigError(f"lambda must be in (0, 1], got {self.lambda_}")
+
 
 def _attr_for(key: str) -> str:
     return "lambda_" if key == "lambda" else key
@@ -101,7 +107,7 @@ def load_run_config(
             raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from None
 
     if path is not None:
-        for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for ln, line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

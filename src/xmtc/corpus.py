@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 PAD_ID = 0
 UNK_ID = 1
@@ -87,7 +87,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         tokens = []
-        for line in Path(path).read_text().splitlines():
+        for line in read_text(path).splitlines():
             if line.startswith("#"):
                 continue
             tokens.append(line)
@@ -145,7 +145,7 @@ class LabelCatalog:
     @classmethod
     def load_tsv(cls, path) -> "LabelCatalog":
         codes, descriptors = [], []
-        for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for ln, line in enumerate(read_text(path).splitlines(), start=1):
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
@@ -201,9 +201,10 @@ def _raw_row_problem(rec) -> str | None:
 
 def load_corpus_jsonl(path) -> list[dict]:
     """Read a raw JSONL corpus into dicts; a row that breaks the schema is a
-    ``DataError`` naming the file and line."""
+    ``DataError`` naming the file and line.  Rows end at newlines only: JSON
+    strings may hold U+2028 and the other breaks ``splitlines`` cuts at."""
     docs = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -291,7 +292,7 @@ def load_encoded(path, vocab_size: int, num_labels: int) -> tuple[list[DocumentR
     label id the ``num_labels``-label catalog; a malformed line is a
     ``DataError`` naming the file and line.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty encoded corpus")
     try:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
 from .corpus import PAD_ID, Vocabulary
-from .errors import DataError
+from .errors import DataError, read_text
 from .tensor import Tensor
 
 DEFAULT_DIM = 100
@@ -25,8 +24,9 @@ DEFAULT_DIM = 100
 class EmbeddingTable:
     """Trainable lookup table, one row per vocabulary entry.
 
-    The PAD row is all-zero; the training loop keeps it frozen so padding
-    positions contribute nothing anywhere downstream.
+    The PAD row is zeroed on construction, whatever made the matrix.  The
+    model drops PAD tokens before it gathers rows, so training never moves
+    this row.
     """
 
     matrix: Tensor
@@ -39,7 +39,6 @@ class EmbeddingTable:
     def random(cls, vocab_size: int, dim: int, seed: int = 0) -> "EmbeddingTable":
         rng = np.random.default_rng(seed)
         mat = (rng.random((vocab_size, dim)) - 0.5) / dim
-        mat[PAD_ID] = 0.0
         return cls(Tensor(mat, requires_grad=True, name="embedding"), dim)
 
 
@@ -78,7 +77,6 @@ def train_skipgram(
     rng = np.random.default_rng(seed)
     w_in = (rng.random((vocab_size, dim)) - 0.5) / dim
     w_out = np.zeros((vocab_size, dim))
-    w_in[PAD_ID] = 0.0
 
     all_ids = np.fromiter(itertools.chain.from_iterable(token_docs), dtype=np.int64)
     counts = np.bincount(all_ids, minlength=vocab_size).astype(np.float64)
@@ -116,7 +114,6 @@ def train_skipgram(
             grad_o = err[:, :, None] * vc[:, None, :]
             np.add.at(w_in, centers, -grad_c)
             np.add.at(w_out, tgt.reshape(-1), -grad_o.reshape(-1, dim))
-    w_in[PAD_ID] = 0.0
     return EmbeddingTable(Tensor(w_in, requires_grad=True, name="embedding"), dim)
 
 
@@ -137,7 +134,7 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
     run); the PAD row is forced to zero.  A file dimension different from
     ``dim`` or a malformed line is a format error carrying the line number.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     body = [(ln, line) for ln, line in enumerate(lines, start=1) if not line.startswith("#")]
     if not body:
         raise DataError(f"{path}: empty embedding file")
@@ -171,5 +168,4 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
         if not np.isfinite(mat[idx]).all():
             raise DataError(f"{path}:{ln}: non-finite embedding value")
         seen[idx] = True
-    mat[PAD_ID] = 0.0
     return EmbeddingTable(Tensor(mat, requires_grad=True, name="embedding"), dim)

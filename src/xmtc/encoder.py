@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import PAD_ID
 from .errors import ConfigError, DataError
 from .tensor import Tensor, add, conv1d_dilated, gather_rows, mul, relu, same_padding, tanh
 
@@ -75,31 +74,12 @@ def init_block_params(
     )
 
 
-def _zero_padded_rows(h: Tensor, pad_mask: np.ndarray | None) -> Tensor:
-    """Reset activations at padding positions to zero.
-
-    Without this, deeper convolution levels would read nonzero activations
-    computed over the padding region, so appending PAD tokens could leak
-    into real positions instead of behaving like the zero padding the
-    unpadded sequence sees.
-    """
-    if pad_mask is None:
-        return h
-    return mul(h, Tensor(pad_mask[:, None]))
-
-
-def dilated_stack(
-    embedded: Tensor,
-    params: BlockParams,
-    config: EncoderConfig,
-    pad_mask: np.ndarray | None = None,
-) -> Tensor:
+def dilated_stack(embedded: Tensor, params: BlockParams, config: EncoderConfig) -> Tensor:
     """Chain of dilated convolutions, one level per rate."""
     h = embedded
     for filt, rate in zip(params.level_filters, config.rates):
         h = conv1d_dilated(h, filt, dilation=rate,
                            padding=same_padding(config.kernel_size, rate))
-        h = _zero_padded_rows(h, pad_mask)
     return h
 
 
@@ -116,18 +96,16 @@ def residual_block(
     config: EncoderConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    pad_mask: np.ndarray | None = None,
 ) -> Tensor:
     """One block: activation(main dilated chain + residual convolution)."""
     act = _ACTIVATIONS[config.activation]
-    main = dilated_stack(embedded, params, config, pad_mask=pad_mask)
+    main = dilated_stack(embedded, params, config)
     residual = conv1d_dilated(
         embedded,
         params.residual_filter,
         dilation=config.rates[0],
         padding=same_padding(config.kernel_size, config.rates[0]),
     )
-    residual = _zero_padded_rows(residual, pad_mask)
     out = act(add(main, residual))
     if train and config.dropout > 0.0:
         out = _dropout(out, config.dropout, rng)
@@ -143,18 +121,14 @@ def encode(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Embed a token id sequence and run it through the block stack."""
-    ids = list(token_ids)
-    if not ids:
+    ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.size == 0:
         raise DataError("cannot encode an empty token sequence")
     if train and config.dropout > 0.0 and rng is None:
         raise ValueError("training-mode encode needs an rng for dropout")
-    id_arr = np.asarray(ids)
-    pad_mask = None
-    if (id_arr == PAD_ID).any():  # PAD rows stay zero through every level
-        pad_mask = (id_arr != PAD_ID).astype(np.float64)
     h = gather_rows(embedding, ids)
     if train and config.dropout > 0.0:
         h = _dropout(h, config.dropout, rng)
     for params in blocks:
-        h = residual_block(h, params, config, train=train, rng=rng, pad_mask=pad_mask)
+        h = residual_block(h, params, config, train=train, rng=rng)
     return h

@@ -12,12 +12,11 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary, preprocess
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, read_text
 from .tensor import Tensor, matmul, relu
 
 logger = logging.getLogger(__name__)
@@ -87,7 +86,7 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
     """Load a saved graph over the ``num_labels``-label catalog; returns
     (graph, config_hash).  A header giving another label count, or a
     malformed line, is a ``DataError``."""
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     config_hash = ""
     if lines and lines[0].startswith("#"):
         head = lines.pop(0)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, read_text
 from .tensor import Tensor, mul
 
 logger = logging.getLogger(__name__)
@@ -175,25 +174,27 @@ def save_mask_index(index: AuxMaskIndex, catalog: LabelCatalog, path, config_has
 
 def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
     """Load a saved index with its saved tau; returns (index, config_hash).
-    Audit counts are not stored in the artifact.  A malformed line, or a
-    probability that is not a number in [0, 1], is a ``DataError`` naming
-    the file and line."""
-    lines = Path(path).read_text().splitlines()
+    Audit counts are not stored in the artifact.  A malformed line, a
+    ``tau`` outside [0, 1), a probability that is not a number in [0, 1] or
+    a label code absent from ``catalog`` is a ``DataError`` naming the file
+    and line."""
+    lines = read_text(path).splitlines()
     config_hash = ""
     saved_tau = DEFAULT_TAU
-    if lines and lines[0].startswith("#"):
-        head = lines.pop(0)
-        for part in head.split():
-            if part.startswith("config="):
-                config_hash = part[len("config="):]
-            elif part.startswith("tau="):
-                try:
-                    saved_tau = float(part[len("tau="):])
-                except ValueError:
-                    raise DataError(f"{path}:1: malformed header field {part!r}") from None
+    header = int(bool(lines) and lines[0].startswith("#"))  # 1 if line 1 is the header
+    for part in lines[0].split() if header else []:
+        if part.startswith("config="):
+            config_hash = part[len("config="):]
+        elif part.startswith("tau="):
+            try:
+                saved_tau = float(part[len("tau="):])
+            except ValueError:
+                raise DataError(f"{path}:1: malformed header field {part!r}") from None
+            if not 0.0 <= saved_tau < 1.0:
+                raise DataError(f"{path}:1: tau {part[len('tau='):]!r} outside [0, 1)")
     probs: dict[str, dict[str, np.ndarray]] = {t: {} for t in TERMINOLOGIES}
     term = None
-    for ln, line in enumerate(lines, start=2):
+    for ln, line in enumerate(lines[header:], start=1 + header):
         if not line.strip():
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -212,6 +213,8 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
             ) from None
         if not 0.0 <= prob <= 1.0:
             raise DataError(f"{path}:{ln}: probability {prob_s!r} outside [0, 1]")
+        if label_code not in catalog.code_to_id:
+            raise DataError(f"{path}:{ln}: label code {label_code!r} not in the catalog")
         vec = probs[term].setdefault(code, np.zeros(len(catalog)))
-        vec[catalog.id_of(label_code)] = prob
+        vec[catalog.code_to_id[label_code]] = prob
     return AuxMaskIndex(num_labels=len(catalog), tau=saved_tau, probs=probs), config_hash

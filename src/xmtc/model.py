@@ -105,13 +105,20 @@ class CodingModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Per-label probabilities [L] and attention weights [L, n] for one document."""
-        pad_mask = (np.asarray(list(token_ids)) != PAD_ID).astype(np.float64)
-        encoded = encode(token_ids, self.embedding, self.blocks, self.encoder_config,
+        """Per-label probabilities [L] and attention weights [L, n] for one
+        document.  The one place that knows about PAD: PAD tokens are dropped
+        before the encoder and get exactly zero attention weight."""
+        ids = np.asarray(token_ids, dtype=np.int64)
+        real = ids != PAD_ID
+        encoded = encode(ids[real], self.embedding, self.blocks, self.encoder_config,
                          train=train, rng=rng)
         h_masked = apply_mask(h_label, doc_mask)
-        att = label_attention(encoded, h_masked, pad_mask=pad_mask)
-        return classify(att.context, self.classifier), att.alpha
+        att = label_attention(encoded, h_masked)
+        alpha = att.alpha
+        if not real.all():  # widen to [L, n], zero in the PAD columns
+            alpha = Tensor(np.zeros((alpha.shape[0], ids.size)))
+            alpha.data[:, real] = att.alpha.data
+        return classify(att.context, self.classifier), alpha
 
     def predict_scores(self, token_ids, doc_mask: DocMask, h_label: Tensor | None = None,
                        doc_id: str = "?", with_attention: bool = False):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .corpus import PAD_ID, DocumentRecord, LabelCatalog, Vocabulary
+from .corpus import DocumentRecord, LabelCatalog, Vocabulary
 from .errors import ConfigError, DataError, DivergenceError
 from .graph import CooccurrenceGraph
 from .mask import AuxMaskIndex, DocMask, make_doc_mask
@@ -189,7 +189,6 @@ def train(
             _check_finite(loss_value, model.params)
             clip_global_norm(model.params, config.clip_norm)
             optimizer.step()
-            model.embedding.data[PAD_ID] = 0.0  # PAD row stays frozen
             epoch_loss += loss_value * len(batch)
         epoch_loss /= len(train_docs)
 

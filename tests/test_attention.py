@@ -12,8 +12,24 @@ from xmtc.attention import (
     init_classifier_params,
     label_attention,
 )
+from xmtc.corpus import PAD_ID, LabelCatalog, Vocabulary
+from xmtc.encoder import EncoderConfig
 from xmtc.errors import DataError, ShapeError
+from xmtc.graph import CooccurrenceGraph
+from xmtc.mask import DocMask
+from xmtc.model import model_from_artifacts
 from xmtc.tensor import Tensor, bce_loss, grad_check
+
+
+def _padding_model(num_labels=6, vocab_size=20, dim=4):
+    """A small untrained model; PAD is handled where a document enters it."""
+    catalog = LabelCatalog([f"c{i}" for i in range(num_labels)], ["x"] * num_labels)
+    vocab = Vocabulary([f"tok{chr(97 + i)}" for i in range(vocab_size - 2)])
+    graph = CooccurrenceGraph(adjacency=np.eye(num_labels), lam=1.0, pair_count=0)
+    return model_from_artifacts(
+        vocab, catalog, graph, dim=dim,
+        encoder_config=EncoderConfig(kernel_size=3, rates=(1, 2), dropout=0.0), seed=1,
+    )
 
 
 class TestLabelAttention:
@@ -56,19 +72,31 @@ class TestLabelAttention:
             np.testing.assert_allclose(att.alpha.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_padded_positions_get_zero_weight(self):
-        rng = np.random.default_rng(4)
-        d = Tensor(rng.standard_normal((5, 3)))
-        h = Tensor(rng.standard_normal((2, 3)))
-        pad_mask = np.array([1, 1, 1, 0, 0])
-        att = label_attention(d, h, pad_mask=pad_mask)
-        np.testing.assert_array_equal(att.alpha.data[:, 3:], np.zeros((2, 2)))
-        np.testing.assert_allclose(att.alpha.data.sum(axis=1), 1.0, atol=1e-9)
+        m = _padding_model()
+        _, alpha = m.predict_scores([3, 4, 5, PAD_ID, PAD_ID], DocMask.all_ones(m.num_labels),
+                                    with_attention=True)
+        assert alpha.shape == (m.num_labels, 5)
+        np.testing.assert_array_equal(alpha[:, 3:], np.zeros((m.num_labels, 2)))
+        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
 
     def test_all_padded_rejected(self):
-        d = Tensor(np.ones((3, 2)))
-        h = Tensor(np.ones((2, 2)))
+        m = _padding_model()
         with pytest.raises(DataError):
-            label_attention(d, h, pad_mask=np.zeros(3))
+            m.predict_scores([PAD_ID] * 3, DocMask.all_ones(m.num_labels))
+
+    def test_interior_padding_is_dropped_exactly(self):
+        """PAD tokens anywhere in a document give exactly the scores of the
+        document without them, not those of a document with zero gaps."""
+        m = _padding_model()
+        doc_mask = DocMask.all_ones(m.num_labels)
+        tokens = np.random.default_rng(7).integers(2, 20, size=15).tolist()
+        padded = tokens[:4] + [PAD_ID] * 3 + tokens[4:9] + [PAD_ID] + tokens[9:] + [PAD_ID] * 2
+        base, alpha_base = m.predict_scores(tokens, doc_mask, with_attention=True)
+        scores, alpha = m.predict_scores(padded, doc_mask, with_attention=True)
+        np.testing.assert_array_equal(scores, base)
+        real = np.asarray(padded) != PAD_ID
+        np.testing.assert_array_equal(alpha[:, real], alpha_base)
+        np.testing.assert_array_equal(alpha[:, ~real], 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):

@@ -6,9 +6,10 @@ import struct
 
 import pytest
 
-from xmtc import cli, training
+from xmtc import cli, corpus, embeddings, graph, mask, training
 from xmtc.cli import main
 from xmtc.config import config_hash, load_run_config
+from xmtc.errors import ConfigError, DataError
 from xmtc.metrics import top_k_labels
 
 CONFIG = """\
@@ -214,6 +215,34 @@ class TestErrors:
         cfg.write_text(f"{key} = 1\n")
         code = main(["build-graph", "--workdir", str(tmp_path), "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["tau = nan", "tau = inf", "tau = 1.0", "tau = 1.5",
+                                      "tau = -0.1", "lambda = nan", "lambda = -inf",
+                                      "lambda = 0", "lambda = 1.5"])
+    def test_threshold_outside_its_range_is_exit_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["build-mask", "--workdir", str(tmp_path), "--config", str(cfg)])
+        assert code == 2
+        assert line.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("read, error", [
+        (corpus.Vocabulary.load, DataError),
+        (corpus.LabelCatalog.load_tsv, DataError),
+        (lambda p: embeddings.load_embeddings(p, corpus.Vocabulary([]), 2), DataError),
+        (lambda p: graph.load_graph(p, 2), DataError),
+        (lambda p: mask.load_mask_index(p, corpus.LabelCatalog(["c0"], ["x"])), DataError),
+        (corpus.load_corpus_jsonl, DataError),
+        (lambda p: corpus.load_encoded(p, 4, 2), DataError),
+        (cli._first_comment_hash, DataError),
+        (load_run_config, ConfigError),
+    ], ids=["vocab", "catalog", "embeddings", "graph", "mask_index", "raw_corpus",
+            "encoded", "config_stamp", "run_config"])
+    def test_non_utf8_file_is_package_error(self, tmp_path, read, error):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# config=ab \xff\n<pad>\n<unk>\n")
+        with pytest.raises(error, match="bad.txt: not UTF-8"):
+            read(path)
 
     @pytest.mark.parametrize("edit", [
         lambda raw: raw[:18],

@@ -242,6 +242,43 @@ class TestCorpusIO:
         assert rec.labels <= {0, 1}
         assert all(isinstance(c, str) for codes in rec.aux_codes.values() for c in codes)
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"])
+    def test_line_break_inside_a_json_string_is_kept(self, tmp_path, brk):
+        path = tmp_path / "docs.jsonl"
+        row = {"doc_id": "d1", "text": f"alpha{brk}beta"}
+        path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert load_corpus_jsonl(path) == [row]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=10),
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+                st.sampled_from(["doc_id", "text", "labels", "drg", "cpt", "drugs"]),
+                inner, max_size=6),
+            max_leaves=8),
+        st.fixed_dictionaries(
+            {"doc_id": st.text(max_size=3), "text": st.text(max_size=12)},
+            optional={key: st.lists(st.text(max_size=3), max_size=2)
+                      for key in ("labels", "drg", "cpt", "drugs")}),
+    ).map(lambda row: row if isinstance(row, str) else json.dumps(row, ensure_ascii=False)),
+        max_size=6))
+    def test_fuzzed_raw_corpus_loads_or_is_data_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "docs.jsonl"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                docs = load_corpus_jsonl(path)
+            except DataError:
+                return
+        rows = [json.loads(line) for line in lines if line.strip()]
+        assert json.dumps(docs) == json.dumps(rows)  # every row, as written
+        for doc in docs:
+            assert isinstance(doc["text"], str)
+            for key in ("labels", "drg", "cpt", "drugs"):
+                assert all(isinstance(v, str) for v in doc.get(key, []))
+
     def test_label_vector(self):
         doc = DocumentRecord(doc_id="d", tokens=[2, 3], labels={1, 3})
         np.testing.assert_array_equal(doc.label_vector(5), [0, 1, 0, 1, 0])

@@ -1,7 +1,13 @@
 """Tests for the auxiliary-knowledge candidate mask machinery."""
 
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmtc.corpus import DocumentRecord, LabelCatalog
 from xmtc.errors import DataError, ShapeError
@@ -220,6 +226,13 @@ class TestMaskIndexIO:
         ("# xmtc-mask-index v1 config=ab tau=0.1\n[drg]\nD\tc0\tnan\n", 3),
         ("# xmtc-mask-index v1 config=ab tau=0.1\n[cpt]\nC\tc0\t0.5\nD\tc0\t1.5\n", 4),
         ("# xmtc-mask-index v1 config=ab tau=0.1\n[drg]\nD\tc0\t-0.25\n", 3),
+        ("# xmtc-mask-index v1 config=ab tau=nan\n[drg]\nD\tc0\t0.5\n", 1),
+        ("# xmtc-mask-index v1 config=ab tau=1.5\n[drg]\nD\tc0\t0.5\n", 1),
+        ("# xmtc-mask-index v1 config=ab tau=1.0\n[drg]\nD\tc0\t0.5\n", 1),
+        ("# xmtc-mask-index v1 config=ab tau=-0.1\n[drg]\nD\tc0\t0.5\n", 1),
+        ("# xmtc-mask-index v1 config=ab tau=inf\n[drg]\nD\tc0\t0.5\n", 1),
+        ("# xmtc-mask-index v1 config=ab tau=0.1\n[drg]\nD\tc0\t0.5\nD\tzz\t0.5\n", 4),
+        ("[drg]\nD\tc0\tmany\n", 2),
     ])
     def test_malformed_file_is_data_error_with_line(self, tmp_path, text, line):
         path = tmp_path / "mask.tsv"
@@ -227,6 +240,36 @@ class TestMaskIndexIO:
         catalog = LabelCatalog(["c0"], ["x"])
         with pytest.raises(DataError, match=f"mask.tsv:{line}:"):
             load_mask_index(path, catalog)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fuzzed_file_loads_or_is_data_error(self, data):
+        header = data.draw(st.one_of(
+            st.text(max_size=12),
+            st.builds("# xmtc-mask-index v1 config=ab tau={}".format,
+                      st.floats().map(repr) | st.sampled_from(["0.1", "0", "1", "x", ""])),
+        ))
+        body = data.draw(st.lists(st.one_of(
+            st.text(max_size=8),
+            st.sampled_from(["[drg]", "[cpt]", "[drugs]", "[icd]", ""]),
+            st.builds("{}\t{}\t{}".format, st.sampled_from(["D", "C", ""]),
+                      st.sampled_from(["c0", "c1", "zz", ""]),
+                      st.floats().map(repr) | st.sampled_from(["0.5", "1", "x"])),
+        ), max_size=8))
+        catalog = LabelCatalog(["c0", "c1"], ["x", "y"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mask.tsv"
+            path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+            try:
+                index, _ = load_mask_index(path, catalog)
+            except DataError:
+                return
+        assert math.isfinite(index.tau) and 0.0 <= index.tau < 1.0
+        for per_term in index.probs.values():
+            for p in per_term.values():
+                assert p.shape == (2,)
+                assert ((p >= 0.0) & (p <= 1.0)).all()
 
 
 class TestLeakageGuard:

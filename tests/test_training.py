@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmtc.corpus import LabelCatalog, build_vocab
+from xmtc.corpus import PAD_ID, LabelCatalog, build_vocab
 from xmtc.encoder import EncoderConfig
 from xmtc.errors import ConfigError, DataError, DivergenceError
 from xmtc.graph import build_cooccurrence
@@ -182,6 +182,19 @@ class TestTrainLoop:
                           prediction_threshold=0.5)
         with pytest.raises(DivergenceError, match="classifier.b|embedding"):
             train(records[:8], records[8:], model, index, cfg)
+
+    def test_pad_row_stays_zero_without_a_freeze(self):
+        """PAD tokens never reach the embedding gather, so the PAD row gets an
+        exactly zero gradient and Adam leaves it at its zero init."""
+        records, _, _, _, index, model = tiny_world(seed=8, n_docs=16)
+        for i, doc in enumerate(records):
+            doc.tokens = [PAD_ID] * (i % 3) + doc.tokens[:5] + [PAD_ID] * 4 + doc.tokens[5:]
+        cfg = TrainConfig(lr=1e-2, max_epochs=2, batch_size=4, seed=0,
+                          prediction_threshold=0.5)
+        before = model.embedding.data.copy()
+        train(records[:12], records[12:], model, index, cfg)
+        np.testing.assert_array_equal(model.embedding.data[PAD_ID], 0.0)
+        assert (model.embedding.data != before).any()  # the real rows did train
 
 
 class TestCheckpoint:
