@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, add, matmul, reshape, sigmoid, softmax, transpose
+from .tensor import Tensor, add, gather_rows, matmul, reshape, sigmoid, softmax, transpose
 
 
 @dataclass
@@ -49,11 +49,18 @@ def label_attention(encoded: Tensor, h_masked: Tensor) -> AttentionOutput:
     return AttentionOutput(alpha=alpha, context=context)
 
 
-def classify(context: Tensor, params: ClassifierParams) -> Tensor:
-    """Per-label probabilities: sigmoid of the shared projection plus bias."""
+def classify(context: Tensor, params: ClassifierParams, rows=None) -> Tensor:
+    """Per-label probabilities: sigmoid of the shared projection plus bias.
+
+    ``rows`` maps each label to the row of ``context`` it reads, so labels
+    that share a context share one projection; by default label i reads
+    row i."""
     if context.shape[1] != params.w.shape[0]:
         raise ShapeError(f"context dim {context.shape[1]} != classifier dim {params.w.shape[0]}")
-    logits = add(reshape(matmul(context, params.w), (context.shape[0],)), params.b)
+    projected = matmul(context, params.w)  # [rows, 1]
+    if rows is not None:
+        projected = gather_rows(projected, rows)
+    logits = add(reshape(projected, (projected.shape[0],)), params.b)
     return sigmoid(logits)
 
 

@@ -181,21 +181,22 @@ def cmd_gen_synthetic(args) -> None:
 
 def cmd_preprocess(args) -> None:
     cfg, cfg_hash, workdir = _setup(args)
-    workdir.mkdir(parents=True, exist_ok=True)
-
     catalog = corpus.LabelCatalog.load_tsv(args.catalog)
-    catalog_path = workdir / ARTIFACTS["catalog"]
-    catalog.save_tsv(catalog_path)
-
-    inputs = [Path(args.catalog), Path(args.train)]
-    raw_splits = {"train": corpus.load_corpus_jsonl(args.train)}
-    for name, src in (("val", args.val), ("test", args.test)):
-        if src:
-            inputs.append(Path(src))
-            raw_splits[name] = corpus.load_corpus_jsonl(src)
+    sources = {name: src for name, src in
+               (("train", args.train), ("val", args.val), ("test", args.test)) if src}
+    inputs = [Path(args.catalog), *(Path(src) for src in sources.values())]
+    raw_splits = {name: corpus.load_corpus_jsonl(src) for name, src in sources.items()}
 
     token_docs = [corpus.preprocess(d["text"], cfg.max_len) for d in raw_splits["train"]]
     vocab = corpus.build_vocab(token_docs, min_count=cfg.min_count)
+    # every split is encoded, and so checked, before the first artifact is written
+    encoded = {name: corpus.encode_documents(raw, vocab, catalog, max_len=cfg.max_len,
+                                             source=sources[name])
+               for name, raw in raw_splits.items()}
+
+    workdir.mkdir(parents=True, exist_ok=True)
+    catalog_path = workdir / ARTIFACTS["catalog"]
+    catalog.save_tsv(catalog_path)
     vocab_path = workdir / ARTIFACTS["vocab"]
     vocab.save(vocab_path, config_hash=cfg_hash)
 
@@ -204,9 +205,8 @@ def cmd_preprocess(args) -> None:
                                            seed=cfg.seed)
         inputs.append(Path(cfg.embedding_path))
     else:
-        encoded_train_tokens = [vocab.encode(toks) for toks in token_docs]
         table = embeddings.train_skipgram(
-            encoded_train_tokens,
+            [r.tokens for r in encoded["train"]],
             vocab_size=len(vocab),
             dim=cfg.embedding_size,
             window=cfg.skipgram_window,
@@ -218,8 +218,7 @@ def cmd_preprocess(args) -> None:
     embeddings.save_embeddings(table, vocab, emb_path, config_hash=cfg_hash)
 
     outputs = [catalog_path, vocab_path, emb_path]
-    for name, raw in raw_splits.items():
-        records = corpus.encode_documents(raw, vocab, catalog, max_len=cfg.max_len)
+    for name, records in encoded.items():
         path = workdir / ARTIFACTS[name]
         corpus.save_encoded(records, path, config_hash=cfg_hash)
         outputs.append(path)
@@ -304,7 +303,8 @@ def cmd_predict(args) -> None:
     cfg, cfg_hash, workdir = _setup(args)
     m, catalog, vocab, index = _restore_model(workdir, cfg, cfg_hash)
     raw_docs = corpus.load_corpus_jsonl(args.input)
-    records = corpus.encode_documents(raw_docs, vocab, catalog, max_len=cfg.max_len)
+    records = corpus.encode_documents(raw_docs, vocab, catalog, max_len=cfg.max_len,
+                                      source=args.input)
 
     h_label = m.label_representations()
     out_path = workdir / ARTIFACTS["predictions"]

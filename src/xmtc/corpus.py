@@ -225,11 +225,17 @@ def encode_documents(
     vocab: Vocabulary,
     catalog: LabelCatalog,
     max_len: int = DEFAULT_MAX_LEN,
+    source: str = "corpus",
 ) -> list[DocumentRecord]:
-    """Preprocess and id-encode raw documents against a vocabulary/catalog."""
+    """Preprocess and id-encode raw documents against a vocabulary/catalog.
+
+    A document whose text yields no tokens is a ``DataError`` naming
+    ``source`` (the file the documents came from) and the document."""
     records = []
     for rec in raw_docs:
         tokens = vocab.encode(preprocess(rec["text"], max_len))
+        if not tokens:
+            raise DataError(f"{source}: document {rec['doc_id']!r} has no tokens")
         labels = {catalog.id_of(code) for code in rec.get("labels", [])}
         aux = {t: tuple(rec.get(t, ())) for t in TERMINOLOGIES}
         records.append(

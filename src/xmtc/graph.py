@@ -85,11 +85,13 @@ def save_graph(graph: CooccurrenceGraph, path, config_hash: str = "") -> None:
 def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
     """Load a saved graph over the ``num_labels``-label catalog; returns
     (graph, config_hash).  A header giving another label count, or a
-    malformed line, is a ``DataError``."""
+    malformed line, is a ``DataError`` naming the file and line."""
     lines = read_text(path).splitlines()
     config_hash = ""
+    first = 1  # line number of lines[0]
     if lines and lines[0].startswith("#"):
         head = lines.pop(0)
+        first = 2
         if "config=" in head:
             config_hash = head.split("config=", 1)[1].strip()
     if not lines:
@@ -98,17 +100,17 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
         num_labels_s, lam_s, pair_count_s = lines[0].split()
         found, lam, pair_count = int(num_labels_s), float(lam_s), int(pair_count_s)
     except ValueError:
-        raise DataError(f"{path}: malformed graph header {lines[0]!r}") from None
+        raise DataError(f"{path}:{first}: malformed graph header {lines[0]!r}") from None
     if found != num_labels:
-        raise DataError(f"{path}: graph has {found} labels, the catalog has {num_labels}")
+        raise DataError(f"{path}:{first}: graph has {found} labels, the catalog has {num_labels}")
     adj = np.zeros((num_labels, num_labels))
-    for line in lines[1:]:
+    for ln, line in enumerate(lines[1:], start=first + 1):
         try:
             i, j = (int(x) for x in line.split())
         except ValueError:
-            raise DataError(f"{path}: malformed coordinate line {line!r}") from None
+            raise DataError(f"{path}:{ln}: malformed coordinate line {line!r}") from None
         if not (0 <= i < num_labels and 0 <= j < num_labels):
-            raise DataError(f"{path}: coordinate {line!r} outside {num_labels} labels")
+            raise DataError(f"{path}:{ln}: coordinate {line!r} outside {num_labels} labels")
         adj[i, j] = 1.0
     graph = CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
     if int(np.triu(adj, k=1).sum()) != pair_count:

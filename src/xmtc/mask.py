@@ -122,7 +122,9 @@ def make_doc_mask(doc: DocumentRecord, index: AuxMaskIndex) -> DocMask:
 def apply_mask(h_label: Tensor, mask: DocMask) -> Tensor:
     """Zero the representation rows of labels outside the candidate set.
 
-    Gradient flow through zeroed rows is blocked by the multiplication."""
+    Gradient flow through zeroed rows is blocked by the multiplication.  This
+    is the dense form of the mask; ``CodingModel.forward_doc`` computes the
+    same model by attending with the candidate rows only."""
     if h_label.shape[0] != mask.vec.shape[0]:
         raise ShapeError(
             f"label representation rows {h_label.shape[0]} != mask length {mask.vec.shape[0]}"

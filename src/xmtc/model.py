@@ -24,10 +24,10 @@ from .attention import ClassifierParams, classify, init_classifier_params, label
 from .config import RunConfig
 from .corpus import PAD_ID, LabelCatalog, Vocabulary
 from .encoder import BlockParams, EncoderConfig, encode, init_block_params
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .graph import CooccurrenceGraph, GcnParams, descriptor_average_matrix, gcn_forward, init_gcn_params
-from .mask import DocMask, apply_mask
-from .tensor import Tensor, matmul
+from .mask import DocMask, apply_mask  # noqa: F401  (perfbench/tracing.py wraps it by this name)
+from .tensor import Tensor, concat, gather_rows, matmul, mean, reshape
 
 logger = logging.getLogger(__name__)
 
@@ -104,21 +104,47 @@ class CodingModel:
         h_label: Tensor,
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Per-label probabilities [L] and attention weights [L, n] for one
-        document.  The one place that knows about PAD: PAD tokens are dropped
-        before the encoder and get exactly zero attention weight."""
+        with_attention: bool = False,
+    ) -> tuple[Tensor, np.ndarray | None]:
+        """Per-label probabilities [L] for one document and, if
+        ``with_attention``, its attention weights [L, n] (else None).
+
+        Only the K candidate rows of ``h_label`` attend.  A masked label's
+        representation is zero, so its softmax is uniform (exactly 1/n) and
+        its context is the mean of the encoded rows: every masked label
+        reads that one shared context.  With nothing masked (K = L) all rows
+        attend as they are.  The one place that knows about PAD: PAD tokens
+        are dropped before the encoder and get exactly zero attention weight.
+        """
+        num_labels = h_label.shape[0]
+        if doc_mask.vec.shape != (num_labels,):
+            raise ShapeError(f"mask of shape {doc_mask.vec.shape} for {num_labels} label rows")
         ids = np.asarray(token_ids, dtype=np.int64)
         real = ids != PAD_ID
         encoded = encode(ids[real], self.embedding, self.blocks, self.encoder_config,
                          train=train, rng=rng)
-        h_masked = apply_mask(h_label, doc_mask)
-        att = label_attention(encoded, h_masked)
-        alpha = att.alpha
-        if not real.all():  # widen to [L, n], zero in the PAD columns
-            alpha = Tensor(np.zeros((alpha.shape[0], ids.size)))
-            alpha.data[:, real] = att.alpha.data
-        return classify(att.context, self.classifier), alpha
+        cand = np.flatnonzero(doc_mask.vec)
+        if cand.size == num_labels:
+            att = label_attention(encoded, h_label)
+            y_hat = classify(att.context, self.classifier)
+        else:
+            context = reshape(mean(encoded, axis=0), (1, encoded.shape[1]))
+            rows = np.full(num_labels, cand.size)  # masked labels read the last row
+            if cand.size:
+                att = label_attention(encoded, gather_rows(h_label, cand))
+                context = concat([att.context, context])
+                rows[cand] = np.arange(cand.size)
+            y_hat = classify(context, self.classifier, rows=rows)
+        if not with_attention:
+            return y_hat, None
+        if cand.size == num_labels and real.all():
+            return y_hat, att.alpha.data
+        # [L, n]: masked rows uniform over the real tokens, PAD columns zero
+        alpha = np.zeros((num_labels, ids.size))
+        alpha[:, real] = 1.0 / encoded.shape[0]
+        if cand.size:
+            alpha[np.ix_(cand, real)] = att.alpha.data
+        return y_hat, alpha
 
     def predict_scores(self, token_ids, doc_mask: DocMask, h_label: Tensor | None = None,
                        doc_id: str = "?", with_attention: bool = False):
@@ -128,17 +154,18 @@ class CodingModel:
         (unmasked models) gates nothing.  An empty candidate set suspends
         gating for the document (otherwise nothing could ever be predicted)
         and is logged.  ``with_attention`` also returns the [L, n] attention
-        weights of the same pass.
+        weights of the same pass; a masked label's row is uniform.
         """
         if h_label is None:
             h_label = self.label_representations()
-        y_hat, alpha = self.forward_doc(token_ids, doc_mask, h_label)
+        y_hat, alpha = self.forward_doc(token_ids, doc_mask, h_label,
+                                        with_attention=with_attention)
         scores = y_hat.data.copy()
         if doc_mask.empty:
             logger.info("doc %s: empty candidate mask; hard gating suspended", doc_id)
         else:
             scores *= doc_mask.vec
-        return (scores, alpha.data) if with_attention else scores
+        return (scores, alpha) if with_attention else scores
 
 
 def model_from_artifacts(

@@ -69,13 +69,14 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self) -> None:
+        """One update.  A parameter the last backward pass did not reach (the
+        label side, when every mask of a batch is empty) steps with a zero
+        gradient, so its moments decay as they would under a dense pass."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
+            g = 0.0 if p.grad is None else p.grad
             m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

@@ -160,3 +160,47 @@ def skipgram_pairs_loop(tokens, window, rng):
                 centers.append(tokens[pos])
                 contexts.append(tokens[ctx])
     return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+
+
+def dense_forward_doc(model, token_ids, doc_mask, h_label, train=False, rng=None):
+    """One document through the dense label side: every label attends over
+    every position, a masked label through its zeroed representation row
+    (``apply_mask``), and every label has its own context row.  This is the
+    forward that candidate-sparse attention must reproduce; it composes the
+    engine's dense ops rather than re-deriving them.  Returns (probabilities
+    [L], attention weights [L, n] with zero PAD columns)."""
+    from xmtc.attention import classify, label_attention
+    from xmtc.corpus import PAD_ID
+    from xmtc.encoder import encode
+    from xmtc.mask import apply_mask
+
+    ids = np.asarray(token_ids, dtype=np.int64)
+    real = ids != PAD_ID
+    encoded = encode(ids[real], model.embedding, model.blocks, model.encoder_config,
+                     train=train, rng=rng)
+    att = label_attention(encoded, apply_mask(h_label, doc_mask))
+    alpha = np.zeros((h_label.shape[0], ids.size))
+    alpha[:, real] = att.alpha.data
+    return classify(att.context, model.classifier), alpha
+
+
+def dense_batch_loss(model, docs, masks, rng):
+    """``training.batch_loss`` over ``dense_forward_doc``."""
+    from xmtc.tensor import add, bce_loss, mul
+
+    h_label = model.label_representations()
+    total = None
+    for doc, doc_mask in zip(docs, masks):
+        y_hat, _ = dense_forward_doc(model, doc.tokens, doc_mask, h_label, train=True, rng=rng)
+        loss = bce_loss(y_hat, doc.label_vector(model.num_labels))
+        total = loss if total is None else add(total, loss)
+    return mul(total, 1.0 / len(docs))
+
+
+def dense_predict_scores(model, token_ids, doc_mask):
+    """Gated inference scores and attention weights over ``dense_forward_doc``."""
+    y_hat, alpha = dense_forward_doc(model, token_ids, doc_mask, model.label_representations())
+    scores = y_hat.data.copy()
+    if doc_mask.labels:
+        scores *= doc_mask.vec
+    return scores, alpha

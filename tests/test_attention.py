@@ -120,6 +120,21 @@ class TestClassifier:
         out = classify(Tensor(np.ones((2, 2))), params)
         np.testing.assert_allclose(out.data, [0.5, 0.75], atol=1e-12)
 
+    def test_row_map_reads_shared_rows(self):
+        rng = np.random.default_rng(8)
+        context = rng.standard_normal((3, 4))
+        params = init_classifier_params(4, 6, rng)
+        params.b.data = rng.standard_normal(6)
+        rows = np.array([2, 0, 2, 1, 2, 2])
+        mapped = classify(Tensor(context), params, rows=rows)
+        np.testing.assert_array_equal(mapped.data, classify(Tensor(context[rows]), params).data)
+
+        gold = (rng.random(6) < 0.5).astype(float)
+        report = grad_check(
+            lambda c, w, b: bce_loss(classify(c, ClassifierParams(w=w, b=b), rows=rows), gold),
+            [Tensor(context, requires_grad=True), params.w, params.b], tol=1e-4)
+        assert report.passed, report
+
     def test_gradient_through_attention_classifier_loss(self):
         rng = np.random.default_rng(5)
         d = Tensor(rng.standard_normal((6, 4)), requires_grad=True)

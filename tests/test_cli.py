@@ -305,6 +305,39 @@ class TestErrors:
         assert main(argv) == 3
         assert "raw.jsonl:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_document_without_tokens_stops_preprocess_before_any_artifact(
+            self, pipeline, tmp_path, capsys, split):
+        _, data, _, cfg = pipeline
+        paths = {name: data / f"{name}.jsonl" for name in ("train", "val", "test")}
+        paths[split] = tmp_path / "raw.jsonl"
+        paths[split].write_text((data / f"{split}.jsonl").read_text()
+                                + '{"doc_id": "empty1", "text": "!!! [**Name**] 4kg ..."}\n')
+        out = tmp_path / "work"
+        assert main(["preprocess", "--workdir", str(out), "--config", str(cfg),
+                     "--train", str(paths["train"]), "--val", str(paths["val"]),
+                     "--test", str(paths["test"]),
+                     "--catalog", str(data / "raw_catalog.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert f"{paths[split]}: document 'empty1' has no tokens" in err
+        assert not out.exists()
+
+    def test_document_without_tokens_stops_predict_before_any_artifact(
+            self, pipeline, tmp_path, capsys):
+        _, data, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text((data / "test.jsonl").read_text()
+                       + '{"doc_id": "empty1", "text": "!!! ..."}\n')
+        heat = tmp_path / "heat.jsonl"
+        assert main(["predict", "--workdir", str(copy), "--config", str(cfg),
+                     "--input", str(raw), "--attention-out", str(heat)]) == 3
+        assert f"{raw}: document 'empty1' has no tokens" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+        assert not heat.exists()
+
     def test_checkpoint_on_another_vocabulary_is_exit_2(self, pipeline, tmp_path):
         _, _, work, cfg = pipeline
 

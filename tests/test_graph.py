@@ -114,7 +114,14 @@ class TestBuildCooccurrence:
         # "-1 0" would index from the end and pass the pair-count check
         path = tmp_path / "graph.txt"
         path.write_text(f"# xmtc-graph v1 config=abcd\n3 1.0 0\n0 0\n{line}\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=f"{path}:4: "):
+            load_graph(path, 3)
+
+    @pytest.mark.parametrize("comment, line", [(True, 2), (False, 1)])
+    def test_malformed_header_names_its_line(self, tmp_path, comment, line):
+        path = tmp_path / "graph.txt"
+        path.write_text(("# xmtc-graph v1\n" if comment else "") + "3 x 0\n0 0\n")
+        with pytest.raises(DataError, match=f"{path}:{line}: malformed graph header"):
             load_graph(path, 3)
 
     @pytest.mark.parametrize("count", [2, 4, -1])

@@ -49,13 +49,25 @@ class TestAdam:
             ref_x -= 0.1 * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
             assert abs(float(x.data) - ref_x) < 1e-12
 
-    def test_skips_parameters_without_gradients(self):
-        params = ModelParams()
-        a = Tensor(np.ones(3), requires_grad=True, name="a")
-        params.register(a)
-        opt = Adam(params, lr=0.5)
-        opt.step()
-        np.testing.assert_array_equal(a.data, np.ones(3))
+    def test_missing_gradient_steps_as_zero_gradient(self):
+        """A parameter no backward pass reached steps exactly as with an
+        all-zero gradient: unmoved on the first step, carried by its
+        decaying momentum after that."""
+        paths = []
+        for zero in (None, np.zeros(3)):
+            params = ModelParams()
+            a = Tensor(np.ones(3), requires_grad=True, name="a")
+            params.register(a)
+            opt = Adam(params, lr=0.5)
+            a.grad = zero
+            opt.step()
+            np.testing.assert_array_equal(a.data, np.ones(3))
+            for grad in (np.array([1.0, -2.0, 0.5]), zero, zero):
+                a.grad = grad
+                opt.step()
+            paths.append(a.data.copy())
+        np.testing.assert_array_equal(paths[0], paths[1])
+        assert not np.array_equal(paths[0], np.ones(3))
 
 
 class TestClipping:
