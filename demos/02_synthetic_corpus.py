@@ -53,8 +53,7 @@ print("=" * 60)
 print("4. Skip-gram embeddings pick up the keyword structure")
 print("=" * 60)
 
-table = train_skipgram([r.tokens for r in records], len(vocab), dim=32, epochs=4, seed=0)
-mat = table.matrix.data
+mat = train_skipgram([r.tokens for r in records], len(vocab), dim=32, epochs=4, seed=0)
 
 
 def cosine(u, v):

@@ -39,7 +39,7 @@ print("2. Descriptor features propagated through the GCN")
 print("=" * 60)
 
 table = train_skipgram([r.tokens for r in train_docs], len(vocab), dim=32, epochs=3, seed=0)
-features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), table.matrix)
+features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), Tensor(table))
 params = init_gcn_params(32, np.random.default_rng(0))
 h_label = gcn_forward(graph, features, params)
 print("label representation matrix:", h_label.shape)

@@ -37,14 +37,14 @@ print("=" * 60)
 graph = build_cooccurrence(train_docs, len(catalog), lam=1.0)
 index = build_mask_index(train_docs, len(catalog), tau=0.4)
 table = train_skipgram([r.tokens for r in train_docs], len(vocab), dim=48, epochs=8, seed=11)
-print(f"graph edges {graph.pair_count}, vocabulary {len(vocab)}, embeddings {table.matrix.shape}")
+print(f"graph edges {graph.pair_count}, vocabulary {len(vocab)}, embeddings {table.shape}")
 
 
 def make_model(variant="full", seed=0):
     return model_from_artifacts(
         vocab, catalog, graph, dim=48,
         encoder_config=EncoderConfig(kernel_size=5, rates=(1, 2, 4), dropout=0.2),
-        seed=seed, embedding_matrix=table.matrix.data, variant=variant,
+        seed=seed, embedding_matrix=table, variant=variant,
     )
 
 

@@ -12,7 +12,8 @@
 Every subcommand writes its artifacts plus a manifest recording the
 configuration hash and input hashes.  Artifacts stamped with a different
 configuration hash are refused.  Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numerical divergence.
+error, 3 data error, 4 numerical divergence, 1 any other error (an output
+path that cannot be written, say).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _load_encoded(workdir: Path, split: str, cfg_hash: str, vocab, catalog):
 def _load_embeddings(workdir: Path, cfg: RunConfig, cfg_hash: str, vocab):
     path = _artifact(workdir, "embeddings", "preprocess")
     _check_hash(_first_comment_hash(path), cfg_hash, path)
-    return embeddings.load_embeddings(path, vocab, cfg.embedding_size, seed=cfg.seed).matrix.data
+    return embeddings.load_embeddings(path, vocab, cfg.embedding_size, seed=cfg.seed)
 
 
 def _restore_model(workdir: Path, cfg: RunConfig, cfg_hash: str):
@@ -431,7 +432,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 4
-    except XmtcError as exc:
+    except (XmtcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,45 +1,21 @@
 """Word embeddings: in-repo skip-gram pretraining and text-format I/O.
 
 The embedding file format is plain text: an optional leading ``#`` comment,
-a header line ``V d``, then one line per token holding the token followed by
-``d`` floats.
+a header line ``V d``, then ``V`` lines, one per token, holding the token
+followed by ``d`` floats.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .corpus import PAD_ID, Vocabulary
 from .errors import DataError, read_text
-from .tensor import Tensor
 
 DEFAULT_DIM = 100
-
-
-@dataclass
-class EmbeddingTable:
-    """Trainable lookup table, one row per vocabulary entry.
-
-    The PAD row is zeroed on construction, whatever made the matrix.  The
-    model drops PAD tokens before it gathers rows, so training never moves
-    this row.
-    """
-
-    matrix: Tensor
-    dim: int
-
-    def __post_init__(self):
-        self.matrix.data[PAD_ID] = 0.0
-
-    @classmethod
-    def random(cls, vocab_size: int, dim: int, seed: int = 0) -> "EmbeddingTable":
-        rng = np.random.default_rng(seed)
-        mat = (rng.random((vocab_size, dim)) - 0.5) / dim
-        return cls(Tensor(mat, requires_grad=True, name="embedding"), dim)
 
 
 def _subsample_pairs(tokens: np.ndarray, window: int, rng: np.random.Generator):
@@ -65,17 +41,20 @@ def train_skipgram(
     epochs: int = 5,
     seed: int = 0,
     lr: float = 0.025,
-) -> EmbeddingTable:
-    """Skip-gram with negative sampling over id-encoded documents.
+) -> np.ndarray:
+    """Skip-gram with negative sampling over id-encoded documents; returns
+    the [V, d] input-vector matrix with a zero PAD row.
 
     Updates are applied per document (mini-batch SGD over that document's
     center/context pairs), negatives drawn from the unigram^(3/4)
-    distribution.  Fully deterministic for a fixed seed.
+    distribution.  PAD is never a center word, so its row stays zero.
+    Fully deterministic for a fixed seed.
     """
     if dim <= 0:
         raise ValueError(f"embedding dimension must be positive, got {dim}")
     rng = np.random.default_rng(seed)
     w_in = (rng.random((vocab_size, dim)) - 0.5) / dim
+    w_in[PAD_ID] = 0.0
     w_out = np.zeros((vocab_size, dim))
 
     all_ids = np.fromiter(itertools.chain.from_iterable(token_docs), dtype=np.int64)
@@ -84,7 +63,7 @@ def train_skipgram(
     noise = counts ** 0.75
     total = noise.sum()
     if total == 0 or epochs == 0:
-        return EmbeddingTable(Tensor(w_in, requires_grad=True, name="embedding"), dim)
+        return w_in
     noise /= total
     noise_cdf = np.cumsum(noise)
 
@@ -114,25 +93,25 @@ def train_skipgram(
             grad_o = err[:, :, None] * vc[:, None, :]
             np.add.at(w_in, centers, -grad_c)
             np.add.at(w_out, tgt.reshape(-1), -grad_o.reshape(-1, dim))
-    return EmbeddingTable(Tensor(w_in, requires_grad=True, name="embedding"), dim)
+    return w_in
 
 
-def save_embeddings(table: EmbeddingTable, vocab: Vocabulary, path, config_hash: str = "") -> None:
-    mat = table.matrix.data
+def save_embeddings(mat: np.ndarray, vocab: Vocabulary, path, config_hash: str = "") -> None:
     with open(path, "w") as fh:
         if config_hash:
             fh.write(f"# config={config_hash}\n")
-        fh.write(f"{len(vocab)} {table.dim}\n")
+        fh.write(f"{len(vocab)} {mat.shape[1]}\n")
         for i, token in enumerate(vocab.id_to_token):
             fh.write(token + " " + " ".join(repr(float(v)) for v in mat[i]) + "\n")
 
 
-def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingTable:
-    """Load embeddings aligned to ``vocab``.
+def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndarray:
+    """The [len(vocab), dim] embedding matrix aligned to ``vocab``.
 
     Tokens absent from the file get seeded random rows (reproducible per
     run); the PAD row is forced to zero.  A file dimension different from
-    ``dim`` or a malformed line is a format error carrying the line number.
+    ``dim``, a row count different from the header's ``V`` or a malformed
+    line is a format error; a malformed line carries its line number.
     """
     lines = read_text(path).splitlines()
     body = [(ln, line) for ln, line in enumerate(lines, start=1) if not line.startswith("#")]
@@ -147,10 +126,12 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
         raise DataError(
             f"{path}: embedding dimension {file_dim} does not match configured {dim}"
         )
+    file_rows = int(parts[0])
+    if len(body) - 1 != file_rows:
+        raise DataError(f"{path}: header promises {file_rows} rows, file has {len(body) - 1}")
 
     rng = np.random.default_rng(seed)
     mat = (rng.random((len(vocab), dim)) - 0.5) / dim
-    seen = np.zeros(len(vocab), dtype=bool)
     for ln, line in body[1:]:
         fields = line.rstrip().split(" ")
         if len(fields) != dim + 1:
@@ -167,5 +148,5 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
             raise DataError(f"{path}:{ln}: non-numeric embedding value") from None
         if not np.isfinite(mat[idx]).all():
             raise DataError(f"{path}:{ln}: non-finite embedding value")
-        seen[idx] = True
-    return EmbeddingTable(Tensor(mat, requires_grad=True, name="embedding"), dim)
+    mat[PAD_ID] = 0.0
+    return mat

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the text reader that
-turns bytes that are not UTF-8 into one of them.
+turns an unreadable file or bytes that are not UTF-8 into one of them.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 DataError -> 3, DivergenceError -> 4.
@@ -35,10 +35,13 @@ class GradTapeError(RuntimeError):
 
 
 def read_text(path, error: type[XmtcError] = DataError, first_line: bool = False) -> str:
-    """The UTF-8 text of ``path``, or only its first line; bytes that are
-    not UTF-8 raise ``error`` naming the file."""
+    """The UTF-8 text of ``path``, or only its first line; a file that
+    cannot be read or bytes that are not UTF-8 raise ``error`` naming the
+    file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.readline() if first_line else fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from None

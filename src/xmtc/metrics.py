@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError
 
@@ -46,7 +45,9 @@ def _auc(y: np.ndarray, s: np.ndarray) -> float | None:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(s)
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    # a tie group of c scores ending at 1-based rank r shares rank r - (c - 1) / 2
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

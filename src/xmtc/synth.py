@@ -149,7 +149,6 @@ class GroundTruth:
     cliques: tuple[tuple[str, ...], ...]
     planted_aux: dict[str, dict[str, tuple[str, ...]]]  # terminology -> code -> labels
     aux_tables: dict[str, dict[str, dict[str, float]]]  # empirical P(label | code)
-    perfect_pairs: tuple[tuple[str, str], ...]  # empirical P(j|i) == 1 pairs, i != j
     label_weights: dict[str, float]  # sampling weights behind the long tail
 
     def to_json(self) -> str:
@@ -159,7 +158,6 @@ class GroundTruth:
             "planted_aux": {t: {c: list(v) for c, v in m.items()}
                             for t, m in self.planted_aux.items()},
             "aux_tables": self.aux_tables,
-            "perfect_pairs": [list(p) for p in self.perfect_pairs],
             "label_weights": self.label_weights,
         }
         return json.dumps(payload, sort_keys=True)
@@ -298,19 +296,6 @@ def _accidental_sources(label_sets, spec: GeneratorSpec, factory: _DocFactory) -
 
 def _ground_truth(docs, label_sets, spec: GeneratorSpec, factory: _DocFactory) -> GroundTruth:
     l = spec.num_labels
-    occur = np.zeros((len(label_sets), l))
-    for row, labels in enumerate(label_sets):
-        occur[row, sorted(labels)] = 1.0
-    joint = occur.T @ occur
-    singles = np.diag(joint)
-    perfect = []
-    for i in range(l):
-        if singles[i] == 0:
-            continue
-        for j in np.nonzero(joint[i] == singles[i])[0]:
-            if int(j) != i:
-                perfect.append((_label_code(i), _label_code(int(j))))
-
     aux_tables: dict[str, dict[str, dict[str, float]]] = {t: {} for t in TERMINOLOGIES}
     code_counts: dict[str, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
     pair_counts: dict[str, dict[str, np.ndarray]] = {t: {} for t in TERMINOLOGIES}
@@ -339,7 +324,6 @@ def _ground_truth(docs, label_sets, spec: GeneratorSpec, factory: _DocFactory) -
             for term in TERMINOLOGIES
         },
         aux_tables=aux_tables,
-        perfect_pairs=tuple(perfect),
         label_weights={_label_code(i): float(factory.weights[i]) for i in range(l)},
     )
 

@@ -90,7 +90,7 @@ def trained_big(planted):
     index = mask.build_mask_index(train_docs, len(catalog), tau=0.5)
     m = model.model_from_artifacts(
         vocab, catalog, g, dim=100, encoder_config=EncoderConfig(),
-        seed=7, embedding_matrix=table.matrix.data,
+        seed=7, embedding_matrix=table,
     )
     cfg = training.TrainConfig(lr=5e-4, lr_decay=0.9, max_epochs=3, batch_size=32,
                                seed=7, prediction_threshold=0.4, patience=3)
@@ -460,7 +460,7 @@ def test_criterion_7_ablation_direction():
                 m = model.model_from_artifacts(
                     vocab, catalog, g, dim=48,
                     encoder_config=EncoderConfig(kernel_size=5, rates=(1, 2, 4), dropout=0.2),
-                    seed=seed, embedding_matrix=table.matrix.data, variant=variant,
+                    seed=seed, embedding_matrix=table, variant=variant,
                 )
                 cfg = training.TrainConfig(lr=2e-3, lr_decay=0.95, max_epochs=2,
                                            batch_size=16, seed=seed,

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line pipeline."""
 
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import xmtc
 from xmtc import cli, corpus, embeddings, graph, mask, training
 from xmtc.cli import main
 from xmtc.config import config_hash, load_run_config
@@ -371,6 +376,49 @@ class TestErrors:
         assert code == 2  # encoded corpus was produced under seed 5
         err = capsys.readouterr().err
         assert "re-run" in err
+
+    def test_cut_embedding_file_is_exit_3(self, pipeline, tmp_path, capsys):
+        _, _, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        emb = copy / "embeddings.txt"
+        stamp, header, *rows = emb.read_text().splitlines(keepends=True)
+        emb.write_text(stamp + header + "".join(rows[:10]))
+        assert main(["train", "--workdir", str(copy), "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{emb}: header promises {len(rows)} rows, file has 10" in err
+
+    def test_missing_predict_input_is_exit_3(self, pipeline, tmp_path, capsys):
+        _, _, work, cfg = pipeline
+        missing = tmp_path / "absent.jsonl"
+        assert main(["predict", "--workdir", str(work), "--config", str(cfg),
+                     "--input", str(missing)]) == 3
+        assert f"{missing}: cannot read" in capsys.readouterr().err
+
+    def test_missing_config_is_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        assert main(["build-graph", "--workdir", str(tmp_path), "--config", str(missing)]) == 2
+        assert f"{missing}: cannot read" in capsys.readouterr().err
+
+    def test_unwritable_attention_out_is_exit_1(self, pipeline, tmp_path, capsys):
+        _, data, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        heat = tmp_path / "no_such_dir" / "heat.jsonl"
+        assert main(["predict", "--workdir", str(copy), "--config", str(cfg),
+                     "--input", str(data / "test.jsonl"), "--attention-out", str(heat)]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and str(heat) in last
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # importing scipy.stats costs about 0.45 s, paid by every CLI process
+        src = str(Path(xmtc.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, xmtc.cli; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestDefaults:

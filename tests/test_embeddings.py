@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmtc.corpus import PAD_ID, build_vocab
-from xmtc.embeddings import (
-    EmbeddingTable,
-    _subsample_pairs,
-    load_embeddings,
-    save_embeddings,
-    train_skipgram,
-)
+from xmtc.embeddings import _subsample_pairs, load_embeddings, save_embeddings, train_skipgram
 from xmtc.errors import DataError
 
 from oracles import skipgram_pairs_loop
@@ -36,9 +30,8 @@ class TestSkipgram:
         rng = np.random.default_rng(0)
         docs, cliques = clique_corpus(rng)
         vocab = build_vocab(docs, min_count=1)
-        table = train_skipgram([vocab.encode(d) for d in docs], len(vocab),
-                               dim=16, window=3, negatives=4, epochs=8, seed=1)
-        mat = table.matrix.data
+        mat = train_skipgram([vocab.encode(d) for d in docs], len(vocab),
+                             dim=16, window=3, negatives=4, epochs=8, seed=1)
 
         def cosine(a, b):
             return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
@@ -59,12 +52,12 @@ class TestSkipgram:
         docs = [[2, 3, 4], [3, 4, 5]]
         a = train_skipgram(docs, 6, dim=8, epochs=0, seed=9)
         b = train_skipgram(docs, 6, dim=8, epochs=0, seed=9)
-        np.testing.assert_array_equal(a.matrix.data, b.matrix.data)
+        np.testing.assert_array_equal(a, b)
         # init is the seeded uniform draw, untouched by any update
         rng = np.random.default_rng(9)
         expect = (rng.random((6, 8)) - 0.5) / 8
         expect[PAD_ID] = 0.0
-        np.testing.assert_array_equal(a.matrix.data, expect)
+        np.testing.assert_array_equal(a, expect)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(2)
@@ -73,7 +66,7 @@ class TestSkipgram:
         enc = [vocab.encode(d) for d in docs]
         a = train_skipgram(enc, len(vocab), dim=12, epochs=3, seed=5)
         b = train_skipgram(enc, len(vocab), dim=12, epochs=3, seed=5)
-        np.testing.assert_array_equal(a.matrix.data, b.matrix.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_row_norms_bounded(self):
         rng = np.random.default_rng(3)
@@ -81,13 +74,13 @@ class TestSkipgram:
         vocab = build_vocab(docs, min_count=1)
         table = train_skipgram([vocab.encode(d) for d in docs], len(vocab),
                                dim=10, epochs=5, seed=0)
-        norms = np.linalg.norm(table.matrix.data, axis=1)
+        norms = np.linalg.norm(table, axis=1)
         assert norms.max() <= 100.0
 
     def test_pad_row_zero(self):
         docs = [[2, 3, 2, 3]]
         table = train_skipgram(docs, 4, dim=6, epochs=2, seed=0)
-        np.testing.assert_array_equal(table.matrix.data[PAD_ID], np.zeros(6))
+        np.testing.assert_array_equal(table[PAD_ID], np.zeros(6))
 
     def test_pairs_match_loop_oracle(self):
         rng = np.random.default_rng(21)
@@ -113,11 +106,12 @@ class TestEmbeddingIO:
 
     def test_roundtrip(self, tmp_path):
         vocab = self._vocab()
-        table = EmbeddingTable.random(len(vocab), 8, seed=4)
+        table = (np.random.default_rng(4).random((len(vocab), 8)) - 0.5) / 8
+        table[PAD_ID] = 0.0
         path = tmp_path / "emb.txt"
         save_embeddings(table, vocab, path, config_hash="f00d")
         loaded = load_embeddings(path, vocab, 8, seed=4)
-        np.testing.assert_array_equal(loaded.matrix.data, table.matrix.data)
+        np.testing.assert_array_equal(loaded, table)
 
     def test_missing_token_gets_seeded_random_row(self, tmp_path):
         vocab = self._vocab()
@@ -130,9 +124,9 @@ class TestEmbeddingIO:
         a = load_embeddings(path, vocab, dim, seed=11)
         b = load_embeddings(path, vocab, dim, seed=11)
         gamma = vocab.token_to_id["gamma"]
-        np.testing.assert_array_equal(a.matrix.data[gamma], b.matrix.data[gamma])
-        assert not np.allclose(a.matrix.data[gamma], 0.5)
-        np.testing.assert_array_equal(a.matrix.data[vocab.token_to_id["alpha"]], [0.5] * dim)
+        np.testing.assert_array_equal(a[gamma], b[gamma])
+        assert not np.allclose(a[gamma], 0.5)
+        np.testing.assert_array_equal(a[vocab.token_to_id["alpha"]], [0.5] * dim)
 
     def test_dimension_mismatch(self, tmp_path):
         vocab = self._vocab()
@@ -175,8 +169,8 @@ class TestEmbeddingIO:
                 table = load_embeddings(path, vocab, 3, seed=0)
             except DataError:
                 return
-        assert table.matrix.shape == (len(vocab), 3)
-        assert np.isfinite(table.matrix.data).all()
+        assert table.shape == (len(vocab), 3)
+        assert np.isfinite(table).all()
 
     def test_pad_forced_zero(self, tmp_path):
         vocab = self._vocab()
@@ -186,4 +180,4 @@ class TestEmbeddingIO:
             fh.write(f"1 {dim}\n")
             fh.write("<pad> 9.0 9.0 9.0\n")
         table = load_embeddings(path, vocab, dim, seed=0)
-        np.testing.assert_array_equal(table.matrix.data[PAD_ID], np.zeros(dim))
+        np.testing.assert_array_equal(table[PAD_ID], np.zeros(dim))
