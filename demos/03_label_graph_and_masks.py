@@ -11,7 +11,7 @@ from xmtc.corpus import build_vocab, encode_documents, preprocess
 from xmtc.embeddings import train_skipgram
 from xmtc.graph import build_cooccurrence, descriptor_average_matrix, gcn_forward, init_gcn_params
 from xmtc.mask import apply_mask, build_mask_index, make_doc_mask, mask_stats
-from xmtc.tensor import Tensor, matmul
+from xmtc.tensor import Tensor, spmm
 
 spec = synth.standard_spec(num_labels=30, num_docs=600, seed=2, doc_length=(20, 40))
 docs, catalog, truth = synth.generate(spec)
@@ -39,7 +39,7 @@ print("2. Descriptor features propagated through the GCN")
 print("=" * 60)
 
 table = train_skipgram([r.tokens for r in train_docs], len(vocab), dim=32, epochs=3, seed=0)
-features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), Tensor(table))
+features = spmm(descriptor_average_matrix(catalog, vocab), Tensor(table))
 params = init_gcn_params(32, np.random.default_rng(0))
 h_label = gcn_forward(graph, features, params)
 print("label representation matrix:", h_label.shape)

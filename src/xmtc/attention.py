@@ -78,7 +78,7 @@ def attention_heat_records(doc_id: str, alpha: np.ndarray, label_codes: list[str
     return records
 
 
-def write_attention_heat(records: list[dict], path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+def write_attention_heat(records: list[dict], fh) -> None:
+    """Append ``records`` to the open text stream ``fh``, one JSON line each."""
+    for rec in records:
+        fh.write(json.dumps(rec) + "\n")

@@ -19,6 +19,7 @@ path that cannot be written, say).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -309,12 +310,14 @@ def cmd_predict(args) -> None:
 
     h_label = m.label_representations()
     out_path = workdir / ARTIFACTS["predictions"]
-    heat_records = []
-    with open(out_path, "w") as fh:
+    # the heat file is opened first, so an unwritable path fails before any scoring
+    heat_file = open(args.attention_out, "w") if args.attention_out else contextlib.nullcontext()
+    with heat_file as heat, open(out_path, "w") as fh:
         fh.write(json.dumps({"format": "xmtc-predictions", "config": cfg_hash}) + "\n")
         for doc, doc_mask in zip(records, training.doc_masks(records, m, index)):
-            scores, alpha = m.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id,
-                                             with_attention=True)
+            out = m.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id,
+                                   with_attention=heat is not None)
+            scores, alpha = out if heat is not None else (out, None)
             top = top_k_labels(scores, cfg.predict_top_k)
             row = {
                 "doc_id": doc.doc_id,
@@ -322,12 +325,11 @@ def cmd_predict(args) -> None:
                 "masked": training.uses_masks(m, index) and not doc_mask.empty,
             }
             fh.write(json.dumps(row) + "\n")
-            if args.attention_out:
-                heat_records.extend(attention.attention_heat_records(
-                    doc.doc_id, alpha[top], [catalog.codes[i] for i in top]))
+            if heat is not None:
+                attention.write_attention_heat(attention.attention_heat_records(
+                    doc.doc_id, alpha[top], [catalog.codes[i] for i in top]), heat)
     outputs = [out_path]
     if args.attention_out:
-        attention.write_attention_heat(heat_records, args.attention_out)
         outputs.append(Path(args.attention_out))
     _write_manifest(workdir, "predict", cfg_hash, [Path(args.input)], outputs)
     print(f"predict: wrote top-{cfg.predict_top_k} lists for {len(records)} docs")

@@ -4,7 +4,9 @@ The graph is directed: edge (i -> j) exists when the conditional probability
 P(label j | label i), estimated on the training split, reaches the
 binarization threshold.  Node features are descriptor-averaged word
 embeddings, so gradients can flow from the label representations back into
-the shared embedding table.
+the shared embedding table.  Both label-side operators, the descriptor
+average and the propagation matrix, are almost all zeros and are kept as
+CSR; the adjacency itself stays dense.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary, preprocess
 from .errors import DataError, ShapeError, read_text
-from .tensor import Tensor, matmul, relu
+from .tensor import Tensor, matmul, relu, spmm
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +39,7 @@ class CooccurrenceGraph:
         return self.adjacency.shape[0]
 
     @functools.cached_property
-    def propagation(self) -> np.ndarray:
+    def propagation(self) -> sp.csr_matrix:
         """The GCN's propagation matrix, computed on first use and kept, so
         ``adjacency`` must not change after the first forward pass."""
         return normalize_adjacency(self.adjacency)
@@ -122,23 +125,26 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
 # label features
 
 
-def descriptor_average_matrix(catalog: LabelCatalog, vocab: Vocabulary) -> np.ndarray:
-    """Sparse-in-spirit averaging operator S with S[i, tok] = 1/Z_i.
+def descriptor_average_matrix(catalog: LabelCatalog, vocab: Vocabulary) -> sp.csr_matrix:
+    """Averaging operator S [L, V] as CSR, with S[i, tok] = 1/Z_i for each
+    occurrence of ``tok`` among label i's Z descriptor tokens.
 
     Multiplying S by the embedding table yields every label's mean
     descriptor embedding in one product, keeping the whole feature
     construction differentiable with respect to the table.
     """
-    s = np.zeros((len(catalog), len(vocab)))
+    rows, cols, vals = [], [], []
     for i, descriptor in enumerate(catalog.descriptors):
         ids = vocab.encode(preprocess(descriptor))
         if not ids:
             logger.warning("label %s has an empty descriptor; feature row is zero",
                            catalog.codes[i])
             continue
-        for tok in ids:
-            s[i, tok] += 1.0 / len(ids)
-    return s
+        rows.extend([i] * len(ids))
+        cols.extend(ids)
+        vals.extend([1.0 / len(ids)] * len(ids))
+    # the COO -> CSR conversion sums a repeated token's entries
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(catalog), len(vocab)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +170,13 @@ def init_gcn_params(dim: int, rng: np.random.Generator) -> GcnParams:
     return GcnParams(w1=weight("gcn.w1"), w2=weight("gcn.w2"))
 
 
-def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Propagation matrix for the GCN: add a self loop and row-normalize,
-    which keeps activation scale independent of node degree."""
-    a = adjacency + np.eye(adjacency.shape[0])
-    return a / a.sum(axis=1, keepdims=True)
+def normalize_adjacency(adjacency: np.ndarray) -> sp.csr_matrix:
+    """Propagation matrix D^-1 (A + I) for the GCN, as CSR: add a self loop
+    and row-normalize, which keeps activation scale independent of node
+    degree."""
+    a = sp.csr_matrix(adjacency) + sp.identity(adjacency.shape[0], format="csr")
+    a.data /= np.repeat(np.asarray(a.sum(axis=1)).ravel(), np.diff(a.indptr))
+    return a
 
 
 def gcn_forward(graph: CooccurrenceGraph, features: Tensor, params: GcnParams) -> Tensor:
@@ -178,6 +186,6 @@ def gcn_forward(graph: CooccurrenceGraph, features: Tensor, params: GcnParams) -
         raise ShapeError(
             f"feature rows {features.shape[0]} != graph labels {graph.num_labels}"
         )
-    a_hat = Tensor(graph.propagation)
-    h1 = relu(matmul(matmul(a_hat, features), params.w1))
-    return matmul(matmul(a_hat, h1), params.w2)
+    a_hat = graph.propagation
+    h1 = relu(matmul(spmm(a_hat, features), params.w1))
+    return matmul(spmm(a_hat, h1), params.w2)

@@ -1,11 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-Every numeric operation the model needs lives here: matrix product, dilated
-1-d convolution, activations, reductions, row gather, and binary
-cross-entropy.  Operations executed while a :class:`GradTape` is active are
-recorded in insertion order; ``backward`` replays the tape in reverse and
-accumulates gradients into every tensor that requires them.  A tensor that
-feeds several consumers receives the sum of all incoming contributions.
+Every numeric operation the model needs lives here: matrix product, the
+product of a constant sparse matrix and a tensor, dilated 1-d convolution,
+activations, reductions, row gather, and binary cross-entropy.  Operations
+executed while a :class:`GradTape` is active are recorded in insertion
+order; ``backward`` replays the tape in reverse and accumulates gradients
+into every tensor that requires them.  A tensor that feeds several consumers
+receives the sum of all incoming contributions.
 
 ``grad_check`` compares analytic gradients against central finite
 differences and is the verification tool behind the gradient test suite.
@@ -27,6 +28,7 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     "matmul",
+    "spmm",
     "transpose",
     "reshape",
     "conv1d_dilated",
@@ -184,6 +186,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, ad.T @ g)
 
     return _make(ad @ bd, (a, b), bwd)
+
+
+def spmm(s, x: Tensor) -> Tensor:
+    """Product of a constant ``scipy.sparse`` matrix [m, k] and a 2-d tensor
+    [k, d]; the gradient flows to ``x`` only, as ``s.T @ g``."""
+    x = _as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeError(f"spmm expects a 2-d dense operand, got {x.shape}")
+    if s.shape[1] != x.shape[0]:
+        raise ShapeError(f"spmm inner dimensions disagree: {s.shape} x {x.shape}")
+
+    def bwd(g):
+        _accumulate(x, s.T @ g)
+
+    return _make(s @ x.data, (x,), bwd)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -411,7 +428,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Select rows of a [V, d] table; gradients scatter-add back into it.
 
-    Duplicate ids accumulate their gradient contributions additively.
+    Duplicate ids accumulate their gradient contributions additively, first
+    into a zero buffer with one row per distinct id, so backward touches
+    only the gathered rows of the table's gradient.
     """
     table = _as_tensor(table)
     if table.data.ndim != 2:
@@ -426,9 +445,12 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     def bwd(g):
         if table.requires_grad and ids.size:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            _accumulate(table, gt)
+            uniq, inverse = np.unique(ids, return_inverse=True)
+            part = np.zeros((uniq.size, g.shape[1]))
+            np.add.at(part, inverse, g)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            table.grad[uniq] += part
 
     return _make(out, (table,), bwd)
 

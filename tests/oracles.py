@@ -204,3 +204,33 @@ def dense_predict_scores(model, token_ids, doc_mask):
     if doc_mask.labels:
         scores *= doc_mask.vec
     return scores, alpha
+
+
+def dense_descriptor_matrix(catalog, vocab):
+    """The descriptor-average operator S [L, V] as a dense array, filled one
+    descriptor-token occurrence at a time."""
+    from xmtc.corpus import preprocess
+
+    s = np.zeros((len(catalog), len(vocab)))
+    for i, descriptor in enumerate(catalog.descriptors):
+        ids = vocab.encode(preprocess(descriptor))
+        for tok in ids:
+            s[i, tok] += 1.0 / len(ids)
+    return s
+
+
+def dense_propagation(adjacency):
+    """The GCN propagation matrix (A + I) / rowsum as a dense array."""
+    a = adjacency + np.eye(adjacency.shape[0])
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def dense_label_representations(model, catalog, vocab):
+    """``CodingModel.label_representations`` with dense S and Â, multiplied
+    by the engine's dense ``matmul``."""
+    from xmtc.tensor import Tensor, matmul, relu
+
+    features = matmul(Tensor(dense_descriptor_matrix(catalog, vocab)), model.embedding)
+    a_hat = Tensor(dense_propagation(model.graph.adjacency))
+    h1 = relu(matmul(matmul(a_hat, features), model.gcn.w1))
+    return matmul(matmul(a_hat, h1), model.gcn.w2)

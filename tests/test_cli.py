@@ -401,14 +401,30 @@ class TestErrors:
         assert f"{missing}: cannot read" in capsys.readouterr().err
 
     def test_unwritable_attention_out_is_exit_1(self, pipeline, tmp_path, capsys):
+        # the heat file is opened before any document is scored
         _, data, work, cfg = pipeline
         copy = tmp_path / "work"
         shutil.copytree(work, copy)
+        (copy / "predictions.jsonl").write_text("from an earlier predict\n")
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
         heat = tmp_path / "no_such_dir" / "heat.jsonl"
         assert main(["predict", "--workdir", str(copy), "--config", str(cfg),
                      "--input", str(data / "test.jsonl"), "--attention-out", str(heat)]) == 1
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("error: ") and str(heat) in last
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+    def test_predictions_do_not_depend_on_attention_out(self, pipeline, tmp_path):
+        _, data, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        base = ["predict", "--workdir", str(copy), "--config", str(cfg),
+                "--input", str(data / "test.jsonl")]
+        assert main([*base, "--attention-out", str(tmp_path / "heat.jsonl")]) == 0
+        with_heat = (copy / "predictions.jsonl").read_bytes()
+        (copy / "predictions.jsonl").unlink()
+        assert main(base) == 0
+        assert (copy / "predictions.jsonl").read_bytes() == with_heat
 
 
 class TestStartup:

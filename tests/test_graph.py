@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +26,14 @@ from xmtc.graph import (
     save_graph,
 )
 from xmtc.model import model_from_artifacts
-from xmtc.tensor import Tensor, grad_check, matmul, tensor_sum
+from xmtc.tensor import GradTape, Tensor, grad_check, matmul, mul, spmm, tensor_sum
 
-from oracles import conditional_prob_matrix
+from oracles import (
+    conditional_prob_matrix,
+    dense_descriptor_matrix,
+    dense_label_representations,
+    dense_propagation,
+)
 
 
 def docs_from_label_sets(label_sets):
@@ -172,13 +178,13 @@ class TestLabelFeatures:
         table = Tensor(np.zeros((len(vocab), dim)))
         table.data[vocab.token_to_id["red"]] = [1.0, 0.0]
         table.data[vocab.token_to_id["blue"]] = [0.0, 1.0]
-        features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), table)
+        features = spmm(descriptor_average_matrix(catalog, vocab), table)
         np.testing.assert_allclose(features.data[0], [0.5, 0.5])
 
     def test_single_token_descriptor_verbatim(self):
         vocab, catalog = self._setup()
         table = Tensor(np.arange(len(vocab) * 3, dtype=float).reshape(len(vocab), 3))
-        features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), table)
+        features = spmm(descriptor_average_matrix(catalog, vocab), table)
         np.testing.assert_array_equal(
             features.data[1], table.data[vocab.token_to_id["green"]]
         )
@@ -187,7 +193,7 @@ class TestLabelFeatures:
         vocab, catalog = self._setup()
         table = Tensor(np.ones((len(vocab), 2)))
         with caplog.at_level(logging.WARNING, logger="xmtc.graph"):
-            features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), table)
+            features = spmm(descriptor_average_matrix(catalog, vocab), table)
         np.testing.assert_array_equal(features.data[2], [0.0, 0.0])
         assert any("l3" in rec.message for rec in caplog.records)
 
@@ -197,7 +203,7 @@ class TestLabelFeatures:
         vocab = build_vocab([tokens], min_count=1)
         catalog = LabelCatalog(["l1"], ["aa bb cc dd ee"])
         table = Tensor(rng.standard_normal((len(vocab), 4)))
-        features = matmul(Tensor(descriptor_average_matrix(catalog, vocab)), table)
+        features = spmm(descriptor_average_matrix(catalog, vocab), table)
         direct = np.mean([table.data[vocab.token_to_id[t]] for t in tokens], axis=0)
         np.testing.assert_allclose(features.data[0], direct, atol=1e-12)
 
@@ -234,7 +240,7 @@ class TestGcn:
 
     def test_self_loop_row_norm(self):
         adj = np.array([[1.0, 1.0], [0.0, 1.0]])
-        norm = normalize_adjacency(adj)
+        norm = normalize_adjacency(adj).toarray()
         np.testing.assert_allclose(norm.sum(axis=1), 1.0)
         np.testing.assert_allclose(norm[0], [2 / 3, 1 / 3])
 
@@ -304,11 +310,87 @@ class TestPropagationCache:
         second = m.label_representations().data
         assert len(calls) == 1
         np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(m.graph.propagation,
-                                      normalize_adjacency(m.graph.adjacency))
+        np.testing.assert_array_equal(m.graph.propagation.toarray(),
+                                      normalize_adjacency(m.graph.adjacency).toarray())
 
     def test_no_label_feature_never_normalizes(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
         m = self._model("no_label_feature")
         m.label_representations()
         assert len(calls) == 0
+
+
+class TestSparseLabelSide:
+    """The CSR label side against the dense construction it replaced."""
+
+    def _catalog(self):
+        vocab = build_vocab([["aa", "bb", "cc", "dd", "ee", "ff"]], min_count=1)
+        catalog = LabelCatalog(
+            [f"l{i}" for i in range(7)],
+            ["aa aa bb", "", "cc", "dd ee ff aa", "zz aa", "bb bb bb", "ee ff"],
+        )
+        return vocab, catalog
+
+    def _adjacency(self, n, seed):
+        rng = np.random.default_rng(seed)
+        adj = (rng.random((n, n)) < 0.3).astype(float)
+        np.fill_diagonal(adj, 1.0)
+        return adj
+
+    def test_descriptor_matrix_equals_dense_construction(self):
+        vocab, catalog = self._catalog()
+        s = descriptor_average_matrix(catalog, vocab)
+        assert sp.isspmatrix_csr(s)
+        dense = dense_descriptor_matrix(catalog, vocab)
+        assert np.array_equal(s.toarray(), dense)
+        assert not dense[1].any()  # the empty descriptor's row
+
+    def test_propagation_equals_dense_row_normalization(self):
+        for seed in range(3):
+            adj = self._adjacency(9, seed)
+            if seed == 2:
+                adj[4, 4] = 0.0  # a node without a stored self loop
+            a_hat = CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=0).propagation
+            assert sp.isspmatrix_csr(a_hat)
+            assert np.array_equal(a_hat.toarray(), dense_propagation(adj))
+
+    def test_label_representations_and_gradients_match_dense_oracle(self):
+        vocab, catalog = self._catalog()
+        g = CooccurrenceGraph(adjacency=self._adjacency(len(catalog), 11), lam=1.0,
+                              pair_count=0)
+        m = model_from_artifacts(vocab, catalog, g, dim=5, seed=3,
+                                 encoder_config=EncoderConfig(kernel_size=3, rates=(1,)))
+        probe = Tensor(np.random.default_rng(4).standard_normal((len(catalog), 5)))
+        params = (m.embedding, m.gcn.w1, m.gcn.w2)
+
+        def run(label_side):
+            m.params.zero_grads()
+            with GradTape() as tape:
+                out = label_side()
+                tape.backward(tensor_sum(mul(out, probe)))
+            return out.data, [p.grad.copy() for p in params]
+
+        out, grads = run(m.label_representations)
+        ref_out, ref_grads = run(lambda: dense_label_representations(m, catalog, vocab))
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        for got, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_many_labels_keep_sparse_operators(self):
+        num_labels, num_words = 3000, 500
+        words = ["w" + "".join("abcdefghij"[int(c)] for c in str(i)) for i in range(num_words)]
+        vocab = build_vocab([words], min_count=1)
+        descriptors = [f"{words[i % num_words]} {words[(7 * i + 3) % num_words]}"
+                       for i in range(num_labels)]
+        catalog = LabelCatalog([f"c{i}" for i in range(num_labels)], descriptors)
+        adj = np.eye(num_labels)
+        rng = np.random.default_rng(8)
+        adj[rng.integers(0, num_labels, 2000), rng.integers(0, num_labels, 2000)] = 1.0
+        edges = int(adj.sum() - np.trace(adj))
+        g = CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=0)
+        m = model_from_artifacts(vocab, catalog, g, dim=4,
+                                 encoder_config=EncoderConfig(kernel_size=3, rates=(1,)))
+        assert m.label_representations().shape == (num_labels, 4)
+        distinct = sum(len(set(d.split())) for d in descriptors)
+        assert sp.issparse(m.feature_matrix) and m.feature_matrix.nnz == distinct
+        assert sp.issparse(g.propagation) and g.propagation.nnz == edges + num_labels

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from xmtc.errors import ConfigError, GradTapeError, ShapeError
 from xmtc.tensor import (
@@ -22,6 +23,7 @@ from xmtc.tensor import (
     same_padding,
     sigmoid,
     softmax,
+    spmm,
     tanh,
     tensor_sum,
     transpose,
@@ -62,6 +64,29 @@ class TestMatmul:
         b = param(rng, 4, 2)
         report = grad_check(matmul, [a, b], tol=1e-6)
         assert report.passed, report
+
+
+class TestSpmm:
+    def _operands(self, seed):
+        rng = np.random.default_rng(seed)
+        s = sp.random(5, 7, density=0.4, format="csr", random_state=seed)
+        return s, param(rng, 7, 3)
+
+    def test_matches_dense_matmul(self):
+        s, x = self._operands(3)
+        out = spmm(s, x)
+        np.testing.assert_allclose(out.data, matmul(Tensor(s.toarray()), x).data,
+                                   rtol=0, atol=1e-15)
+
+    def test_gradient(self):
+        s, x = self._operands(5)
+        report = grad_check(lambda t: spmm(s, t), [x], tol=1e-6)
+        assert report.passed, report
+
+    def test_inner_dimension_mismatch(self):
+        s, _ = self._operands(7)
+        with pytest.raises(ShapeError):
+            spmm(s, Tensor(np.zeros((6, 3))))
 
 
 class TestConv1dDilated:
@@ -194,6 +219,21 @@ class TestGatherRows:
         table = param(rng, 4, 3)
         report = grad_check(lambda t: gather_rows(t, [2, 2, 0, 2]), [table], tol=1e-6)
         assert report.passed, report
+
+    def test_backward_equals_dense_table_scatter(self):
+        # duplicate ids summed in a compact buffer, then added into a nonzero
+        # prior gradient, give exactly the dense [V, d] scatter-add
+        rng = np.random.default_rng(31)
+        table = param(rng, 9, 4)
+        prior = rng.standard_normal((9, 4))
+        table.grad = prior.copy()
+        ids = np.array([7, 2, 7, 0, 2, 7, 8])
+        g = rng.standard_normal((ids.size, 4))
+        with GradTape() as tape:
+            tape.backward(tensor_sum(mul(gather_rows(table, ids), Tensor(g))))
+        dense = np.zeros((9, 4))
+        np.add.at(dense, ids, g)
+        assert np.array_equal(table.grad, prior + dense)
 
 
 class TestBceLoss:
