@@ -50,6 +50,8 @@ ARTIFACTS = {
     "predictions": "predictions.jsonl",
     "ablation": "ablation.json",
 }
+# the artifacts every model stage loads through _load_stage
+STAGE_INPUTS = ("catalog", "vocab", "graph", "mask_index")
 
 
 def _sha256(path: Path) -> str:
@@ -74,6 +76,10 @@ def _setup(args) -> tuple[RunConfig, str, Path]:
     overrides = {} if args.seed_override is None else {"seed": str(args.seed_override)}
     cfg = load_run_config(args.config, overrides=overrides)
     return cfg, config_hash(cfg), Path(args.workdir)
+
+
+def _paths(workdir: Path, *names: str) -> list[Path]:
+    return [workdir / ARTIFACTS[name] for name in names]
 
 
 def _artifact(workdir: Path, name: str, producer: str) -> Path:
@@ -107,7 +113,7 @@ def _load_vocab(workdir: Path, cfg_hash: str):
 
 
 def _load_stage(workdir: Path, cfg_hash: str):
-    """Load the shared artifacts (vocab, catalog, graph, mask index)."""
+    """Load the shared artifacts, ``STAGE_INPUTS``."""
     catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
     vocab = _load_vocab(workdir, cfg_hash)
     graph_path = _artifact(workdir, "graph", "build-graph")
@@ -237,7 +243,7 @@ def cmd_build_graph(args) -> None:
     graph_path = workdir / ARTIFACTS["graph"]
     graph.save_graph(g, graph_path, config_hash=cfg_hash)
     _write_manifest(workdir, "build-graph", cfg_hash,
-                    [workdir / ARTIFACTS["train"]], [graph_path])
+                    _paths(workdir, "catalog", "vocab", "train"), [graph_path])
     print(f"build-graph: {g.num_labels} labels, lambda={g.lam}, "
           f"{g.pair_count} co-occurrence pairs")
 
@@ -252,7 +258,7 @@ def cmd_build_mask(args) -> None:
     mask.save_mask_index(index, catalog, mask_path, config_hash=cfg_hash)
     stats = mask.mask_stats(index, train_docs)
     _write_manifest(workdir, "build-mask", cfg_hash,
-                    [workdir / ARTIFACTS["train"]], [mask_path])
+                    _paths(workdir, "catalog", "vocab", "train"), [mask_path])
     print(f"build-mask: tau={cfg.tau}, train recall {stats.recall_of_gold:.4f}, "
           f"mean mask size {stats.mean_mask_size:.1f}")
 
@@ -279,7 +285,7 @@ def cmd_train(args) -> None:
         for row in result.history:
             fh.write(f"{row.epoch},{row.train_loss!r},{row.val_micro_f1!r},{row.lr!r}\n")
     _write_manifest(workdir, "train", cfg_hash,
-                    [workdir / ARTIFACTS["train"], workdir / ARTIFACTS["val"]],
+                    _paths(workdir, *STAGE_INPUTS, "train", "val", "embeddings"),
                     [ckpt_path, history_path])
     print(f"train: best epoch {result.best_epoch}, "
           f"val micro-F1 {result.best_val_micro_f1:.4f}")
@@ -296,7 +302,7 @@ def cmd_evaluate(args) -> None:
     per_label_path = workdir / ARTIFACTS["per_label"]
     report.write_per_label_tsv(per_label_path)
     _write_manifest(workdir, "evaluate", cfg_hash,
-                    [workdir / ARTIFACTS[args.split], workdir / ARTIFACTS["checkpoint"]],
+                    _paths(workdir, *STAGE_INPUTS, "checkpoint", args.split),
                     [metrics_path, per_label_path])
     print(report.to_json(config_hash=cfg_hash))
 
@@ -331,7 +337,8 @@ def cmd_predict(args) -> None:
     outputs = [out_path]
     if args.attention_out:
         outputs.append(Path(args.attention_out))
-    _write_manifest(workdir, "predict", cfg_hash, [Path(args.input)], outputs)
+    _write_manifest(workdir, "predict", cfg_hash,
+                    [*_paths(workdir, *STAGE_INPUTS, "checkpoint"), Path(args.input)], outputs)
     print(f"predict: wrote top-{cfg.predict_top_k} lists for {len(records)} docs")
 
 
@@ -350,8 +357,7 @@ def cmd_ablate(args) -> None:
     out = workdir / ARTIFACTS["ablation"]
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_manifest(workdir, "ablate", cfg_hash,
-                    [workdir / ARTIFACTS["train"], workdir / ARTIFACTS["val"],
-                     workdir / ARTIFACTS["test"]], [out])
+                    _paths(workdir, *STAGE_INPUTS, "train", "val", "test", "embeddings"), [out])
     print(json.dumps(report, indent=2, sort_keys=True))
 
 

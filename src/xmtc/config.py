@@ -20,15 +20,6 @@ from .errors import ConfigError, read_text
 ENV_PREFIX = "XMTC_"
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _parse_int_list(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.replace("[", "").replace("]", "").split(",") if x.strip())
 
@@ -77,8 +68,6 @@ def _key_for(attr: str) -> str:
 
 
 def _parser_for(default):
-    if isinstance(default, bool):  # before int: bool is an int subclass
-        return _parse_bool
     if isinstance(default, tuple):
         return _parse_int_list
     return type(default)
@@ -135,8 +124,6 @@ def canonical_text(cfg: RunConfig) -> str:
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         elif isinstance(value, float):
             rendered = repr(value)
         else:

@@ -175,8 +175,13 @@ class DocumentRecord:
     )
 
     def label_vector(self, num_labels):
+        """0/1 gold vector over ``num_labels`` labels; a label id outside
+        the catalog is a ``DataError`` naming the document."""
         import numpy as np
 
+        for lab in self.labels:
+            if lab < 0 or lab >= num_labels:
+                raise DataError(f"document {self.doc_id}: label id {lab} outside catalog")
         vec = np.zeros(num_labels)
         if self.labels:
             vec[sorted(self.labels)] = 1.0

@@ -57,10 +57,7 @@ def build_cooccurrence(
     """
     occur = np.zeros((len(train_docs), num_labels))
     for row, doc in enumerate(train_docs):
-        for lab in doc.labels:
-            if lab < 0 or lab >= num_labels:
-                raise DataError(f"document {doc.doc_id}: label id {lab} outside catalog")
-            occur[row, lab] = 1.0
+        occur[row] = doc.label_vector(num_labels)
     joint = occur.T @ occur
     singles = np.diag(joint).copy()
     cond = np.zeros_like(joint)

@@ -60,11 +60,7 @@ def build_mask_index(
     pair_counts: dict[str, dict[str, np.ndarray]] = {t: {} for t in TERMINOLOGIES}
     code_counts: dict[str, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
     for doc in train_docs:
-        label_vec = np.zeros(num_labels)
-        for lab in doc.labels:
-            if lab < 0 or lab >= num_labels:
-                raise DataError(f"document {doc.doc_id}: label id {lab} outside catalog")
-            label_vec[lab] = 1.0
+        label_vec = doc.label_vector(num_labels)
         for term in TERMINOLOGIES:
             for code in set(doc.aux_codes.get(term, ())):
                 if code not in pair_counts[term]:

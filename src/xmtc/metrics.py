@@ -23,13 +23,17 @@ def _binary_f1(tp: float, fp: float, fn: float) -> float:
     return 2 * tp / denom if denom > 0 else 0.0
 
 
+def _label_counts(gold: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-label true positives, false positives and false negatives, [L] each."""
+    return tuple(np.sum(g & p, axis=0).astype(float)
+                 for g, p in ((gold, pred), (~gold, pred), (gold, ~pred)))
+
+
 def micro_macro_f1(gold: np.ndarray, pred: np.ndarray) -> tuple[float, float, int]:
     """Returns (micro, macro, labels skipped for lack of positives)."""
     gold = np.asarray(gold, dtype=bool)
     pred = np.asarray(pred, dtype=bool)
-    tp = (gold & pred).sum(axis=0).astype(float)
-    fp = (~gold & pred).sum(axis=0).astype(float)
-    fn = (gold & ~pred).sum(axis=0).astype(float)
+    tp, fp, fn = _label_counts(gold, pred)
     micro = _binary_f1(tp.sum(), fp.sum(), fn.sum())
     has_pos = gold.any(axis=0)
     if has_pos.any():
@@ -144,13 +148,11 @@ def compute_metrics(
 
     per_label = []
     if label_codes is not None:
-        for i, code in enumerate(label_codes):
-            tp = float((gold[:, i] & pred[:, i]).sum())
-            fp = float((~gold[:, i] & pred[:, i]).sum())
-            fn = float((gold[:, i] & ~pred[:, i]).sum())
+        counts = zip(*(c.tolist() for c in _label_counts(gold, pred)))
+        for code, support, (tp, fp, fn) in zip(label_codes, gold.sum(axis=0).tolist(), counts):
             per_label.append({
                 "label": code,
-                "support": int(gold[:, i].sum()),
+                "support": support,
                 "tp": int(tp),
                 "fp": int(fp),
                 "fn": int(fn),

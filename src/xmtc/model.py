@@ -110,12 +110,12 @@ class CodingModel:
         """Per-label probabilities [L] for one document and, if
         ``with_attention``, its attention weights [L, n] (else None).
 
-        Only the K candidate rows of ``h_label`` attend.  A masked label's
-        representation is zero, so its softmax is uniform (exactly 1/n) and
-        its context is the mean of the encoded rows: every masked label
-        reads that one shared context.  With nothing masked (K = L) all rows
-        attend as they are.  The one place that knows about PAD: PAD tokens
-        are dropped before the encoder and get exactly zero attention weight.
+        Only the K candidate rows of ``h_label`` attend, all-ones masks
+        included.  A masked label's representation is zero, so its softmax
+        is uniform (exactly 1/n) and its context is the mean of the encoded
+        rows: every masked label reads that one shared context.  The one
+        place that knows about PAD: PAD tokens are dropped before the
+        encoder and get exactly zero attention weight.
         """
         num_labels = h_label.shape[0]
         if doc_mask.vec.shape != (num_labels,):
@@ -125,21 +125,15 @@ class CodingModel:
         encoded = encode(ids[real], self.embedding, self.blocks, self.encoder_config,
                          train=train, rng=rng)
         cand = np.flatnonzero(doc_mask.vec)
-        if cand.size == num_labels:
-            att = label_attention(encoded, h_label)
-            y_hat = classify(att.context, self.classifier)
-        else:
-            context = reshape(mean(encoded, axis=0), (1, encoded.shape[1]))
-            rows = np.full(num_labels, cand.size)  # masked labels read the last row
-            if cand.size:
-                att = label_attention(encoded, gather_rows(h_label, cand))
-                context = concat([att.context, context])
-                rows[cand] = np.arange(cand.size)
-            y_hat = classify(context, self.classifier, rows=rows)
+        context = reshape(mean(encoded, axis=0), (1, encoded.shape[1]))
+        rows = np.full(num_labels, cand.size)  # masked labels read the last row
+        if cand.size:
+            att = label_attention(encoded, gather_rows(h_label, cand))
+            context = concat([att.context, context])
+            rows[cand] = np.arange(cand.size)
+        y_hat = classify(context, self.classifier, rows=rows)
         if not with_attention:
             return y_hat, None
-        if cand.size == num_labels and real.all():
-            return y_hat, att.alpha.data
         # [L, n]: masked rows uniform over the real tokens, PAD columns zero
         alpha = np.zeros((num_labels, ids.size))
         alpha[:, real] = 1.0 / encoded.shape[0]

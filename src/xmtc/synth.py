@@ -16,12 +16,14 @@ edges exactly the planted cliques.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
 from .errors import ConfigError, DataError
+from .graph import build_cooccurrence
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -254,7 +256,7 @@ def generate(spec: GeneratorSpec) -> tuple[list[dict], LabelCatalog, GroundTruth
     # Rejection pass: break accidental always-co-occurrence between labels
     # that are not clique partners by appending a bare closure({i}) document.
     for _ in range(4):
-        offenders = _accidental_sources(label_sets, spec, factory)
+        offenders = _accidental_sources(label_sets, spec)
         if not offenders:
             break
         for src in offenders:
@@ -263,58 +265,45 @@ def generate(spec: GeneratorSpec) -> tuple[list[dict], LabelCatalog, GroundTruth
             labels = factory.close({src})
             docs.append(factory.build_doc(f"doc{len(docs):06d}", labels, rng))
             label_sets.append(labels)
-    if _accidental_sources(label_sets, spec, factory):
+    if _accidental_sources(label_sets, spec):
         raise DataError("rejection pass failed to eliminate accidental perfect pairs")
 
     catalog = LabelCatalog(
         codes=[_label_code(i) for i in range(spec.num_labels)],
         descriptors=[" ".join(factory.keywords[i]) for i in range(spec.num_labels)],
     )
-    truth = _ground_truth(docs, label_sets, spec, factory)
+    truth = _ground_truth(docs, spec, factory)
     return docs, catalog, truth
 
 
-def _accidental_sources(label_sets, spec: GeneratorSpec, factory: _DocFactory) -> list[int]:
-    l = spec.num_labels
-    occur = np.zeros((len(label_sets), l))
-    for row, labels in enumerate(label_sets):
-        occur[row, sorted(labels)] = 1.0
-    joint = occur.T @ occur
-    singles = np.diag(joint)
-    sources = set()
-    for i in range(l):
-        if singles[i] == 0:
-            continue
-        clique = set(factory.clique_of.get(i, (i,)))
-        perfect = np.nonzero(joint[i] == singles[i])[0]
-        for j in perfect:
-            if j != i and int(j) not in clique:
-                sources.add(i)
-                break
-    return sorted(sources)
+def _accidental_sources(label_sets, spec: GeneratorSpec) -> list[int]:
+    """Labels with a threshold-1 co-occurrence edge to a label outside their
+    own clique."""
+    records = [DocumentRecord(doc_id=str(row), tokens=[], labels=labels)
+               for row, labels in enumerate(label_sets)]
+    src, dst = np.nonzero(build_cooccurrence(records, spec.num_labels, lam=1.0).adjacency)
+    group = np.arange(spec.num_labels)  # a clique's members share its first one's id
+    for clique in spec.cliques:
+        group[list(clique)] = clique[0]
+    return np.unique(src[group[src] != group[dst]]).tolist()
 
 
-def _ground_truth(docs, label_sets, spec: GeneratorSpec, factory: _DocFactory) -> GroundTruth:
-    l = spec.num_labels
-    aux_tables: dict[str, dict[str, dict[str, float]]] = {t: {} for t in TERMINOLOGIES}
-    code_counts: dict[str, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
-    pair_counts: dict[str, dict[str, np.ndarray]] = {t: {} for t in TERMINOLOGIES}
-    for doc, labels in zip(docs, label_sets):
+def _aux_tables(docs: list[dict]) -> dict[str, dict[str, dict[str, float]]]:
+    """Empirical P(label | code) per terminology: of the documents listing a
+    code, the share that carries each label."""
+    code_counts = {t: Counter() for t in TERMINOLOGIES}
+    pair_counts: dict[str, dict[str, Counter]] = {t: {} for t in TERMINOLOGIES}
+    for doc in docs:
         for term in TERMINOLOGIES:
-            for code in doc[term]:
-                if code not in code_counts[term]:
-                    code_counts[term][code] = 0
-                    pair_counts[term][code] = np.zeros(l)
+            for code in doc.get(term, ()):
                 code_counts[term][code] += 1
-                for lab in labels:
-                    pair_counts[term][code][lab] += 1
-    for term in TERMINOLOGIES:
-        for code, total in code_counts[term].items():
-            probs = pair_counts[term][code] / total
-            aux_tables[term][code] = {
-                _label_code(lab): float(probs[lab]) for lab in np.nonzero(probs)[0]
-            }
+                pair_counts[term].setdefault(code, Counter()).update(set(doc.get("labels", ())))
+    return {term: {code: {lab: cnt / code_counts[term][code] for lab, cnt in rows.items()}
+                   for code, rows in pair_counts[term].items()}
+            for term in TERMINOLOGIES}
 
+
+def _ground_truth(docs, spec: GeneratorSpec, factory: _DocFactory) -> GroundTruth:
     return GroundTruth(
         doc_labels={doc["doc_id"]: tuple(doc["labels"]) for doc in docs},
         cliques=tuple(tuple(_label_code(m) for m in c) for c in spec.cliques),
@@ -323,8 +312,9 @@ def _ground_truth(docs, label_sets, spec: GeneratorSpec, factory: _DocFactory) -
                    for code, (labels, _) in sorted(spec.aux_spec.get(term, {}).items())}
             for term in TERMINOLOGIES
         },
-        aux_tables=aux_tables,
-        label_weights={_label_code(i): float(factory.weights[i]) for i in range(l)},
+        aux_tables=_aux_tables(docs),
+        label_weights={_label_code(i): float(factory.weights[i])
+                       for i in range(spec.num_labels)},
     )
 
 
@@ -353,8 +343,7 @@ def verify(docs: list[dict], truth: GroundTruth) -> VerifyReport:
         for member in clique:
             clique_of[member] = set(clique)
 
-    counts: dict[str, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
-    pair: dict[str, dict[str, dict[str, int]]] = {t: {} for t in TERMINOLOGIES}
+    known = []
     for doc in docs:
         doc_id = doc["doc_id"]
         labels = tuple(doc.get("labels", ()))
@@ -363,6 +352,7 @@ def verify(docs: list[dict], truth: GroundTruth) -> VerifyReport:
             flagged.add(doc_id)
             problems.append(f"{doc_id}: not present in ground truth")
             continue
+        known.append(doc)
         if tuple(labels) != expected:
             flagged.add(doc_id)
             problems.append(f"{doc_id}: labels {labels} != planted {expected}")
@@ -378,16 +368,8 @@ def verify(docs: list[dict], truth: GroundTruth) -> VerifyReport:
                 if planted and not planted <= label_set:
                     flagged.add(doc_id)
                     problems.append(f"{doc_id}: {term} code {code} fired without its labels")
-                counts[term][code] = counts[term].get(code, 0) + 1
-                row = pair[term].setdefault(code, {})
-                for lab in label_set:
-                    row[lab] = row.get(lab, 0) + 1
 
-    for term in TERMINOLOGIES:
-        recomputed = {
-            code: {lab: cnt / counts[term][code] for lab, cnt in rows.items()}
-            for code, rows in pair[term].items()
-        }
+    for term, recomputed in _aux_tables(known).items():
         expected_tables = truth.aux_tables.get(term, {})
         if set(recomputed) != set(expected_tables):
             problems.append(f"{term}: code set differs from ground truth")

@@ -24,7 +24,6 @@ from .errors import ConfigError, GradTapeError, ShapeError
 __all__ = [
     "Tensor",
     "GradTape",
-    "backward",
     "grad_check",
     "GradCheckReport",
     "matmul",
@@ -130,14 +129,6 @@ class GradTape:
     def reset(self) -> None:
         self.nodes.clear()
         self._consumed = False
-
-
-def backward(loss: Tensor) -> None:
-    """Run the active tape's reverse pass from ``loss``."""
-    tape = _active_tape()
-    if tape is None:
-        raise GradTapeError("no active GradTape")
-    tape.backward(loss)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -131,9 +131,9 @@ def test_scores_and_attention_match_dense(world, kind, pad):
 
 
 def test_only_candidate_rows_attend(world, monkeypatch):
-    """K = L attends every row as it is, K < L only the gathered candidate
-    rows, and K = 0 never calls label_attention; attention weights are built
-    only when asked for."""
+    """K = L attends with every row of h_label, K < L only the gathered
+    candidate rows, and K = 0 never calls label_attention; attention weights
+    are built only when asked for."""
     model, init, docs, index = world
     model.params.load_arrays(init)
     seen = []
@@ -152,7 +152,7 @@ def test_only_candidate_rows_attend(world, monkeypatch):
         y_hat, alpha = model.forward_doc(doc.tokens, doc_mask, h_label)
         assert alpha is None and y_hat.shape == (model.num_labels,)
     assert len(seen) == 2
-    assert seen[0] is h_label
+    np.testing.assert_array_equal(seen[0].data, h_label.data)
     np.testing.assert_array_equal(seen[1].data, h_label.data[sorted(aux.labels)])
 
 

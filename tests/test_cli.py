@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xmtc
@@ -80,6 +81,24 @@ class TestPipeline:
             manifest = json.loads((work / f"manifest_{name}.json").read_text())
             hashes.add(manifest["config_hash"])
         assert len(hashes) == 1
+
+    def test_manifests_list_every_input(self, pipeline):
+        """Each manifest names every file its stage read, and nothing else."""
+        _, data, work, _ = pipeline
+        stage = {"catalog.tsv", "vocab.txt", "graph.txt", "mask_index.tsv"}
+        expected = {
+            "preprocess": {"raw_catalog.tsv", "train.jsonl", "val.jsonl", "test.jsonl"},
+            "build-graph": {"catalog.tsv", "vocab.txt", "train.enc.jsonl"},
+            "build-mask": {"catalog.tsv", "vocab.txt", "train.enc.jsonl"},
+            "train": stage | {"train.enc.jsonl", "val.enc.jsonl", "embeddings.txt"},
+            "evaluate": stage | {"checkpoint.bin", "test.enc.jsonl"},
+            "predict": stage | {"checkpoint.bin", "test.jsonl"},
+        }
+        for name, inputs in expected.items():
+            manifest = json.loads((work / f"manifest_{name}.json").read_text())
+            assert set(manifest["inputs"]) == inputs, name
+        manifest = json.loads((data / "manifest_gen-synthetic.json").read_text())
+        assert manifest["inputs"] == {}
 
     def test_predictions_are_masked_topk(self, pipeline):
         _, _, work, _ = pipeline
@@ -154,6 +173,18 @@ class TestAblate:
         for summary in report["variants"].values():
             assert 0.0 <= summary["micro_f1"] <= 1.0
 
+    def test_manifest_lists_every_input(self, pipeline, tmp_path, monkeypatch):
+        _, _, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        monkeypatch.setattr(training, "ablate", lambda *args: {"variants": {}})
+        assert main(["ablate", "--workdir", str(copy), "--config", str(cfg),
+                     "--variants", "full"]) == 0
+        manifest = json.loads((copy / "manifest_ablate.json").read_text())
+        assert set(manifest["inputs"]) == {
+            "catalog.tsv", "vocab.txt", "graph.txt", "mask_index.tsv", "train.enc.jsonl",
+            "val.enc.jsonl", "test.enc.jsonl", "embeddings.txt"}
+
     def test_unknown_variant_rejected(self, pipeline):
         _, _, work, cfg = pipeline
         assert main(["ablate", "--workdir", str(work), "--config", str(cfg),
@@ -179,6 +210,45 @@ class TestAblate:
         emb.write_text("# config=0123456789abcdef\n" + "".join(lines[1:]))
         assert main(["ablate", "--workdir", str(stale), "--config", str(cfg),
                      "--variants", "full"]) == 2
+
+
+class TestPretrainedEmbeddings:
+    """``embedding_path`` seeds the table from a word-vector file instead of
+    training skip-gram."""
+
+    def _preprocess(self, pipeline, tmp_path, dim):
+        _, data, work, _ = pipeline
+        tokens = corpus.Vocabulary.load(work / "vocab.txt").id_to_token[2:5]
+        rng = np.random.default_rng(3)
+        rows = {token: rng.standard_normal(dim) for token in [*tokens, "notinvocab"]}
+        emb_file = tmp_path / "vectors.txt"
+        emb_file.write_text(f"{len(rows)} {dim}\n" + "".join(
+            token + " " + " ".join(repr(float(v)) for v in row) + "\n"
+            for token, row in rows.items()))
+        cfg = tmp_path / "pretrained.cfg"
+        cfg.write_text(CONFIG + f"embedding_path = {emb_file}\n")
+        out = tmp_path / "work"
+        code = main(["preprocess", "--workdir", str(out), "--config", str(cfg),
+                     "--train", str(data / "train.jsonl"),
+                     "--catalog", str(data / "raw_catalog.tsv")])
+        return code, out, rows
+
+    def test_file_rows_seed_the_table_and_are_recorded(self, pipeline, tmp_path):
+        code, out, rows = self._preprocess(pipeline, tmp_path, dim=32)
+        assert code == 0
+        vocab = corpus.Vocabulary.load(out / "vocab.txt")
+        table = embeddings.load_embeddings(out / "embeddings.txt", vocab, 32)
+        *known, unknown = rows
+        assert all(token in vocab for token in known) and unknown not in vocab
+        for token in known:
+            np.testing.assert_array_equal(table[vocab.token_to_id[token]], rows[token])
+        manifest = json.loads((out / "manifest_preprocess.json").read_text())
+        assert "vectors.txt" in manifest["inputs"]
+
+    def test_file_of_another_dimension_is_exit_3(self, pipeline, tmp_path, capsys):
+        code, _, _ = self._preprocess(pipeline, tmp_path, dim=16)
+        assert code == 3
+        assert "embedding dimension 16" in capsys.readouterr().err
 
 
 def _evaluate_copy(work, cfg, tmp_path, name, edit):

@@ -26,6 +26,8 @@ from xmtc.corpus import (
     UNK_TOKEN,
 )
 from xmtc.errors import DataError
+from xmtc.graph import build_cooccurrence
+from xmtc.mask import build_mask_index
 
 
 class TestPreprocess:
@@ -282,3 +284,15 @@ class TestCorpusIO:
     def test_label_vector(self):
         doc = DocumentRecord(doc_id="d", tokens=[2, 3], labels={1, 3})
         np.testing.assert_array_equal(doc.label_vector(5), [0, 1, 0, 1, 0])
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("count", [
+        lambda docs: docs[0].label_vector(4),
+        lambda docs: build_cooccurrence(docs, 4),
+        lambda docs: build_mask_index(docs, 4),
+    ], ids=["label_vector", "build_cooccurrence", "build_mask_index"])
+    def test_label_id_outside_catalog_is_data_error(self, count, bad):
+        """-1 would silently set the last entry; L would index past the end."""
+        doc = DocumentRecord(doc_id="d7", tokens=[2], labels={1, bad})
+        with pytest.raises(DataError, match=f"document d7: label id {bad} outside catalog"):
+            count([doc])

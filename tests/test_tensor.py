@@ -9,7 +9,6 @@ from xmtc.tensor import (
     GradTape,
     Tensor,
     add,
-    backward,
     bce_loss,
     concat,
     conv1d_dilated,
@@ -304,10 +303,6 @@ class TestBackward:
             y = mul(x, 2.0)
             with pytest.raises(ValueError):
                 tape.backward(y)
-
-    def test_backward_convenience_needs_tape(self):
-        with pytest.raises(GradTapeError):
-            backward(Tensor(1.0))
 
 
 class TestStructuralOps:
