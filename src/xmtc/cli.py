@@ -27,12 +27,9 @@ import sys
 from pathlib import Path
 
 from . import attention, corpus, embeddings, graph, mask, model, synth, training
-from .config import RunConfig, config_hash, load_run_config
-from .errors import (ConfigError, DataError, DivergenceError, StalenessError, XmtcError,
-                     read_text)
+from .config import config_hash, load_run_config
+from .errors import ConfigError, DataError, DivergenceError, StalenessError, XmtcError
 from .metrics import top_k_labels
-
-logger = logging.getLogger(__name__)
 
 ARTIFACTS = {
     "catalog": "catalog.tsv",
@@ -50,8 +47,8 @@ ARTIFACTS = {
     "predictions": "predictions.jsonl",
     "ablation": "ablation.json",
 }
-# the artifacts every model stage loads through _load_stage
-STAGE_INPUTS = ("catalog", "vocab", "graph", "mask_index")
+# the subcommand that writes an artifact a later one reads, if not preprocess
+PRODUCERS = {"graph": "build-graph", "mask_index": "build-mask", "checkpoint": "train"}
 
 
 def _sha256(path: Path) -> str:
@@ -60,94 +57,75 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(workdir: Path, command: str, cfg_hash: str,
                     inputs: list[Path], outputs: list[Path]) -> None:
-    manifest = {
-        "command": command,
-        "config_hash": cfg_hash,
-        "inputs": {p.name: _sha256(p) for p in sorted(inputs)},
-        "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
-    }
+    manifest = {"command": command, "config_hash": cfg_hash,
+                "inputs": {str(p): _sha256(p) for p in inputs},
+                "outputs": {p.name: _sha256(p) for p in outputs}}
     path = workdir / f"manifest_{command}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _setup(args) -> tuple[RunConfig, str, Path]:
-    """The resolved configuration (``--seed`` overrides it), its hash and
-    the work directory of one subcommand."""
-    overrides = {} if args.seed_override is None else {"seed": str(args.seed_override)}
-    cfg = load_run_config(args.config, overrides=overrides)
-    return cfg, config_hash(cfg), Path(args.workdir)
+class _Stage:
+    """One subcommand: its configuration (``--seed`` overrides it), the
+    config hash, the work directory and the paths of every file it reads."""
+
+    def __init__(self, args):
+        overrides = {} if args.seed_override is None else {"seed": str(args.seed_override)}
+        self.cfg = load_run_config(args.config, overrides=overrides)
+        self.hash = config_hash(self.cfg)
+        self.workdir = Path(args.workdir)
+        self.command = args.command
+        self.inputs: list[Path] = []
+
+    def read(self, path):
+        """Record the input ``path`` and return it."""
+        self.inputs.append(Path(path))
+        return path
+
+    def artifact(self, name: str) -> Path:
+        """The recorded path of the work-directory artifact ``name``."""
+        path = self.workdir / ARTIFACTS[name]
+        if not path.exists():
+            raise DataError(f"missing artifact {path.name}; "
+                            f"run 'xmtc {PRODUCERS.get(name, 'preprocess')}' first")
+        return self.read(path)
+
+    def load(self, name: str, loader, *args):
+        """The artifact ``name`` through ``loader(path, *args)``, which also
+        returns its config stamp; a stamp from another config is refused."""
+        path = self.artifact(name)
+        loaded, found = loader(path, *args)
+        self.check(found, path)
+        return loaded
+
+    def check(self, found: str, path: Path) -> None:
+        if found and found != self.hash:
+            raise StalenessError(f"{path} was built under config {found}, current config is "
+                                 f"{self.hash}; re-run the producing subcommand")
+
+    def splits(self, vocab, catalog, *names: str) -> list:
+        return [self.load(name, corpus.load_encoded, len(vocab), len(catalog)) for name in names]
+
+    def write_manifest(self, outputs: list[Path]) -> None:
+        _write_manifest(self.workdir, self.command, self.hash, self.inputs, outputs)
 
 
-def _paths(workdir: Path, *names: str) -> list[Path]:
-    return [workdir / ARTIFACTS[name] for name in names]
-
-
-def _artifact(workdir: Path, name: str, producer: str) -> Path:
-    path = workdir / ARTIFACTS[name]
-    if not path.exists():
-        raise DataError(
-            f"missing artifact {path.name}; run 'xmtc {producer}' first"
-        )
-    return path
-
-
-def _check_hash(found: str, expected: str, path) -> None:
-    if found and found != expected:
-        raise StalenessError(
-            f"{path} was built under config {found}, current config is {expected}; "
-            "re-run the producing subcommand"
-        )
-
-
-def _first_comment_hash(path: Path) -> str:
-    first = read_text(path, first_line=True)
-    if first.startswith("#") and "config=" in first:
-        return first.split("config=", 1)[1].split()[0].strip()
-    return ""
-
-
-def _load_vocab(workdir: Path, cfg_hash: str):
-    vocab_path = _artifact(workdir, "vocab", "preprocess")
-    _check_hash(_first_comment_hash(vocab_path), cfg_hash, vocab_path)
-    return corpus.Vocabulary.load(vocab_path)
-
-
-def _load_stage(workdir: Path, cfg_hash: str):
-    """Load the shared artifacts, ``STAGE_INPUTS``."""
-    catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
-    vocab = _load_vocab(workdir, cfg_hash)
-    graph_path = _artifact(workdir, "graph", "build-graph")
-    g, found = graph.load_graph(graph_path, len(catalog))
-    _check_hash(found, cfg_hash, graph_path)
-    mask_path = _artifact(workdir, "mask_index", "build-mask")
-    index, found = mask.load_mask_index(mask_path, catalog)
-    _check_hash(found, cfg_hash, mask_path)
+def _load_stage(stage: _Stage):
+    """The catalog, vocabulary, graph and mask index every model stage reads."""
+    catalog = corpus.LabelCatalog.load_tsv(stage.artifact("catalog"))
+    vocab = stage.load("vocab", corpus.Vocabulary.load)
+    g = stage.load("graph", graph.load_graph, len(catalog))
+    index = stage.load("mask_index", mask.load_mask_index, catalog)
     return catalog, vocab, g, index
 
 
-def _load_encoded(workdir: Path, split: str, cfg_hash: str, vocab, catalog):
-    path = _artifact(workdir, split, "preprocess")
-    records, found = corpus.load_encoded(path, len(vocab), len(catalog))
-    _check_hash(found, cfg_hash, path)
-    return records
-
-
-def _load_embeddings(workdir: Path, cfg: RunConfig, cfg_hash: str, vocab):
-    path = _artifact(workdir, "embeddings", "preprocess")
-    _check_hash(_first_comment_hash(path), cfg_hash, path)
-    return embeddings.load_embeddings(path, vocab, cfg.embedding_size, seed=cfg.seed)
-
-
-def _restore_model(workdir: Path, cfg: RunConfig, cfg_hash: str):
-    catalog, vocab, g, index = _load_stage(workdir, cfg_hash)
-    params, manifest = training.load_checkpoint(_artifact(workdir, "checkpoint", "train"))
-    _check_hash(manifest["config_hash"], cfg_hash, ARTIFACTS["checkpoint"])
-    if manifest["vocab_hash"] != _sha256(workdir / ARTIFACTS["vocab"]):
-        raise StalenessError(
-            f"{ARTIFACTS['checkpoint']} was trained on a different {ARTIFACTS['vocab']}; "
-            "re-run 'xmtc train'"
-        )
-    m = model.model_from_config(cfg, vocab, catalog, g, variant=manifest["variant"])
+def _restore_model(stage: _Stage):
+    catalog, vocab, g, index = _load_stage(stage)
+    path = stage.artifact("checkpoint")
+    params, manifest = training.load_checkpoint(path)
+    stage.check(manifest["config_hash"], path)
+    if manifest["vocab_hash"] != _sha256(stage.workdir / ARTIFACTS["vocab"]):
+        raise StalenessError(f"{path} was trained on a different vocab.txt; re-run 'xmtc train'")
+    m = model.model_from_config(stage.cfg, vocab, catalog, g, variant=manifest["variant"])
     m.params.load_arrays(params)
     return m, catalog, vocab, index
 
@@ -188,12 +166,12 @@ def cmd_gen_synthetic(args) -> None:
 
 
 def cmd_preprocess(args) -> None:
-    cfg, cfg_hash, workdir = _setup(args)
-    catalog = corpus.LabelCatalog.load_tsv(args.catalog)
+    stage = _Stage(args)
+    cfg, workdir = stage.cfg, stage.workdir
+    catalog = corpus.LabelCatalog.load_tsv(stage.read(args.catalog))
     sources = {name: src for name, src in
                (("train", args.train), ("val", args.val), ("test", args.test)) if src}
-    inputs = [Path(args.catalog), *(Path(src) for src in sources.values())]
-    raw_splits = {name: corpus.load_corpus_jsonl(src) for name, src in sources.items()}
+    raw_splits = {name: corpus.load_corpus_jsonl(stage.read(src)) for name, src in sources.items()}
 
     token_docs = [corpus.preprocess(d["text"], cfg.max_len) for d in raw_splits["train"]]
     vocab = corpus.build_vocab(token_docs, min_count=cfg.min_count)
@@ -206,12 +184,11 @@ def cmd_preprocess(args) -> None:
     catalog_path = workdir / ARTIFACTS["catalog"]
     catalog.save_tsv(catalog_path)
     vocab_path = workdir / ARTIFACTS["vocab"]
-    vocab.save(vocab_path, config_hash=cfg_hash)
+    vocab.save(vocab_path, config_hash=stage.hash)
 
     if cfg.embedding_path:
-        table = embeddings.load_embeddings(cfg.embedding_path, vocab, cfg.embedding_size,
-                                           seed=cfg.seed)
-        inputs.append(Path(cfg.embedding_path))
+        table, _ = embeddings.load_embeddings(stage.read(cfg.embedding_path), vocab,
+                                              cfg.embedding_size, seed=cfg.seed)
     else:
         table = embeddings.train_skipgram(
             [r.tokens for r in encoded["train"]],
@@ -223,52 +200,50 @@ def cmd_preprocess(args) -> None:
             seed=cfg.seed,
         )
     emb_path = workdir / ARTIFACTS["embeddings"]
-    embeddings.save_embeddings(table, vocab, emb_path, config_hash=cfg_hash)
+    embeddings.save_embeddings(table, vocab, emb_path, config_hash=stage.hash)
 
     outputs = [catalog_path, vocab_path, emb_path]
     for name, records in encoded.items():
         path = workdir / ARTIFACTS[name]
-        corpus.save_encoded(records, path, config_hash=cfg_hash)
+        corpus.save_encoded(records, path, config_hash=stage.hash)
         outputs.append(path)
-    _write_manifest(workdir, "preprocess", cfg_hash, inputs, outputs)
+    stage.write_manifest(outputs)
     print(f"preprocess: vocab {len(vocab)}, labels {len(catalog)} -> {workdir}")
 
 
 def cmd_build_graph(args) -> None:
-    cfg, cfg_hash, workdir = _setup(args)
-    catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
-    vocab = _load_vocab(workdir, cfg_hash)
-    train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
-    g = graph.build_cooccurrence(train_docs, len(catalog), lam=cfg.lambda_)
-    graph_path = workdir / ARTIFACTS["graph"]
-    graph.save_graph(g, graph_path, config_hash=cfg_hash)
-    _write_manifest(workdir, "build-graph", cfg_hash,
-                    _paths(workdir, "catalog", "vocab", "train"), [graph_path])
+    stage = _Stage(args)
+    catalog = corpus.LabelCatalog.load_tsv(stage.artifact("catalog"))
+    vocab = stage.load("vocab", corpus.Vocabulary.load)
+    [train_docs] = stage.splits(vocab, catalog, "train")
+    g = graph.build_cooccurrence(train_docs, len(catalog), lam=stage.cfg.lambda_)
+    graph_path = stage.workdir / ARTIFACTS["graph"]
+    graph.save_graph(g, graph_path, config_hash=stage.hash)
+    stage.write_manifest([graph_path])
     print(f"build-graph: {g.num_labels} labels, lambda={g.lam}, "
           f"{g.pair_count} co-occurrence pairs")
 
 
 def cmd_build_mask(args) -> None:
-    cfg, cfg_hash, workdir = _setup(args)
-    catalog = corpus.LabelCatalog.load_tsv(_artifact(workdir, "catalog", "preprocess"))
-    vocab = _load_vocab(workdir, cfg_hash)
-    train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
-    index = mask.build_mask_index(train_docs, len(catalog), tau=cfg.tau)
-    mask_path = workdir / ARTIFACTS["mask_index"]
-    mask.save_mask_index(index, catalog, mask_path, config_hash=cfg_hash)
+    stage = _Stage(args)
+    catalog = corpus.LabelCatalog.load_tsv(stage.artifact("catalog"))
+    vocab = stage.load("vocab", corpus.Vocabulary.load)
+    [train_docs] = stage.splits(vocab, catalog, "train")
+    index = mask.build_mask_index(train_docs, len(catalog), tau=stage.cfg.tau)
+    mask_path = stage.workdir / ARTIFACTS["mask_index"]
+    mask.save_mask_index(index, catalog, mask_path, config_hash=stage.hash)
     stats = mask.mask_stats(index, train_docs)
-    _write_manifest(workdir, "build-mask", cfg_hash,
-                    _paths(workdir, "catalog", "vocab", "train"), [mask_path])
-    print(f"build-mask: tau={cfg.tau}, train recall {stats.recall_of_gold:.4f}, "
+    stage.write_manifest([mask_path])
+    print(f"build-mask: tau={stage.cfg.tau}, train recall {stats.recall_of_gold:.4f}, "
           f"mean mask size {stats.mean_mask_size:.1f}")
 
 
 def cmd_train(args) -> None:
-    cfg, cfg_hash, workdir = _setup(args)
-    catalog, vocab, g, index = _load_stage(workdir, cfg_hash)
-    train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
-    val_docs = _load_encoded(workdir, "val", cfg_hash, vocab, catalog)
-    emb = _load_embeddings(workdir, cfg, cfg_hash, vocab)
+    stage = _Stage(args)
+    cfg, workdir = stage.cfg, stage.workdir
+    catalog, vocab, g, index = _load_stage(stage)
+    train_docs, val_docs = stage.splits(vocab, catalog, "train", "val")
+    emb = stage.load("embeddings", embeddings.load_embeddings, vocab, cfg.embedding_size, cfg.seed)
 
     m = model.model_from_config(cfg, vocab, catalog, g, emb)
     tc = training.TrainConfig.from_run_config(cfg)
@@ -277,49 +252,46 @@ def cmd_train(args) -> None:
     ckpt_path = workdir / ARTIFACTS["checkpoint"]
     vocab_hash = _sha256(workdir / ARTIFACTS["vocab"])
     training.save_checkpoint(ckpt_path, result.params_arrays, epoch=result.best_epoch,
-                             config_hash=cfg_hash, vocab_hash=vocab_hash, variant=cfg.variant)
+                             config_hash=stage.hash, vocab_hash=vocab_hash, variant=cfg.variant)
     history_path = workdir / ARTIFACTS["history"]
     with open(history_path, "w") as fh:
-        fh.write(f"# config={cfg_hash}\n")
+        fh.write(f"# config={stage.hash}\n")
         fh.write("epoch,train_loss,val_micro_f1,lr\n")
         for row in result.history:
             fh.write(f"{row.epoch},{row.train_loss!r},{row.val_micro_f1!r},{row.lr!r}\n")
-    _write_manifest(workdir, "train", cfg_hash,
-                    _paths(workdir, *STAGE_INPUTS, "train", "val", "embeddings"),
-                    [ckpt_path, history_path])
+    stage.write_manifest([ckpt_path, history_path])
     print(f"train: best epoch {result.best_epoch}, "
           f"val micro-F1 {result.best_val_micro_f1:.4f}")
 
 
 def cmd_evaluate(args) -> None:
-    cfg, cfg_hash, workdir = _setup(args)
-    m, catalog, vocab, index = _restore_model(workdir, cfg, cfg_hash)
-    docs = _load_encoded(workdir, args.split, cfg_hash, vocab, catalog)
-    report = training.evaluate(docs, m, index, cfg.prediction_threshold,
-                               ks=cfg.p_at_k, label_codes=catalog.codes)
-    metrics_path = workdir / ARTIFACTS["metrics"]
-    metrics_path.write_text(report.to_json(config_hash=cfg_hash) + "\n")
-    per_label_path = workdir / ARTIFACTS["per_label"]
+    stage = _Stage(args)
+    m, catalog, vocab, index = _restore_model(stage)
+    [docs] = stage.splits(vocab, catalog, args.split)
+    report = training.evaluate(docs, m, index, stage.cfg.prediction_threshold,
+                               ks=stage.cfg.p_at_k, label_codes=catalog.codes)
+    metrics_path = stage.workdir / ARTIFACTS["metrics"]
+    metrics_path.write_text(report.to_json(config_hash=stage.hash) + "\n")
+    per_label_path = stage.workdir / ARTIFACTS["per_label"]
     report.write_per_label_tsv(per_label_path)
-    _write_manifest(workdir, "evaluate", cfg_hash,
-                    _paths(workdir, *STAGE_INPUTS, "checkpoint", args.split),
-                    [metrics_path, per_label_path])
-    print(report.to_json(config_hash=cfg_hash))
+    stage.write_manifest([metrics_path, per_label_path])
+    print(report.to_json(config_hash=stage.hash))
 
 
 def cmd_predict(args) -> None:
-    cfg, cfg_hash, workdir = _setup(args)
-    m, catalog, vocab, index = _restore_model(workdir, cfg, cfg_hash)
-    raw_docs = corpus.load_corpus_jsonl(args.input)
+    stage = _Stage(args)
+    cfg = stage.cfg
+    m, catalog, vocab, index = _restore_model(stage)
+    raw_docs = corpus.load_corpus_jsonl(stage.read(args.input))
     records = corpus.encode_documents(raw_docs, vocab, catalog, max_len=cfg.max_len,
                                       source=args.input)
 
     h_label = m.label_representations()
-    out_path = workdir / ARTIFACTS["predictions"]
+    out_path = stage.workdir / ARTIFACTS["predictions"]
     # the heat file is opened first, so an unwritable path fails before any scoring
     heat_file = open(args.attention_out, "w") if args.attention_out else contextlib.nullcontext()
     with heat_file as heat, open(out_path, "w") as fh:
-        fh.write(json.dumps({"format": "xmtc-predictions", "config": cfg_hash}) + "\n")
+        fh.write(json.dumps({"format": "xmtc-predictions", "config": stage.hash}) + "\n")
         for doc, doc_mask in zip(records, training.doc_masks(records, m, index)):
             out = m.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id,
                                    with_attention=heat is not None)
@@ -334,30 +306,25 @@ def cmd_predict(args) -> None:
             if heat is not None:
                 attention.write_attention_heat(attention.attention_heat_records(
                     doc.doc_id, alpha[top], [catalog.codes[i] for i in top]), heat)
-    outputs = [out_path]
-    if args.attention_out:
-        outputs.append(Path(args.attention_out))
-    _write_manifest(workdir, "predict", cfg_hash,
-                    [*_paths(workdir, *STAGE_INPUTS, "checkpoint"), Path(args.input)], outputs)
+    heat_path = [Path(args.attention_out)] if args.attention_out else []
+    stage.write_manifest([out_path, *heat_path])
     print(f"predict: wrote top-{cfg.predict_top_k} lists for {len(records)} docs")
 
 
 def cmd_ablate(args) -> None:
-    cfg, cfg_hash, workdir = _setup(args)
-    catalog, vocab, g, index = _load_stage(workdir, cfg_hash)
-    train_docs = _load_encoded(workdir, "train", cfg_hash, vocab, catalog)
-    val_docs = _load_encoded(workdir, "val", cfg_hash, vocab, catalog)
-    test_docs = _load_encoded(workdir, "test", cfg_hash, vocab, catalog)
-    emb = _load_embeddings(workdir, cfg, cfg_hash, vocab)
+    stage = _Stage(args)
+    cfg = stage.cfg
+    catalog, vocab, g, index = _load_stage(stage)
+    train_docs, val_docs, test_docs = stage.splits(vocab, catalog, "train", "val", "test")
+    emb = stage.load("embeddings", embeddings.load_embeddings, vocab, cfg.embedding_size, cfg.seed)
 
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     report = training.ablate(
         variants, train_docs, val_docs, test_docs, vocab, catalog, g, index, emb, cfg,
     )
-    out = workdir / ARTIFACTS["ablation"]
+    out = stage.workdir / ARTIFACTS["ablation"]
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(workdir, "ablate", cfg_hash,
-                    _paths(workdir, *STAGE_INPUTS, "train", "val", "test", "embeddings"), [out])
+    stage.write_manifest([out])
     print(json.dumps(report, indent=2, sort_keys=True))
 
 

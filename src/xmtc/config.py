@@ -136,5 +136,13 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()[:16]
 
 
+def config_stamp(lines: list[str]) -> str:
+    """The ``config=`` hash on the ``#`` first line of an artifact's
+    ``lines``; a file without a stamp, or with an empty one, gives ``""``."""
+    head = lines[0] if lines and lines[0].startswith("#") else ""
+    stamps = [part[len("config="):] for part in head.split() if part.startswith("config=")]
+    return stamps[0] if stamps else ""
+
+
 def write_config(cfg: RunConfig, path) -> None:
     Path(path).write_text(canonical_text(cfg))

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .config import config_stamp
 from .errors import DataError, read_text
 
 PAD_ID = 0
@@ -85,15 +86,17 @@ class Vocabulary:
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
-    def load(cls, path) -> "Vocabulary":
-        tokens = []
-        for line in read_text(path).splitlines():
-            if line.startswith("#"):
-                continue
-            tokens.append(line)
+    def load(cls, path) -> tuple["Vocabulary", str]:
+        """The vocabulary saved at ``path`` and its config stamp."""
+        lines = read_text(path).splitlines()
+        line_of: dict[str, int] = {}  # token -> its line, in file order
+        for ln, line in enumerate(lines, start=1):
+            if not line.startswith("#") and line_of.setdefault(line, ln) != ln:
+                raise DataError(f"{path}:{ln}: duplicate token {line!r}")
+        tokens = list(line_of)
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise DataError(f"{path}: not a vocabulary file (missing special tokens)")
-        return cls(tokens[2:])
+        return cls(tokens[2:]), config_stamp(lines)
 
 
 def build_vocab(token_docs, min_count: int = 3) -> Vocabulary:
@@ -144,18 +147,20 @@ class LabelCatalog:
 
     @classmethod
     def load_tsv(cls, path) -> "LabelCatalog":
-        codes, descriptors = [], []
+        line_of: dict[str, int] = {}  # code -> its line, in file order
+        descriptors = []
         for ln, line in enumerate(read_text(path).splitlines(), start=1):
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{path}:{ln}: expected 'code<TAB>descriptor', got {line!r}")
-            codes.append(parts[0])
+            if line_of.setdefault(parts[0], ln) != ln:
+                raise DataError(f"{path}:{ln}: duplicate label code {parts[0]!r}")
             descriptors.append(parts[1])
-        if not codes:
+        if not descriptors:
             raise DataError(f"{path}: empty label catalog")
-        return cls(codes, descriptors)
+        return cls(list(line_of), descriptors)
 
     def save_tsv(self, path) -> None:
         with open(path, "w") as fh:

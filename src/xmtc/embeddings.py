@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 from scipy.special import expit
 
+from .config import config_stamp
 from .corpus import PAD_ID, Vocabulary
 from .errors import DataError, read_text
 
@@ -105,8 +106,9 @@ def save_embeddings(mat: np.ndarray, vocab: Vocabulary, path, config_hash: str =
             fh.write(token + " " + " ".join(repr(float(v)) for v in mat[i]) + "\n")
 
 
-def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndarray:
-    """The [len(vocab), dim] embedding matrix aligned to ``vocab``.
+def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> tuple[np.ndarray, str]:
+    """The [len(vocab), dim] embedding matrix aligned to ``vocab``, and the
+    file's config stamp.
 
     Tokens absent from the file get seeded random rows (reproducible per
     run); the PAD row is forced to zero.  A file dimension different from
@@ -149,4 +151,4 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndar
         if not np.isfinite(mat[idx]).all():
             raise DataError(f"{path}:{ln}: non-finite embedding value")
     mat[PAD_ID] = 0.0
-    return mat
+    return mat, config_stamp(lines)

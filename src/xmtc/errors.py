@@ -34,13 +34,12 @@ class GradTapeError(RuntimeError):
     """Gradient tape misuse, e.g. backward called twice without reset."""
 
 
-def read_text(path, error: type[XmtcError] = DataError, first_line: bool = False) -> str:
-    """The UTF-8 text of ``path``, or only its first line; a file that
-    cannot be read or bytes that are not UTF-8 raise ``error`` naming the
-    file."""
+def read_text(path, error: type[XmtcError] = DataError) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read or bytes that
+    are not UTF-8 raise ``error`` naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.readline() if first_line else fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:

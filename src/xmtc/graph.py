@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .config import config_stamp
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary, preprocess
 from .errors import DataError, ShapeError, read_text
 from .tensor import Tensor, matmul, relu, spmm
@@ -87,13 +88,9 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
     (graph, config_hash).  A header giving another label count, or a
     malformed line, is a ``DataError`` naming the file and line."""
     lines = read_text(path).splitlines()
-    config_hash = ""
-    first = 1  # line number of lines[0]
-    if lines and lines[0].startswith("#"):
-        head = lines.pop(0)
-        first = 2
-        if "config=" in head:
-            config_hash = head.split("config=", 1)[1].strip()
+    stamp = config_stamp(lines)
+    first = 1 + int(bool(lines) and lines[0].startswith("#"))  # line number of the header
+    lines = lines[first - 1:]
     if not lines:
         raise DataError(f"{path}: empty graph file")
     try:
@@ -115,7 +112,7 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
     graph = CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
     if int(np.triu(adj, k=1).sum()) != pair_count:
         raise DataError(f"{path}: pair count does not match stored coordinates")
-    return graph, config_hash
+    return graph, stamp
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import config_stamp
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
 from .errors import DataError, ShapeError, read_text
 from .tensor import Tensor, mul
@@ -177,13 +178,10 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
     a label code absent from ``catalog`` is a ``DataError`` naming the file
     and line."""
     lines = read_text(path).splitlines()
-    config_hash = ""
     saved_tau = DEFAULT_TAU
     header = int(bool(lines) and lines[0].startswith("#"))  # 1 if line 1 is the header
     for part in lines[0].split() if header else []:
-        if part.startswith("config="):
-            config_hash = part[len("config="):]
-        elif part.startswith("tau="):
+        if part.startswith("tau="):
             try:
                 saved_tau = float(part[len("tau="):])
             except ValueError:
@@ -215,4 +213,4 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
             raise DataError(f"{path}:{ln}: label code {label_code!r} not in the catalog")
         vec = probs[term].setdefault(code, np.zeros(len(catalog)))
         vec[catalog.code_to_id[label_code]] = prob
-    return AuxMaskIndex(num_labels=len(catalog), tau=saved_tau, probs=probs), config_hash
+    return AuxMaskIndex(num_labels=len(catalog), tau=saved_tau, probs=probs), config_stamp(lines)

@@ -71,11 +71,11 @@ def top_k_labels(scores: np.ndarray, k: int) -> list[int]:
 
     Labels with score exactly zero are never predicted; hard gating zeroes
     everything outside the candidate mask, so gated-out labels can never
-    enter a top-K list.
+    enter a top-K list.  Positive scores sort first: cutting at k is exact.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    return [int(i) for i in order if scores[i] > 0.0][:k]
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [int(i) for i in order if scores[i] > 0.0]
 
 
 def precision_at_k(gold: np.ndarray, scores: np.ndarray, ks: tuple[int, ...]) -> dict[int, float]:

@@ -133,6 +133,12 @@ def macro_micro_auc_bruteforce(gold, scores):
     return macro, micro
 
 
+def top_k_bruteforce(scores, k):
+    """Label ids sorted by (-score, id), scores > 0 only, the first k."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return [i for i in order if scores[i] > 0][:k]
+
+
 def precision_at_k_bruteforce(gold, scores, k):
     """Mean over documents of (gold labels in top-k)/k; ranking excludes
     zero scores, ties broken toward the lower label index."""

@@ -14,7 +14,7 @@ import pytest
 import xmtc
 from xmtc import cli, corpus, embeddings, graph, mask, training
 from xmtc.cli import main
-from xmtc.config import config_hash, load_run_config
+from xmtc.config import load_run_config
 from xmtc.errors import ConfigError, DataError
 from xmtc.metrics import top_k_labels
 
@@ -83,22 +83,43 @@ class TestPipeline:
         assert len(hashes) == 1
 
     def test_manifests_list_every_input(self, pipeline):
-        """Each manifest names every file its stage read, and nothing else."""
+        """Each manifest names every file its stage read, by the path it was
+        opened by, and nothing else."""
         _, data, work, _ = pipeline
-        stage = {"catalog.tsv", "vocab.txt", "graph.txt", "mask_index.tsv"}
+
+        def paths(root, *names):
+            return {str(root / name) for name in names}
+
+        stage = paths(work, "catalog.tsv", "vocab.txt", "graph.txt", "mask_index.tsv")
         expected = {
-            "preprocess": {"raw_catalog.tsv", "train.jsonl", "val.jsonl", "test.jsonl"},
-            "build-graph": {"catalog.tsv", "vocab.txt", "train.enc.jsonl"},
-            "build-mask": {"catalog.tsv", "vocab.txt", "train.enc.jsonl"},
-            "train": stage | {"train.enc.jsonl", "val.enc.jsonl", "embeddings.txt"},
-            "evaluate": stage | {"checkpoint.bin", "test.enc.jsonl"},
-            "predict": stage | {"checkpoint.bin", "test.jsonl"},
+            "preprocess": paths(data, "raw_catalog.tsv", "train.jsonl", "val.jsonl",
+                                "test.jsonl"),
+            "build-graph": paths(work, "catalog.tsv", "vocab.txt", "train.enc.jsonl"),
+            "build-mask": paths(work, "catalog.tsv", "vocab.txt", "train.enc.jsonl"),
+            "train": stage | paths(work, "train.enc.jsonl", "val.enc.jsonl", "embeddings.txt"),
+            "evaluate": stage | paths(work, "checkpoint.bin", "test.enc.jsonl"),
+            "predict": stage | paths(work, "checkpoint.bin") | paths(data, "test.jsonl"),
         }
         for name, inputs in expected.items():
             manifest = json.loads((work / f"manifest_{name}.json").read_text())
             assert set(manifest["inputs"]) == inputs, name
         manifest = json.loads((data / "manifest_gen-synthetic.json").read_text())
         assert manifest["inputs"] == {}
+
+    def test_inputs_of_one_name_keep_their_own_hashes(self, pipeline, tmp_path):
+        _, data, _, cfg = pipeline
+        train, val = tmp_path / "a" / "x.jsonl", tmp_path / "b" / "x.jsonl"
+        for path, split in ((train, "train"), (val, "val")):
+            path.parent.mkdir()
+            shutil.copy(data / f"{split}.jsonl", path)
+        out = tmp_path / "work"
+        assert main(["preprocess", "--workdir", str(out), "--config", str(cfg),
+                     "--train", str(train), "--val", str(val),
+                     "--catalog", str(data / "raw_catalog.tsv")]) == 0
+        inputs = json.loads((out / "manifest_preprocess.json").read_text())["inputs"]
+        assert set(inputs) == {str(train), str(val), str(data / "raw_catalog.tsv")}
+        assert inputs[str(train)] == cli._sha256(train) != inputs[str(val)]
+        assert inputs[str(val)] == cli._sha256(val)
 
     def test_predictions_are_masked_topk(self, pipeline):
         _, _, work, _ = pipeline
@@ -148,9 +169,11 @@ def ungated_pipeline(pipeline, request):
 class TestUngatedPredict:
     def test_predict_matches_evaluate_scores_and_is_unmasked(self, ungated_pipeline):
         work, cfg_path = ungated_pipeline
-        cfg = load_run_config(cfg_path)
-        m, catalog, vocab, index = cli._restore_model(work, cfg, config_hash(cfg))
-        docs = cli._load_encoded(work, "test", config_hash(cfg), vocab, catalog)
+        stage = cli._Stage(cli.build_parser().parse_args(
+            ["evaluate", "--workdir", str(work), "--config", str(cfg_path)]))
+        cfg = stage.cfg
+        m, catalog, vocab, index = cli._restore_model(stage)
+        [docs] = stage.splits(vocab, catalog, "test")
         _, scores = training.collect_scores(docs, m, index)
         rows = [json.loads(line)
                 for line in (work / "predictions.jsonl").read_text().splitlines()[1:]]
@@ -181,9 +204,9 @@ class TestAblate:
         assert main(["ablate", "--workdir", str(copy), "--config", str(cfg),
                      "--variants", "full"]) == 0
         manifest = json.loads((copy / "manifest_ablate.json").read_text())
-        assert set(manifest["inputs"]) == {
+        assert set(manifest["inputs"]) == {str(copy / name) for name in (
             "catalog.tsv", "vocab.txt", "graph.txt", "mask_index.tsv", "train.enc.jsonl",
-            "val.enc.jsonl", "test.enc.jsonl", "embeddings.txt"}
+            "val.enc.jsonl", "test.enc.jsonl", "embeddings.txt")}
 
     def test_unknown_variant_rejected(self, pipeline):
         _, _, work, cfg = pipeline
@@ -218,7 +241,8 @@ class TestPretrainedEmbeddings:
 
     def _preprocess(self, pipeline, tmp_path, dim):
         _, data, work, _ = pipeline
-        tokens = corpus.Vocabulary.load(work / "vocab.txt").id_to_token[2:5]
+        vocab, _ = corpus.Vocabulary.load(work / "vocab.txt")
+        tokens = vocab.id_to_token[2:5]
         rng = np.random.default_rng(3)
         rows = {token: rng.standard_normal(dim) for token in [*tokens, "notinvocab"]}
         emb_file = tmp_path / "vectors.txt"
@@ -236,14 +260,14 @@ class TestPretrainedEmbeddings:
     def test_file_rows_seed_the_table_and_are_recorded(self, pipeline, tmp_path):
         code, out, rows = self._preprocess(pipeline, tmp_path, dim=32)
         assert code == 0
-        vocab = corpus.Vocabulary.load(out / "vocab.txt")
-        table = embeddings.load_embeddings(out / "embeddings.txt", vocab, 32)
+        vocab, _ = corpus.Vocabulary.load(out / "vocab.txt")
+        table, _ = embeddings.load_embeddings(out / "embeddings.txt", vocab, 32)
         *known, unknown = rows
         assert all(token in vocab for token in known) and unknown not in vocab
         for token in known:
             np.testing.assert_array_equal(table[vocab.token_to_id[token]], rows[token])
         manifest = json.loads((out / "manifest_preprocess.json").read_text())
-        assert "vectors.txt" in manifest["inputs"]
+        assert str(tmp_path / "vectors.txt") in manifest["inputs"]
 
     def test_file_of_another_dimension_is_exit_3(self, pipeline, tmp_path, capsys):
         code, _, _ = self._preprocess(pipeline, tmp_path, dim=16)
@@ -309,10 +333,9 @@ class TestErrors:
         (lambda p: mask.load_mask_index(p, corpus.LabelCatalog(["c0"], ["x"])), DataError),
         (corpus.load_corpus_jsonl, DataError),
         (lambda p: corpus.load_encoded(p, 4, 2), DataError),
-        (cli._first_comment_hash, DataError),
         (load_run_config, ConfigError),
     ], ids=["vocab", "catalog", "embeddings", "graph", "mask_index", "raw_corpus",
-            "encoded", "config_stamp", "run_config"])
+            "encoded", "run_config"])
     def test_non_utf8_file_is_package_error(self, tmp_path, read, error):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"# config=ab \xff\n<pad>\n<unk>\n")
@@ -412,6 +435,32 @@ class TestErrors:
         assert f"{raw}: document 'empty1' has no tokens" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
         assert not heat.exists()
+
+    @pytest.mark.parametrize("name, what", [("vocab.txt", "token"),
+                                            ("catalog.tsv", "label code")])
+    def test_duplicate_entry_names_its_line(self, pipeline, tmp_path, capsys, name, what):
+        _, _, work, cfg = pipeline
+        lines = (work / name).read_text().splitlines()
+        dup = lines[3].split("\t")[0]
+
+        def repeat_line_4(raw):  # line 6 takes the entry of line 4
+            return _replace_line(raw, 5, lines[3])
+
+        assert _evaluate_copy(work, cfg, tmp_path, name, repeat_line_4) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'work' / name}:6: duplicate {what} {dup!r}" in err
+
+    @pytest.mark.parametrize("name", ["vocab.txt", "embeddings.txt"])
+    def test_empty_stamp_is_no_stamp(self, pipeline, tmp_path, monkeypatch, name):
+        _, _, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        path = copy / name
+        assert path.read_text().startswith("# config=")
+        path.write_text(_replace_line(path.read_bytes(), 0, "# config=").decode())
+        monkeypatch.setattr(training, "ablate", lambda *args: {"variants": {}})
+        assert main(["ablate", "--workdir", str(copy), "--config", str(cfg),
+                     "--variants", "full"]) == 0
 
     def test_checkpoint_on_another_vocabulary_is_exit_2(self, pipeline, tmp_path):
         _, _, work, cfg = pipeline
@@ -535,6 +584,23 @@ class TestDefaults:
         again = load_run_config(path)
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+
+class TestConfigStamp:
+    @pytest.mark.parametrize("lines, stamp", [
+        ([], ""),
+        (["<pad>"], ""),
+        (["# config="], ""),
+        (["# config=ab"], "ab"),
+        (["# xmtc-graph v1 config=ab", "2 1.0 0"], "ab"),
+        (["# xmtc-mask-index v1 config= tau=0.3"], ""),
+        (["# xmtc-mask-index v1 config=ab tau=0.3"], "ab"),
+        (["<pad>", "# config=ab"], ""),
+    ])
+    def test_stamp_is_read_from_the_first_comment_line(self, lines, stamp):
+        from xmtc.config import config_stamp
+
+        assert config_stamp(lines) == stamp
 
 
 class TestEnvOverride:

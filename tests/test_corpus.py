@@ -88,8 +88,9 @@ class TestVocabulary:
         vocab = build_vocab([["x", "y", "x"]], min_count=1)
         path = tmp_path / "vocab.txt"
         vocab.save(path, config_hash="beef")
-        loaded = Vocabulary.load(path)
+        loaded, stamp = Vocabulary.load(path)
         assert loaded.id_to_token == vocab.id_to_token
+        assert stamp == "beef"
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.one_of(st.text(max_size=8),
@@ -100,7 +101,7 @@ class TestVocabulary:
             path = Path(tmp) / "vocab.txt"
             path.write_text("\n".join(lines) + "\n")
             try:
-                vocab = Vocabulary.load(path)
+                vocab, _ = Vocabulary.load(path)
             except DataError:
                 return
         assert vocab.id_to_token[:2] == [PAD_TOKEN, UNK_TOKEN]

@@ -110,8 +110,9 @@ class TestEmbeddingIO:
         table[PAD_ID] = 0.0
         path = tmp_path / "emb.txt"
         save_embeddings(table, vocab, path, config_hash="f00d")
-        loaded = load_embeddings(path, vocab, 8, seed=4)
+        loaded, stamp = load_embeddings(path, vocab, 8, seed=4)
         np.testing.assert_array_equal(loaded, table)
+        assert stamp == "f00d"
 
     def test_missing_token_gets_seeded_random_row(self, tmp_path):
         vocab = self._vocab()
@@ -121,8 +122,8 @@ class TestEmbeddingIO:
             fh.write(f"2 {dim}\n")
             fh.write("alpha " + " ".join(["0.5"] * dim) + "\n")
             fh.write("beta " + " ".join(["0.25"] * dim) + "\n")
-        a = load_embeddings(path, vocab, dim, seed=11)
-        b = load_embeddings(path, vocab, dim, seed=11)
+        a, _ = load_embeddings(path, vocab, dim, seed=11)
+        b, _ = load_embeddings(path, vocab, dim, seed=11)
         gamma = vocab.token_to_id["gamma"]
         np.testing.assert_array_equal(a[gamma], b[gamma])
         assert not np.allclose(a[gamma], 0.5)
@@ -166,7 +167,7 @@ class TestEmbeddingIO:
             path = Path(tmp) / "emb.txt"
             path.write_text("\n".join(lines) + "\n")
             try:
-                table = load_embeddings(path, vocab, 3, seed=0)
+                table, _ = load_embeddings(path, vocab, 3, seed=0)
             except DataError:
                 return
         assert table.shape == (len(vocab), 3)
@@ -179,5 +180,5 @@ class TestEmbeddingIO:
         with open(path, "w") as fh:
             fh.write(f"1 {dim}\n")
             fh.write("<pad> 9.0 9.0 9.0\n")
-        table = load_embeddings(path, vocab, dim, seed=0)
+        table, _ = load_embeddings(path, vocab, dim, seed=0)
         np.testing.assert_array_equal(table[PAD_ID], np.zeros(dim))

@@ -3,6 +3,8 @@ pair-counting and confusion-matrix references."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmtc.errors import DataError
 from xmtc.metrics import (
@@ -13,7 +15,8 @@ from xmtc.metrics import (
     top_k_labels,
 )
 
-from oracles import f1_from_confusion, macro_micro_auc_bruteforce, precision_at_k_bruteforce
+from oracles import (f1_from_confusion, macro_micro_auc_bruteforce, precision_at_k_bruteforce,
+                     top_k_bruteforce)
 
 
 def random_instance(rng, n_docs=None, num_labels=None):
@@ -94,6 +97,14 @@ class TestTopK:
     def test_tie_breaks_toward_lower_index(self):
         scores = np.array([0.3, 0.5, 0.5])
         assert top_k_labels(scores, 2) == [1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, -0.5]) | st.floats(0, 1),
+                    max_size=12),
+           st.integers(0, 15))
+    def test_matches_bruteforce(self, scores, k):
+        # ties, zeros and k beyond the number of positive scores
+        assert top_k_labels(np.array(scores), k) == top_k_bruteforce(scores, k)
 
 
 class TestMacroSkipping:
