@@ -135,19 +135,11 @@ def _restore_model(stage: _Stage):
 
 
 def cmd_gen_synthetic(args) -> None:
+    spec = synth.standard_spec(num_labels=args.labels, num_docs=args.docs, seed=args.seed,
+                               doc_length=(args.min_len, args.max_len))
+    docs, catalog, truth = synth.generate(spec)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    spec = synth.standard_spec(
-        num_labels=args.labels,
-        num_docs=args.docs,
-        seed=args.seed,
-        clique_size=args.clique_size,
-        keywords_per_label=args.keywords_per_label,
-        noise_rate=args.noise_rate,
-        doc_length=(args.min_len, args.max_len),
-        emit_prob=args.emit_prob,
-    )
-    docs, catalog, truth = synth.generate(spec)
     corpus_path = workdir / "corpus.jsonl"
     synth.write_corpus(docs, corpus_path)
     catalog_path = workdir / "raw_catalog.tsv"
@@ -246,8 +238,7 @@ def cmd_train(args) -> None:
     emb = stage.load("embeddings", embeddings.load_embeddings, vocab, cfg.embedding_size, cfg.seed)
 
     m = model.model_from_config(cfg, vocab, catalog, g, emb)
-    tc = training.TrainConfig.from_run_config(cfg)
-    result = training.train(train_docs, val_docs, m, index, tc, ks=cfg.p_at_k)
+    result = training.train(train_docs, val_docs, m, index, cfg.train_config(), ks=cfg.p_at_k)
 
     ckpt_path = workdir / ARTIFACTS["checkpoint"]
     vocab_hash = _sha256(workdir / ARTIFACTS["vocab"])
@@ -344,12 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=int, default=50)
     p.add_argument("--docs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clique-size", type=int, default=3)
-    p.add_argument("--keywords-per-label", type=int, default=6)
-    p.add_argument("--noise-rate", type=float, default=0.25)
     p.add_argument("--min-len", type=int, default=30)
     p.add_argument("--max-len", type=int, default=60)
-    p.add_argument("--emit-prob", type=float, default=0.9)
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("preprocess", help="build vocab, embeddings, encoded corpora")

@@ -2,10 +2,12 @@
 
 Defaults are the tuned operating point (embedding 100, filter 9, rates
 [1,2,4], dropout 0.2, lr 1e-4, batch 32, prediction threshold 0.0005).
-Unknown keys are rejected.  Any key can be overridden by an environment
-variable ``XMTC_<KEY>`` (uppercased), and the resolved configuration hashes
-to a hex digest that stamps every derived artifact, so artifacts from
-different configurations cannot be silently mixed.
+Unknown keys and out-of-range values are rejected at load: ``RunConfig``
+builds the ``EncoderConfig`` and ``TrainConfig`` its keys map onto, so each
+rule is stated once.  Any key can be overridden by an environment variable
+``XMTC_<KEY>`` (uppercased), and the resolved configuration hashes to a hex
+digest that stamps every derived artifact, so artifacts from different
+configurations cannot be silently mixed.
 """
 
 from __future__ import annotations
@@ -15,9 +17,49 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .encoder import EncoderConfig
 from .errors import ConfigError, read_text
 
 ENV_PREFIX = "XMTC_"
+VARIANTS = ("full", "no_label_feature", "no_mask")
+
+
+def check_variants(*variants: str) -> None:
+    """Reject any name in ``variants`` that is not a model variant."""
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        raise ConfigError(f"variant must be one of {VARIANTS}, got {unknown}")
+
+
+def _check_range(interval: str, **values) -> None:
+    """Reject a value outside ``interval``, e.g. ``(0, 1]``; ``nan`` is outside all."""
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    for key, value in values.items():
+        above = value > low if interval[0] == "(" else value >= low
+        below = value < high if interval[-1] == ")" else value <= high
+        if not (above and below):
+            raise ConfigError(f"{key} must be in {interval}, got {value}")
+
+
+@dataclass
+class TrainConfig:
+    lr: float = 1e-4
+    lr_decay: float = 0.9
+    clip_norm: float = 5.0
+    batch_size: int = 32
+    max_epochs: int = 30
+    patience: int = 5
+    seed: int = 0
+    prediction_threshold: float = 0.0005
+
+    def __post_init__(self):
+        # messages name the configuration file keys
+        _check_range("(0, inf)", learning_rate=self.lr, clip_norm=self.clip_norm)
+        _check_range("(0, 1]", lr_decay=self.lr_decay,
+                     prediction_threshold=self.prediction_threshold)
+        _check_range("[1, inf)", batch_size=self.batch_size, max_epochs=self.max_epochs,
+                     patience=self.patience)
+        _check_range("[0, inf)", seed=self.seed)
 
 
 def _parse_int_list(s: str) -> tuple[int, ...]:
@@ -53,10 +95,30 @@ class RunConfig:
     embedding_path: str = ""
 
     def __post_init__(self):
-        if not 0.0 <= self.tau < 1.0:  # nan fails too
-            raise ConfigError(f"tau must be in [0, 1), got {self.tau}")
-        if not 0.0 < self.lambda_ <= 1.0:
-            raise ConfigError(f"lambda must be in (0, 1], got {self.lambda_}")
+        # the encoder and training configs check their keys; then the rest
+        self.encoder_config()
+        self.train_config()
+        check_variants(self.variant)
+        _check_range("[0, 1)", tau=self.tau)
+        _check_range("(0, 1]", **{"lambda": self.lambda_})
+        if not self.p_at_k or min(self.p_at_k) < 1:
+            raise ConfigError(f"p_at_k must list ranks >= 1, got {self.p_at_k}")
+        _check_range("[1, inf)", embedding_size=self.embedding_size, max_len=self.max_len,
+                     predict_top_k=self.predict_top_k, min_count=self.min_count,
+                     skipgram_window=self.skipgram_window)
+        _check_range("[0, inf)", skipgram_negatives=self.skipgram_negatives,
+                     skipgram_epochs=self.skipgram_epochs)
+
+    def encoder_config(self) -> EncoderConfig:
+        return EncoderConfig(kernel_size=self.filter_size, rates=self.dilation_rates,
+                             num_blocks=self.num_blocks, dropout=self.dropout,
+                             activation=self.activation)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(lr=self.learning_rate, lr_decay=self.lr_decay,
+                           clip_norm=self.clip_norm, batch_size=self.batch_size,
+                           max_epochs=self.max_epochs, patience=self.patience, seed=self.seed,
+                           prediction_threshold=self.prediction_threshold)
 
 
 def _attr_for(key: str) -> str:

@@ -51,8 +51,6 @@ def train_skipgram(
     distribution.  PAD is never a center word, so its row stays zero.
     Fully deterministic for a fixed seed.
     """
-    if dim <= 0:
-        raise ValueError(f"embedding dimension must be positive, got {dim}")
     rng = np.random.default_rng(seed)
     w_in = (rng.random((vocab_size, dim)) - 0.5) / dim
     w_in[PAD_ID] = 0.0

@@ -29,19 +29,18 @@ class EncoderConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        # messages name the configuration file keys
         self.rates = tuple(int(r) for r in self.rates)
-        if self.kernel_size % 2 == 0:
-            raise ConfigError(
-                f"kernel size must be odd for length-preserving padding, got {self.kernel_size}"
-            )
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ConfigError("filter_size must be a positive odd number for "
+                              f"length-preserving padding, got {self.kernel_size}")
         if not self.rates or any(r < 1 for r in self.rates):
-            raise ConfigError(f"dilation rates must be positive, got {self.rates}")
+            raise ConfigError(f"dilation_rates must be positive, got {self.rates}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.activation not in _ACTIVATIONS:
-            raise ConfigError(
-                f"unknown activation {self.activation!r}; choose from {sorted(_ACTIVATIONS)}"
-            )
+            raise ConfigError(f"activation must be one of {sorted(_ACTIVATIONS)}, "
+                              f"got {self.activation!r}")
         if self.num_blocks < 0:
             raise ConfigError(f"num_blocks must be nonnegative, got {self.num_blocks}")
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .attention import ClassifierParams, classify, init_classifier_params, label_attention
-from .config import RunConfig
+from .config import RunConfig, check_variants
 from .corpus import PAD_ID, LabelCatalog, Vocabulary
 from .encoder import BlockParams, EncoderConfig, encode, init_block_params
 from .errors import ConfigError, ShapeError
@@ -31,8 +31,6 @@ from .mask import DocMask, apply_mask  # noqa: F401  (perfbench/tracing.py wraps
 from .tensor import Tensor, concat, gather_rows, matmul, mean, reshape, spmm
 
 logger = logging.getLogger(__name__)
-
-VARIANTS = ("full", "no_label_feature", "no_mask")
 
 
 class ModelParams:
@@ -179,8 +177,7 @@ def model_from_artifacts(
     table; otherwise rows are random.  The graph variants map the table to
     descriptor-averaged label features through ``descriptor_average_matrix``.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    check_variants(variant)
     vocab_size, num_labels = len(vocab), len(catalog)
     feature_matrix = None
     if variant != "no_label_feature":
@@ -243,15 +240,8 @@ def model_from_config(cfg: RunConfig, vocab: Vocabulary, catalog: LabelCatalog,
                       variant: str | None = None) -> CodingModel:
     """The model a resolved ``RunConfig`` describes; ``variant`` overrides
     ``cfg.variant``."""
-    encoder_config = EncoderConfig(
-        kernel_size=cfg.filter_size,
-        rates=cfg.dilation_rates,
-        num_blocks=cfg.num_blocks,
-        dropout=cfg.dropout,
-        activation=cfg.activation,
-    )
     return model_from_artifacts(
-        vocab, catalog, graph, dim=cfg.embedding_size, encoder_config=encoder_config,
+        vocab, catalog, graph, dim=cfg.embedding_size, encoder_config=cfg.encoder_config(),
         seed=cfg.seed, embedding_matrix=embedding_matrix,
         variant=variant or cfg.variant,
     )

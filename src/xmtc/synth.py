@@ -53,6 +53,9 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.num_labels, self.num_docs) < 1:
+            raise ConfigError(f"num_labels and num_docs must be >= 1, got {self.num_labels} "
+                              f"and {self.num_docs}")
         if self.keywords_per_label * self.num_labels > self.vocab_size:
             raise ConfigError(
                 f"infeasible spec: {self.keywords_per_label} keywords x "

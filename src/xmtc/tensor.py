@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, GradTapeError, ShapeError
+from .errors import GradTapeError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -220,11 +220,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def same_padding(kernel_size: int, dilation: int) -> int:
-    """Padding that preserves sequence length: r*(K-1)/2, K odd."""
-    if kernel_size % 2 == 0:
-        raise ConfigError(
-            f"length-preserving padding requires an odd kernel size, got {kernel_size}"
-        )
+    """Padding that preserves sequence length: r*(K-1)/2, K odd (an EncoderConfig rule)."""
     return dilation * (kernel_size - 1) // 2
 
 

@@ -12,48 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import TrainConfig, check_variants
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import DataError, DivergenceError
 from .graph import CooccurrenceGraph
 from .mask import AuxMaskIndex, DocMask, make_doc_mask
 from .metrics import MetricsReport, compute_metrics
-from .model import VARIANTS, CodingModel, ModelParams, model_from_config
+from .model import CodingModel, ModelParams, model_from_config
 from .tensor import GradTape, Tensor, add, bce_loss, mul
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 1e-4
-    lr_decay: float = 0.9
-    clip_norm: float = 5.0
-    batch_size: int = 32
-    max_epochs: int = 30
-    patience: int = 5
-    seed: int = 0
-    prediction_threshold: float = 0.0005
-
-    def __post_init__(self):
-        positive = {
-            "lr": self.lr, "lr_decay": self.lr_decay, "clip_norm": self.clip_norm,
-            "batch_size": self.batch_size, "max_epochs": self.max_epochs,
-            "prediction_threshold": self.prediction_threshold,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-
-    @classmethod
-    def from_run_config(cls, cfg: RunConfig) -> "TrainConfig":
-        return cls(
-            lr=cfg.learning_rate, lr_decay=cfg.lr_decay, clip_norm=cfg.clip_norm,
-            batch_size=cfg.batch_size, max_epochs=cfg.max_epochs, patience=cfg.patience,
-            seed=cfg.seed, prediction_threshold=cfg.prediction_threshold,
-        )
 
 
 class Adam:
@@ -277,14 +245,11 @@ def ablate(
     ``cfg`` is a resolved RunConfig.  Every variant is checked before the
     first one trains.
     """
-    unknown = [v for v in variants if v not in VARIANTS]
-    if unknown:
-        raise ConfigError(f"unknown ablation variants {unknown}; choose from {VARIANTS}")
-    tc = TrainConfig.from_run_config(cfg)
+    check_variants(*variants)
     report: dict = {"seed": cfg.seed, "variants": {}}
     for variant in variants:
         model = model_from_config(cfg, vocab, catalog, graph, embedding_matrix, variant=variant)
-        result = train(train_docs, val_docs, model, mask_index, tc, ks=cfg.p_at_k)
+        result = train(train_docs, val_docs, model, mask_index, cfg.train_config(), ks=cfg.p_at_k)
         test_report = evaluate(test_docs, model, mask_index, cfg.prediction_threshold,
                                ks=cfg.p_at_k)
         report["variants"][variant] = _report_summary(test_report, result)

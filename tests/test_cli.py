@@ -1,20 +1,27 @@
 """End-to-end tests of the command-line pipeline."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import xmtc
 from xmtc import cli, corpus, embeddings, graph, mask, training
 from xmtc.cli import main
-from xmtc.config import load_run_config
+from xmtc.config import RunConfig, load_run_config
 from xmtc.errors import ConfigError, DataError
 from xmtc.metrics import top_k_labels
 
@@ -546,6 +553,101 @@ class TestErrors:
         assert (copy / "predictions.jsonl").read_bytes() == with_heat
 
 
+def _ints_below(low: int):
+    return st.integers(max_value=low - 1).map(str)
+
+
+def _floats_outside(inside):
+    """Float strings, ``nan`` and the infinities included, that ``inside`` rejects."""
+    return st.floats().filter(lambda x: not inside(x)).map(repr)
+
+
+_POSITIVE_INTS = st.lists(st.integers(1, 20), max_size=3)
+# empty, or a comma list holding at least one integer below 1
+_BAD_INT_LISTS = st.just("") | st.builds(
+    lambda head, bad, tail: ",".join(map(str, [*head, bad, *tail])),
+    _POSITIVE_INTS, st.integers(max_value=0), _POSITIVE_INTS)
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", max_size=12)
+
+# every range-checked key -> raw values outside its range
+OUT_OF_RANGE = {
+    "embedding_size": _ints_below(1),
+    "filter_size": _ints_below(1) | st.integers(1, 20).map(lambda k: str(2 * k)),
+    "dilation_rates": _BAD_INT_LISTS,
+    "num_blocks": _ints_below(0),
+    "dropout": _floats_outside(lambda x: 0 <= x < 1),
+    "activation": _NAMES.filter(lambda a: a not in ("relu", "tanh")),
+    "learning_rate": _floats_outside(lambda x: 0 < x < math.inf),
+    "lr_decay": _floats_outside(lambda x: 0 < x <= 1),
+    "clip_norm": _floats_outside(lambda x: 0 < x < math.inf),
+    "batch_size": _ints_below(1),
+    "max_epochs": _ints_below(1),
+    "patience": _ints_below(1),
+    "prediction_threshold": _floats_outside(lambda x: 0 < x <= 1),
+    "tau": _floats_outside(lambda x: 0 <= x < 1),
+    "lambda": _floats_outside(lambda x: 0 < x <= 1),
+    "p_at_k": _BAD_INT_LISTS,
+    "predict_top_k": _ints_below(1),
+    "seed": _ints_below(0),
+    "variant": _NAMES.filter(lambda v: v not in ("full", "no_label_feature", "no_mask")),
+    "max_len": _ints_below(1),
+    "min_count": _ints_below(1),
+    "skipgram_window": _ints_below(1),
+    "skipgram_negatives": _ints_below(0),
+    "skipgram_epochs": _ints_below(0),
+}
+
+
+class TestConfigRanges:
+    def test_every_key_but_the_embedding_path_has_a_range(self):
+        keys = {f.name.rstrip("_") for f in fields(RunConfig)}
+        assert keys - {"embedding_path"} == set(OUT_OF_RANGE)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
+        lambda key: st.tuples(st.just(key), OUT_OF_RANGE[key])))
+    @example(("p_at_k", "0"))
+    @example(("seed", "-1"))
+    @example(("filter_size", "-1"))
+    @example(("filter_size", "4"))
+    @example(("embedding_size", "0"))
+    @example(("learning_rate", "nan"))
+    @example(("learning_rate", "inf"))
+    @example(("variant", "bogus"))
+    def test_out_of_range_key_stops_preprocess_before_any_artifact(self, case):
+        key, value = case
+        root = Path(tempfile.mkdtemp())
+        try:
+            cfg, work = root / "run.cfg", root / "work"
+            cfg.write_text(f"{key} = {value}\n")
+            work.mkdir()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["preprocess", "--workdir", str(work), "--config", str(cfg),
+                             "--train", str(root / "train.jsonl"),
+                             "--catalog", str(root / "catalog.tsv")])
+            assert code == 2
+            assert f"{key} must" in err.getvalue()
+            assert list(work.iterdir()) == []
+        finally:
+            shutil.rmtree(root)
+
+    @pytest.mark.parametrize("key, value", [
+        ("filter_size", "1"), ("num_blocks", "0"), ("dropout", "0"), ("lr_decay", "1"),
+        ("prediction_threshold", "1"), ("tau", "0"), ("lambda", "1"), ("p_at_k", "1"),
+        ("seed", "0"), ("skipgram_negatives", "0"), ("skipgram_epochs", "0"),
+    ])
+    def test_range_edges_load(self, key, value):
+        load_run_config(None, overrides={key: value})
+
+    @pytest.mark.parametrize("flag, value", [("--labels", "0"), ("--labels", "-3"),
+                                             ("--docs", "0"), ("--docs", "-1")])
+    def test_generator_without_labels_or_documents_is_exit_2(self, tmp_path, flag, value):
+        work = tmp_path / "data"
+        assert main(["gen-synthetic", "--workdir", str(work), flag, value]) == 2
+        assert not work.exists()
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_stats_out(self):
         # importing scipy.stats costs about 0.45 s, paid by every CLI process
@@ -558,7 +660,7 @@ class TestStartup:
 
 class TestDefaults:
     def test_defaults_are_the_tuned_operating_point(self):
-        from xmtc.config import load_run_config
+        from xmtc.config import RunConfig, load_run_config
 
         cfg = load_run_config(None)
         assert cfg.embedding_size == 100
@@ -612,7 +714,7 @@ class TestEnvOverride:
         assert code == 2  # the override is parsed (and rejected), so it applies
 
     def test_env_var_value_used(self, monkeypatch):
-        from xmtc.config import load_run_config
+        from xmtc.config import RunConfig, load_run_config
 
         monkeypatch.setenv("XMTC_TAU", "0.125")
         cfg = load_run_config(None)

@@ -95,10 +95,6 @@ class TestSkipgram:
                 np.testing.assert_array_equal(g, e)
             assert fast_rng.random() == loop_rng.random()  # same draws consumed
 
-    def test_bad_dimension(self):
-        with pytest.raises(ValueError):
-            train_skipgram([[2, 3]], 4, dim=0)
-
 
 class TestEmbeddingIO:
     def _vocab(self):

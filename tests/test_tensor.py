@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from xmtc.errors import ConfigError, GradTapeError, ShapeError
+from xmtc.errors import GradTapeError, ShapeError
 from xmtc.tensor import (
     GradTape,
     Tensor,
@@ -99,10 +99,6 @@ class TestConv1dDilated:
 
     def test_paper_padding_formula(self):
         assert same_padding(9, 4) == 16
-
-    def test_even_kernel_rejected_for_same_padding(self):
-        with pytest.raises(ConfigError):
-            same_padding(4, 1)
 
     def test_bad_dilation(self):
         x = Tensor(np.zeros((4, 1)))

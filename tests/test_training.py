@@ -110,6 +110,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(patience=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_nonfinite(self, value):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(lr=value)
+        with pytest.raises(ConfigError, match="clip_norm"):
+            TrainConfig(clip_norm=value)
+
 
 def tiny_world(seed=0, num_labels=6, n_docs=40, dim=12):
     """Corpus, artifacts, and an assembled model small enough for fast tests."""
