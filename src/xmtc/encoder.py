@@ -2,10 +2,12 @@
 
 Each block runs two parallel branches over the embedded sequence: a chain of
 dilated convolutions (one per dilation rate, no activation between levels)
-and a single residual convolution at the first rate.  The branch outputs are
-summed, passed through the activation, and optionally dropped out.  All
-convolutions use length-preserving padding, so the output keeps the input's
-sequence length at every level.
+and a single residual convolution at the first rate.  Level 0 and the
+residual read the same windows, so they share one product over their
+filters side by side, and its output is split into the chain input and the
+residual.  The branch outputs are summed, passed through the activation,
+and optionally dropped out.  All convolutions use length-preserving padding,
+so the output keeps the input's sequence length at every level.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import Tensor, add, conv1d_dilated, gather_rows, mul, relu, same_padding, tanh
+from .tensor import (Tensor, add, concat, conv1d_dilated, gather_rows, mul, relu, same_padding,
+                     split_columns, tanh)
 
 _ACTIVATIONS = {"relu": relu, "tanh": tanh}
 
@@ -73,15 +76,6 @@ def init_block_params(
     )
 
 
-def dilated_stack(embedded: Tensor, params: BlockParams, config: EncoderConfig) -> Tensor:
-    """Chain of dilated convolutions, one level per rate."""
-    h = embedded
-    for filt, rate in zip(params.level_filters, config.rates):
-        h = conv1d_dilated(h, filt, dilation=rate,
-                           padding=same_padding(config.kernel_size, rate))
-    return h
-
-
 def _dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p <= 0.0:
         return x
@@ -98,14 +92,14 @@ def residual_block(
 ) -> Tensor:
     """One block: activation(main dilated chain + residual convolution)."""
     act = _ACTIVATIONS[config.activation]
-    main = dilated_stack(embedded, params, config)
-    residual = conv1d_dilated(
-        embedded,
-        params.residual_filter,
-        dilation=config.rates[0],
-        padding=same_padding(config.kernel_size, config.rates[0]),
-    )
-    out = act(add(main, residual))
+    k, rate0 = config.kernel_size, config.rates[0]
+    level0 = params.level_filters[0]
+    pair = conv1d_dilated(embedded, concat([level0, params.residual_filter], axis=2),
+                          dilation=rate0, padding=same_padding(k, rate0))
+    h, residual = split_columns(pair, level0.shape[2])
+    for filt, rate in zip(params.level_filters[1:], config.rates[1:]):
+        h = conv1d_dilated(h, filt, dilation=rate, padding=same_padding(k, rate))
+    out = act(add(h, residual))
     if train and config.dropout > 0.0:
         out = _dropout(out, config.dropout, rng)
     return out

@@ -2,11 +2,11 @@
 
 Every numeric operation the model needs lives here: matrix product, the
 product of a constant sparse matrix and a tensor, dilated 1-d convolution,
-activations, reductions, row gather, and binary cross-entropy.  Operations
-executed while a :class:`GradTape` is active are recorded in insertion
-order; ``backward`` replays the tape in reverse and accumulates gradients
-into every tensor that requires them.  A tensor that feeds several consumers
-receives the sum of all incoming contributions.
+activations, reductions, row gather, column split, and binary cross-entropy.
+Operations executed while a :class:`GradTape` is active are recorded in
+insertion order; ``backward`` replays the tape in reverse and accumulates
+gradients into every tensor that requires them.  A tensor that feeds
+several consumers receives the sum of all incoming contributions.
 
 ``grad_check`` compares analytic gradients against central finite
 differences and is the verification tool behind the gradient test suite.
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 from .errors import GradTapeError, ShapeError
@@ -41,6 +42,7 @@ __all__ = [
     "mean",
     "tensor_sum",
     "concat",
+    "split_columns",
     "gather_rows",
     "bce_loss",
 ]
@@ -224,6 +226,15 @@ def same_padding(kernel_size: int, dilation: int) -> int:
     return dilation * (kernel_size - 1) // 2
 
 
+def _windows(xp: np.ndarray, k: int, dilation: int, n_out: int) -> np.ndarray:
+    """The im2col buffer [n_out, K*d_in]: row t holds xp[t + dilation*j] for
+    j < K, side by side, copied out of a strided view of ``xp``."""
+    s0, s1 = xp.strides
+    d_in = xp.shape[1]
+    windows = as_strided(xp, (n_out, k, d_in), (s0, dilation * s0, s1)).copy()
+    return windows.reshape(n_out, k * d_in)
+
+
 def conv1d_dilated(
     x: Tensor,
     filters: Tensor,
@@ -234,7 +245,9 @@ def conv1d_dilated(
 
     ``filters`` has shape [K, d_in, d_out].  Kernel taps are spaced
     ``dilation`` positions apart, and ``padding`` zeros are added on both
-    ends (centered/same convolution).
+    ends (centered/same convolution).  The [n, K*d_in] window buffer is
+    freed after the forward product: backward keeps only the padded input
+    and rebuilds the windows for the filter gradient.
     """
     x, filters = _as_tensor(x), _as_tensor(filters)
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
@@ -260,14 +273,12 @@ def conv1d_dilated(
             f"kernel span {span + 1} (K={k}, dilation={dilation})"
         )
 
-    idx = np.arange(n_out)[:, None] + dilation * np.arange(k)[None, :]
-    windows = xp[idx]  # [n_out, K, d_in]
     w2d = filters.data.reshape(k * d_in, d_out)
-    out = windows.reshape(n_out, k * d_in) @ w2d
+    out = _windows(xp, k, dilation, n_out) @ w2d
 
     def bwd(g):
         if filters.requires_grad:
-            gw = windows.reshape(n_out, k * d_in).T @ g
+            gw = _windows(xp, k, dilation, n_out).T @ g
             _accumulate(filters, gw.reshape(k, d_in, d_out))
         if x.requires_grad:
             gwin = (g @ w2d.T).reshape(n_out, k, d_in)
@@ -410,6 +421,27 @@ def concat(tensors, axis: int = 0) -> Tensor:
             _accumulate(t, piece)
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
+
+
+def split_columns(x: Tensor, at: int) -> tuple[Tensor, Tensor]:
+    """Split a [n, c] tensor into its columns [0, at) and [at, c).
+
+    Each half's backward adds its gradient into its own columns of
+    ``x.grad``, so a tensor split this way gets one gradient buffer.
+    """
+    x = _as_tensor(x)
+    if x.data.ndim != 2 or not 0 < at < x.shape[1]:
+        raise ShapeError(f"split_columns needs 0 < at < columns, got at={at} for {x.shape}")
+
+    def half(cols):
+        def bwd(g):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[:, cols] += g
+
+        return _make(x.data[:, cols], (x,), bwd)
+
+    return half(slice(0, at)), half(slice(at, None))
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:

@@ -2,7 +2,9 @@
 
 Everything here is written the slow, obvious way (explicit loops, pair
 counting, direct recounts) and deliberately shares no code with the
-implementations it checks.
+implementations it checks, except the plain compositions of engine ops that
+an optimised path must reproduce (the dense label side, the unfused encoder
+block).
 """
 
 import numpy as np
@@ -24,6 +26,32 @@ def naive_conv1d(x, filters, dilation, padding):
                 for co in range(d_out):
                     out[s, co] += filters[j, ci, co] * xp[s + dilation * j, ci]
     return out
+
+
+def dilated_stack(embedded, params, config):
+    """Chain of dilated convolutions, one level per rate."""
+    from xmtc.tensor import conv1d_dilated, same_padding
+
+    h = embedded
+    for filt, rate in zip(params.level_filters, config.rates):
+        h = conv1d_dilated(h, filt, dilation=rate,
+                           padding=same_padding(config.kernel_size, rate))
+    return h
+
+
+def unfused_residual_block(embedded, params, config):
+    """One encoder block without dropout, its two branches run apart: the
+    dilated chain, then the residual conv over the same input, summed and
+    activated.  The shipped block runs level 0 and the residual as one
+    product and must reproduce this."""
+    from xmtc.tensor import add, conv1d_dilated, relu, same_padding, tanh
+
+    act = {"relu": relu, "tanh": tanh}[config.activation]
+    main = dilated_stack(embedded, params, config)
+    rate = config.rates[0]
+    residual = conv1d_dilated(embedded, params.residual_filter, dilation=rate,
+                              padding=same_padding(config.kernel_size, rate))
+    return act(add(main, residual))
 
 
 def numeric_gradient(f, x, step=1e-5):

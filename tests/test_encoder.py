@@ -6,15 +6,14 @@ import pytest
 from xmtc.encoder import (
     BlockParams,
     EncoderConfig,
-    dilated_stack,
     encode,
     init_block_params,
     residual_block,
 )
 from xmtc.errors import ConfigError, DataError
-from xmtc.tensor import GradTape, Tensor, grad_check, same_padding, tensor_sum
+from xmtc.tensor import GradTape, Tensor, grad_check, mul, same_padding, tensor_sum
 
-from oracles import naive_conv1d
+from oracles import dilated_stack, naive_conv1d, unfused_residual_block
 
 
 def delta_filter(k, dim):
@@ -134,6 +133,55 @@ class TestResidualBlock:
                 for n in (1, 7, 40):
                     out = residual_block(Tensor(rng.standard_normal((n, 3))), block, cfg)
                     assert out.shape == (n, 3)
+
+
+class TestFusedBlockMatchesUnfused:
+    """Level 0 and the residual share one product; the block must equal the
+    unfused composition to float64 rounding.  Not bit for bit: BLAS may
+    order a sum differently for a [*, 2d] product than for a [*, d] one, and
+    the input gradient sums the two branches inside one product."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    @pytest.mark.parametrize("rates", [(1, 2, 4), (2, 5, 9)])
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_outputs_and_gradients(self, k, rates, n):
+        rng = np.random.default_rng(k * 1000 + rates[0] * 100 + n)
+        cfg = EncoderConfig(kernel_size=k, rates=rates, dropout=0.0)
+        dim = 6
+        block = init_block_params(cfg, dim, rng)
+        x = rng.standard_normal((n, dim))
+        probe = rng.standard_normal((n, dim))
+        filters = [*block.level_filters, block.residual_filter]
+
+        def run(block_fn):
+            e = Tensor(x, requires_grad=True)
+            for f in filters:
+                f.zero_grad()
+            with GradTape() as tape:
+                out = block_fn(e, block, cfg)
+                tape.backward(tensor_sum(mul(out, Tensor(probe))))
+            return out.data, e.grad, [f.grad.copy() for f in filters]
+
+        got = run(residual_block)
+        want = run(unfused_residual_block)
+        for name, a, b in zip(["out", "x", "level0", "level1", "level2", "residual"],
+                              [got[0], got[1], *got[2]], [want[0], want[1], *want[2]]):
+            rel = np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+            assert rel <= 1e-12, (name, rel)
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(15)
+        cfg = EncoderConfig(kernel_size=3, rates=(1, 2, 4), dropout=0.0)
+        dim = 3
+        block = init_block_params(cfg, dim, rng)
+        x = Tensor(rng.standard_normal((10, dim)), requires_grad=True)
+
+        def op(x_, *filters):
+            blk = BlockParams(level_filters=list(filters[:-1]), residual_filter=filters[-1])
+            return residual_block(x_, blk, cfg)
+
+        report = grad_check(op, [x, *block.level_filters, block.residual_filter], tol=1e-4)
+        assert report.passed, report
 
 
 class TestLocality:

@@ -1,5 +1,7 @@
 """Unit tests for the tensor/autodiff core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,6 +24,7 @@ from xmtc.tensor import (
     same_padding,
     sigmoid,
     softmax,
+    split_columns,
     spmm,
     tanh,
     tensor_sum,
@@ -151,6 +154,24 @@ class TestConv1dDilated:
             lambda x_, f_: conv1d_dilated(x_, f_, dilation=2, padding=2), [x, f], tol=1e-6
         )
         assert report.passed, report
+
+    def test_tape_keeps_no_window_buffer(self):
+        """Under a tape the conv keeps the padded input for backward, not
+        its [n, K*d] window buffer."""
+        n, d, k = 400, 16, 9
+        rng = np.random.default_rng(6)
+        x = param(rng, n, d)
+        f = param(rng, k, d, d)
+        tracemalloc.start()
+        try:
+            with GradTape():
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv1d_dilated(x, f, dilation=1, padding=same_padding(k, 1))
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, d)
+        assert held < 0.5 * k * n * d * 8, held
 
 
 class TestActivations:
@@ -310,6 +331,30 @@ class TestStructuralOps:
         assert out.shape == (6, 3)
         report = grad_check(lambda u, v: concat([u, v], axis=0), [a, b], tol=1e-6)
         assert report.passed, report
+
+    def test_split_columns_values_and_gradients(self):
+        rng = np.random.default_rng(42)
+        x = param(rng, 4, 5)
+        left, right = split_columns(x, 2)
+        np.testing.assert_array_equal(left.data, x.data[:, :2])
+        np.testing.assert_array_equal(right.data, x.data[:, 2:])
+        for half in (0, 1):
+            report = grad_check(lambda t: split_columns(t, 2)[half], [x], tol=1e-6)
+            assert report.passed, (half, report)
+
+    def test_split_columns_both_halves_share_one_gradient(self):
+        rng = np.random.default_rng(44)
+        x = param(rng, 3, 4)
+        report = grad_check(lambda t: concat(split_columns(t, 3)[::-1], axis=1), [x], tol=1e-6)
+        assert report.passed, report
+
+    def test_split_columns_bad_position(self):
+        x = Tensor(np.zeros((3, 4)))
+        for at in (0, 4):
+            with pytest.raises(ShapeError):
+                split_columns(x, at)
+        with pytest.raises(ShapeError):
+            split_columns(Tensor(np.zeros(4)), 2)
 
     def test_mean_axis_and_full(self):
         rng = np.random.default_rng(43)
