@@ -46,14 +46,13 @@ def preprocess(text: str, max_len: int = DEFAULT_MAX_LEN) -> list[str]:
     text = _DEID_RE.sub(" ", text).lower()
     out: list[str] = []
     for tok in _TOKEN_RE.findall(text):
-        if tok == NUM_TOKEN:
+        # a token is "<num>" or ASCII alphanumeric; neither alpha nor digit is mixed
+        if tok.isalpha():
             out.append(tok)
-        elif tok.isdigit():
+        elif tok == NUM_TOKEN or tok.isdigit():
             out.append(NUM_TOKEN)
-        elif any(c.isdigit() for c in tok):
-            continue
         else:
-            out.append(tok)
+            continue
         if len(out) == max_len:
             break
     return out
@@ -179,17 +178,21 @@ class DocumentRecord:
         default_factory=lambda: {t: () for t in TERMINOLOGIES}
     )
 
-    def label_vector(self, num_labels):
-        """0/1 gold vector over ``num_labels`` labels; a label id outside
-        the catalog is a ``DataError`` naming the document."""
-        import numpy as np
-
-        for lab in self.labels:
+    def label_ids(self, num_labels) -> list[int]:
+        """Sorted gold label ids; a label id outside the ``num_labels``-label
+        catalog is a ``DataError`` naming the document."""
+        ids = sorted(self.labels)
+        for lab in ids:
             if lab < 0 or lab >= num_labels:
                 raise DataError(f"document {self.doc_id}: label id {lab} outside catalog")
+        return ids
+
+    def label_vector(self, num_labels):
+        """0/1 gold vector over ``num_labels`` labels."""
+        import numpy as np
+
         vec = np.zeros(num_labels)
-        if self.labels:
-            vec[sorted(self.labels)] = 1.0
+        vec[self.label_ids(num_labels)] = 1.0
         return vec
 
 

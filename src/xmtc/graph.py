@@ -4,9 +4,14 @@ The graph is directed: edge (i -> j) exists when the conditional probability
 P(label j | label i), estimated on the training split, reaches the
 binarization threshold.  Node features are descriptor-averaged word
 embeddings, so gradients can flow from the label representations back into
-the shared embedding table.  Both label-side operators, the descriptor
-average and the propagation matrix, are almost all zeros and are kept as
-CSR; the adjacency itself stays dense.
+the shared embedding table.
+
+At paper scale (thousands of labels) the label statistics and operators are
+almost all zeros, so they are counted and kept sparse: the occurrence
+matrix, the conditional-probability table ``cond_prob``, the descriptor
+average and the propagation matrix are CSR.  The adjacency stays a dense
+[L, L] array, because the benchmark's graph counter
+(``perfbench/tracing.py``) reads it with ``np.trace``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ class CooccurrenceGraph:
     adjacency: np.ndarray  # [L, L] of {0.0, 1.0}
     lam: float
     pair_count: int  # 1-entries strictly above the diagonal
-    cond_prob: np.ndarray | None = None
+    cond_prob: sp.csr_matrix | None = None
 
     @property
     def num_labels(self) -> int:
@@ -51,24 +56,30 @@ def build_cooccurrence(
 ) -> CooccurrenceGraph:
     """Estimate P(j|i) on the training split and binarize at ``lam``.
 
-    The comparison is >= lam; the diagonal is forced to 1.  Rows for labels
-    never seen in training stay all-zero in the probability table.  Callers
+    The comparison is >= lam; the diagonal is forced to 1.  The probability
+    table is CSR, and the rows of labels never seen in training stay empty;
+    ``lam`` must be positive, so only stored entries can be edges.  Callers
     must pass the training split only; evaluation documents would leak label
     statistics into the graph.
     """
-    occur = np.zeros((len(train_docs), num_labels))
-    for row, doc in enumerate(train_docs):
-        occur[row] = doc.label_vector(num_labels)
-    joint = occur.T @ occur
-    singles = np.diag(joint).copy()
-    cond = np.zeros_like(joint)
-    seen = singles > 0
-    cond[seen] = joint[seen] / singles[seen, None]
+    indices: list[int] = []
+    indptr = [0]
+    for doc in train_docs:
+        indices.extend(doc.label_ids(num_labels))
+        indptr.append(len(indices))
+    occur = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                          shape=(len(train_docs), num_labels))
+    # joint counts; a label never seen in training has an empty row
+    cond = (occur.T @ occur).tocsr()
+    rows = np.repeat(np.arange(num_labels), np.diff(cond.indptr))
+    # divide, not multiply by a reciprocal, which can put a ratio of 1 below 1
+    cond.data /= cond.diagonal()[rows]
 
-    adj = np.where(cond >= lam, 1.0, 0.0)
-    adj[~seen] = 0.0
+    edge = cond.data >= lam
+    adj = np.zeros((num_labels, num_labels))
+    adj[rows[edge], cond.indices[edge]] = 1.0
     np.fill_diagonal(adj, 1.0)
-    pair_count = int(np.triu(adj, k=1).sum())
+    pair_count = int(np.count_nonzero(edge & (rows < cond.indices)))
     return CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count, cond_prob=cond)
 
 
@@ -101,6 +112,7 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
     if found != num_labels:
         raise DataError(f"{path}:{first}: graph has {found} labels, the catalog has {num_labels}")
     adj = np.zeros((num_labels, num_labels))
+    upper = 0  # distinct coordinates strictly above the diagonal
     for ln, line in enumerate(lines[1:], start=first + 1):
         try:
             i, j = (int(x) for x in line.split())
@@ -108,9 +120,10 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
             raise DataError(f"{path}:{ln}: malformed coordinate line {line!r}") from None
         if not (0 <= i < num_labels and 0 <= j < num_labels):
             raise DataError(f"{path}:{ln}: coordinate {line!r} outside {num_labels} labels")
+        upper += i < j and not adj[i, j]
         adj[i, j] = 1.0
     graph = CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
-    if int(np.triu(adj, k=1).sum()) != pair_count:
+    if upper != pair_count:
         raise DataError(f"{path}: pair count does not match stored coordinates")
     return graph, stamp
 

@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import config_stamp
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
@@ -23,29 +24,35 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TAU = 0.005
 
+# one row of a sparse table: (label ids in ascending order, values)
+SparseRow = tuple[np.ndarray, np.ndarray]
+
 
 @dataclass
 class AuxMaskIndex:
     """Conditional co-occurrence tables P(label | aux code), plus audit counts.
 
     The full probability tables are kept (threshold 0), so any tau can be
-    applied after the fact without recounting the corpus.
+    applied after the fact without recounting the corpus.  A code co-occurs
+    with few of the L labels, so each table row is sparse: a pair of arrays
+    (label ids in ascending order, values), and ``pair_counts`` holds the
+    counts over the same ids.
     """
 
     num_labels: int
     tau: float = DEFAULT_TAU
-    probs: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-    pair_counts: dict[str, dict[str, np.ndarray]] | None = None
+    probs: dict[str, dict[str, SparseRow]] = field(default_factory=dict)
+    pair_counts: dict[str, dict[str, SparseRow]] | None = None
     code_counts: dict[str, dict[str, int]] | None = None
 
     def candidates(self, terminology: str, code: str) -> np.ndarray | None:
-        """Boolean candidate vector for one code, or None if the code is
-        unknown (never seen in training)."""
-        per_term = self.probs.get(terminology, {})
-        p = per_term.get(code)
-        if p is None:
+        """Ids of the candidate labels of one code, ascending, or None if
+        the code is unknown (never seen in training)."""
+        row = self.probs.get(terminology, {}).get(code)
+        if row is None:
             return None
-        return p > self.tau
+        ids, p = row
+        return ids[p > self.tau]
 
 
 def build_mask_index(
@@ -58,23 +65,31 @@ def build_mask_index(
     A code occurrence is document-level (a code listed twice in one record
     counts once).  Codes that never occur are simply absent from the index.
     """
-    pair_counts: dict[str, dict[str, np.ndarray]] = {t: {} for t in TERMINOLOGIES}
+    row_of: dict[str, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
     code_counts: dict[str, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
+    pairs: dict[str, tuple[list[int], list[int]]] = {t: ([], []) for t in TERMINOLOGIES}
     for doc in train_docs:
-        label_vec = doc.label_vector(num_labels)
+        labels = doc.label_ids(num_labels)
         for term in TERMINOLOGIES:
+            codes, counts, (rows, cols) = row_of[term], code_counts[term], pairs[term]
             for code in set(doc.aux_codes.get(term, ())):
-                if code not in pair_counts[term]:
-                    pair_counts[term][code] = np.zeros(num_labels)
-                    code_counts[term][code] = 0
-                pair_counts[term][code] += label_vec
-                code_counts[term][code] += 1
+                rows.extend([codes.setdefault(code, len(codes))] * len(labels))
+                cols.extend(labels)
+                counts[code] = counts.get(code, 0) + 1
 
-    probs = {
-        term: {code: pair_counts[term][code] / code_counts[term][code]
-               for code in pair_counts[term]}
-        for term in TERMINOLOGIES
-    }
+    probs: dict[str, dict[str, SparseRow]] = {}
+    pair_counts: dict[str, dict[str, SparseRow]] = {}
+    for term, (rows, cols) in pairs.items():
+        # [codes, L]; the COO -> CSR conversion sums the repeated pairs and
+        # sorts each row's label ids
+        table = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                              shape=(len(row_of[term]), num_labels))
+        probs[term], pair_counts[term] = {}, {}
+        for code, row in row_of[term].items():
+            span = slice(table.indptr[row], table.indptr[row + 1])
+            ids, count = table.indices[span], table.data[span]
+            pair_counts[term][code] = (ids, count)
+            probs[term][code] = (ids, count / code_counts[term][code])
     return AuxMaskIndex(
         num_labels=num_labels,
         tau=tau,
@@ -105,15 +120,15 @@ def make_doc_mask(doc: DocumentRecord, index: AuxMaskIndex) -> DocMask:
     """Union of candidate sets over the document's codes in all three
     terminologies.  Codes unseen in training are skipped (logged), since
     inference-time records may carry new codes."""
-    vec = np.zeros(index.num_labels, dtype=bool)
+    vec = np.zeros(index.num_labels)
     for term in TERMINOLOGIES:
         for code in doc.aux_codes.get(term, ()):
             cand = index.candidates(term, code)
             if cand is None:
                 logger.debug("doc %s: unknown %s code %r skipped", doc.doc_id, term, code)
                 continue
-            vec |= cand
-    return DocMask(labels=set(np.nonzero(vec)[0].tolist()), vec=vec.astype(np.float64))
+            vec[cand] = 1.0
+    return DocMask(labels=set(np.flatnonzero(vec).tolist()), vec=vec)
 
 
 def apply_mask(h_label: Tensor, mask: DocMask) -> Tensor:
@@ -166,9 +181,10 @@ def save_mask_index(index: AuxMaskIndex, catalog: LabelCatalog, path, config_has
         for term in TERMINOLOGIES:
             fh.write(f"[{term}]\n")
             for code in sorted(index.probs.get(term, {})):
-                p = index.probs[term][code]
-                for lab in np.nonzero(p)[0].tolist():
-                    fh.write(f"{code}\t{catalog.codes[lab]}\t{float(p[lab])!r}\n")
+                ids, p = index.probs[term][code]
+                for lab, prob in zip(ids.tolist(), p.tolist()):
+                    if prob:
+                        fh.write(f"{code}\t{catalog.codes[lab]}\t{prob!r}\n")
 
 
 def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
@@ -188,7 +204,7 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
                 raise DataError(f"{path}:1: malformed header field {part!r}") from None
             if not 0.0 <= saved_tau < 1.0:
                 raise DataError(f"{path}:1: tau {part[len('tau='):]!r} outside [0, 1)")
-    probs: dict[str, dict[str, np.ndarray]] = {t: {} for t in TERMINOLOGIES}
+    entries: dict[str, dict[str, dict[int, float]]] = {t: {} for t in TERMINOLOGIES}
     term = None
     for ln, line in enumerate(lines[header:], start=1 + header):
         if not line.strip():
@@ -211,6 +227,11 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
             raise DataError(f"{path}:{ln}: probability {prob_s!r} outside [0, 1]")
         if label_code not in catalog.code_to_id:
             raise DataError(f"{path}:{ln}: label code {label_code!r} not in the catalog")
-        vec = probs[term].setdefault(code, np.zeros(len(catalog)))
-        vec[catalog.code_to_id[label_code]] = prob
+        entries[term].setdefault(code, {})[catalog.code_to_id[label_code]] = prob
+    probs = {
+        term: {code: (np.array(sorted(row)),
+                      np.array([row[lab] for lab in sorted(row)]))
+               for code, row in per_term.items()}
+        for term, per_term in entries.items()
+    }
     return AuxMaskIndex(num_labels=len(catalog), tau=saved_tau, probs=probs), config_stamp(lines)

@@ -7,6 +7,8 @@ an optimised path must reproduce (the dense label side, the unfused encoder
 block).
 """
 
+import re
+
 import numpy as np
 
 
@@ -54,6 +56,27 @@ def unfused_residual_block(embedded, params, config):
     return act(add(main, residual))
 
 
+def reference_preprocess(text, max_len=4000):
+    """The tokenizer's rules applied one by one: drop ``[** ... **]`` spans,
+    lowercase, split on anything but ASCII letters and digits (keeping
+    ``<num>``), map pure numbers to ``<num>``, drop tokens holding a digit
+    and a letter, truncate to ``max_len``."""
+    text = re.sub(r"\[\*\*.*?\*\*\]", " ", text, flags=re.DOTALL).lower()
+    out = []
+    for tok in re.findall(r"<num>|[a-z0-9]+", text):
+        if tok == "<num>":
+            out.append(tok)
+        elif tok.isdigit():
+            out.append("<num>")
+        elif any(c.isdigit() for c in tok):
+            continue
+        else:
+            out.append(tok)
+        if len(out) == max_len:
+            break
+    return out
+
+
 def numeric_gradient(f, x, step=1e-5):
     """Central finite differences of scalar-valued f at array x."""
     x = np.asarray(x, dtype=np.float64)
@@ -90,6 +113,14 @@ def conditional_prob_matrix(label_sets, num_labels):
         if single[i] > 0:
             cond[i] = joint[i] / single[i]
     return cond
+
+
+def dense_row(row, num_labels):
+    """Dense [num_labels] vector of one sparse table row (label ids, values)."""
+    ids, values = row
+    vec = np.zeros(num_labels)
+    vec[ids] = values
+    return vec
 
 
 def recount_aux_tables(docs, num_labels):

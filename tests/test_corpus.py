@@ -29,6 +29,17 @@ from xmtc.errors import DataError
 from xmtc.graph import build_cooccurrence
 from xmtc.mask import build_mask_index
 
+from oracles import reference_preprocess
+
+# pieces of clinical-looking text: words, numbers, mixed tokens, placeholders,
+# de-identification spans and letters outside ASCII
+_TEXT_PIECES = st.one_of(
+    st.text(alphabet="abcXYZ019 .,;:-/()\n\t", max_size=12),
+    st.sampled_from(["<num>", "<NUM>", "[**", "**]", "[**Name 12**]", "[** 2110-4-1 **]",
+                     "É", "ß", "İ", "éclair", "straße", "İzmir", "4kg", "3A", "007",
+                     "K", "\u212a"]),
+)
+
 
 class TestPreprocess:
     def test_mixed_alphanumeric_and_punctuation(self):
@@ -59,6 +70,12 @@ class TestPreprocess:
             once = preprocess(text)
             twice = preprocess(" ".join(once))
             assert twice == once, text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TEXT_PIECES, max_size=30).map("".join),
+           st.sampled_from([1, 2, 5, 4000]))
+    def test_matches_reference_tokenizer(self, text, max_len):
+        assert preprocess(text, max_len=max_len) == reference_preprocess(text, max_len=max_len)
 
 
 class TestVocabulary:

@@ -75,7 +75,7 @@ class TestBuildCooccurrence:
             lam = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
             g = build_cooccurrence(docs_from_label_sets(label_sets), num_labels, lam=lam)
             cond = conditional_prob_matrix(label_sets, num_labels)
-            np.testing.assert_allclose(g.cond_prob, cond, atol=1e-12)
+            np.testing.assert_allclose(g.cond_prob.toarray(), cond, atol=1e-12)
             seen = np.array([any(i in s for s in label_sets) for i in range(num_labels)])
             expect = np.where(cond >= lam, 1.0, 0.0)
             expect[~seen] = 0.0
