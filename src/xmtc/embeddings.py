@@ -15,6 +15,7 @@ from scipy.special import expit
 from .config import config_stamp
 from .corpus import PAD_ID, Vocabulary
 from .errors import DataError, read_text
+from .tensor import row_sums
 
 DEFAULT_DIM = 100
 
@@ -48,8 +49,10 @@ def train_skipgram(
 
     Updates are applied per document (mini-batch SGD over that document's
     center/context pairs), negatives drawn from the unigram^(3/4)
-    distribution.  PAD is never a center word, so its row stays zero.
-    Fully deterministic for a fixed seed.
+    distribution: every gradient is taken at the document's starting
+    vectors, each id's contributions are summed first (``row_sums``), and
+    each sum is then subtracted from its row once.  PAD is never a center
+    word, so its row stays zero.  Fully deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     w_in = (rng.random((vocab_size, dim)) - 0.5) / dim
@@ -79,19 +82,20 @@ def train_skipgram(
 
             n_pairs = centers.size
             neg = np.searchsorted(noise_cdf, rng.random((n_pairs, negatives)))
-            # targets: positive context then the negatives, labels 1/0...0
+            # targets: positive context then the negatives; the error of
+            # the context is score - 1, that of a negative its score
             tgt = np.concatenate([contexts[:, None], neg], axis=1)
-            lbl = np.zeros((n_pairs, negatives + 1))
-            lbl[:, 0] = 1.0
 
             vc = w_in[centers]  # [P, d]
             vo = w_out[tgt]  # [P, 1+k, d]
             score = expit(np.einsum("pd,pkd->pk", vc, vo))
-            err = (score - lbl) * cur_lr  # [P, 1+k]
-            grad_c = np.einsum("pk,pkd->pd", err, vo)
-            grad_o = err[:, :, None] * vc[:, None, :]
-            np.add.at(w_in, centers, -grad_c)
-            np.add.at(w_out, tgt.reshape(-1), -grad_o.reshape(-1, dim))
+            score[:, 0] -= 1.0
+            err = score * cur_lr  # [P, 1+k]
+            ids, sums = row_sums(centers, np.einsum("pk,pkd->pd", err, vo))
+            w_in[ids] -= sums
+            ids, sums = row_sums(tgt, vc, rows=np.repeat(np.arange(n_pairs), negatives + 1),
+                                 weights=err)
+            w_out[ids] -= sums
     return w_in
 
 

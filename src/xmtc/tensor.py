@@ -44,6 +44,7 @@ __all__ = [
     "concat",
     "split_columns",
     "gather_rows",
+    "row_sums",
     "bce_loss",
 ]
 
@@ -448,8 +449,8 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     """Select rows of a [V, d] table; gradients scatter-add back into it.
 
     Duplicate ids accumulate their gradient contributions additively, first
-    into a zero buffer with one row per distinct id, so backward touches
-    only the gathered rows of the table's gradient.
+    into one row per distinct id (``row_sums``), so backward touches only
+    the gathered rows of the table's gradient.
     """
     table = _as_tensor(table)
     if table.data.ndim != 2:
@@ -464,14 +465,41 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     def bwd(g):
         if table.requires_grad and ids.size:
-            uniq, inverse = np.unique(ids, return_inverse=True)
-            part = np.zeros((uniq.size, g.shape[1]))
-            np.add.at(part, inverse, g)
+            uniq, part = row_sums(ids, g)
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
             table.grad[uniq] += part
 
     return _make(out, (table,), bwd)
+
+
+def row_sums(ids, values: np.ndarray, rows=None, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per distinct id, the sum over j with ``ids[j] == id`` of
+    ``weights[j] * values[rows[j]]``; returns (distinct ids ascending,
+    [U, d] sums).
+
+    ``rows`` defaults to ``j`` and ``weights`` to 1.  The sum is one product
+    of a CSR [U, len(values)] matrix, whose rows hold each id's entries in
+    input order, with ``values``; its size scales with the entries, not
+    with the largest id.  With unit weights and distinct rows each sum
+    starts from zero and adds in input order, as a scatter-add into a zero
+    buffer does, so the result is bit-equal to one.
+    """
+    import scipy.sparse as sp
+
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    # ids * n + j is distinct per entry, so a plain sort keeps input order
+    # within an id (and runs several times faster than a stable one)
+    order = np.argsort(ids * ids.size + np.arange(ids.size))
+    sorted_ids = ids[order]
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    starts = np.flatnonzero(first)
+    cols = order if rows is None else np.asarray(rows, dtype=np.int64).reshape(-1)[order]
+    data = np.ones(ids.size) if weights is None else np.asarray(weights).reshape(-1)[order]
+    s = sp.csr_matrix((data, cols, np.append(starts, ids.size)),
+                      shape=(starts.size, values.shape[0]))
+    return sorted_ids[starts], s @ values
 
 
 _BCE_EPS = 1e-12

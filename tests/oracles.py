@@ -227,6 +227,66 @@ def skipgram_pairs_loop(tokens, window, rng):
     return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
 
 
+def skipgram_add_at(token_docs, vocab_size, dim, window=5, negatives=5, epochs=5, seed=0,
+                    lr=0.025):
+    """``embeddings.train_skipgram`` as it was written before its updates
+    went through ``row_sums``: each document's gradients are scattered into
+    the two tables one pair at a time with ``np.add.at``.  Pairs come from
+    ``skipgram_pairs_loop``, which consumes the same draws."""
+    from scipy.special import expit
+
+    from xmtc.corpus import PAD_ID
+
+    rng = np.random.default_rng(seed)
+    w_in = (rng.random((vocab_size, dim)) - 0.5) / dim
+    w_in[PAD_ID] = 0.0
+    w_out = np.zeros((vocab_size, dim))
+    all_ids = np.array([t for doc in token_docs for t in doc], dtype=np.int64)
+    counts = np.bincount(all_ids, minlength=vocab_size).astype(np.float64)
+    counts[PAD_ID] = 0.0
+    noise = counts ** 0.75
+    total = noise.sum()
+    if total == 0 or epochs == 0:
+        return w_in
+    noise_cdf = np.cumsum(noise / total)
+    steps_total = max(1, epochs * len(token_docs))
+    step = 0
+    for _ in range(epochs):
+        for doc in token_docs:
+            tokens = np.asarray([t for t in doc if t != PAD_ID], dtype=np.int64)
+            centers, contexts = skipgram_pairs_loop(tokens, window, rng)
+            step += 1
+            if centers.size == 0:
+                continue
+            cur_lr = max(lr * (1.0 - step / steps_total), lr * 1e-4)
+            n_pairs = centers.size
+            neg = np.searchsorted(noise_cdf, rng.random((n_pairs, negatives)))
+            tgt = np.concatenate([contexts[:, None], neg], axis=1)
+            lbl = np.zeros((n_pairs, negatives + 1))
+            lbl[:, 0] = 1.0
+            vc = w_in[centers]
+            vo = w_out[tgt]
+            score = expit(np.einsum("pd,pkd->pk", vc, vo))
+            err = (score - lbl) * cur_lr
+            grad_c = np.einsum("pk,pkd->pd", err, vo)
+            grad_o = err[:, :, None] * vc[:, None, :]
+            np.add.at(w_in, centers, -grad_c)
+            np.add.at(w_out, tgt.reshape(-1), -grad_o.reshape(-1, dim))
+    return w_in
+
+
+def row_sums_add_at(ids, values, rows=None, weights=None):
+    """``tensor.row_sums`` as a scatter-add into a zero buffer with one row
+    per distinct id, one entry at a time in input order."""
+    ids = np.asarray(ids).reshape(-1)
+    rows = np.arange(ids.size) if rows is None else np.asarray(rows).reshape(-1)
+    weights = np.ones(ids.size) if weights is None else np.asarray(weights).reshape(-1)
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    sums = np.zeros((uniq.size, values.shape[1]))
+    np.add.at(sums, inverse, weights[:, None] * values[rows])
+    return uniq, sums
+
+
 def dense_forward_doc(model, token_ids, doc_mask, h_label, train=False, rng=None):
     """One document through the dense label side: every label attends over
     every position, a masked label through its zeroed representation row

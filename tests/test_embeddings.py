@@ -12,7 +12,7 @@ from xmtc.corpus import PAD_ID, build_vocab
 from xmtc.embeddings import _subsample_pairs, load_embeddings, save_embeddings, train_skipgram
 from xmtc.errors import DataError
 
-from oracles import skipgram_pairs_loop
+from oracles import skipgram_add_at, skipgram_pairs_loop
 
 
 def clique_corpus(rng, n_docs=120):
@@ -81,6 +81,26 @@ class TestSkipgram:
         docs = [[2, 3, 2, 3]]
         table = train_skipgram(docs, 4, dim=6, epochs=2, seed=0)
         np.testing.assert_array_equal(table[PAD_ID], np.zeros(6))
+
+    def test_matches_add_at_oracle_on_cliques(self):
+        rng = np.random.default_rng(0)
+        docs, _ = clique_corpus(rng)
+        vocab = build_vocab(docs, min_count=1)
+        enc = [vocab.encode(d) for d in docs]
+        kwargs = dict(dim=16, window=3, negatives=4, epochs=5, seed=1)
+        got = train_skipgram(enc, len(vocab), **kwargs)
+        expect = skipgram_add_at(enc, len(vocab), **kwargs)
+        assert np.abs(got - expect).max() <= 1e-12
+
+    def test_matches_add_at_oracle_with_repeated_targets(self):
+        # three real tokens and six negatives per pair: every pair draws some
+        # token twice among its targets, so CSR rows hold repeated entries
+        rng = np.random.default_rng(4)
+        enc = [rng.integers(1, 4, size=int(rng.integers(2, 15))).tolist() for _ in range(20)]
+        kwargs = dict(dim=5, window=4, negatives=6, epochs=3, seed=7)
+        got = train_skipgram(enc, 4, **kwargs)
+        expect = skipgram_add_at(enc, 4, **kwargs)
+        assert np.abs(got - expect).max() <= 1e-12
 
     def test_pairs_match_loop_oracle(self):
         rng = np.random.default_rng(21)

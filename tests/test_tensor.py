@@ -21,6 +21,7 @@ from xmtc.tensor import (
     mul,
     relu,
     reshape,
+    row_sums,
     same_padding,
     sigmoid,
     softmax,
@@ -31,7 +32,7 @@ from xmtc.tensor import (
     transpose,
 )
 
-from oracles import naive_conv1d, numeric_gradient
+from oracles import naive_conv1d, numeric_gradient, row_sums_add_at
 
 
 def param(rng, *shape):
@@ -250,6 +251,54 @@ class TestGatherRows:
         dense = np.zeros((9, 4))
         np.add.at(dense, ids, g)
         assert np.array_equal(table.grad, prior + dense)
+
+    @pytest.mark.parametrize("prior", [False, True])
+    def test_backward_bit_equal_to_compact_add_at_buffer(self, prior):
+        rng = np.random.default_rng(37)
+        table = param(rng, 60, 16)
+        table.grad = rng.standard_normal((60, 16)) if prior else None
+        expected = table.grad.copy() if prior else np.zeros((60, 16))
+        ids = rng.integers(0, 60, size=500)
+        g = rng.standard_normal((ids.size, 16))
+        with GradTape() as tape:
+            tape.backward(tensor_sum(mul(gather_rows(table, ids), Tensor(g))))
+        uniq, part = row_sums_add_at(ids, g)
+        expected[uniq] += part
+        np.testing.assert_array_equal(table.grad, expected)
+
+
+class TestRowSums:
+    def test_duplicate_ids_bit_equal_to_add_at(self):
+        rng = np.random.default_rng(41)
+        ids = rng.integers(0, 12, size=80)
+        values = rng.standard_normal((80, 5))
+        uniq, sums = row_sums(ids, values)
+        ref_ids, ref = row_sums_add_at(ids, values)
+        np.testing.assert_array_equal(uniq, ref_ids)
+        np.testing.assert_array_equal(sums, ref)
+
+    def test_weights_and_rows_match_add_at(self):
+        # row j of the sum reads values[rows[j]]; repeated (id, row) pairs
+        # are separate entries of one CSR row
+        rng = np.random.default_rng(43)
+        ids = rng.integers(0, 6, size=(30, 4))
+        values = rng.standard_normal((30, 7))
+        rows = np.repeat(np.arange(30), 4)
+        weights = rng.standard_normal((30, 4))
+        uniq, sums = row_sums(ids, values, rows=rows, weights=weights)
+        ref_ids, ref = row_sums_add_at(ids, values, rows=rows, weights=weights)
+        np.testing.assert_array_equal(uniq, ref_ids)
+        assert np.abs(sums - ref).max() <= 1e-12
+
+    def test_single_id(self):
+        values = np.arange(12.0).reshape(4, 3)
+        uniq, sums = row_sums([5, 5, 5, 5], values, weights=[1.0, -2.0, 0.5, 0.0])
+        np.testing.assert_array_equal(uniq, [5])
+        np.testing.assert_array_equal(sums, [[-3.0, -3.5, -4.0]])
+
+    def test_empty_ids(self):
+        uniq, sums = row_sums([], np.zeros((0, 3)))
+        assert uniq.shape == (0,) and sums.shape == (0, 3)
 
 
 class TestBceLoss:
