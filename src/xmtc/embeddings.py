@@ -10,12 +10,11 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.special import expit
 
 from .config import config_stamp
 from .corpus import PAD_ID, Vocabulary
 from .errors import DataError, read_text
-from .tensor import row_sums
+from .tensor import logistic, row_sums
 
 DEFAULT_DIM = 100
 
@@ -88,7 +87,7 @@ def train_skipgram(
 
             vc = w_in[centers]  # [P, d]
             vo = w_out[tgt]  # [P, 1+k, d]
-            score = expit(np.einsum("pd,pkd->pk", vc, vo))
+            score = logistic(np.einsum("pd,pkd->pk", vc, vo))
             score[:, 0] -= 1.0
             err = score * cur_lr  # [P, 1+k]
             ids, sums = row_sums(centers, np.einsum("pk,pkd->pd", err, vo))

@@ -7,26 +7,32 @@ embeddings, so gradients can flow from the label representations back into
 the shared embedding table.
 
 At paper scale (thousands of labels) the label statistics and operators are
-almost all zeros, so they are counted and kept sparse: the occurrence
-matrix, the conditional-probability table ``cond_prob``, the descriptor
-average and the propagation matrix are CSR.  The adjacency stays a dense
-[L, L] array, because the benchmark's graph counter
+almost all zeros, so they are kept sparse.  The co-occurrence counts are
+numpy arrays over the label pairs that occur, and the conditional-probability
+table ``cond_prob`` becomes CSR when it is first read; the descriptor
+average and the propagation matrix are CSR.  ``scipy.sparse`` is imported
+where a CSR is built, so building and saving a graph loads no scipy.  The
+adjacency stays a dense [L, L] array, because the benchmark's graph counter
 (``perfbench/tracing.py``) reads it with ``np.trace``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import config_stamp
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary, preprocess
 from .errors import DataError, ShapeError, read_text
 from .tensor import Tensor, matmul, relu, spmm
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -38,11 +44,24 @@ class CooccurrenceGraph:
     adjacency: np.ndarray  # [L, L] of {0.0, 1.0}
     lam: float
     pair_count: int  # 1-entries strictly above the diagonal
-    cond_prob: sp.csr_matrix | None = None
+    # P(j | i) of every counted pair as (values, rows, cols); None when loaded
+    cond_entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def num_labels(self) -> int:
         return self.adjacency.shape[0]
+
+    @functools.cached_property
+    def cond_prob(self) -> sp.csr_matrix | None:
+        """P(j | i) as a CSR [L, L], built on first read; the rows of labels
+        never seen in training are empty.  None for a loaded graph, whose
+        probabilities are not saved."""
+        if self.cond_entries is None:
+            return None
+        import scipy.sparse as sp
+
+        values, rows, cols = self.cond_entries
+        return sp.csr_matrix((values, (rows, cols)), shape=self.adjacency.shape)
 
     @functools.cached_property
     def propagation(self) -> sp.csr_matrix:
@@ -56,31 +75,37 @@ def build_cooccurrence(
 ) -> CooccurrenceGraph:
     """Estimate P(j|i) on the training split and binarize at ``lam``.
 
-    The comparison is >= lam; the diagonal is forced to 1.  The probability
-    table is CSR, and the rows of labels never seen in training stay empty;
-    ``lam`` must be positive, so only stored entries can be edges.  Callers
-    must pass the training split only; evaluation documents would leak label
-    statistics into the graph.
+    The comparison is >= lam; the diagonal is forced to 1.  Only the label
+    pairs that occur together are counted, so the rows of labels never seen
+    in training stay empty; ``lam`` must be positive, so only counted pairs
+    can be edges.  Callers must pass the training split only; evaluation
+    documents would leak label statistics into the graph.
     """
-    indices: list[int] = []
-    indptr = [0]
-    for doc in train_docs:
-        indices.extend(doc.label_ids(num_labels))
-        indptr.append(len(indices))
-    occur = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                          shape=(len(train_docs), num_labels))
-    # joint counts; a label never seen in training has an empty row
-    cond = (occur.T @ occur).tocsr()
-    rows = np.repeat(np.arange(num_labels), np.diff(cond.indptr))
+    label_lists = [doc.label_ids(num_labels) for doc in train_docs]
+    sizes = np.array([len(ids) for ids in label_lists], dtype=np.int64)
+    ids = np.fromiter(itertools.chain.from_iterable(label_lists), dtype=np.int64,
+                      count=int(sizes.sum()))
+    # each document's pairs i < j: entry k pairs with the after[k] entries
+    # that follow it in its document, whose ids are sorted
+    after = np.repeat(np.cumsum(sizes), sizes) - np.arange(ids.size) - 1
+    first = np.repeat(np.arange(ids.size), after)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(after) - after, after)
+    keys, joint = np.unique(ids[first] * num_labels + ids[second], return_counts=True)
+    single = np.bincount(ids, minlength=num_labels)
+    seen = np.flatnonzero(single)
+    i, j = np.divmod(keys, num_labels)
+    rows = np.concatenate([i, j, seen])
+    cols = np.concatenate([j, i, seen])
     # divide, not multiply by a reciprocal, which can put a ratio of 1 below 1
-    cond.data /= cond.diagonal()[rows]
+    values = np.concatenate([joint, joint, single[seen]]) / single[rows]
 
-    edge = cond.data >= lam
+    edge = values >= lam
     adj = np.zeros((num_labels, num_labels))
-    adj[rows[edge], cond.indices[edge]] = 1.0
+    adj[rows[edge], cols[edge]] = 1.0
     np.fill_diagonal(adj, 1.0)
-    pair_count = int(np.count_nonzero(edge & (rows < cond.indices)))
-    return CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count, cond_prob=cond)
+    pair_count = int(np.count_nonzero(edge & (rows < cols)))
+    return CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count,
+                             cond_entries=(values, rows, cols))
 
 
 def save_graph(graph: CooccurrenceGraph, path, config_hash: str = "") -> None:
@@ -140,6 +165,8 @@ def descriptor_average_matrix(catalog: LabelCatalog, vocab: Vocabulary) -> sp.cs
     descriptor embedding in one product, keeping the whole feature
     construction differentiable with respect to the table.
     """
+    import scipy.sparse as sp
+
     rows, cols, vals = [], [], []
     for i, descriptor in enumerate(catalog.descriptors):
         ids = vocab.encode(preprocess(descriptor))
@@ -181,6 +208,8 @@ def normalize_adjacency(adjacency: np.ndarray) -> sp.csr_matrix:
     """Propagation matrix D^-1 (A + I) for the GCN, as CSR: add a self loop
     and row-normalize, which keeps activation scale independent of node
     degree."""
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(adjacency) + sp.identity(adjacency.shape[0], format="csr")
     a.data /= np.repeat(np.asarray(a.sum(axis=1)).ravel(), np.diff(a.indptr))
     return a

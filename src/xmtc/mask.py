@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import config_stamp
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
@@ -80,14 +79,16 @@ def build_mask_index(
     probs: dict[str, dict[str, SparseRow]] = {}
     pair_counts: dict[str, dict[str, SparseRow]] = {}
     for term, (rows, cols) in pairs.items():
-        # [codes, L]; the COO -> CSR conversion sums the repeated pairs and
-        # sorts each row's label ids
-        table = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                              shape=(len(row_of[term]), num_labels))
+        # each distinct (code row, label) pair once, sorted by row then label
+        keys, counts = np.unique(np.array(rows, dtype=np.int64) * num_labels
+                                 + np.array(cols, dtype=np.int64), return_counts=True)
+        code_row, label = np.divmod(keys, num_labels)
+        bounds = np.searchsorted(code_row, np.arange(len(row_of[term]) + 1))
+        counts = counts.astype(np.float64)
         probs[term], pair_counts[term] = {}, {}
         for code, row in row_of[term].items():
-            span = slice(table.indptr[row], table.indptr[row + 1])
-            ids, count = table.indices[span], table.data[span]
+            span = slice(bounds[row], bounds[row + 1])
+            ids, count = label[span], counts[span]
             pair_counts[term][code] = (ids, count)
             probs[term][code] = (ids, count / code_counts[term][code])
     return AuxMaskIndex(

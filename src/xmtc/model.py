@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .attention import ClassifierParams, classify, init_classifier_params, label_attention
 from .config import RunConfig, check_variants
@@ -29,6 +29,9 @@ from .errors import ConfigError, ShapeError
 from .graph import CooccurrenceGraph, GcnParams, descriptor_average_matrix, gcn_forward, init_gcn_params
 from .mask import DocMask, apply_mask  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 from .tensor import Tensor, concat, gather_rows, matmul, mean, reshape, spmm
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 

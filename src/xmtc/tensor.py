@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import expit
 
 from .errors import GradTapeError, ShapeError
 
@@ -37,6 +36,7 @@ __all__ = [
     "mul",
     "softmax",
     "sigmoid",
+    "logistic",
     "relu",
     "tanh",
     "mean",
@@ -341,6 +341,14 @@ def tanh(x) -> Tensor:
     return _make(out, (x,), bwd)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) on a plain array.  exp overflows to inf below
+    x = -709, which gives the exact limit 0, so the overflow is not
+    reported."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(x) -> Tensor:
     """Logistic function, clamped to the open interval (0, 1).
 
@@ -348,7 +356,7 @@ def sigmoid(x) -> Tensor:
     downstream logs stay finite; the saturated gradient is ~0 either way.
     """
     x = _as_tensor(x)
-    out = np.clip(expit(x.data), _SIGMOID_EPS, 1.0 - _SIGMOID_EPS)
+    out = np.clip(logistic(x.data), _SIGMOID_EPS, 1.0 - _SIGMOID_EPS)
 
     def bwd(g):
         _accumulate(x, g * out * (1.0 - out))

@@ -115,6 +115,59 @@ def conditional_prob_matrix(label_sets, num_labels):
     return cond
 
 
+def csr_cooccurrence(train_docs, num_labels, lam):
+    """The co-occurrence build counted through a CSR [N, L] occurrence
+    matrix (``occur.T @ occur``, each row divided by its diagonal entry);
+    returns (adjacency, cond_prob CSR, pair_count)."""
+    import scipy.sparse as sp
+
+    indices = []
+    indptr = [0]
+    for doc in train_docs:
+        indices.extend(doc.label_ids(num_labels))
+        indptr.append(len(indices))
+    occur = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                          shape=(len(train_docs), num_labels))
+    cond = (occur.T @ occur).tocsr()
+    rows = np.repeat(np.arange(num_labels), np.diff(cond.indptr))
+    cond.data /= cond.diagonal()[rows]
+    edge = cond.data >= lam
+    adj = np.zeros((num_labels, num_labels))
+    adj[rows[edge], cond.indices[edge]] = 1.0
+    np.fill_diagonal(adj, 1.0)
+    return adj, cond, int(np.count_nonzero(edge & (rows < cond.indices)))
+
+
+def csr_mask_tables(train_docs, num_labels):
+    """The auxiliary-code tables counted through one CSR [codes, L] per
+    terminology; returns {terminology: {code: (label ids, pair counts,
+    probabilities)}} and {terminology: {code: code count}}."""
+    import scipy.sparse as sp
+
+    terminologies = ("drg", "cpt", "drugs")
+    row_of = {t: {} for t in terminologies}
+    code_counts = {t: {} for t in terminologies}
+    pairs = {t: ([], []) for t in terminologies}
+    for doc in train_docs:
+        labels = doc.label_ids(num_labels)
+        for term in terminologies:
+            codes, counts, (rows, cols) = row_of[term], code_counts[term], pairs[term]
+            for code in set(doc.aux_codes.get(term, ())):
+                rows.extend([codes.setdefault(code, len(codes))] * len(labels))
+                cols.extend(labels)
+                counts[code] = counts.get(code, 0) + 1
+    tables = {}
+    for term, (rows, cols) in pairs.items():
+        table = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                              shape=(len(row_of[term]), num_labels))
+        tables[term] = {}
+        for code, row in row_of[term].items():
+            span = slice(table.indptr[row], table.indptr[row + 1])
+            ids, count = table.indices[span], table.data[span]
+            tables[term][code] = (ids, count, count / code_counts[term][code])
+    return tables, code_counts
+
+
 def dense_row(row, num_labels):
     """Dense [num_labels] vector of one sparse table row (label ids, values)."""
     ids, values = row

@@ -648,14 +648,39 @@ class TestConfigRanges:
         assert not work.exists()
 
 
+def _scipy_modules_after(code: str) -> list[str]:
+    """The ``scipy`` modules loaded by a fresh interpreter that runs
+    ``code``, which binds ``exit_code``; asserts that it binds 0."""
+    src = str(Path(xmtc.__file__).resolve().parents[1])
+    script = (code + "\nimport json\nprint(json.dumps([exit_code, sorted("
+              "m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + script],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True)
+    exit_code, modules = json.loads(out.stdout.strip().splitlines()[-1])
+    assert exit_code == 0, out.stderr
+    return modules
+
+
 class TestStartup:
-    def test_cli_import_leaves_scipy_stats_out(self):
-        # importing scipy.stats costs about 0.45 s, paid by every CLI process
-        src = str(Path(xmtc.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, xmtc.cli; print('scipy.stats' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+    """Importing scipy.sparse costs about 0.3 s, paid by every CLI process
+    that loads it; only the stages that multiply a sparse matrix may."""
+
+    def test_cli_and_model_import_load_no_scipy(self):
+        assert _scipy_modules_after("from xmtc import cli, model\nexit_code = 0") == []
+
+    def test_generator_loads_no_scipy(self, tmp_path):
+        argv = ["gen-synthetic", "--workdir", str(tmp_path / "data"), "--labels", "8",
+                "--docs", "30", "--seed", "3"]
+        assert _scipy_modules_after(f"from xmtc import cli\nexit_code = cli.main({argv!r})") == []
+
+    @pytest.mark.parametrize("stage", ["build-graph", "build-mask"])
+    def test_setup_stage_loads_no_scipy(self, pipeline, tmp_path, stage):
+        _, _, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        argv = [stage, "--workdir", str(copy), "--config", str(cfg)]
+        assert _scipy_modules_after(f"from xmtc import cli\nexit_code = cli.main({argv!r})") == []
 
 
 class TestDefaults:

@@ -1,6 +1,7 @@
 """Unit tests for the tensor/autodiff core."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from xmtc.tensor import (
     conv1d_dilated,
     gather_rows,
     grad_check,
+    logistic,
     matmul,
     mean,
     mul,
@@ -199,9 +201,23 @@ class TestActivations:
         assert sigmoid(Tensor(0.0)).data == 0.5
 
     def test_sigmoid_open_interval(self):
-        out = sigmoid(Tensor([-800.0, 800.0])).data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(Tensor([-800.0, 800.0, -np.inf, np.inf])).data
         assert np.isfinite(out).all()
         assert (out > 0.0).all() and (out < 1.0).all()
+
+    def test_logistic_matches_expit(self):
+        from scipy.special import expit
+
+        rng = np.random.default_rng(23)
+        x = np.concatenate([rng.uniform(-750.0, 750.0, 10**6),
+                            [0.0, -0.0, np.inf, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logistic(x)
+        assert np.abs(got - expit(x)).max() <= 2.3e-16
+        np.testing.assert_array_equal(got[-4:], [0.5, 0.5, 1.0, 0.0])
 
     @pytest.mark.parametrize("fn", [relu, tanh, sigmoid])
     def test_unary_gradients(self, fn):
