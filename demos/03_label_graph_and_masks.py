@@ -9,7 +9,13 @@ import numpy as np
 from xmtc import synth
 from xmtc.corpus import build_vocab, encode_documents, preprocess
 from xmtc.embeddings import train_skipgram
-from xmtc.graph import build_cooccurrence, descriptor_average_matrix, gcn_forward, init_gcn_params
+from xmtc.graph import (
+    build_cooccurrence,
+    conditional_probabilities,
+    descriptor_average_matrix,
+    gcn_forward,
+    init_gcn_params,
+)
 from xmtc.mask import apply_mask, build_mask_index, make_doc_mask, mask_stats
 from xmtc.tensor import Tensor, spmm
 
@@ -26,11 +32,13 @@ print("=" * 60)
 graph = build_cooccurrence(train_docs, len(catalog), lam=1.0)
 print(f"labels {graph.num_labels}, edges above diagonal {graph.pair_count}")
 print("planted cliques:", spec.cliques)
+values, rows, cols = conditional_probabilities(train_docs, len(catalog))
+cond = dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))  # absent pairs: 0
 i, j = spec.cliques[0][0], spec.cliques[0][1]
-print(f"P({catalog.codes[j]} | {catalog.codes[i]}) = {graph.cond_prob[i, j]:.3f} "
+print(f"P({catalog.codes[j]} | {catalog.codes[i]}) = {cond.get((i, j), 0.0):.3f} "
       f"-> edge {int(graph.adjacency[i, j])}")
 k = spec.cliques[1][0]
-print(f"P({catalog.codes[k]} | {catalog.codes[i]}) = {graph.cond_prob[i, k]:.3f} "
+print(f"P({catalog.codes[k]} | {catalog.codes[i]}) = {cond.get((i, k), 0.0):.3f} "
       f"-> edge {int(graph.adjacency[i, k])}")
 
 print()

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .encoder import EncoderConfig
 from .errors import ConfigError, read_text
@@ -204,7 +203,3 @@ def config_stamp(lines: list[str]) -> str:
     head = lines[0] if lines and lines[0].startswith("#") else ""
     stamps = [part[len("config="):] for part in head.split() if part.startswith("config=")]
     return stamps[0] if stamps else ""
-
-
-def write_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(canonical_text(cfg))

@@ -31,7 +31,7 @@ class ShapeError(ValueError):
 
 
 class GradTapeError(RuntimeError):
-    """Gradient tape misuse, e.g. backward called twice without reset."""
+    """Gradient tape misuse, e.g. backward called twice on one tape."""
 
 
 def read_text(path, error: type[XmtcError] = DataError) -> str:

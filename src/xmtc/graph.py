@@ -7,11 +7,12 @@ embeddings, so gradients can flow from the label representations back into
 the shared embedding table.
 
 At paper scale (thousands of labels) the label statistics and operators are
-almost all zeros, so they are kept sparse.  The co-occurrence counts are
-numpy arrays over the label pairs that occur, and the conditional-probability
-table ``cond_prob`` becomes CSR when it is first read; the descriptor
-average and the propagation matrix are CSR.  ``scipy.sparse`` is imported
-where a CSR is built, so building and saving a graph loads no scipy.  The
+almost all zeros, so they are kept sparse.  ``count_pairs`` counts the
+(row, column) pairs that occur, for the label graph here and for the
+auxiliary-code tables of ``mask``; the probabilities are numpy arrays over
+those pairs, and the graph keeps only its edges.  The descriptor average
+and the propagation matrix are CSR.  ``scipy.sparse`` is imported where a
+CSR is built, so building and saving a graph loads no scipy.  The
 adjacency stays a dense [L, L] array, because the benchmark's graph counter
 (``perfbench/tracing.py``) reads it with ``np.trace``.
 """
@@ -39,35 +40,61 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class CooccurrenceGraph:
-    """Binary label-label adjacency plus the conditional-probability table."""
+    """Binary label-label adjacency."""
 
     adjacency: np.ndarray  # [L, L] of {0.0, 1.0}
     lam: float
     pair_count: int  # 1-entries strictly above the diagonal
-    # P(j | i) of every counted pair as (values, rows, cols); None when loaded
-    cond_entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def num_labels(self) -> int:
         return self.adjacency.shape[0]
 
     @functools.cached_property
-    def cond_prob(self) -> sp.csr_matrix | None:
-        """P(j | i) as a CSR [L, L], built on first read; the rows of labels
-        never seen in training are empty.  None for a loaded graph, whose
-        probabilities are not saved."""
-        if self.cond_entries is None:
-            return None
-        import scipy.sparse as sp
-
-        values, rows, cols = self.cond_entries
-        return sp.csr_matrix((values, (rows, cols)), shape=self.adjacency.shape)
-
-    @functools.cached_property
     def propagation(self) -> sp.csr_matrix:
         """The GCN's propagation matrix, computed on first use and kept, so
         ``adjacency`` must not change after the first forward pass."""
         return normalize_adjacency(self.adjacency)
+
+
+def count_pairs(row_lists, col_lists, num_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each distinct (row id, column id) pair, the number of documents
+    that hold both; returns (rows, cols, counts) as int64 arrays sorted by
+    row, then column.
+
+    Document k holds the ids in ``row_lists[k]`` and ``col_lists[k]``; each
+    list must hold distinct ids, and column ids must lie in [0, num_cols).
+    """
+    n_rows = np.array([len(ids) for ids in row_lists], dtype=np.int64)
+    n_cols = np.array([len(ids) for ids in col_lists], dtype=np.int64)
+    rows = np.fromiter(itertools.chain.from_iterable(row_lists), dtype=np.int64,
+                       count=int(n_rows.sum()))
+    cols = np.fromiter(itertools.chain.from_iterable(col_lists), dtype=np.int64,
+                       count=int(n_cols.sum()))
+    # row entry k pairs with the width[k] columns of its document, which
+    # start at first[k] in ``cols``
+    width = np.repeat(n_cols, n_rows)
+    first = np.repeat(np.cumsum(n_cols) - n_cols, n_rows)
+    starts = np.cumsum(width) - width
+    col_at = np.repeat(first - starts, width) + np.arange(int(width.sum()))
+    keys, counts = np.unique(np.repeat(rows, width) * num_cols + cols[col_at],
+                             return_counts=True)
+    return *np.divmod(keys, num_cols), counts
+
+
+def conditional_probabilities(
+    train_docs: list[DocumentRecord], num_labels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(j | i) of every label pair (i, j) that occurs together in
+    ``train_docs``, the diagonal included, as (values, rows, cols) sorted by
+    row, then column.  Labels never seen have no entries."""
+    label_lists = [doc.label_ids(num_labels) for doc in train_docs]
+    rows, cols, joint = count_pairs(label_lists, label_lists, num_labels)
+    single = np.zeros(num_labels, dtype=np.int64)
+    diagonal = rows == cols
+    single[rows[diagonal]] = joint[diagonal]
+    # divide, not multiply by a reciprocal, which can put a ratio of 1 below 1
+    return joint / single[rows], rows, cols
 
 
 def build_cooccurrence(
@@ -81,36 +108,17 @@ def build_cooccurrence(
     can be edges.  Callers must pass the training split only; evaluation
     documents would leak label statistics into the graph.
     """
-    label_lists = [doc.label_ids(num_labels) for doc in train_docs]
-    sizes = np.array([len(ids) for ids in label_lists], dtype=np.int64)
-    ids = np.fromiter(itertools.chain.from_iterable(label_lists), dtype=np.int64,
-                      count=int(sizes.sum()))
-    # each document's pairs i < j: entry k pairs with the after[k] entries
-    # that follow it in its document, whose ids are sorted
-    after = np.repeat(np.cumsum(sizes), sizes) - np.arange(ids.size) - 1
-    first = np.repeat(np.arange(ids.size), after)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(after) - after, after)
-    keys, joint = np.unique(ids[first] * num_labels + ids[second], return_counts=True)
-    single = np.bincount(ids, minlength=num_labels)
-    seen = np.flatnonzero(single)
-    i, j = np.divmod(keys, num_labels)
-    rows = np.concatenate([i, j, seen])
-    cols = np.concatenate([j, i, seen])
-    # divide, not multiply by a reciprocal, which can put a ratio of 1 below 1
-    values = np.concatenate([joint, joint, single[seen]]) / single[rows]
-
+    values, rows, cols = conditional_probabilities(train_docs, num_labels)
     edge = values >= lam
     adj = np.zeros((num_labels, num_labels))
     adj[rows[edge], cols[edge]] = 1.0
     np.fill_diagonal(adj, 1.0)
     pair_count = int(np.count_nonzero(edge & (rows < cols)))
-    return CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count,
-                             cond_entries=(values, rows, cols))
+    return CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
 
 
 def save_graph(graph: CooccurrenceGraph, path, config_hash: str = "") -> None:
-    """Write the adjacency as a sorted coordinate list; probabilities are
-    training-corpus state and are not persisted."""
+    """Write the adjacency as a sorted coordinate list."""
     with open(path, "w") as fh:
         fh.write(f"# xmtc-graph v1 config={config_hash}\n")
         fh.write(f"{graph.num_labels} {float(graph.lam)!r} {graph.pair_count}\n")

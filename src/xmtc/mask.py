@@ -9,6 +9,7 @@ codes.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ import numpy as np
 from .config import config_stamp
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
 from .errors import DataError, ShapeError, read_text
+from .graph import count_pairs
 from .tensor import Tensor, mul
 
 logger = logging.getLogger(__name__)
@@ -29,20 +31,17 @@ SparseRow = tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class AuxMaskIndex:
-    """Conditional co-occurrence tables P(label | aux code), plus audit counts.
+    """Conditional co-occurrence tables P(label | aux code).
 
     The full probability tables are kept (threshold 0), so any tau can be
     applied after the fact without recounting the corpus.  A code co-occurs
     with few of the L labels, so each table row is sparse: a pair of arrays
-    (label ids in ascending order, values), and ``pair_counts`` holds the
-    counts over the same ids.
+    (label ids in ascending order, probabilities).
     """
 
     num_labels: int
     tau: float = DEFAULT_TAU
     probs: dict[str, dict[str, SparseRow]] = field(default_factory=dict)
-    pair_counts: dict[str, dict[str, SparseRow]] | None = None
-    code_counts: dict[str, dict[str, int]] | None = None
 
     def candidates(self, terminology: str, code: str) -> np.ndarray | None:
         """Ids of the candidate labels of one code, ascending, or None if
@@ -64,40 +63,22 @@ def build_mask_index(
     A code occurrence is document-level (a code listed twice in one record
     counts once).  Codes that never occur are simply absent from the index.
     """
-    row_of: dict[str, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
-    code_counts: dict[str, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
-    pairs: dict[str, tuple[list[int], list[int]]] = {t: ([], []) for t in TERMINOLOGIES}
-    for doc in train_docs:
-        labels = doc.label_ids(num_labels)
-        for term in TERMINOLOGIES:
-            codes, counts, (rows, cols) = row_of[term], code_counts[term], pairs[term]
-            for code in set(doc.aux_codes.get(term, ())):
-                rows.extend([codes.setdefault(code, len(codes))] * len(labels))
-                cols.extend(labels)
-                counts[code] = counts.get(code, 0) + 1
-
+    label_lists = [doc.label_ids(num_labels) for doc in train_docs]
     probs: dict[str, dict[str, SparseRow]] = {}
-    pair_counts: dict[str, dict[str, SparseRow]] = {}
-    for term, (rows, cols) in pairs.items():
-        # each distinct (code row, label) pair once, sorted by row then label
-        keys, counts = np.unique(np.array(rows, dtype=np.int64) * num_labels
-                                 + np.array(cols, dtype=np.int64), return_counts=True)
-        code_row, label = np.divmod(keys, num_labels)
-        bounds = np.searchsorted(code_row, np.arange(len(row_of[term]) + 1))
-        counts = counts.astype(np.float64)
-        probs[term], pair_counts[term] = {}, {}
-        for code, row in row_of[term].items():
-            span = slice(bounds[row], bounds[row + 1])
-            ids, count = label[span], counts[span]
-            pair_counts[term][code] = (ids, count)
-            probs[term][code] = (ids, count / code_counts[term][code])
-    return AuxMaskIndex(
-        num_labels=num_labels,
-        tau=tau,
-        probs=probs,
-        pair_counts=pair_counts,
-        code_counts=code_counts,
-    )
+    for term in TERMINOLOGIES:
+        row_of: dict[str, int] = {}
+        code_rows = [[row_of.setdefault(code, len(row_of))
+                      for code in dict.fromkeys(doc.aux_codes.get(term, ()))]
+                     for doc in train_docs]
+        rows, label, counts = count_pairs(code_rows, label_lists, num_labels)
+        # the number of records that list each code
+        totals = np.bincount(np.fromiter(itertools.chain.from_iterable(code_rows),
+                                         dtype=np.int64), minlength=len(row_of))
+        p = counts / totals[rows]
+        bounds = np.searchsorted(rows, np.arange(len(row_of) + 1))
+        probs[term] = {code: (label[bounds[row]:bounds[row + 1]], p[bounds[row]:bounds[row + 1]])
+                       for code, row in row_of.items()}
+    return AuxMaskIndex(num_labels=num_labels, tau=tau, probs=probs)
 
 
 @dataclass
@@ -190,10 +171,9 @@ def save_mask_index(index: AuxMaskIndex, catalog: LabelCatalog, path, config_has
 
 def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
     """Load a saved index with its saved tau; returns (index, config_hash).
-    Audit counts are not stored in the artifact.  A malformed line, a
-    ``tau`` outside [0, 1), a probability that is not a number in [0, 1] or
-    a label code absent from ``catalog`` is a ``DataError`` naming the file
-    and line."""
+    A malformed line, a ``tau`` outside [0, 1), a probability that is not a
+    number in [0, 1] or a label code absent from ``catalog`` is a
+    ``DataError`` naming the file and line."""
     lines = read_text(path).splitlines()
     saved_tau = DEFAULT_TAU
     header = int(bool(lines) and lines[0].startswith("#"))  # 1 if line 1 is the header

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
 from .errors import ConfigError, DataError
-from .graph import build_cooccurrence
+from .graph import conditional_probabilities
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -280,15 +280,14 @@ def generate(spec: GeneratorSpec) -> tuple[list[dict], LabelCatalog, GroundTruth
 
 
 def _accidental_sources(label_sets, spec: GeneratorSpec) -> list[int]:
-    """Labels with a threshold-1 co-occurrence edge to a label outside their
-    own clique."""
+    """Labels i with P(j | i) = 1 for a label j outside their own clique."""
     records = [DocumentRecord(doc_id=str(row), tokens=[], labels=labels)
                for row, labels in enumerate(label_sets)]
-    src, dst = np.nonzero(build_cooccurrence(records, spec.num_labels, lam=1.0).adjacency)
+    values, rows, cols = conditional_probabilities(records, spec.num_labels)
     group = np.arange(spec.num_labels)  # a clique's members share its first one's id
     for clique in spec.cliques:
         group[list(clique)] = clique[0]
-    return np.unique(src[group[src] != group[dst]]).tolist()
+    return np.unique(rows[(values >= 1.0) & (group[rows] != group[cols])]).tolist()
 
 
 def _aux_tables(docs: list[dict]) -> dict[str, dict[str, dict[str, float]]]:

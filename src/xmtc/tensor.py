@@ -98,7 +98,7 @@ class GradTape:
 
     Nodes are appended as operations execute, so insertion order is a valid
     topological order of the computation DAG.  ``backward`` walks the nodes
-    in reverse; calling it a second time without ``reset`` raises.
+    in reverse, once: a second call raises.
     """
 
     def __init__(self):
@@ -119,7 +119,7 @@ class GradTape:
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every recorded tensor reachable from ``loss``."""
         if self._consumed:
-            raise GradTapeError("backward already ran on this tape; call reset() first")
+            raise GradTapeError("backward already ran on this tape")
         if loss.data.ndim != 0:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         self._consumed = True
@@ -128,10 +128,6 @@ class GradTape:
             if out.grad is None:
                 continue  # not on a path to the loss
             backward_fn(out.grad)
-
-    def reset(self) -> None:
-        self.nodes.clear()
-        self._consumed = False
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

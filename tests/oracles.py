@@ -1,10 +1,13 @@
 """Independent brute-force references used by the test suite.
 
 Everything here is written the slow, obvious way (explicit loops, pair
-counting, direct recounts) and deliberately shares no code with the
-implementations it checks, except the plain compositions of engine ops that
-an optimised path must reproduce (the dense label side, the unfused encoder
-block).
+counting, direct recounts, sparse products) and deliberately shares no code
+with the implementations it checks, except the plain compositions of engine
+ops that an optimised path must reproduce (the dense label side, the
+unfused encoder block).  The label statistics and the auxiliary-code tables
+are counted here twice: by recount (``conditional_prob_matrix``,
+``recount_aux_tables``) and through CSR products (``csr_cooccurrence``,
+``csr_mask_tables``); src counts both with one ``graph.count_pairs``.
 """
 
 import re
@@ -115,10 +118,20 @@ def conditional_prob_matrix(label_sets, num_labels):
     return cond
 
 
+def dense_entries(entries, num_labels):
+    """Dense [L, L] matrix of sparse (values, rows, cols) entries, which
+    must name each (row, col) once, sorted by row, then column."""
+    values, rows, cols = entries
+    assert (np.diff(rows * num_labels + cols) > 0).all(), "entries not distinct and sorted"
+    dense = np.zeros((num_labels, num_labels))
+    dense[rows, cols] = values
+    return dense
+
+
 def csr_cooccurrence(train_docs, num_labels, lam):
     """The co-occurrence build counted through a CSR [N, L] occurrence
     matrix (``occur.T @ occur``, each row divided by its diagonal entry);
-    returns (adjacency, cond_prob CSR, pair_count)."""
+    returns (adjacency, P(j | i) as CSR, pair_count)."""
     import scipy.sparse as sp
 
     indices = []
@@ -140,8 +153,7 @@ def csr_cooccurrence(train_docs, num_labels, lam):
 
 def csr_mask_tables(train_docs, num_labels):
     """The auxiliary-code tables counted through one CSR [codes, L] per
-    terminology; returns {terminology: {code: (label ids, pair counts,
-    probabilities)}} and {terminology: {code: code count}}."""
+    terminology; returns {terminology: {code: (label ids, probabilities)}}."""
     import scipy.sparse as sp
 
     terminologies = ("drg", "cpt", "drugs")
@@ -164,8 +176,8 @@ def csr_mask_tables(train_docs, num_labels):
         for code, row in row_of[term].items():
             span = slice(table.indptr[row], table.indptr[row + 1])
             ids, count = table.indices[span], table.data[span]
-            tables[term][code] = (ids, count, count / code_counts[term][code])
-    return tables, code_counts
+            tables[term][code] = (ids, count / code_counts[term][code])
+    return tables
 
 
 def dense_row(row, num_labels):

@@ -703,11 +703,11 @@ class TestDefaults:
         assert cfg.max_len == 4000
 
     def test_roundtrip_through_canonical_text(self, tmp_path):
-        from xmtc.config import config_hash, load_run_config, write_config
+        from xmtc.config import canonical_text, config_hash, load_run_config
 
         cfg = load_run_config(None, overrides={"tau": "0.25", "dilation_rates": "2,5,9"})
         path = tmp_path / "cfg.txt"
-        write_config(cfg, path)
+        path.write_text(canonical_text(cfg))
         again = load_run_config(path)
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)

@@ -1,20 +1,24 @@
-"""The numpy set-up counters against the CSR counting they replaced.
+"""The set-up pair counter against a double loop, and the numpy set-up
+counters against the CSR counting they replaced.
 
-``build_cooccurrence`` and ``build_mask_index`` count label pairs and
-(code, label) pairs with ``np.unique``; ``oracles.csr_cooccurrence`` and
+``graph.count_pairs`` counts label pairs for the co-occurrence graph and
+(code, label) pairs for the mask index; ``oracles.csr_cooccurrence`` and
 ``oracles.csr_mask_tables`` count the same corpora through sparse products.
 Every count and every probability must be equal, not merely close.
 """
+
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmtc.corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
-from xmtc.graph import build_cooccurrence
-from xmtc.mask import build_mask_index, save_mask_index
+from xmtc.graph import (build_cooccurrence, conditional_probabilities, count_pairs,
+                        load_graph, save_graph)
+from xmtc.mask import build_mask_index, load_mask_index, save_mask_index
 
-from oracles import csr_cooccurrence, csr_mask_tables
+from oracles import csr_cooccurrence, csr_mask_tables, dense_entries
 
 LAMS = [1e-12, 0.25, 0.5, 2 / 3, 1.0, 1.5]
 
@@ -60,7 +64,17 @@ def unseen_labels():
     return 8, docs
 
 
-CASES = [no_docs(), unlabelled_docs(), one_label(), unseen_labels()]
+def repeated_and_unlabelled_codes():
+    """A code listed twice in one record, and a code whose only record
+    carries no labels."""
+    docs = [DocumentRecord(doc_id=f"d{i}", tokens=[2], labels=labels,
+                           aux_codes={"drg": codes, "cpt": (), "drugs": ()})
+            for i, (labels, codes) in enumerate([({0}, ("x", "x")), (set(), ("x", "y"))])]
+    return 2, docs
+
+
+CASES = [no_docs(), unlabelled_docs(), one_label(), unseen_labels(),
+         repeated_and_unlabelled_codes()]
 
 
 def over_corpora(test):
@@ -71,14 +85,48 @@ def over_corpora(test):
         given(corpus=corpora(), lam=st.sampled_from(LAMS))(test))
 
 
+def over_corpora_alone(test):
+    for corpus in CASES:
+        test = example(corpus=corpus)(test)
+    return settings(max_examples=150, deadline=None)(given(corpus=corpora())(test))
+
+
+def assert_counts_equal_double_loop(row_lists, col_lists, num_cols):
+    rows, cols, counts = count_pairs(row_lists, col_lists, num_cols)
+    expect = {}
+    for row_ids, col_ids in zip(row_lists, col_lists):
+        for r in row_ids:
+            for c in col_ids:
+                expect[r, c] = expect.get((r, c), 0) + 1
+    assert rows.dtype == cols.dtype == counts.dtype == np.int64
+    assert list(zip(rows.tolist(), cols.tolist())) == sorted(expect)
+    assert counts.tolist() == [expect[pair] for pair in sorted(expect)]
+
+
+@over_corpora_alone
+def test_count_pairs_equals_double_loop(corpus):
+    """Both uses of the counter: label x label for the graph, and each
+    record's distinct codes x its labels for the mask index."""
+    num_labels, docs = corpus
+    label_lists = [doc.label_ids(num_labels) for doc in docs]
+    assert_counts_equal_double_loop(label_lists, label_lists, num_labels)
+    for term in TERMINOLOGIES:
+        row_of = {}
+        code_rows = [[row_of.setdefault(code, len(row_of))
+                      for code in dict.fromkeys(doc.aux_codes[term])] for doc in docs]
+        assert_counts_equal_double_loop(code_rows, label_lists, num_labels)
+
+
 @over_corpora
 def test_cooccurrence_equals_csr_count(corpus, lam):
     num_labels, docs = corpus
     g = build_cooccurrence(docs, num_labels, lam=lam)
     adj, cond, pair_count = csr_cooccurrence(docs, num_labels, lam=lam)
+    values, rows, cols = conditional_probabilities(docs, num_labels)
     np.testing.assert_array_equal(g.adjacency, adj)
-    np.testing.assert_array_equal(g.cond_prob.toarray(), cond.toarray())
-    assert g.cond_prob.nnz == cond.nnz
+    np.testing.assert_array_equal(dense_entries((values, rows, cols), num_labels),
+                                  cond.toarray())
+    assert values.size == cond.nnz
     assert g.pair_count == pair_count
 
 
@@ -86,18 +134,14 @@ def test_cooccurrence_equals_csr_count(corpus, lam):
 def test_mask_index_equals_csr_count(corpus, lam):
     num_labels, docs = corpus
     index = build_mask_index(docs, num_labels, tau=lam)
-    tables, code_counts = csr_mask_tables(docs, num_labels)
-    assert index.code_counts == code_counts
+    tables = csr_mask_tables(docs, num_labels)
     for term in TERMINOLOGIES:
-        assert index.probs[term].keys() == tables[term].keys() == index.pair_counts[term].keys()
-        for code, (ids, count, prob) in tables[term].items():
-            got_ids, got_count = index.pair_counts[term][code]
-            prob_ids, got_prob = index.probs[term][code]
+        assert index.probs[term].keys() == tables[term].keys()
+        for code, (ids, prob) in tables[term].items():
+            got_ids, got_prob = index.probs[term][code]
             assert (np.diff(got_ids) > 0).all()
-            assert got_count.dtype == got_prob.dtype == np.float64
+            assert got_prob.dtype == np.float64
             np.testing.assert_array_equal(got_ids, ids)
-            np.testing.assert_array_equal(prob_ids, ids)
-            np.testing.assert_array_equal(got_count, count)
             np.testing.assert_array_equal(got_prob, prob)
 
 
@@ -114,8 +158,45 @@ def test_mask_index_file_is_unchanged(tmp_path):
             for i in range(60)]
     index = build_mask_index(docs, num_labels, tau=0.1)
     save_mask_index(index, catalog, tmp_path / "numpy.tsv", config_hash="c")
-    tables, _ = csr_mask_tables(docs, num_labels)
-    index.probs = {term: {code: (ids, prob) for code, (ids, _, prob) in per_term.items()}
-                   for term, per_term in tables.items()}
+    index.probs = csr_mask_tables(docs, num_labels)
     save_mask_index(index, catalog, tmp_path / "csr.tsv", config_hash="c")
     assert (tmp_path / "numpy.tsv").read_bytes() == (tmp_path / "csr.tsv").read_bytes()
+
+
+def assert_same(got, want):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_same(got[key], want[key])
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_loaded_artifacts_equal_built(tmp_path):
+    """A saved and reloaded graph and mask index match the built ones in
+    every field.  Every record carries a label: the index file holds the
+    nonzero probabilities only, so a code seen with no label at all has
+    no line to load."""
+    rng = np.random.default_rng(16)
+    num_labels = 12
+    catalog = LabelCatalog([f"L{i}" for i in range(num_labels)], ["x"] * num_labels)
+    docs = [DocumentRecord(doc_id=f"d{i}", tokens=[2],
+                           labels=set(rng.choice(num_labels, size=int(rng.integers(1, 5)),
+                                                 replace=False).tolist()),
+                           aux_codes={t: tuple(rng.choice(list("abcdefg"), size=3).tolist())
+                                      for t in TERMINOLOGIES})
+            for i in range(60)]
+    graph = build_cooccurrence(docs, num_labels, lam=0.5)
+    save_graph(graph, tmp_path / "graph.txt")
+    index = build_mask_index(docs, num_labels, tau=0.1)
+    save_mask_index(index, catalog, tmp_path / "mask.tsv")
+    for built, (loaded, _) in [(graph, load_graph(tmp_path / "graph.txt", num_labels)),
+                               (index, load_mask_index(tmp_path / "mask.tsv", catalog))]:
+        assert [f.name for f in fields(loaded)] == [f.name for f in fields(built)]
+        for f in fields(built):
+            assert_same(getattr(loaded, f.name), getattr(built, f.name))

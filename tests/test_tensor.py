@@ -377,7 +377,6 @@ class TestBackward:
             tape.backward(loss)
             with pytest.raises(GradTapeError):
                 tape.backward(loss)
-            tape.reset()
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
