@@ -61,7 +61,9 @@ def build_mask_index(
     """Count label / auxiliary-code co-occurrence on the training split.
 
     A code occurrence is document-level (a code listed twice in one record
-    counts once).  Codes that never occur are simply absent from the index.
+    counts once).  A code that co-occurs with no label, because it never
+    occurs or only on records without labels, is absent from the index, as
+    it is from the saved file, so a built and a loaded index are equal.
     """
     label_lists = [doc.label_ids(num_labels) for doc in train_docs]
     probs: dict[str, dict[str, SparseRow]] = {}
@@ -77,7 +79,7 @@ def build_mask_index(
         p = counts / totals[rows]
         bounds = np.searchsorted(rows, np.arange(len(row_of) + 1))
         probs[term] = {code: (label[bounds[row]:bounds[row + 1]], p[bounds[row]:bounds[row + 1]])
-                       for code, row in row_of.items()}
+                       for code, row in row_of.items() if bounds[row] < bounds[row + 1]}
     return AuxMaskIndex(num_labels=num_labels, tau=tau, probs=probs)
 
 

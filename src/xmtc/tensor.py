@@ -6,7 +6,10 @@ activations, reductions, row gather, column split, and binary cross-entropy.
 Operations executed while a :class:`GradTape` is active are recorded in
 insertion order; ``backward`` replays the tape in reverse and accumulates
 gradients into every tensor that requires them.  A tensor that feeds
-several consumers receives the sum of all incoming contributions.
+several consumers receives the sum of all incoming contributions.  The
+replay consumes the tape: each node is dropped, with its output's gradient
+and the activations its backward closure holds, as soon as it has run, so
+after ``backward`` only the leaves (the parameters) hold a gradient.
 
 ``grad_check`` compares analytic gradients against central finite
 differences and is the verification tool behind the gradient test suite.
@@ -98,7 +101,9 @@ class GradTape:
 
     Nodes are appended as operations execute, so insertion order is a valid
     topological order of the computation DAG.  ``backward`` walks the nodes
-    in reverse, once: a second call raises.
+    in reverse, once: a second call raises.  The walk pops each node as it
+    runs it, so afterwards ``nodes`` is empty and no recorded intermediate
+    holds a gradient.
     """
 
     def __init__(self):
@@ -117,17 +122,27 @@ class GradTape:
         self.nodes.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every recorded tensor reachable from ``loss``."""
+        """Accumulate the gradient of ``loss`` into every leaf that requires
+        one, consuming the tape.
+
+        Each node is popped, its output's gradient taken and cleared, and
+        its closure run; a node off every path to the loss is dropped
+        without running.  The activations a closure captured and every
+        intermediate gradient are freed as soon as the walk passes them, so
+        only leaves (the parameters, never recorded) keep ``grad``.
+        """
         if self._consumed:
             raise GradTapeError("backward already ran on this tape")
         if loss.data.ndim != 0:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         self._consumed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for out, backward_fn in reversed(self.nodes):
-            if out.grad is None:
-                continue  # not on a path to the loss
-            backward_fn(out.grad)
+        nodes = self.nodes
+        while nodes:
+            out, backward_fn = nodes.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                backward_fn(g)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

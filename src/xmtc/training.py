@@ -25,7 +25,12 @@ logger = logging.getLogger(__name__)
 
 
 class Adam:
-    """Standard Adam with bias-corrected moment estimates."""
+    """Standard Adam with bias-corrected moment estimates.
+
+    A step allocates nothing: the moments update in place, and the update
+    is formed in two scratch buffers sized to the largest parameter and
+    shared by all of them.
+    """
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -35,19 +40,40 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        size = max((p.size for _, p in params.items()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self) -> None:
         """One update.  A parameter the last backward pass did not reach (the
         label side, when every mask of a batch is empty) steps with a zero
-        gradient, so its moments decay as they would under a dense pass."""
+        gradient, so its moments decay as they would under a dense pass.
+
+        The operations and their order are those of
+        ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * g * g`` and
+        ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``, so the result is
+        bit-equal to evaluating those expressions."""
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.beta1, self.beta2
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
         for name, p in self.params.items():
             g = 0.0 if p.grad is None else p.grad
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m, v = self.m[name], self.v[name]
+            num, den = (buf[:p.size].reshape(p.shape) for buf in self._scratch)
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=num)
+            m += num
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=num)
+            num *= g
+            v += num
+            np.divide(m, b1t, out=num)
+            num *= self.lr
+            np.divide(v, b2t, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p.data -= num
 
 
 def clip_global_norm(params: ModelParams, max_norm: float) -> float:

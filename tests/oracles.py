@@ -424,3 +424,28 @@ def dense_label_representations(model, catalog, vocab):
     a_hat = Tensor(dense_propagation(model.graph.adjacency))
     h1 = relu(matmul(matmul(a_hat, features), model.gcn.w1))
     return matmul(matmul(a_hat, h1), model.gcn.w2)
+
+
+def keep_everything_backward(tape, loss):
+    """The reverse walk that frees nothing: every node stays on the tape and
+    every intermediate keeps its gradient.  ``GradTape.backward`` pops and
+    clears as it goes and must leave the same gradients on the leaves."""
+    loss.grad = np.ones((), dtype=np.float64)
+    for out, backward_fn in reversed(tape.nodes):
+        if out.grad is None:
+            continue  # not on a path to the loss
+        backward_fn(out.grad)
+
+
+def adam_step_expression(params, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step written as whole-array expressions, new arrays for the
+    moments each time.  ``m`` and ``v`` map parameter names to moments and
+    are rebound; ``t`` is the step number, from 1.  ``training.Adam.step``
+    updates in place and must be bit-equal to this."""
+    b1t = 1.0 - beta1 ** t
+    b2t = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = 0.0 if p.grad is None else p.grad
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        p.data -= lr * (m[name] / b1t) / (np.sqrt(v[name] / b2t) + eps)

@@ -136,8 +136,14 @@ def test_mask_index_equals_csr_count(corpus, lam):
     index = build_mask_index(docs, num_labels, tau=lam)
     tables = csr_mask_tables(docs, num_labels)
     for term in TERMINOLOGIES:
-        assert index.probs[term].keys() == tables[term].keys()
+        # a code seen only on records without labels has an empty CSR row
+        # and no index row
+        assert index.probs[term].keys() == {code for code, (ids, _) in tables[term].items()
+                                            if ids.size}
         for code, (ids, prob) in tables[term].items():
+            if not ids.size:
+                assert index.candidates(term, code) is None
+                continue
             got_ids, got_prob = index.probs[term][code]
             assert (np.diff(got_ids) > 0).all()
             assert got_prob.dtype == np.float64
@@ -179,21 +185,25 @@ def assert_same(got, want):
 
 def test_loaded_artifacts_equal_built(tmp_path):
     """A saved and reloaded graph and mask index match the built ones in
-    every field.  Every record carries a label: the index file holds the
-    nonzero probabilities only, so a code seen with no label at all has
-    no line to load."""
+    every field.  Some records carry no label, and codes "x" and "y" occur
+    only on those, so neither has a row in the built index or the file."""
     rng = np.random.default_rng(16)
     num_labels = 12
     catalog = LabelCatalog([f"L{i}" for i in range(num_labels)], ["x"] * num_labels)
     docs = [DocumentRecord(doc_id=f"d{i}", tokens=[2],
-                           labels=set(rng.choice(num_labels, size=int(rng.integers(1, 5)),
+                           labels=set(rng.choice(num_labels, size=int(rng.integers(0, 5)),
                                                  replace=False).tolist()),
                            aux_codes={t: tuple(rng.choice(list("abcdefg"), size=3).tolist())
                                       for t in TERMINOLOGIES})
             for i in range(60)]
+    docs += [DocumentRecord(doc_id=f"u{i}", tokens=[2], labels=set(),
+                            aux_codes={t: ("a", code) for t in TERMINOLOGIES})
+             for i, code in enumerate("xyx")]
+    assert any(not doc.labels for doc in docs[:60])
     graph = build_cooccurrence(docs, num_labels, lam=0.5)
     save_graph(graph, tmp_path / "graph.txt")
     index = build_mask_index(docs, num_labels, tau=0.1)
+    assert not {"x", "y"} & set(index.probs["drg"])
     save_mask_index(index, catalog, tmp_path / "mask.tsv")
     for built, (loaded, _) in [(graph, load_graph(tmp_path / "graph.txt", num_labels)),
                                (index, load_mask_index(tmp_path / "mask.tsv", catalog))]:

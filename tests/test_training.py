@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import adam_step_expression, keep_everything_backward
 from xmtc.corpus import PAD_ID, LabelCatalog, build_vocab
 from xmtc.encoder import EncoderConfig
-from xmtc.errors import ConfigError, DataError, DivergenceError
+from xmtc.errors import ConfigError, DataError, DivergenceError, GradTapeError
 from xmtc.graph import build_cooccurrence
-from xmtc.mask import build_mask_index
+from xmtc.mask import DocMask, build_mask_index, make_doc_mask
 from xmtc.model import ModelParams, model_from_artifacts
-from xmtc.tensor import Tensor
+from xmtc.tensor import GradTape, Tensor, mul
 from xmtc.training import (
     Adam,
     TrainConfig,
+    batch_loss,
     clip_global_norm,
     evaluate,
     load_checkpoint,
@@ -68,6 +71,55 @@ class TestAdam:
             paths.append(a.data.copy())
         np.testing.assert_array_equal(paths[0], paths[1])
         assert not np.array_equal(paths[0], np.ones(3))
+
+    def test_in_place_step_bit_equal_to_expressions(self):
+        """Eight steps over parameters of four shapes, against the
+        whole-array expressions of ``oracles.adam_step_expression``; the 1-d
+        parameter has no gradient on steps 2, 5 and 6.  Parameters and both
+        moments must match bit for bit after every step."""
+        rng = np.random.default_rng(21)
+        shapes = {"scalar": (), "vec": (7,), "mat": (5, 3), "cube": (2, 4, 3)}
+        init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+
+        def registry():
+            params = ModelParams()
+            for name, data in init.items():
+                params.register(Tensor(data.copy(), requires_grad=True, name=name))
+            return params
+
+        params, ref = registry(), registry()
+        opt = Adam(params, lr=0.05)
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in range(1, 9):
+            for name, shape in shapes.items():
+                g = None if name == "vec" and t in (2, 5, 6) else \
+                    rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+                params[name].grad = ref[name].grad = g
+            opt.step()
+            adam_step_expression(ref, m, v, t, lr=0.05)
+            for name in shapes:
+                assert params[name].data.tobytes() == ref[name].data.tobytes(), (t, name)
+                assert opt.m[name].tobytes() == m[name].tobytes(), (t, name)
+                assert opt.v[name].tobytes() == v[name].tobytes(), (t, name)
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        """After the first step, a step over 1.6 MB of parameters peaks
+        under 16 KiB of new allocations (the per-parameter views)."""
+        params = ModelParams()
+        for i in range(4):
+            t = Tensor(np.ones((100, 500)), requires_grad=True, name=f"p{i}")
+            t.grad = np.full((100, 500), 0.5)
+            params.register(t)
+        opt = Adam(params, lr=1e-3)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024, peak
 
 
 class TestClipping:
@@ -214,6 +266,84 @@ class TestTrainLoop:
         train(records[:12], records[12:], model, index, cfg)
         np.testing.assert_array_equal(model.embedding.data[PAD_ID], 0.0)
         assert (model.embedding.data != before).any()  # the real rows did train
+
+
+def tape_batch(seed=3, dim=12):
+    """A small model and a four-document batch whose masks include one
+    candidate mask from the index and one empty mask."""
+    records, _, _, _, index, model = tiny_world(seed=seed, n_docs=12, dim=dim)
+    docs = records[:4]
+    masks = [make_doc_mask(doc, index) for doc in docs]
+    masks[1] = DocMask(labels=set(), vec=np.zeros(model.num_labels))
+    assert not masks[0].empty and len(masks[0].labels) < model.num_labels
+    return model, docs, masks
+
+
+class TestTapeWalk:
+    """``GradTape.backward`` consumes the tape as it walks: it must leave the
+    parameters the gradients of a walk that frees nothing, and nothing else."""
+
+    def test_full_model_walk_frees_and_matches_keep_everything_walk(self):
+        model, docs, masks = tape_batch()
+        grads, outs = {}, []
+        for walk in ("keep", "pop"):
+            model.params.zero_grads()
+            with GradTape() as tape:
+                loss = batch_loss(model, docs, masks, np.random.default_rng(5))
+                calls = []
+                # a node off the path to the loss, with a closure that records a call
+                mul(model.embedding, 2.0)
+                tape.nodes[-1] = (tape.nodes[-1][0], calls.append)
+                if walk == "keep":
+                    keep_everything_backward(tape, loss)
+                else:
+                    outs = [out for out, _ in tape.nodes]
+                    tape.backward(loss)
+            assert calls == []
+            grads[walk] = {name: p.grad for name, p in model.params.items()}
+        assert grads["pop"].keys() == grads["keep"].keys()
+        for name, g in grads["keep"].items():
+            assert g is not None, name
+            assert grads["pop"][name].tobytes() == g.tobytes(), name
+        assert len(outs) > 100 and loss in outs
+        assert all(out.grad is None for out in outs)
+        assert tape.nodes == []
+        with pytest.raises(GradTapeError):
+            tape.backward(loss)
+
+    def test_backward_holds_only_parameter_gradients(self):
+        """tracemalloc over one batch_loss + backward, after one warm-up
+        pass that fills the first-call caches.  Bounds: after backward at most the parameter
+        gradients plus 16 KiB (the loss tensor and other small objects)
+        stay held; the peak of the walk stays under 1.5 times the forward
+        tape's bytes (the walk starts with the whole tape alive and ends
+        holding the gradients).  The walk that frees nothing breaks both
+        bounds: it holds every activation and gradient, about twice the
+        tape."""
+        model, docs, masks = tape_batch(dim=32)
+
+        def traced(walk):
+            model.params.zero_grads()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                with GradTape() as tape:
+                    loss = batch_loss(model, docs, masks, np.random.default_rng(5))
+                    forward = tracemalloc.get_traced_memory()[0] - base
+                    tracemalloc.reset_peak()
+                    walk(tape, loss)
+                    held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            grad_bytes = sum(p.grad.nbytes for _, p in model.params.items())
+            return forward, peak - base, held - base, grad_bytes
+
+        traced(GradTape.backward)
+        forward, peak, held, grad_bytes = traced(GradTape.backward)
+        assert held <= grad_bytes + 16 * 1024, (held, grad_bytes)
+        assert peak < 1.5 * forward, (peak, forward)
+        forward, peak, held, grad_bytes = traced(keep_everything_backward)
+        assert held > grad_bytes + 16 * 1024 and peak > 1.5 * forward
 
 
 class TestCheckpoint:
