@@ -5,9 +5,12 @@ dilated convolutions (one per dilation rate, no activation between levels)
 and a single residual convolution at the first rate.  Level 0 and the
 residual read the same windows, so they share one product over their
 filters side by side, and its output is split into the chain input and the
-residual.  The branch outputs are summed, passed through the activation,
-and optionally dropped out.  All convolutions use length-preserving padding,
-so the output keeps the input's sequence length at every level.
+residual.  The convolution stacks the two filters inside its own forward
+and backward, so the stacked filters are never a tape node and never kept.
+The branch outputs are summed, passed through the activation, and
+optionally dropped out; a dropout node keeps its bool mask only.  All
+convolutions use length-preserving padding, so the output keeps the input's
+sequence length at every level.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import (Tensor, add, concat, conv1d_dilated, gather_rows, mul, relu, same_padding,
+from .tensor import (Tensor, add, conv1d_dilated, dropout, gather_rows, relu, same_padding,
                      split_columns, tanh)
 
 _ACTIVATIONS = {"relu": relu, "tanh": tanh}
@@ -79,8 +82,7 @@ def init_block_params(
 def _dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return mul(x, Tensor(keep))
+    return dropout(x, rng.random(x.shape) >= p, 1.0 / (1.0 - p))
 
 
 def residual_block(
@@ -90,11 +92,16 @@ def residual_block(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """One block: activation(main dilated chain + residual convolution)."""
+    """One block: activation(main dilated chain + residual convolution).
+
+    Level 0 and the residual run as one convolution over the filter pair
+    ``(level0, residual)``; the conv stacks them on the spot, so no stacked
+    copy is a tape node, and splits their gradient back into each filter.
+    """
     act = _ACTIVATIONS[config.activation]
     k, rate0 = config.kernel_size, config.rates[0]
     level0 = params.level_filters[0]
-    pair = conv1d_dilated(embedded, concat([level0, params.residual_filter], axis=2),
+    pair = conv1d_dilated(embedded, (level0, params.residual_filter),
                           dilation=rate0, padding=same_padding(k, rate0))
     h, residual = split_columns(pair, level0.shape[2])
     for filt, rate in zip(params.level_filters[1:], config.rates[1:]):

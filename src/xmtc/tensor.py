@@ -2,14 +2,17 @@
 
 Every numeric operation the model needs lives here: matrix product, the
 product of a constant sparse matrix and a tensor, dilated 1-d convolution,
-activations, reductions, row gather, column split, and binary cross-entropy.
-Operations executed while a :class:`GradTape` is active are recorded in
-insertion order; ``backward`` replays the tape in reverse and accumulates
-gradients into every tensor that requires them.  A tensor that feeds
-several consumers receives the sum of all incoming contributions.  The
-replay consumes the tape: each node is dropped, with its output's gradient
-and the activations its backward closure holds, as soon as it has run, so
-after ``backward`` only the leaves (the parameters) hold a gradient.
+dropout, activations, reductions, row gather, column split, and binary
+cross-entropy.  Operations executed while a :class:`GradTape` is active are
+recorded in insertion order; ``backward`` replays the tape in reverse and
+accumulates gradients into every tensor that requires them.  A tensor that
+feeds several consumers receives the sum of all incoming contributions.
+Each node keeps only the arrays its backward reads: the convolution keeps
+its input's and its filters' own arrays, no padded copy, window buffer or
+stacked filters, and dropout keeps a bool mask.  The replay consumes the
+tape: each node is dropped, with its output's gradient and the activations
+its backward closure holds, as soon as it has run, so after ``backward``
+only the leaves (the parameters) hold a gradient.
 
 ``grad_check`` compares analytic gradients against central finite
 differences and is the verification tool behind the gradient test suite.
@@ -37,6 +40,7 @@ __all__ = [
     "same_padding",
     "add",
     "mul",
+    "dropout",
     "softmax",
     "sigmoid",
     "logistic",
@@ -249,57 +253,74 @@ def _windows(xp: np.ndarray, k: int, dilation: int, n_out: int) -> np.ndarray:
 
 def conv1d_dilated(
     x: Tensor,
-    filters: Tensor,
+    filters: Tensor | tuple[Tensor, ...],
     dilation: int,
     padding: int,
 ) -> Tensor:
     """Stride-1 dilated 1-d convolution over a [n, d_in] sequence.
 
-    ``filters`` has shape [K, d_in, d_out].  Kernel taps are spaced
+    ``filters`` has shape [K, d_in, d_out], or is a sequence of such
+    filters sharing K and d_in, which run side by side as one product: the
+    output's columns are each filter's in turn, and the stacked copy of the
+    filters is made on the spot and never kept.  Kernel taps are spaced
     ``dilation`` positions apart, and ``padding`` zeros are added on both
-    ends (centered/same convolution).  The [n, K*d_in] window buffer is
-    freed after the forward product: backward keeps only the padded input
-    and rebuilds the windows for the filter gradient.
+    ends (centered/same convolution).  The padded input and the [n, K*d_in]
+    window buffer are freed after the forward product: backward keeps only
+    the input's and the filters' own arrays, re-pads the input to rebuild
+    the windows for the filter gradient, splits that gradient by columns
+    into each filter, and re-stacks the filters for the input gradient.
     """
-    x, filters = _as_tensor(x), _as_tensor(filters)
+    x = _as_tensor(x)
+    parts = ([_as_tensor(f) for f in filters] if isinstance(filters, (list, tuple))
+             else [_as_tensor(filters)])
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
         raise ValueError(f"dilation must be a positive integer, got {dilation!r}")
     if padding < 0:
         raise ValueError(f"padding must be nonnegative, got {padding}")
-    if x.data.ndim != 2 or filters.data.ndim != 3:
+    if not parts or x.data.ndim != 2 or any(f.data.ndim != 3 for f in parts):
         raise ShapeError(
             f"conv1d_dilated expects x [n, d_in] and filters [K, d_in, d_out], "
-            f"got {x.shape} and {filters.shape}"
+            f"got {x.shape} and {[f.shape for f in parts]}"
         )
     n, d_in = x.shape
-    k, f_in, d_out = filters.shape
-    if f_in != d_in:
-        raise ShapeError(f"filter input channels {f_in} != sequence channels {d_in}")
+    k = parts[0].shape[0]
+    for f in parts:
+        if f.shape[:2] != (k, d_in):
+            raise ShapeError(f"filter {f.shape} needs K={k} taps over {d_in} input channels")
+    widths = [f.shape[2] for f in parts]
+    d_out = sum(widths)
 
-    xp = np.pad(x.data, ((padding, padding), (0, 0)))
+    xd, fds = x.data, [f.data for f in parts]
     span = dilation * (k - 1)
-    n_out = xp.shape[0] - span
+    n_out = n + 2 * padding - span
     if n_out < 1:
         raise ShapeError(
             f"sequence of length {n} with padding {padding} is shorter than the "
             f"kernel span {span + 1} (K={k}, dilation={dilation})"
         )
 
-    w2d = filters.data.reshape(k * d_in, d_out)
-    out = _windows(xp, k, dilation, n_out) @ w2d
+    def padded():
+        return np.pad(xd, ((padding, padding), (0, 0)))
+
+    def w2d():
+        w = fds[0] if len(fds) == 1 else np.concatenate(fds, axis=2)
+        return w.reshape(k * d_in, d_out)
+
+    out = _windows(padded(), k, dilation, n_out) @ w2d()
 
     def bwd(g):
-        if filters.requires_grad:
-            gw = _windows(xp, k, dilation, n_out).T @ g
-            _accumulate(filters, gw.reshape(k, d_in, d_out))
+        if any(f.requires_grad for f in parts):
+            gw = (_windows(padded(), k, dilation, n_out).T @ g).reshape(k, d_in, d_out)
+            for f, stop in zip(parts, np.cumsum(widths)):
+                _accumulate(f, gw[:, :, stop - f.shape[2] : stop])
         if x.requires_grad:
-            gwin = (g @ w2d.T).reshape(n_out, k, d_in)
-            gxp = np.zeros_like(xp)
+            gwin = (g @ w2d().T).reshape(n_out, k, d_in)
+            gxp = np.zeros((n + 2 * padding, d_in))
             for j in range(k):
                 gxp[j * dilation : j * dilation + n_out] += gwin[:, j, :]
             _accumulate(x, gxp[padding : padding + n, :])
 
-    return _make(out, (x, filters), bwd)
+    return _make(out, (x, *parts), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +351,21 @@ def mul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(g * ad, b.shape))
 
     return _make(ad * bd, (a, b), bwd)
+
+
+def dropout(x, keep, scale: float) -> Tensor:
+    """Inverted dropout: ``x * (keep * scale)`` for a bool mask ``keep`` of
+    x's shape.  The node keeps the bool mask, one byte per element, and
+    forms the float factor each time it runs."""
+    x = _as_tensor(x)
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != x.shape:
+        raise ShapeError(f"dropout mask shape {keep.shape} != input shape {x.shape}")
+
+    def bwd(g):
+        _accumulate(x, g * (keep * scale))
+
+    return _make(x.data * (keep * scale), (x,), bwd)
 
 
 def relu(x) -> Tensor:

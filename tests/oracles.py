@@ -4,10 +4,12 @@ Everything here is written the slow, obvious way (explicit loops, pair
 counting, direct recounts, sparse products) and deliberately shares no code
 with the implementations it checks, except the plain compositions of engine
 ops that an optimised path must reproduce (the dense label side, the
-unfused encoder block).  The label statistics and the auxiliary-code tables
-are counted here twice: by recount (``conditional_prob_matrix``,
-``recount_aux_tables``) and through CSR products (``csr_cooccurrence``,
-``csr_mask_tables``); src counts both with one ``graph.count_pairs``.
+unfused encoder block, the encoder whose tape keeps padded inputs, float
+dropout masks and stacked filters) and the tape's node plumbing.  The
+label statistics and the auxiliary-code tables are counted here twice: by
+recount (``conditional_prob_matrix``, ``recount_aux_tables``) and
+through CSR products (``csr_cooccurrence``, ``csr_mask_tables``); src
+counts both with one ``graph.count_pairs``.
 """
 
 import re
@@ -57,6 +59,83 @@ def unfused_residual_block(embedded, params, config):
     residual = conv1d_dilated(embedded, params.residual_filter, dilation=rate,
                               padding=same_padding(config.kernel_size, rate))
     return act(add(main, residual))
+
+
+def conv1d_keeping_padded(x, filters, dilation, padding):
+    """The dilated convolution whose tape node keeps its padded input ``xp``
+    for backward, with the windows stacked slice by slice.  A tape op needs
+    the engine's node plumbing (``_make``, ``_accumulate``); the arithmetic
+    is written out here.  ``tensor.conv1d_dilated`` keeps no padded copy
+    and must be bit-equal to this."""
+    from xmtc.tensor import _accumulate, _make
+
+    n, d_in = x.shape
+    k, _, d_out = filters.shape
+    xp = np.pad(x.data, ((padding, padding), (0, 0)))
+    n_out = xp.shape[0] - dilation * (k - 1)
+
+    def windows():
+        taps = [xp[j * dilation : j * dilation + n_out] for j in range(k)]
+        return np.stack(taps, axis=1).reshape(n_out, k * d_in)
+
+    w2d = filters.data.reshape(k * d_in, d_out)
+
+    def bwd(g):
+        if filters.requires_grad:
+            _accumulate(filters, (windows().T @ g).reshape(k, d_in, d_out))
+        if x.requires_grad:
+            gwin = (g @ w2d.T).reshape(n_out, k, d_in)
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[j * dilation : j * dilation + n_out] += gwin[:, j, :]
+            _accumulate(x, gxp[padding : padding + n, :])
+
+    return _make(windows() @ w2d, (x, filters), bwd)
+
+
+def concat_then_conv(x, filters, dilation, padding):
+    """Filters side by side as a ``concat`` tape node, which keeps the
+    stacked copy and its gradient, then one convolution that keeps ``xp``.
+    ``conv1d_dilated`` over a filter sequence must be bit-equal to this."""
+    from xmtc.tensor import concat
+
+    return conv1d_keeping_padded(x, concat(list(filters), axis=2), dilation, padding)
+
+
+def mul_dropout(x, p, rng):
+    """Dropout as a product with a float64 keep-and-scale array, which the
+    ``mul`` node keeps whole.  ``tensor.dropout`` keeps a bool mask and must
+    be bit-equal to this on the same draw."""
+    from xmtc.tensor import Tensor, mul
+
+    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    return mul(x, Tensor(keep))
+
+
+def reference_encode(token_ids, embedding, blocks, config, train=False, rng=None):
+    """``encoder.encode`` written with the three paths above: ``mul``
+    dropout, level 0 and the residual as concat-then-conv, and every
+    convolution keeping its padded input.  ``encode`` must be bit-equal to
+    this, output and gradients, on the same rng."""
+    from xmtc.tensor import add, gather_rows, relu, same_padding, split_columns, tanh
+
+    act = {"relu": relu, "tanh": tanh}[config.activation]
+    drop = train and config.dropout > 0.0
+    k, rate0 = config.kernel_size, config.rates[0]
+    h = gather_rows(embedding, np.asarray(token_ids, dtype=np.int64))
+    if drop:
+        h = mul_dropout(h, config.dropout, rng)
+    for params in blocks:
+        level0 = params.level_filters[0]
+        pair = concat_then_conv(h, (level0, params.residual_filter), rate0,
+                                same_padding(k, rate0))
+        chain, residual = split_columns(pair, level0.shape[2])
+        for filt, rate in zip(params.level_filters[1:], config.rates[1:]):
+            chain = conv1d_keeping_padded(chain, filt, rate, same_padding(k, rate))
+        h = act(add(chain, residual))
+        if drop:
+            h = mul_dropout(h, config.dropout, rng)
+    return h
 
 
 def reference_preprocess(text, max_len=4000):

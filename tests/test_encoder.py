@@ -1,5 +1,7 @@
 """Tests for the dilated residual document encoder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from xmtc.encoder import (
 from xmtc.errors import ConfigError, DataError
 from xmtc.tensor import GradTape, Tensor, grad_check, mul, same_padding, tensor_sum
 
-from oracles import dilated_stack, naive_conv1d, unfused_residual_block
+from oracles import dilated_stack, naive_conv1d, reference_encode, unfused_residual_block
 
 
 def delta_filter(k, dim):
@@ -240,6 +242,63 @@ def _row(t, i):
     from xmtc.tensor import gather_rows, tensor_sum
 
     return tensor_sum(gather_rows(t, [i]))
+
+
+class TestLeanTape:
+    """Under a tape, each convolution keeps no padded input, each dropout a
+    bool mask and level 0 with the residual no stacked filters.  The
+    arithmetic is unchanged: ``encode`` in training mode must be bit-equal
+    to the reference that keeps all three, output and gradients."""
+
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    @pytest.mark.parametrize("rates", [(1, 2, 4), (2, 5, 9)])
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_train_encode_bit_equal_to_reference(self, k, rates, n):
+        rng = np.random.default_rng(k * 1000 + rates[0] * 100 + n)
+        cfg = EncoderConfig(kernel_size=k, rates=rates, num_blocks=2, dropout=0.2)
+        dim = 6
+        table = Tensor(rng.standard_normal((20, dim)), requires_grad=True)
+        blocks = [init_block_params(cfg, dim, rng, prefix=f"block{b}") for b in range(2)]
+        filters = [f for b in blocks for f in (*b.level_filters, b.residual_filter)]
+        tokens = rng.integers(0, 20, size=n)
+        probe = rng.standard_normal((n, dim))
+
+        def run(encode_fn):
+            for t in (table, *filters):
+                t.zero_grad()
+            with GradTape() as tape:
+                out = encode_fn(tokens, table, blocks, cfg, train=True,
+                                rng=np.random.default_rng(7))
+                tape.backward(tensor_sum(mul(out, Tensor(probe))))
+            return [out.data, table.grad, *(f.grad for f in filters)]
+
+        got, want = run(encode), run(reference_encode)
+        names = ["out", "embedding", *(f.name for f in filters)]
+        for name, a, b in zip(names, got, want):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_tape_holds_under_ten_activations_per_position(self):
+        """One block at K=9, d=100, n=400 in training mode.  The tape holds
+        the gather, both dropouts, the level-0 + residual pair (2d wide), two
+        more levels, the sum and the activation: 9 float64 [n, d] arrays and
+        two bool masks.  A padded copy, a float mask or the stacked
+        [K, d, 2d] filters kept by any node break the bound."""
+        n, d = 400, 100
+        rng = np.random.default_rng(19)
+        cfg = EncoderConfig(kernel_size=9, rates=(1, 2, 4), dropout=0.2)
+        table = Tensor(rng.standard_normal((50, d)), requires_grad=True)
+        blocks = [init_block_params(cfg, d, rng)]
+        tokens = rng.integers(0, 50, size=n)
+        tracemalloc.start()
+        try:
+            with GradTape():
+                before = tracemalloc.get_traced_memory()[0]
+                out = encode(tokens, table, blocks, cfg, train=True, rng=np.random.default_rng(0))
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, d)
+        assert held <= 10 * n * d * 8 + 64 * 1024, (held, held / (n * d * 8))
 
 
 class TestEncode:

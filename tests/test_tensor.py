@@ -15,6 +15,7 @@ from xmtc.tensor import (
     bce_loss,
     concat,
     conv1d_dilated,
+    dropout,
     gather_rows,
     grad_check,
     logistic,
@@ -34,7 +35,14 @@ from xmtc.tensor import (
     transpose,
 )
 
-from oracles import naive_conv1d, numeric_gradient, row_sums_add_at
+from oracles import (
+    concat_then_conv,
+    conv1d_keeping_padded,
+    mul_dropout,
+    naive_conv1d,
+    numeric_gradient,
+    row_sums_add_at,
+)
 
 
 def param(rng, *shape):
@@ -159,8 +167,9 @@ class TestConv1dDilated:
         assert report.passed, report
 
     def test_tape_keeps_no_window_buffer(self):
-        """Under a tape the conv keeps the padded input for backward, not
-        its [n, K*d] window buffer."""
+        """Under a tape the conv holds its output and nothing of size n:
+        neither the [n, K*d] window buffer nor the padded input, which
+        backward rebuilds from the input it holds as a parent."""
         n, d, k = 400, 16, 9
         rng = np.random.default_rng(6)
         x = param(rng, n, d)
@@ -174,7 +183,101 @@ class TestConv1dDilated:
         finally:
             tracemalloc.stop()
         assert out.shape == (n, d)
-        assert held < 0.5 * k * n * d * 8, held
+        assert held <= out.data.nbytes + 16 * 1024, (held, out.data.nbytes)
+
+
+def _conv_run(conv, x, filters, rate, k, probe):
+    """Output, input gradient and filter gradients of one conv under a
+    tape, contracted against ``probe``."""
+    for t in (x, *filters):
+        t.zero_grad()
+    with GradTape() as tape:
+        out = conv(x, filters, rate, same_padding(k, rate))
+        tape.backward(tensor_sum(mul(out, Tensor(probe))))
+    return [out.data, x.grad, *(f.grad for f in filters)]
+
+
+class TestConvFilterSequence:
+    """A sequence of filters runs side by side as one product, its stacked
+    copy never a tape node.  It must be bit-equal to the filters stacked by a
+    ``concat`` node and fed to the conv that keeps its padded input, and a
+    single filter bit-equal to that conv alone."""
+
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    @pytest.mark.parametrize("rates", [(1, 2, 4), (2, 5, 9)])
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_bit_equal_to_concat_then_conv(self, k, rates, n):
+        rng = np.random.default_rng(k * 1000 + rates[0] * 100 + n)
+        d = 4
+        x = param(rng, n, d)
+        filters = (param(rng, k, d, 5), param(rng, k, d, 3), param(rng, k, d, 2))
+        for rate in rates:
+            probe = rng.standard_normal((n, 10))
+            got = _conv_run(conv1d_dilated, x, filters, rate, k, probe)
+            want = _conv_run(concat_then_conv, x, filters, rate, k, probe)
+            for name, a, b in zip(["out", "x", "f0", "f1", "f2"], got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, rate)
+            got = _conv_run(lambda x_, fs, r, p: conv1d_dilated(x_, fs[0], r, p),
+                            x, filters[:1], rate, k, probe[:, :5])
+            want = _conv_run(lambda x_, fs, r, p: conv1d_keeping_padded(x_, fs[0], r, p),
+                             x, filters[:1], rate, k, probe[:, :5])
+            for name, a, b in zip(["out", "x", "f0"], got, want):
+                assert a.tobytes() == b.tobytes(), (name, rate)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(16)
+        x = param(rng, 7, 3)
+        f, g = param(rng, 3, 3, 2), param(rng, 3, 3, 4)
+        report = grad_check(
+            lambda x_, f_, g_: conv1d_dilated(x_, (f_, g_), dilation=2, padding=2),
+            [x, f, g], tol=1e-6,
+        )
+        assert report.passed, report
+
+    def test_filters_must_share_taps_and_input_channels(self):
+        x = Tensor(np.zeros((5, 2)))
+        for other in ((5, 2, 2), (3, 1, 2)):
+            with pytest.raises(ShapeError):
+                conv1d_dilated(x, (Tensor(np.zeros((3, 2, 2))), Tensor(np.zeros(other))), 1, 1)
+
+
+class TestDropout:
+    def test_bit_equal_to_float_mask_product(self):
+        """The bool mask times the scale, formed when the node runs, equals
+        the float keep mask of the ``mul`` form, forward and backward."""
+        rng = np.random.default_rng(17)
+        for p in (0.2, 0.5, 0.9):
+            x = param(rng, 30, 7)
+            probe = rng.standard_normal((30, 7))
+            results = []
+            for op in (lambda x_, r: dropout(x_, r.random(x_.shape) >= p, 1.0 / (1.0 - p)),
+                       lambda x_, r: mul_dropout(x_, p, r)):
+                x.zero_grad()
+                with GradTape() as tape:
+                    out = op(x, np.random.default_rng(3))
+                    tape.backward(tensor_sum(mul(out, Tensor(probe))))
+                results.append((out.data.tobytes(), x.grad.tobytes()))
+            assert results[0] == results[1], p
+
+    def test_tape_keeps_a_bool_mask(self):
+        """Under a tape the node holds its output and a one-byte mask per
+        element, not a float keep array."""
+        n, d = 400, 16
+        rng = np.random.default_rng(18)
+        x = param(rng, n, d)
+        tracemalloc.start()
+        try:
+            with GradTape():
+                before = tracemalloc.get_traced_memory()[0]
+                out = dropout(x, rng.random(x.shape) >= 0.2, 1.25)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= out.data.nbytes + n * d + 16 * 1024, (held, out.data.nbytes)
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(ShapeError):
+            dropout(Tensor(np.ones((3, 2))), np.ones((2, 3), dtype=bool), 2.0)
 
 
 class TestActivations:

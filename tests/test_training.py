@@ -268,11 +268,11 @@ class TestTrainLoop:
         assert (model.embedding.data != before).any()  # the real rows did train
 
 
-def tape_batch(seed=3, dim=12):
-    """A small model and a four-document batch whose masks include one
-    candidate mask from the index and one empty mask."""
+def tape_batch(seed=3, dim=12, n_docs=4):
+    """A small model and a batch of ``n_docs`` documents whose masks include
+    one candidate mask from the index and one empty mask."""
     records, _, _, _, index, model = tiny_world(seed=seed, n_docs=12, dim=dim)
-    docs = records[:4]
+    docs = records[:n_docs]
     masks = [make_doc_mask(doc, index) for doc in docs]
     masks[1] = DocMask(labels=set(), vec=np.zeros(model.num_labels))
     assert not masks[0].empty and len(masks[0].labels) < model.num_labels
@@ -284,7 +284,7 @@ class TestTapeWalk:
     parameters the gradients of a walk that frees nothing, and nothing else."""
 
     def test_full_model_walk_frees_and_matches_keep_everything_walk(self):
-        model, docs, masks = tape_batch()
+        model, docs, masks = tape_batch(n_docs=5)
         grads, outs = {}, []
         for walk in ("keep", "pop"):
             model.params.zero_grads()
@@ -313,13 +313,14 @@ class TestTapeWalk:
 
     def test_backward_holds_only_parameter_gradients(self):
         """tracemalloc over one batch_loss + backward, after one warm-up
-        pass that fills the first-call caches.  Bounds: after backward at most the parameter
-        gradients plus 16 KiB (the loss tensor and other small objects)
-        stay held; the peak of the walk stays under 1.5 times the forward
-        tape's bytes (the walk starts with the whole tape alive and ends
-        holding the gradients).  The walk that frees nothing breaks both
-        bounds: it holds every activation and gradient, about twice the
-        tape."""
+        pass that fills the first-call caches.  Bounds: after backward at
+        most the parameter gradients plus 16 KiB (the loss tensor and other
+        small objects) stay held; the peak of the walk stays under 1.5 times
+        the forward tape's bytes plus the parameter gradients (the walk
+        starts with the whole tape alive and ends holding the gradients,
+        whose size does not scale with the tape).  The walk that frees
+        nothing breaks both bounds: it holds every activation and gradient,
+        about twice the tape."""
         model, docs, masks = tape_batch(dim=32)
 
         def traced(walk):
@@ -341,9 +342,9 @@ class TestTapeWalk:
         traced(GradTape.backward)
         forward, peak, held, grad_bytes = traced(GradTape.backward)
         assert held <= grad_bytes + 16 * 1024, (held, grad_bytes)
-        assert peak < 1.5 * forward, (peak, forward)
+        assert peak < 1.5 * forward + grad_bytes, (peak, forward, grad_bytes)
         forward, peak, held, grad_bytes = traced(keep_everything_backward)
-        assert held > grad_bytes + 16 * 1024 and peak > 1.5 * forward
+        assert held > grad_bytes + 16 * 1024 and peak > 1.5 * forward + grad_bytes
 
 
 class TestCheckpoint:
