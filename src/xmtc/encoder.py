@@ -50,11 +50,6 @@ class EncoderConfig:
         if self.num_blocks < 0:
             raise ConfigError(f"num_blocks must be nonnegative, got {self.num_blocks}")
 
-    def receptive_field(self) -> int:
-        """Positions one output element can see, per block stack."""
-        per_block = sum(r * (self.kernel_size - 1) for r in self.rates)
-        return 1 + self.num_blocks * per_block
-
 
 @dataclass
 class BlockParams:

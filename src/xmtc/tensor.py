@@ -7,12 +7,18 @@ cross-entropy.  Operations executed while a :class:`GradTape` is active are
 recorded in insertion order; ``backward`` replays the tape in reverse and
 accumulates gradients into every tensor that requires them.  A tensor that
 feeds several consumers receives the sum of all incoming contributions.
-Each node keeps only the arrays its backward reads: the convolution keeps
-its input's and its filters' own arrays, no padded copy, window buffer or
-stacked filters, and dropout keeps a bool mask.  The replay consumes the
-tape: each node is dropped, with its output's gradient and the activations
-its backward closure holds, as soon as it has run, so after ``backward``
-only the leaves (the parameters) hold a gradient.
+
+A tape node holds no tensor.  It is a pair of its output's gradient cell
+(a small ``GradCell``: ``grad``, ``requires_grad`` and ``shape``) and a
+backward closure that captures its inputs' cells plus only the arrays its
+backward reads: the convolution its input's and its filters' own arrays
+(no padded copy, window buffer or stacked filters), relu and dropout a
+bool mask, add, reshape, transpose, the reductions and the row gather no
+array of their inputs at all.  So an activation lives only while user code
+or a backward that reads it holds it.  The replay consumes the tape: each
+node is dropped, with its output's gradient and the arrays its closure
+holds, as soon as it has run, so after ``backward`` only the leaves (the
+parameters) hold a gradient.
 
 ``grad_check`` compares analytic gradients against central finite
 differences and is the verification tool behind the gradient test suite.
@@ -30,6 +36,7 @@ from .errors import GradTapeError, ShapeError
 __all__ = [
     "Tensor",
     "GradTape",
+    "GradCell",
     "grad_check",
     "GradCheckReport",
     "matmul",
@@ -64,21 +71,49 @@ def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+class GradCell:
+    """The gradient side of a tensor: what the tape and the backward
+    closures hold in its place, so that they never keep its ``data``."""
+
+    __slots__ = ("grad", "requires_grad", "shape")
+
+    def __init__(self, requires_grad: bool, shape: tuple[int, ...]):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.shape = shape
+
+
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer.
+    """A dense float64 array plus its gradient cell.
 
     Tensors are value-like: treat ``data`` as immutable once the tensor has
-    entered a computation; only the owning tape's backward pass writes to
-    ``grad``.
+    entered a computation, and keep its shape; only the owning tape's
+    backward pass writes to ``grad``.  ``grad`` and ``requires_grad`` live
+    in ``cell``, which the tape holds instead of the tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "cell", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.cell = GradCell(bool(requires_grad), self.data.shape)
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.cell.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.cell.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.cell.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self.cell.requires_grad = bool(value)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,15 +138,17 @@ def _as_tensor(x) -> Tensor:
 class GradTape:
     """Ordered record of operations for one reverse pass.
 
-    Nodes are appended as operations execute, so insertion order is a valid
-    topological order of the computation DAG.  ``backward`` walks the nodes
-    in reverse, once: a second call raises.  The walk pops each node as it
-    runs it, so afterwards ``nodes`` is empty and no recorded intermediate
-    holds a gradient.
+    Nodes are ``(cell, backward_fn)`` pairs: the output's gradient cell and
+    its backward closure, never the output tensor.  They are appended as
+    operations execute, so insertion order is a valid topological order of
+    the computation DAG.  ``backward`` walks the nodes in reverse, once: a
+    second call raises.  The walk pops each node as it runs it, so
+    afterwards ``nodes`` is empty and no recorded intermediate holds a
+    gradient.
     """
 
     def __init__(self):
-        self.nodes: list[tuple[Tensor, object]] = []
+        self.nodes: list[tuple[GradCell, object]] = []
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
@@ -122,16 +159,16 @@ class GradTape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
-    def _record(self, out: Tensor, backward_fn) -> None:
-        self.nodes.append((out, backward_fn))
+    def _record(self, cell: GradCell, backward_fn) -> None:
+        self.nodes.append((cell, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate the gradient of ``loss`` into every leaf that requires
         one, consuming the tape.
 
-        Each node is popped, its output's gradient taken and cleared, and
-        its closure run; a node off every path to the loss is dropped
-        without running.  The activations a closure captured and every
+        Each node is popped, its output cell's gradient taken and cleared,
+        and its closure run; a node off every path to the loss is dropped
+        without running.  The arrays a closure captured and every
         intermediate gradient are freed as soon as the walk passes them, so
         only leaves (the parameters, never recorded) keep ``grad``.
         """
@@ -143,25 +180,25 @@ class GradTape:
         loss.grad = np.ones((), dtype=np.float64)
         nodes = self.nodes
         while nodes:
-            out, backward_fn = nodes.pop()
-            g, out.grad = out.grad, None
+            cell, backward_fn = nodes.pop()
+            g, cell.grad = cell.grad, None
             if g is not None:
                 backward_fn(g)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accumulate(cell: GradCell, g: np.ndarray) -> None:
+    if not cell.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if cell.grad is None:
+        cell.grad = np.zeros(cell.shape)
+    cell.grad += g
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=any(p.cell.requires_grad for p in parents))
     tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape._record(out, backward_fn)
+    if tape is not None and out.cell.requires_grad:
+        tape._record(out.cell, backward_fn)
     return out
 
 
@@ -186,15 +223,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
+    ac, bc = a.cell, b.cell
+    # each operand is read only for the other's gradient
+    ad = a.data if bc.requires_grad else None
+    bd = b.data if ac.requires_grad else None
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g @ bd.T)
-        if b.requires_grad:
-            _accumulate(b, ad.T @ g)
+        if ac.requires_grad:
+            _accumulate(ac, g @ bd.T)
+        if bc.requires_grad:
+            _accumulate(bc, ad.T @ g)
 
-    return _make(ad @ bd, (a, b), bwd)
+    return _make(a.data @ b.data, (a, b), bwd)
 
 
 def spmm(s, x: Tensor) -> Tensor:
@@ -206,8 +246,10 @@ def spmm(s, x: Tensor) -> Tensor:
     if s.shape[1] != x.shape[0]:
         raise ShapeError(f"spmm inner dimensions disagree: {s.shape} x {x.shape}")
 
+    xc = x.cell
+
     def bwd(g):
-        _accumulate(x, s.T @ g)
+        _accumulate(xc, s.T @ g)
 
     return _make(s @ x.data, (x,), bwd)
 
@@ -217,18 +259,20 @@ def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-d tensor, got {x.shape}")
 
+    xc = x.cell
+
     def bwd(g):
-        _accumulate(x, g.T)
+        _accumulate(xc, g.T)
 
     return _make(x.data.T.copy(), (x,), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     x = _as_tensor(x)
-    old = x.shape
+    xc = x.cell
 
     def bwd(g):
-        _accumulate(x, g.reshape(old))
+        _accumulate(xc, g.reshape(xc.shape))
 
     return _make(x.data.reshape(shape).copy(), (x,), bwd)
 
@@ -266,9 +310,10 @@ def conv1d_dilated(
     ``dilation`` positions apart, and ``padding`` zeros are added on both
     ends (centered/same convolution).  The padded input and the [n, K*d_in]
     window buffer are freed after the forward product: backward keeps only
-    the input's and the filters' own arrays, re-pads the input to rebuild
-    the windows for the filter gradient, splits that gradient by columns
-    into each filter, and re-stacks the filters for the input gradient.
+    the input's and the filters' own arrays and their cells, re-pads the
+    input to rebuild the windows for the filter gradient, splits that
+    gradient by columns into each filter, and re-stacks the filters for the
+    input gradient.
     """
     x = _as_tensor(x)
     parts = ([_as_tensor(f) for f in filters] if isinstance(filters, (list, tuple))
@@ -308,17 +353,20 @@ def conv1d_dilated(
 
     out = _windows(padded(), k, dilation, n_out) @ w2d()
 
+    xc, fcs = x.cell, [f.cell for f in parts]
+
     def bwd(g):
-        if any(f.requires_grad for f in parts):
+        if any(fc.requires_grad for fc in fcs):
             gw = (_windows(padded(), k, dilation, n_out).T @ g).reshape(k, d_in, d_out)
-            for f, stop in zip(parts, np.cumsum(widths)):
-                _accumulate(f, gw[:, :, stop - f.shape[2] : stop])
-        if x.requires_grad:
+            for fc, stop in zip(fcs, np.cumsum(widths)):
+                _accumulate(fc, gw[:, :, stop - fc.shape[2] : stop])
+            del gw  # not alive while the input gradient is formed
+        if xc.requires_grad:
             gwin = (g @ w2d().T).reshape(n_out, k, d_in)
             gxp = np.zeros((n + 2 * padding, d_in))
             for j in range(k):
                 gxp[j * dilation : j * dilation + n_out] += gwin[:, j, :]
-            _accumulate(x, gxp[padding : padding + n, :])
+            _accumulate(xc, gxp[padding : padding + n, :])
 
     return _make(out, (x, *parts), bwd)
 
@@ -329,12 +377,13 @@ def conv1d_dilated(
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    ac, bc = a.cell, b.cell
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        if ac.requires_grad:
+            _accumulate(ac, _unbroadcast(g, ac.shape))
+        if bc.requires_grad:
+            _accumulate(bc, _unbroadcast(g, bc.shape))
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -342,15 +391,18 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting (covers broadcast_mul)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
+    ac, bc = a.cell, b.cell
+    # each operand is read only for the other's gradient
+    ad = a.data if bc.requires_grad else None
+    bd = b.data if ac.requires_grad else None
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * bd, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * ad, b.shape))
+        if ac.requires_grad:
+            _accumulate(ac, _unbroadcast(g * bd, ac.shape))
+        if bc.requires_grad:
+            _accumulate(bc, _unbroadcast(g * ad, bc.shape))
 
-    return _make(ad * bd, (a, b), bwd)
+    return _make(a.data * b.data, (a, b), bwd)
 
 
 def dropout(x, keep, scale: float) -> Tensor:
@@ -361,29 +413,32 @@ def dropout(x, keep, scale: float) -> Tensor:
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != x.shape:
         raise ShapeError(f"dropout mask shape {keep.shape} != input shape {x.shape}")
+    xc = x.cell
 
     def bwd(g):
-        _accumulate(x, g * (keep * scale))
+        _accumulate(xc, g * (keep * scale))
 
     return _make(x.data * (keep * scale), (x,), bwd)
 
 
 def relu(x) -> Tensor:
+    """max(x, 0); the node keeps the bool mask ``x > 0``, not ``x``."""
     x = _as_tensor(x)
-    out = np.maximum(x.data, 0.0)
+    xc, positive = x.cell, x.data > 0.0
 
     def bwd(g):
-        _accumulate(x, g * (x.data > 0.0))
+        _accumulate(xc, g * positive)
 
-    return _make(out, (x,), bwd)
+    return _make(np.maximum(x.data, 0.0), (x,), bwd)
 
 
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
     out = np.tanh(x.data)
+    xc = x.cell
 
     def bwd(g):
-        _accumulate(x, g * (1.0 - out * out))
+        _accumulate(xc, g * (1.0 - out * out))
 
     return _make(out, (x,), bwd)
 
@@ -404,9 +459,10 @@ def sigmoid(x) -> Tensor:
     """
     x = _as_tensor(x)
     out = np.clip(logistic(x.data), _SIGMOID_EPS, 1.0 - _SIGMOID_EPS)
+    xc = x.cell
 
     def bwd(g):
-        _accumulate(x, g * out * (1.0 - out))
+        _accumulate(xc, g * out * (1.0 - out))
 
     return _make(out, (x,), bwd)
 
@@ -426,10 +482,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     ez = np.exp(z)
     out = ez / ez.sum(axis=axis, keepdims=True)
+    xc = x.cell
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
-        _accumulate(x, out * (g - inner))
+        _accumulate(xc, out * (g - inner))
 
     return _make(out, (x,), bwd)
 
@@ -441,12 +498,13 @@ def mean(x: Tensor, axis=None) -> Tensor:
     denom = x.data.size if axis is None else x.data.shape[axis]
     if denom == 0:
         raise ValueError("mean over an empty axis")
+    xc = x.cell
 
     def bwd(g):
         if axis is None:
-            _accumulate(x, np.full_like(x.data, 1.0 / denom) * g)
+            _accumulate(xc, np.full(xc.shape, 1.0 / denom) * g)
         else:
-            _accumulate(x, np.expand_dims(g, axis) / denom * np.ones_like(x.data))
+            _accumulate(xc, np.expand_dims(g, axis) / denom * np.ones(xc.shape))
 
     return _make(x.data.mean(axis=axis), (x,), bwd)
 
@@ -455,12 +513,13 @@ def tensor_sum(x: Tensor, axis=None) -> Tensor:
     x = _as_tensor(x)
     if axis is not None:
         axis = int(axis)
+    xc = x.cell
 
     def bwd(g):
         if axis is None:
-            _accumulate(x, np.full_like(x.data, 1.0) * g)
+            _accumulate(xc, np.full(xc.shape, 1.0) * g)
         else:
-            _accumulate(x, np.expand_dims(g, axis) * np.ones_like(x.data))
+            _accumulate(xc, np.expand_dims(g, axis) * np.ones(xc.shape))
 
     return _make(x.data.sum(axis=axis), (x,), bwd)
 
@@ -471,10 +530,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
         raise ValueError("concat of an empty sequence")
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
+    cells = [t.cell for t in tensors]
 
     def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
+        for cell, piece in zip(cells, np.split(g, splits, axis=axis)):
+            _accumulate(cell, piece)
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
 
@@ -482,20 +542,22 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def split_columns(x: Tensor, at: int) -> tuple[Tensor, Tensor]:
     """Split a [n, c] tensor into its columns [0, at) and [at, c).
 
-    Each half's backward adds its gradient into its own columns of
+    Each half owns a copy of its columns, so neither keeps ``x``'s array
+    alive.  Each half's backward adds its gradient into its own columns of
     ``x.grad``, so a tensor split this way gets one gradient buffer.
     """
     x = _as_tensor(x)
     if x.data.ndim != 2 or not 0 < at < x.shape[1]:
         raise ShapeError(f"split_columns needs 0 < at < columns, got at={at} for {x.shape}")
+    xc = x.cell
 
     def half(cols):
         def bwd(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[:, cols] += g
+            if xc.grad is None:
+                xc.grad = np.zeros(xc.shape)
+            xc.grad[:, cols] += g
 
-        return _make(x.data[:, cols], (x,), bwd)
+        return _make(x.data[:, cols].copy(), (x,), bwd)
 
     return half(slice(0, at)), half(slice(at, None))
 
@@ -517,13 +579,14 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         if bad.size:
             raise IndexError(f"row id {int(bad[0])} out of range for table with {v} rows")
     out = table.data[ids] if ids.size else np.zeros((0, table.shape[1]))
+    tc = table.cell
 
     def bwd(g):
-        if table.requires_grad and ids.size:
+        if tc.requires_grad and ids.size:
             uniq, part = row_sums(ids, g)
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            table.grad[uniq] += part
+            if tc.grad is None:
+                tc.grad = np.zeros(tc.shape)
+            tc.grad[uniq] += part
 
     return _make(out, (table,), bwd)
 
@@ -574,9 +637,10 @@ def bce_loss(pred: Tensor, gold) -> Tensor:
         raise ValueError("gold labels must be 0 or 1")
     p = np.clip(pred.data, _BCE_EPS, 1.0 - _BCE_EPS)
     loss = float(-(gold_arr * np.log(p) + (1.0 - gold_arr) * np.log1p(-p)).sum())
+    pc = pred.cell
 
     def bwd(g):
-        _accumulate(pred, g * (p - gold_arr) / (p * (1.0 - p)))
+        _accumulate(pc, g * (p - gold_arr) / (p * (1.0 - p)))
 
     return _make(np.asarray(loss), (pred,), bwd)
 

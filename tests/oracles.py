@@ -35,6 +35,13 @@ def naive_conv1d(x, filters, dilation, padding):
     return out
 
 
+def receptive_field(config):
+    """Positions one output element of an ``EncoderConfig``'s block stack
+    can see."""
+    per_block = sum(r * (config.kernel_size - 1) for r in config.rates)
+    return 1 + config.num_blocks * per_block
+
+
 def dilated_stack(embedded, params, config):
     """Chain of dilated convolutions, one level per rate."""
     from xmtc.tensor import conv1d_dilated, same_padding
@@ -82,13 +89,13 @@ def conv1d_keeping_padded(x, filters, dilation, padding):
 
     def bwd(g):
         if filters.requires_grad:
-            _accumulate(filters, (windows().T @ g).reshape(k, d_in, d_out))
+            _accumulate(filters.cell, (windows().T @ g).reshape(k, d_in, d_out))
         if x.requires_grad:
             gwin = (g @ w2d.T).reshape(n_out, k, d_in)
             gxp = np.zeros_like(xp)
             for j in range(k):
                 gxp[j * dilation : j * dilation + n_out] += gwin[:, j, :]
-            _accumulate(x, gxp[padding : padding + n, :])
+            _accumulate(x.cell, gxp[padding : padding + n, :])
 
     return _make(windows() @ w2d, (x, filters), bwd)
 
@@ -507,13 +514,14 @@ def dense_label_representations(model, catalog, vocab):
 
 def keep_everything_backward(tape, loss):
     """The reverse walk that frees nothing: every node stays on the tape and
-    every intermediate keeps its gradient.  ``GradTape.backward`` pops and
-    clears as it goes and must leave the same gradients on the leaves."""
+    every intermediate keeps its gradient in its node's cell.
+    ``GradTape.backward`` pops and clears as it goes and must leave the same
+    gradients on the leaves."""
     loss.grad = np.ones((), dtype=np.float64)
-    for out, backward_fn in reversed(tape.nodes):
-        if out.grad is None:
+    for cell, backward_fn in reversed(tape.nodes):
+        if cell.grad is None:
             continue  # not on a path to the loss
-        backward_fn(out.grad)
+        backward_fn(cell.grad)
 
 
 def adam_step_expression(params, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):

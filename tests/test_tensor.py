@@ -552,7 +552,7 @@ class TestGradCheckHarness:
 
         def bad_square(x):
             def bwd(g):
-                _accumulate(x, g * 3.0 * x.data)  # wrong: should be 2x
+                _accumulate(x.cell, g * 3.0 * x.data)  # wrong: should be 2x
 
             return _make(x.data * x.data, (x,), bwd)
 

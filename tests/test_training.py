@@ -3,6 +3,7 @@
 import struct
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from xmtc.errors import ConfigError, DataError, DivergenceError, GradTapeError
 from xmtc.graph import build_cooccurrence
 from xmtc.mask import DocMask, build_mask_index, make_doc_mask
 from xmtc.model import ModelParams, model_from_artifacts
-from xmtc.tensor import GradTape, Tensor, mul
+from xmtc.tensor import GradCell, GradTape, Tensor, mul
 from xmtc.training import (
     Adam,
     TrainConfig,
@@ -170,7 +171,7 @@ class TestTrainConfig:
             TrainConfig(clip_norm=value)
 
 
-def tiny_world(seed=0, num_labels=6, n_docs=40, dim=12):
+def tiny_world(seed=0, num_labels=6, n_docs=40, dim=12, variant="full"):
     """Corpus, artifacts, and an assembled model small enough for fast tests."""
     rng = np.random.default_rng(seed)
     letters = "abcdefghijklmnopqrstuvwxyz"
@@ -200,7 +201,7 @@ def tiny_world(seed=0, num_labels=6, n_docs=40, dim=12):
     model = model_from_artifacts(
         vocab, catalog, graph, dim=dim,
         encoder_config=EncoderConfig(kernel_size=3, rates=(1, 2), dropout=0.1),
-        seed=seed,
+        seed=seed, variant=variant,
     )
     return records, vocab, catalog, graph, index, model
 
@@ -268,10 +269,10 @@ class TestTrainLoop:
         assert (model.embedding.data != before).any()  # the real rows did train
 
 
-def tape_batch(seed=3, dim=12, n_docs=4):
+def tape_batch(seed=3, dim=12, n_docs=4, variant="full"):
     """A small model and a batch of ``n_docs`` documents whose masks include
     one candidate mask from the index and one empty mask."""
-    records, _, _, _, index, model = tiny_world(seed=seed, n_docs=12, dim=dim)
+    records, _, _, _, index, model = tiny_world(seed=seed, n_docs=12, dim=dim, variant=variant)
     docs = records[:n_docs]
     masks = [make_doc_mask(doc, index) for doc in docs]
     masks[1] = DocMask(labels=set(), vec=np.zeros(model.num_labels))
@@ -285,7 +286,7 @@ class TestTapeWalk:
 
     def test_full_model_walk_frees_and_matches_keep_everything_walk(self):
         model, docs, masks = tape_batch(n_docs=5)
-        grads, outs = {}, []
+        grads, cells = {}, []
         for walk in ("keep", "pop"):
             model.params.zero_grads()
             with GradTape() as tape:
@@ -297,7 +298,7 @@ class TestTapeWalk:
                 if walk == "keep":
                     keep_everything_backward(tape, loss)
                 else:
-                    outs = [out for out, _ in tape.nodes]
+                    cells = [cell for cell, _ in tape.nodes]
                     tape.backward(loss)
             assert calls == []
             grads[walk] = {name: p.grad for name, p in model.params.items()}
@@ -305,8 +306,8 @@ class TestTapeWalk:
         for name, g in grads["keep"].items():
             assert g is not None, name
             assert grads["pop"][name].tobytes() == g.tobytes(), name
-        assert len(outs) > 100 and loss in outs
-        assert all(out.grad is None for out in outs)
+        assert len(cells) > 100 and loss.cell in cells
+        assert all(cell.grad is None for cell in cells)
         assert tape.nodes == []
         with pytest.raises(GradTapeError):
             tape.backward(loss)
@@ -345,6 +346,68 @@ class TestTapeWalk:
         assert peak < 1.5 * forward + grad_bytes, (peak, forward, grad_bytes)
         forward, peak, held, grad_bytes = traced(keep_everything_backward)
         assert held > grad_bytes + 16 * 1024 and peak > 1.5 * forward + grad_bytes
+
+
+def held_tensors(obj, seen=None):
+    """Every ``Tensor`` reachable from ``obj`` through function closures
+    (nested functions included), bound methods, lists, tuples and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, types.MethodType):
+        inner = [obj.__self__, obj.__func__]
+    elif isinstance(obj, types.FunctionType):
+        inner = [_contents(c) for c in obj.__closure__ or ()]
+        inner += list(obj.__defaults__ or ())
+    elif isinstance(obj, (list, tuple)):
+        inner = obj
+    elif isinstance(obj, dict):
+        inner = list(obj.values())
+    else:
+        return []
+    return [t for item in inner for t in held_tensors(item, seen)]
+
+
+def _contents(closure_cell):
+    try:
+        return closure_cell.cell_contents
+    except ValueError:  # a free variable not yet assigned
+        return None
+
+
+class TestTapeHoldsNoTensor:
+    """A tape node is ``(cell, backward_fn)``: the output's ``GradCell`` and
+    a closure over its inputs' cells and the arrays its backward reads.  A
+    node that captured a tensor would keep that tensor's array alive until
+    the walk reaches it."""
+
+    def test_finder_sees_a_tensor_in_a_nested_closure(self):
+        x = Tensor(np.ones(2))
+
+        def outer():
+            def inner():
+                return [(x,)]
+            return inner
+
+        found = held_tensors(outer())
+        assert len(found) == 1 and found[0] is x
+        assert held_tensors((x.cell, lambda g: None)) == []
+
+    @pytest.mark.parametrize("variant", ["full", "no_label_feature"])
+    def test_no_node_of_a_full_model_tape_holds_a_tensor(self, variant):
+        model, docs, masks = tape_batch(n_docs=5, variant=variant)
+        masks[2] = DocMask.all_ones(model.num_labels)
+        with GradTape() as tape:
+            loss = batch_loss(model, docs, masks, np.random.default_rng(5))
+            assert len(tape.nodes) > 100
+            for cell, backward_fn in tape.nodes:
+                assert isinstance(cell, GradCell), cell
+                held = held_tensors(backward_fn)
+                assert held == [], (backward_fn.__qualname__, held)
+            tape.backward(loss)
 
 
 class TestCheckpoint:
