@@ -13,8 +13,10 @@ auxiliary-code tables of ``mask``; the probabilities are numpy arrays over
 those pairs, and the graph keeps only its edges.  The descriptor average
 and the propagation matrix are CSR.  ``scipy.sparse`` is imported where a
 CSR is built, so building and saving a graph loads no scipy.  The
-adjacency stays a dense [L, L] array, because the benchmark's graph counter
-(``perfbench/tracing.py``) reads it with ``np.trace``.
+adjacency is a dense bool [L, L] array, one byte per label pair (81 MB at
+L = 9,000).  It is not sparse yet, because the benchmark's graph counter
+(``perfbench/tracing.py``) reads it with ``np.trace``, which a scipy
+matrix does not support.
 """
 
 from __future__ import annotations
@@ -40,9 +42,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class CooccurrenceGraph:
-    """Binary label-label adjacency."""
+    """Binary label-label adjacency.
 
-    adjacency: np.ndarray  # [L, L] of {0.0, 1.0}
+    ``adjacency`` is a dense bool [L, L] array, one byte per label pair, with
+    every diagonal entry set; why it is not sparse yet is in the module
+    docstring.
+    """
+
+    adjacency: np.ndarray  # [L, L] bool
     lam: float
     pair_count: int  # 1-entries strictly above the diagonal
 
@@ -110,9 +117,9 @@ def build_cooccurrence(
     """
     values, rows, cols = conditional_probabilities(train_docs, num_labels)
     edge = values >= lam
-    adj = np.zeros((num_labels, num_labels))
-    adj[rows[edge], cols[edge]] = 1.0
-    np.fill_diagonal(adj, 1.0)
+    adj = np.zeros((num_labels, num_labels), dtype=bool)
+    adj[rows[edge], cols[edge]] = True
+    np.fill_diagonal(adj, True)
     pair_count = int(np.count_nonzero(edge & (rows < cols)))
     return CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
 
@@ -130,7 +137,11 @@ def save_graph(graph: CooccurrenceGraph, path, config_hash: str = "") -> None:
 def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
     """Load a saved graph over the ``num_labels``-label catalog; returns
     (graph, config_hash).  A header giving another label count, or a
-    malformed line, is a ``DataError`` naming the file and line."""
+    malformed line, is a ``DataError`` naming the file and line.  Every
+    label's diagonal line must be present, since ``save_graph`` writes them
+    all; a missing one (a file cut short in its last row, whose lines the
+    pair count does not see) is a ``DataError`` naming the first such
+    label."""
     lines = read_text(path).splitlines()
     stamp = config_stamp(lines)
     first = 1 + int(bool(lines) and lines[0].startswith("#"))  # line number of the header
@@ -144,7 +155,7 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
         raise DataError(f"{path}:{first}: malformed graph header {lines[0]!r}") from None
     if found != num_labels:
         raise DataError(f"{path}:{first}: graph has {found} labels, the catalog has {num_labels}")
-    adj = np.zeros((num_labels, num_labels))
+    adj = np.zeros((num_labels, num_labels), dtype=bool)
     upper = 0  # distinct coordinates strictly above the diagonal
     for ln, line in enumerate(lines[1:], start=first + 1):
         try:
@@ -154,7 +165,10 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
         if not (0 <= i < num_labels and 0 <= j < num_labels):
             raise DataError(f"{path}:{ln}: coordinate {line!r} outside {num_labels} labels")
         upper += i < j and not adj[i, j]
-        adj[i, j] = 1.0
+        adj[i, j] = True
+    missing = np.flatnonzero(~adj.diagonal())
+    if missing.size:
+        raise DataError(f"{path}: no diagonal line for label {missing[0]}")
     graph = CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
     if upper != pair_count:
         raise DataError(f"{path}: pair count does not match stored coordinates")
@@ -218,7 +232,7 @@ def normalize_adjacency(adjacency: np.ndarray) -> sp.csr_matrix:
     degree."""
     import scipy.sparse as sp
 
-    a = sp.csr_matrix(adjacency) + sp.identity(adjacency.shape[0], format="csr")
+    a = sp.csr_matrix(adjacency, dtype=np.float64) + sp.identity(adjacency.shape[0], format="csr")
     a.data /= np.repeat(np.asarray(a.sum(axis=1)).ravel(), np.diff(a.indptr))
     return a
 

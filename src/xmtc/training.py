@@ -24,12 +24,18 @@ from .tensor import GradTape, Tensor, add, bce_loss, mul
 logger = logging.getLogger(__name__)
 
 
+# elements per block of Adam's walk over a parameter; its two scratch
+# buffers are one block each, 1 MiB together, whatever the model size
+ADAM_BLOCK = 65_536
+
+
 class Adam:
     """Standard Adam with bias-corrected moment estimates.
 
-    A step allocates nothing: the moments update in place, and the update
-    is formed in two scratch buffers sized to the largest parameter and
-    shared by all of them.
+    A step allocates nothing: the moments update in place, and each
+    parameter is walked in flat blocks of ``ADAM_BLOCK`` elements, whose
+    update is formed in two one-block scratch buffers shared by all
+    parameters.
     """
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
@@ -38,10 +44,10 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-        size = max((p.size for _, p in params.items()), default=0)
-        self._scratch = (np.empty(size), np.empty(size))
+        # C-ordered, so that their flat reshapes in ``step`` are views
+        self.m = {name: np.zeros(p.shape) for name, p in params.items()}
+        self.v = {name: np.zeros(p.shape) for name, p in params.items()}
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def step(self) -> None:
         """One update.  A parameter the last backward pass did not reach (the
@@ -50,30 +56,37 @@ class Adam:
 
         The operations and their order are those of
         ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * g * g`` and
-        ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``, so the result is
-        bit-equal to evaluating those expressions."""
+        ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``, applied element by
+        element, so the result is bit-equal to evaluating those expressions
+        over whole arrays."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         b1t = 1.0 - b1 ** self.t
         b2t = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = 0.0 if p.grad is None else p.grad
-            m, v = self.m[name], self.v[name]
-            num, den = (buf[:p.size].reshape(p.shape) for buf in self._scratch)
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=num)
-            m += num
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=num)
-            num *= g
-            v += num
-            np.divide(m, b1t, out=num)
-            num *= self.lr
-            np.divide(v, b2t, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            num /= den
-            p.data -= num
+            if not p.data.flags.c_contiguous:  # so that ``data`` is a view
+                p.data = np.ascontiguousarray(p.data)
+            data, m_all, v_all = (a.reshape(-1) for a in (p.data, self.m[name], self.v[name]))
+            g_all = None if p.grad is None else p.grad.reshape(-1)
+            for lo in range(0, p.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, p.size)
+                g = 0.0 if g_all is None else g_all[lo:hi]
+                m, v = m_all[lo:hi], v_all[lo:hi]
+                num, den = (buf[:hi - lo] for buf in self._scratch)
+                m *= b1
+                np.multiply(g, 1.0 - b1, out=num)
+                m += num
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=num)
+                num *= g
+                v += num
+                np.divide(m, b1t, out=num)
+                num *= self.lr
+                np.divide(v, b2t, out=den)
+                np.sqrt(den, out=den)
+                den += self.eps
+                num /= den
+                data[lo:hi] -= num
 
 
 def clip_global_norm(params: ModelParams, max_norm: float) -> float:

@@ -119,7 +119,22 @@ class TestBuildCooccurrence:
         assert found == "abcd"
         assert loaded.lam == 0.5
         assert loaded.pair_count == g.pair_count
+        assert g.adjacency.dtype == loaded.adjacency.dtype == bool
         np.testing.assert_array_equal(loaded.adjacency, g.adjacency)
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_file_cut_short_in_its_last_row_is_data_error(self, tmp_path, cut):
+        """Label 3's row is "3 0", "3 2", "3 3": every line of it is on or
+        below the diagonal, so cutting it leaves the pair count right."""
+        docs = docs_from_label_sets([{0, 1}, {1, 2}, {2, 3}, {3, 0}])
+        g = build_cooccurrence(docs, 4, lam=0.5)
+        path = tmp_path / "graph.txt"
+        save_graph(g, path, config_hash="abcd")
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[-3:] == ["3 0\n", "3 2\n", "3 3\n"]
+        path.write_text("".join(lines[:-cut]))
+        with pytest.raises(DataError, match=f"{path}: no diagonal line for label 3$"):
+            load_graph(path, 4)
 
     @pytest.mark.parametrize("line", ["-1 0", "0 3", "0 x", "0 1 2"])
     def test_malformed_coordinate_is_data_error(self, tmp_path, line):
@@ -359,6 +374,18 @@ class TestSparseLabelSide:
             a_hat = CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=0).propagation
             assert sp.isspmatrix_csr(a_hat)
             assert np.array_equal(a_hat.toarray(), dense_propagation(adj))
+
+    def test_bool_adjacency_propagation_bit_equal_to_float64(self):
+        rng = np.random.default_rng(17)
+        adj = rng.random((40, 40)) < 0.1
+        np.fill_diagonal(adj, True)
+        adj[[3, 21, 39]] = False  # labels whose rows are empty, self loop included
+        got = normalize_adjacency(adj)
+        ref = normalize_adjacency(adj.astype(np.float64))
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(ref, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+        assert got.getrow(21).nnz == 1  # the self loop D^-1 (A + I) adds
 
     def test_label_representations_and_gradients_match_dense_oracle(self):
         vocab, catalog = self._catalog()

@@ -2,8 +2,8 @@
 
 At L = 3,000 labels the co-occurrence and candidate-mask statistics are
 almost all zeros.  The builders count them sparse, so the only [L, L] array
-a build may allocate is the dense adjacency itself, and the mask index
-holds its nonzeros only.
+a build may allocate is the bool adjacency itself, one byte per label pair,
+and the mask index holds its nonzeros only.
 """
 
 import tracemalloc
@@ -61,10 +61,11 @@ def test_mask_index_holds_its_nonzeros_only(docs):
 
 
 def test_cooccurrence_peak_is_the_adjacency(docs):
-    dense = NUM_LABELS * NUM_LABELS * 8
+    pairs = NUM_LABELS * NUM_LABELS
     graph, _, peak = traced(lambda: build_cooccurrence(docs, NUM_LABELS))
     assert graph.adjacency.shape == (NUM_LABELS, NUM_LABELS)
-    assert peak < 1.5 * dense, f"build peaked at {peak / dense:.2f} x the [L, L] array"
+    assert graph.adjacency.dtype == bool
+    assert peak < 1.5 * pairs, f"build peaked at {peak / pairs:.2f} bytes per label pair"
 
 
 @pytest.mark.parametrize("build", [build_cooccurrence, build_mask_index],

@@ -20,6 +20,7 @@ from xmtc.mask import DocMask, build_mask_index, make_doc_mask
 from xmtc.model import ModelParams, model_from_artifacts
 from xmtc.tensor import GradCell, GradTape, Tensor, mul
 from xmtc.training import (
+    ADAM_BLOCK,
     Adam,
     TrainConfig,
     batch_loss,
@@ -74,12 +75,15 @@ class TestAdam:
         assert not np.array_equal(paths[0], np.ones(3))
 
     def test_in_place_step_bit_equal_to_expressions(self):
-        """Eight steps over parameters of four shapes, against the
-        whole-array expressions of ``oracles.adam_step_expression``; the 1-d
-        parameter has no gradient on steps 2, 5 and 6.  Parameters and both
-        moments must match bit for bit after every step."""
+        """Eight steps over parameters of six shapes, against the
+        whole-array expressions of ``oracles.adam_step_expression``; one of
+        exactly one block, and one of two blocks and a partial one.  The 1-d
+        parameters "vec" and "blocks" have no gradient on steps 2, 5 and 6.
+        Parameters and both moments must match bit for bit after every
+        step."""
         rng = np.random.default_rng(21)
-        shapes = {"scalar": (), "vec": (7,), "mat": (5, 3), "cube": (2, 4, 3)}
+        shapes = {"scalar": (), "vec": (7,), "mat": (5, 3), "cube": (2, 4, 3),
+                  "block": (ADAM_BLOCK // 64, 64), "blocks": (2 * ADAM_BLOCK + 7,)}
         init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
 
         def registry():
@@ -94,7 +98,7 @@ class TestAdam:
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
         for t in range(1, 9):
             for name, shape in shapes.items():
-                g = None if name == "vec" and t in (2, 5, 6) else \
+                g = None if name in ("vec", "blocks") and t in (2, 5, 6) else \
                     rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
                 params[name].grad = ref[name].grad = g
             opt.step()
@@ -121,6 +125,24 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 1024, peak
+
+    def test_scratch_is_two_blocks_whatever_the_parameter_size(self):
+        """Adam over a 16 MiB parameter holds its two moments and, beyond
+        them, no more than its two one-block scratch buffers and 16 KiB."""
+        params = ModelParams()
+        big = Tensor(np.ones((2048, 1024)), requires_grad=True, name="big")
+        big.grad = np.full(big.shape, 0.5)
+        params.register(big)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            opt = Adam(params, lr=1e-3)
+            opt.step()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        scratch = held - 2 * big.data.nbytes
+        assert scratch <= 2 * ADAM_BLOCK * 8 + 16 * 1024, scratch
 
 
 class TestClipping:
