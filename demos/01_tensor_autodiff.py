@@ -41,13 +41,14 @@ print("2. Dilated convolution arithmetic")
 print("=" * 60)
 
 # A kernel of size K with dilation r spans r*(K-1)+1 positions.  The
-# length-preserving padding is r*(K-1)/2, e.g. K=9, r=4 -> padding 16.
+# convolution pads r*(K-1)/2 zeros on each end to keep the length, e.g.
+# K=9, r=4 -> padding 16.
 for k, r in [(9, 1), (9, 2), (9, 4)]:
     print(f"kernel {k}, dilation {r}: padding {same_padding(k, r)}")
 
 signal = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
 box = Tensor(np.ones((3, 1, 1)))  # sums three taps spaced `dilation` apart
-out = conv1d_dilated(signal, box, dilation=2, padding=2)
+out = conv1d_dilated(signal, box, dilation=2)
 print("conv([1,2,3,4], ones(3), dilation=2, same padding) ->", out.data.ravel())
 
 print()
@@ -71,5 +72,5 @@ print(f"matmul: max relative error {report.max_rel_err:.2e} (tolerance {report.t
 
 filters = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
 seq = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
-report = grad_check(lambda s, f: conv1d_dilated(s, f, 2, 2), [seq, filters], tol=1e-6)
+report = grad_check(lambda s, f: conv1d_dilated(s, f, 2), [seq, filters], tol=1e-6)
 print(f"conv1d: max relative error {report.max_rel_err:.2e} (tolerance {report.tol})")

@@ -3,14 +3,12 @@
 Each block runs two parallel branches over the embedded sequence: a chain of
 dilated convolutions (one per dilation rate, no activation between levels)
 and a single residual convolution at the first rate.  Level 0 and the
-residual read the same windows, so they share one product over their
-filters side by side, and its output is split into the chain input and the
-residual.  The convolution stacks the two filters inside its own forward
-and backward, so the stacked filters are never a tape node and never kept.
-The branch outputs are summed, passed through the activation, and
-optionally dropped out; a dropout node keeps its bool mask only.  All
-convolutions use length-preserving padding, so the output keeps the input's
-sequence length at every level.
+residual read the same windows, so they are one [K, d, 2d] filter, level
+0's output columns first, and one convolution whose output is split into
+the chain input and the residual.  The branch outputs are summed, passed
+through the activation, and optionally dropped out; a dropout node keeps
+its bool mask only.  Every convolution is length-preserving, so the output
+keeps the input's sequence length at every level.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import (Tensor, add, conv1d_dilated, dropout, gather_rows, relu, same_padding,
-                     split_columns, tanh)
+from .tensor import Tensor, add, conv1d_dilated, dropout, gather_rows, relu, split_columns, tanh
 
 _ACTIVATIONS = {"relu": relu, "tanh": tanh}
 
@@ -55,22 +52,29 @@ class EncoderConfig:
 class BlockParams:
     """Filters for one dilated-residual block."""
 
-    level_filters: list[Tensor] = field(default_factory=list)  # [K, d, d] per rate
-    residual_filter: Tensor | None = None
+    level0_residual: Tensor  # [K, d, 2d]: level 0's columns, then the residual's
+    levels: list[Tensor] = field(default_factory=list)  # [K, d, d] per later rate
 
 
 def init_block_params(
     config: EncoderConfig, dim: int, rng: np.random.Generator, prefix: str = "block0"
 ) -> BlockParams:
+    """Draws level 0's filter, the later levels' and the residual's, in
+    that order; the first and the last fill ``level0_residual``."""
     k = config.kernel_size
     limit = np.sqrt(6.0 / (k * dim + k * dim))
 
-    def filt(name):
-        return Tensor(rng.uniform(-limit, limit, (k, dim, dim)), requires_grad=True, name=name)
+    def draw():
+        return rng.uniform(-limit, limit, (k, dim, dim))
 
+    fused = np.empty((k, dim, 2 * dim))
+    fused[:, :, :dim] = draw()
+    levels = [Tensor(draw(), requires_grad=True, name=f"{prefix}.level{i}")
+              for i in range(1, len(config.rates))]
+    fused[:, :, dim:] = draw()
     return BlockParams(
-        level_filters=[filt(f"{prefix}.level{i}") for i in range(len(config.rates))],
-        residual_filter=filt(f"{prefix}.residual"),
+        level0_residual=Tensor(fused, requires_grad=True, name=f"{prefix}.level0_residual"),
+        levels=levels,
     )
 
 
@@ -89,18 +93,15 @@ def residual_block(
 ) -> Tensor:
     """One block: activation(main dilated chain + residual convolution).
 
-    Level 0 and the residual run as one convolution over the filter pair
-    ``(level0, residual)``; the conv stacks them on the spot, so no stacked
-    copy is a tape node, and splits their gradient back into each filter.
+    Level 0 and the residual are one convolution over ``level0_residual``,
+    whose output columns split into the chain input and the residual.
     """
     act = _ACTIVATIONS[config.activation]
-    k, rate0 = config.kernel_size, config.rates[0]
-    level0 = params.level_filters[0]
-    pair = conv1d_dilated(embedded, (level0, params.residual_filter),
-                          dilation=rate0, padding=same_padding(k, rate0))
-    h, residual = split_columns(pair, level0.shape[2])
-    for filt, rate in zip(params.level_filters[1:], config.rates[1:]):
-        h = conv1d_dilated(h, filt, dilation=rate, padding=same_padding(k, rate))
+    fused = params.level0_residual
+    h, residual = split_columns(conv1d_dilated(embedded, fused, config.rates[0]),
+                                fused.shape[2] // 2)
+    for filt, rate in zip(params.levels, config.rates[1:]):
+        h = conv1d_dilated(h, filt, rate)
     out = act(add(h, residual))
     if train and config.dropout > 0.0:
         out = _dropout(out, config.dropout, rng)

@@ -175,10 +175,13 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
     """Load a saved index with its saved tau; returns (index, config_hash).
     A malformed line, a ``tau`` outside [0, 1), a probability that is not a
     number in [0, 1] or a label code absent from ``catalog`` is a
-    ``DataError`` naming the file and line."""
+    ``DataError`` naming the file and line; a file with no lines is one
+    naming the file."""
     lines = read_text(path).splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty mask index file")
     saved_tau = DEFAULT_TAU
-    header = int(bool(lines) and lines[0].startswith("#"))  # 1 if line 1 is the header
+    header = int(lines[0].startswith("#"))  # 1 if line 1 is the header
     for part in lines[0].split() if header else []:
         if part.startswith("tau="):
             try:

@@ -204,9 +204,8 @@ def model_from_artifacts(
     blocks = []
     for b in range(encoder_config.num_blocks):
         block = init_block_params(encoder_config, dim, rng, prefix=f"block{b}")
-        for filt in block.level_filters:
+        for filt in (block.level0_residual, *block.levels):
             params.register(filt)
-        params.register(block.residual_filter)
         blocks.append(block)
 
     gcn = None

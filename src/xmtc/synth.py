@@ -321,71 +321,6 @@ def _ground_truth(docs, spec: GeneratorSpec, factory: _DocFactory) -> GroundTrut
 
 
 # ---------------------------------------------------------------------------
-# verification
-
-
-@dataclass
-class VerifyReport:
-    passed: bool
-    flagged_docs: list[str] = field(default_factory=list)
-    problems: list[str] = field(default_factory=list)
-
-
-def verify(docs: list[dict], truth: GroundTruth) -> VerifyReport:
-    """Audit a corpus against its ground truth.
-
-    Checks per-document gold labels, clique closure, the planted aux-code
-    implication (code fired => planted labels present), and recomputes the
-    empirical conditional tables, which must match exactly.
-    """
-    flagged: set[str] = set()
-    problems: list[str] = []
-    clique_of: dict[str, set[str]] = {}
-    for clique in truth.cliques:
-        for member in clique:
-            clique_of[member] = set(clique)
-
-    known = []
-    for doc in docs:
-        doc_id = doc["doc_id"]
-        labels = tuple(doc.get("labels", ()))
-        expected = truth.doc_labels.get(doc_id)
-        if expected is None:
-            flagged.add(doc_id)
-            problems.append(f"{doc_id}: not present in ground truth")
-            continue
-        known.append(doc)
-        if tuple(labels) != expected:
-            flagged.add(doc_id)
-            problems.append(f"{doc_id}: labels {labels} != planted {expected}")
-        label_set = set(labels)
-        for lab in labels:
-            missing = clique_of.get(lab, set()) - label_set
-            if missing:
-                flagged.add(doc_id)
-                problems.append(f"{doc_id}: clique of {lab} missing {sorted(missing)}")
-        for term in TERMINOLOGIES:
-            for code in doc.get(term, ()):
-                planted = set(truth.planted_aux.get(term, {}).get(code, ()))
-                if planted and not planted <= label_set:
-                    flagged.add(doc_id)
-                    problems.append(f"{doc_id}: {term} code {code} fired without its labels")
-
-    for term, recomputed in _aux_tables(known).items():
-        expected_tables = truth.aux_tables.get(term, {})
-        if set(recomputed) != set(expected_tables):
-            problems.append(f"{term}: code set differs from ground truth")
-        else:
-            for code, rows in recomputed.items():
-                exp = expected_tables[code]
-                if set(rows) != set(exp) or any(abs(rows[k] - exp[k]) > 1e-12 for k in rows):
-                    problems.append(f"{term}/{code}: conditional table differs from ground truth")
-
-    return VerifyReport(passed=not flagged and not problems,
-                        flagged_docs=sorted(flagged), problems=problems)
-
-
-# ---------------------------------------------------------------------------
 # file emission
 
 

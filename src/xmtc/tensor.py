@@ -12,13 +12,13 @@ A tape node holds no tensor.  It is a pair of its output's gradient cell
 (a small ``GradCell``: ``grad``, ``requires_grad`` and ``shape``) and a
 backward closure that captures its inputs' cells plus only the arrays its
 backward reads: the convolution its input's and its filters' own arrays
-(no padded copy, window buffer or stacked filters), relu and dropout a
-bool mask, add, reshape, transpose, the reductions and the row gather no
-array of their inputs at all.  So an activation lives only while user code
-or a backward that reads it holds it.  The replay consumes the tape: each
-node is dropped, with its output's gradient and the arrays its closure
-holds, as soon as it has run, so after ``backward`` only the leaves (the
-parameters) hold a gradient.
+(no padded copy or window buffer), relu and dropout a bool mask, add,
+reshape, transpose, the reductions and the row gather no array of their
+inputs at all.  So an activation lives only while user code or a backward
+that reads it holds it.  The replay consumes the tape: each node is
+dropped, with its output's gradient and the arrays its closure holds, as
+soon as it has run, so after ``backward`` only the leaves (the parameters)
+hold a gradient.
 
 ``grad_check`` compares analytic gradients against central finite
 differences and is the verification tool behind the gradient test suite.
@@ -282,7 +282,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def same_padding(kernel_size: int, dilation: int) -> int:
-    """Padding that preserves sequence length: r*(K-1)/2, K odd (an EncoderConfig rule)."""
+    """Padding that preserves sequence length: r*(K-1)/2, K odd."""
     return dilation * (kernel_size - 1) // 2
 
 
@@ -295,80 +295,50 @@ def _windows(xp: np.ndarray, k: int, dilation: int, n_out: int) -> np.ndarray:
     return windows.reshape(n_out, k * d_in)
 
 
-def conv1d_dilated(
-    x: Tensor,
-    filters: Tensor | tuple[Tensor, ...],
-    dilation: int,
-    padding: int,
-) -> Tensor:
-    """Stride-1 dilated 1-d convolution over a [n, d_in] sequence.
+def conv1d_dilated(x: Tensor, filters: Tensor, dilation: int) -> Tensor:
+    """Length-preserving stride-1 dilated 1-d convolution, [n, d_in] ->
+    [n, d_out] for n > 0.
 
-    ``filters`` has shape [K, d_in, d_out], or is a sequence of such
-    filters sharing K and d_in, which run side by side as one product: the
-    output's columns are each filter's in turn, and the stacked copy of the
-    filters is made on the spot and never kept.  Kernel taps are spaced
-    ``dilation`` positions apart, and ``padding`` zeros are added on both
-    ends (centered/same convolution).  The padded input and the [n, K*d_in]
-    window buffer are freed after the forward product: backward keeps only
-    the input's and the filters' own arrays and their cells, re-pads the
-    input to rebuild the windows for the filter gradient, splits that
-    gradient by columns into each filter, and re-stacks the filters for the
-    input gradient.
+    ``filters`` has shape [K, d_in, d_out] with K odd.  Kernel taps are
+    spaced ``dilation`` positions apart, and ``same_padding(K, dilation)``
+    zeros are added on both ends (centered convolution).  The padded input
+    and the [n, K*d_in] window buffer are freed after the forward product:
+    backward keeps only the input's and the filters' own arrays and their
+    cells, and re-pads the input to rebuild the windows for the filter
+    gradient.
     """
-    x = _as_tensor(x)
-    parts = ([_as_tensor(f) for f in filters] if isinstance(filters, (list, tuple))
-             else [_as_tensor(filters)])
+    x, filters = _as_tensor(x), _as_tensor(filters)
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
         raise ValueError(f"dilation must be a positive integer, got {dilation!r}")
-    if padding < 0:
-        raise ValueError(f"padding must be nonnegative, got {padding}")
-    if not parts or x.data.ndim != 2 or any(f.data.ndim != 3 for f in parts):
+    if (x.data.ndim != 2 or filters.data.ndim != 3 or x.shape[0] == 0
+            or filters.shape[0] % 2 == 0 or filters.shape[1] != x.shape[1]):
         raise ShapeError(
-            f"conv1d_dilated expects x [n, d_in] and filters [K, d_in, d_out], "
-            f"got {x.shape} and {[f.shape for f in parts]}"
+            f"conv1d_dilated expects a nonempty x [n, d_in] and filters [K, d_in, d_out] "
+            f"with K odd, got {x.shape} and {filters.shape}"
         )
     n, d_in = x.shape
-    k = parts[0].shape[0]
-    for f in parts:
-        if f.shape[:2] != (k, d_in):
-            raise ShapeError(f"filter {f.shape} needs K={k} taps over {d_in} input channels")
-    widths = [f.shape[2] for f in parts]
-    d_out = sum(widths)
-
-    xd, fds = x.data, [f.data for f in parts]
-    span = dilation * (k - 1)
-    n_out = n + 2 * padding - span
-    if n_out < 1:
-        raise ShapeError(
-            f"sequence of length {n} with padding {padding} is shorter than the "
-            f"kernel span {span + 1} (K={k}, dilation={dilation})"
-        )
+    k, _, d_out = filters.shape
+    padding = same_padding(k, dilation)
+    xd, w2d = x.data, filters.data.reshape(k * d_in, d_out)
 
     def padded():
         return np.pad(xd, ((padding, padding), (0, 0)))
 
-    def w2d():
-        w = fds[0] if len(fds) == 1 else np.concatenate(fds, axis=2)
-        return w.reshape(k * d_in, d_out)
+    out = _windows(padded(), k, dilation, n) @ w2d
 
-    out = _windows(padded(), k, dilation, n_out) @ w2d()
-
-    xc, fcs = x.cell, [f.cell for f in parts]
+    xc, fc = x.cell, filters.cell
 
     def bwd(g):
-        if any(fc.requires_grad for fc in fcs):
-            gw = (_windows(padded(), k, dilation, n_out).T @ g).reshape(k, d_in, d_out)
-            for fc, stop in zip(fcs, np.cumsum(widths)):
-                _accumulate(fc, gw[:, :, stop - fc.shape[2] : stop])
-            del gw  # not alive while the input gradient is formed
+        if fc.requires_grad:
+            _accumulate(fc, (_windows(padded(), k, dilation, n).T @ g).reshape(k, d_in, d_out))
         if xc.requires_grad:
-            gwin = (g @ w2d().T).reshape(n_out, k, d_in)
+            gwin = (g @ w2d.T).reshape(n, k, d_in)
             gxp = np.zeros((n + 2 * padding, d_in))
             for j in range(k):
-                gxp[j * dilation : j * dilation + n_out] += gwin[:, j, :]
+                gxp[j * dilation : j * dilation + n] += gwin[:, j, :]
             _accumulate(xc, gxp[padding : padding + n, :])
 
-    return _make(out, (x, *parts), bwd)
+    return _make(out, (x, filters), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +625,7 @@ class GradCheckReport:
 
     max_rel_err: float
     tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err < self.tol
+    passed: bool  # max_rel_err < tol
 
 
 def grad_check(op, inputs, tol: float = 1e-4, step: float = 1e-5, seed: int = 0) -> GradCheckReport:
@@ -705,4 +672,4 @@ def grad_check(op, inputs, tol: float = 1e-4, step: float = 1e-5, seed: int = 0)
             nflat[i] = (hi - lo) / (2.0 * step)
         scale = max(np.abs(a).max(initial=0.0), np.abs(num).max(initial=0.0), 1e-8)
         errs.append(float(np.abs(a - num).max(initial=0.0) / scale))
-    return GradCheckReport(max_rel_err=max(errs), tol=tol)
+    return GradCheckReport(max_rel_err=max(errs), tol=tol, passed=max(errs) < tol)

@@ -9,10 +9,12 @@ dropout masks and stacked filters) and the tape's node plumbing.  The
 label statistics and the auxiliary-code tables are counted here twice: by
 recount (``conditional_prob_matrix``, ``recount_aux_tables``) and
 through CSR products (``csr_cooccurrence``, ``csr_mask_tables``); src
-counts both with one ``graph.count_pairs``.
+counts both with one ``graph.count_pairs``.  ``verify`` audits a synthetic
+corpus against the ground truth its generator planted.
 """
 
 import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,29 +44,53 @@ def receptive_field(config):
     return 1 + config.num_blocks * per_block
 
 
+@dataclass
+class TwoFilterBlock:
+    """An encoder block's filters laid out apart: one [K, d, d] filter per
+    rate and the residual's [K, d, d].  The shipped ``BlockParams`` holds
+    level 0 and the residual as one [K, d, 2d] filter."""
+
+    level_filters: list
+    residual_filter: object
+
+
+def two_filter_block(block):
+    """Leaf copies of a ``BlockParams``' filters in the two-filter layout:
+    level 0 and the residual are ``level0_residual``'s column halves."""
+    from xmtc.tensor import Tensor
+
+    fused = block.level0_residual.data
+    d = fused.shape[2] // 2
+
+    def leaf(arr):
+        return Tensor(np.ascontiguousarray(arr), requires_grad=True)
+
+    return TwoFilterBlock(level_filters=[leaf(fused[:, :, :d]),
+                                         *(leaf(f.data) for f in block.levels)],
+                          residual_filter=leaf(fused[:, :, d:]))
+
+
 def dilated_stack(embedded, params, config):
-    """Chain of dilated convolutions, one level per rate."""
-    from xmtc.tensor import conv1d_dilated, same_padding
+    """Chain of dilated convolutions, one level per rate, over a
+    ``TwoFilterBlock``."""
+    from xmtc.tensor import conv1d_dilated
 
     h = embedded
     for filt, rate in zip(params.level_filters, config.rates):
-        h = conv1d_dilated(h, filt, dilation=rate,
-                           padding=same_padding(config.kernel_size, rate))
+        h = conv1d_dilated(h, filt, rate)
     return h
 
 
 def unfused_residual_block(embedded, params, config):
-    """One encoder block without dropout, its two branches run apart: the
-    dilated chain, then the residual conv over the same input, summed and
-    activated.  The shipped block runs level 0 and the residual as one
-    product and must reproduce this."""
-    from xmtc.tensor import add, conv1d_dilated, relu, same_padding, tanh
+    """One encoder block without dropout, its two branches run apart over a
+    ``TwoFilterBlock``: the dilated chain, then the residual conv over the
+    same input, summed and activated.  The shipped block runs level 0 and
+    the residual as one product and must reproduce this."""
+    from xmtc.tensor import add, conv1d_dilated, relu, tanh
 
     act = {"relu": relu, "tanh": tanh}[config.activation]
     main = dilated_stack(embedded, params, config)
-    rate = config.rates[0]
-    residual = conv1d_dilated(embedded, params.residual_filter, dilation=rate,
-                              padding=same_padding(config.kernel_size, rate))
+    residual = conv1d_dilated(embedded, params.residual_filter, config.rates[0])
     return act(add(main, residual))
 
 
@@ -103,7 +129,8 @@ def conv1d_keeping_padded(x, filters, dilation, padding):
 def concat_then_conv(x, filters, dilation, padding):
     """Filters side by side as a ``concat`` tape node, which keeps the
     stacked copy and its gradient, then one convolution that keeps ``xp``.
-    ``conv1d_dilated`` over a filter sequence must be bit-equal to this."""
+    A block's one ``level0_residual`` filter must be bit-equal to this over
+    level 0's filter and the residual's."""
     from xmtc.tensor import concat
 
     return conv1d_keeping_padded(x, concat(list(filters), axis=2), dilation, padding)
@@ -120,10 +147,12 @@ def mul_dropout(x, p, rng):
 
 
 def reference_encode(token_ids, embedding, blocks, config, train=False, rng=None):
-    """``encoder.encode`` written with the three paths above: ``mul``
-    dropout, level 0 and the residual as concat-then-conv, and every
-    convolution keeping its padded input.  ``encode`` must be bit-equal to
-    this, output and gradients, on the same rng."""
+    """``encoder.encode`` over ``TwoFilterBlock``s, written with the three
+    paths above: ``mul`` dropout, level 0 and the residual as
+    concat-then-conv, and every convolution keeping its padded input.
+    ``encode`` must be bit-equal to this, output and gradients, on the same
+    rng; the gradient of a block's ``level0_residual`` is level 0's and the
+    residual's side by side."""
     from xmtc.tensor import add, gather_rows, relu, same_padding, split_columns, tanh
 
     act = {"relu": relu, "tanh": tanh}[config.activation]
@@ -536,3 +565,70 @@ def adam_step_expression(params, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         m[name] = beta1 * m[name] + (1.0 - beta1) * g
         v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
         p.data -= lr * (m[name] / b1t) / (np.sqrt(v[name] / b2t) + eps)
+
+
+@dataclass
+class VerifyReport:
+    """What ``verify`` found: the flagged document ids and one line per
+    problem."""
+
+    passed: bool
+    flagged_docs: list[str] = field(default_factory=list)
+    problems: list[str] = field(default_factory=list)
+
+
+def verify(docs, truth):
+    """Audit a corpus against its ground truth.
+
+    Checks per-document gold labels, clique closure, the planted aux-code
+    implication (code fired => planted labels present), and recomputes the
+    empirical conditional tables, which must match exactly.
+    """
+    from xmtc.corpus import TERMINOLOGIES
+    from xmtc.synth import _aux_tables
+
+    flagged: set[str] = set()
+    problems: list[str] = []
+    clique_of: dict[str, set[str]] = {}
+    for clique in truth.cliques:
+        for member in clique:
+            clique_of[member] = set(clique)
+
+    known = []
+    for doc in docs:
+        doc_id = doc["doc_id"]
+        labels = tuple(doc.get("labels", ()))
+        expected = truth.doc_labels.get(doc_id)
+        if expected is None:
+            flagged.add(doc_id)
+            problems.append(f"{doc_id}: not present in ground truth")
+            continue
+        known.append(doc)
+        if tuple(labels) != expected:
+            flagged.add(doc_id)
+            problems.append(f"{doc_id}: labels {labels} != planted {expected}")
+        label_set = set(labels)
+        for lab in labels:
+            missing = clique_of.get(lab, set()) - label_set
+            if missing:
+                flagged.add(doc_id)
+                problems.append(f"{doc_id}: clique of {lab} missing {sorted(missing)}")
+        for term in TERMINOLOGIES:
+            for code in doc.get(term, ()):
+                planted = set(truth.planted_aux.get(term, {}).get(code, ()))
+                if planted and not planted <= label_set:
+                    flagged.add(doc_id)
+                    problems.append(f"{doc_id}: {term} code {code} fired without its labels")
+
+    for term, recomputed in _aux_tables(known).items():
+        expected_tables = truth.aux_tables.get(term, {})
+        if set(recomputed) != set(expected_tables):
+            problems.append(f"{term}: code set differs from ground truth")
+        else:
+            for code, rows in recomputed.items():
+                exp = expected_tables[code]
+                if set(rows) != set(exp) or any(abs(rows[k] - exp[k]) > 1e-12 for k in rows):
+                    problems.append(f"{term}/{code}: conditional table differs from ground truth")
+
+    return VerifyReport(passed=not flagged and not problems,
+                        flagged_docs=sorted(flagged), problems=problems)

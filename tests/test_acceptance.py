@@ -26,7 +26,6 @@ from xmtc.tensor import (
     mean,
     mul,
     relu,
-    same_padding,
     sigmoid,
     softmax,
     tanh,
@@ -127,8 +126,8 @@ def model_toy(seed):
     clf_w = Tensor(rng.standard_normal((dim, 1)) / np.sqrt(dim), requires_grad=True)
     clf_b = Tensor(np.zeros(l), requires_grad=True)
 
-    def full_forward(tbl, f1, f2, fres, w1, w2, w, b):
-        blk = BlockParams(level_filters=[f1, f2], residual_filter=fres)
+    def full_forward(tbl, f0res, f1, w1, w2, w, b):
+        blk = BlockParams(level0_residual=f0res, levels=[f1])
         encoded = encode(tokens, tbl, [blk], cfg)
         features = matmul(Tensor(s), tbl)
         h_label = graph.gcn_forward(g, features, graph.GcnParams(w1=w1, w2=w2))
@@ -137,7 +136,7 @@ def model_toy(seed):
         y = classify(att.context, ClassifierParams(w=w, b=b))
         return bce_loss(y, gold)
 
-    inputs = [table, *block.level_filters, block.residual_filter, gcn.w1, gcn.w2, clf_w, clf_b]
+    inputs = [table, block.level0_residual, *block.levels, gcn.w1, gcn.w2, clf_w, clf_b]
     return full_forward, inputs
 
 
@@ -148,9 +147,8 @@ def test_criterion_1_gradient_suite():
             n = int(rng.integers(2, 8))
             r = int(rng.integers(1, 4))
             k = int(rng.choice([1, 3, 5]))
-            pad = same_padding(k, r)
             return (
-                lambda x, f: conv1d_dilated(x, f, dilation=r, padding=pad),
+                lambda x, f: conv1d_dilated(x, f, dilation=r),
                 [Tensor(rng.standard_normal((n, 3)), True),
                  Tensor(rng.standard_normal((k, 3, 2)), True)],
             )

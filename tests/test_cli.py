@@ -480,6 +480,33 @@ class TestErrors:
 
         assert _evaluate_copy(work, cfg, tmp_path, "vocab.txt", swap_two_tokens) == 2
 
+    def test_empty_mask_index_is_exit_3(self, pipeline, tmp_path, capsys):
+        _, _, work, cfg = pipeline
+        assert _evaluate_copy(work, cfg, tmp_path, "mask_index.tsv", lambda raw: b"") == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'work' / 'mask_index.tsv'}: empty mask index file" in err
+
+    def test_checkpoint_with_level0_and_residual_apart_is_exit_2(self, pipeline, tmp_path,
+                                                                 capsys):
+        """A checkpoint that stores a block's level-0 and residual filters as
+        two parameters, not as one ``level0_residual``, names both."""
+        _, _, work, cfg = pipeline
+
+        def two_filters(raw):
+            path = tmp_path / "old.bin"
+            path.write_bytes(raw)
+            arrays, meta = training.load_checkpoint(path)
+            fused = arrays.pop("block0.level0_residual")
+            d = fused.shape[2] // 2
+            arrays["block0.level0"], arrays["block0.residual"] = fused[..., :d], fused[..., d:]
+            training.save_checkpoint(path, arrays, meta["epoch"], meta["config_hash"],
+                                     meta["vocab_hash"], meta["variant"])
+            return path.read_bytes()
+
+        assert _evaluate_copy(work, cfg, tmp_path, "checkpoint.bin", two_filters) == 2
+        err = capsys.readouterr().err
+        assert "'block0.level0'" in err and "'block0.residual'" in err
+
     def test_missing_artifact_is_exit_3_and_actionable(self, tmp_path, capsys):
         code = main(["train", "--workdir", str(tmp_path)])
         assert code == 3

@@ -15,8 +15,8 @@ from xmtc.encoder import (
 from xmtc.errors import ConfigError, DataError
 from xmtc.tensor import GradTape, Tensor, grad_check, mul, same_padding, tensor_sum
 
-from oracles import (dilated_stack, naive_conv1d, receptive_field, reference_encode,
-                     unfused_residual_block)
+from oracles import (TwoFilterBlock, dilated_stack, naive_conv1d, receptive_field,
+                     reference_encode, two_filter_block, unfused_residual_block)
 
 
 def delta_filter(k, dim):
@@ -26,7 +26,7 @@ def delta_filter(k, dim):
 
 
 def delta_block(config, dim):
-    return BlockParams(
+    return TwoFilterBlock(
         level_filters=[Tensor(delta_filter(config.kernel_size, dim)) for _ in config.rates],
         residual_filter=Tensor(np.zeros((config.kernel_size, dim, dim))),
     )
@@ -72,7 +72,7 @@ class TestDilatedStack:
         rng = np.random.default_rng(1)
         cfg = EncoderConfig(kernel_size=3, rates=(1, 3), dropout=0.0)
         e = rng.standard_normal((9, 2))
-        block = BlockParams(
+        block = TwoFilterBlock(
             level_filters=[Tensor(rng.standard_normal((3, 2, 2))) for _ in cfg.rates],
             residual_filter=Tensor(rng.standard_normal((3, 2, 2))),
         )
@@ -90,8 +90,9 @@ class TestResidualBlock:
         cfg = EncoderConfig(kernel_size=5, rates=(1, 2), dropout=0.0)
         e = Tensor(np.abs(rng.standard_normal((8, 3))))
         block = BlockParams(
-            level_filters=[Tensor(np.zeros((5, 3, 3))) for _ in cfg.rates],
-            residual_filter=Tensor(delta_filter(5, 3)),
+            level0_residual=Tensor(np.concatenate([np.zeros((5, 3, 3)), delta_filter(5, 3)],
+                                                  axis=2)),
+            levels=[Tensor(np.zeros((5, 3, 3)))],
         )
         out = residual_block(e, block, cfg)
         np.testing.assert_allclose(out.data, e.data, atol=1e-12)
@@ -111,11 +112,12 @@ class TestResidualBlock:
         block = init_block_params(cfg, dim, rng)
         out = residual_block(Tensor(e), block, cfg)
 
+        two = two_filter_block(block)
         main = e
-        for filt, rate in zip(block.level_filters, cfg.rates):
+        for filt, rate in zip(two.level_filters, cfg.rates):
             main = naive_conv1d(main, filt.data, rate,
                                 same_padding(cfg.kernel_size, rate))
-        residual = naive_conv1d(e, block.residual_filter.data, cfg.rates[0],
+        residual = naive_conv1d(e, two.residual_filter.data, cfg.rates[0],
                                 same_padding(cfg.kernel_size, cfg.rates[0]))
         np.testing.assert_allclose(out.data, np.maximum(main + residual, 0.0), atol=1e-12)
 
@@ -152,23 +154,25 @@ class TestFusedBlockMatchesUnfused:
         cfg = EncoderConfig(kernel_size=k, rates=rates, dropout=0.0)
         dim = 6
         block = init_block_params(cfg, dim, rng)
+        two = two_filter_block(block)
         x = rng.standard_normal((n, dim))
         probe = rng.standard_normal((n, dim))
-        filters = [*block.level_filters, block.residual_filter]
 
-        def run(block_fn):
+        def run(block_fn, blk, filters):
             e = Tensor(x, requires_grad=True)
             for f in filters:
                 f.zero_grad()
             with GradTape() as tape:
-                out = block_fn(e, block, cfg)
+                out = block_fn(e, blk, cfg)
                 tape.backward(tensor_sum(mul(out, Tensor(probe))))
             return out.data, e.grad, [f.grad.copy() for f in filters]
 
-        got = run(residual_block)
-        want = run(unfused_residual_block)
-        for name, a, b in zip(["out", "x", "level0", "level1", "level2", "residual"],
-                              [got[0], got[1], *got[2]], [want[0], want[1], *want[2]]):
+        got = run(residual_block, block, [block.level0_residual, *block.levels])
+        want = run(unfused_residual_block, two, [*two.level_filters, two.residual_filter])
+        fused = np.concatenate([want[2][0], want[2][-1]], axis=2)
+        for name, a, b in zip(["out", "x", "level0_residual", "level1", "level2"],
+                              [got[0], got[1], *got[2]],
+                              [want[0], want[1], fused, *want[2][1:-1]]):
             rel = np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
             assert rel <= 1e-12, (name, rel)
 
@@ -179,11 +183,10 @@ class TestFusedBlockMatchesUnfused:
         block = init_block_params(cfg, dim, rng)
         x = Tensor(rng.standard_normal((10, dim)), requires_grad=True)
 
-        def op(x_, *filters):
-            blk = BlockParams(level_filters=list(filters[:-1]), residual_filter=filters[-1])
-            return residual_block(x_, blk, cfg)
+        def op(x_, fused, *levels):
+            return residual_block(x_, BlockParams(fused, list(levels)), cfg)
 
-        report = grad_check(op, [x, *block.level_filters, block.residual_filter], tol=1e-4)
+        report = grad_check(op, [x, block.level0_residual, *block.levels], tol=1e-4)
         assert report.passed, report
 
 
@@ -218,7 +221,7 @@ class TestLocality:
         dim = 3
         n, shift = 40, 6
         radius = (receptive_field(cfg) - 1) // 2
-        block = init_block_params(cfg, dim, rng)
+        block = two_filter_block(init_block_params(cfg, dim, rng))
         x = rng.standard_normal((n, dim))
         prefix = rng.standard_normal((shift, dim))
         shifted = np.concatenate([prefix, x], axis=0)
@@ -228,8 +231,7 @@ class TestLocality:
             main = dilated_stack(e, block, cfg)
             from xmtc.tensor import add, conv1d_dilated
 
-            res = conv1d_dilated(e, block.residual_filter, cfg.rates[0],
-                                 same_padding(cfg.kernel_size, cfg.rates[0]))
+            res = conv1d_dilated(e, block.residual_filter, cfg.rates[0])
             return add(main, res).data
 
         base = preact(x)
@@ -247,36 +249,44 @@ def _row(t, i):
 
 class TestLeanTape:
     """Under a tape, each convolution keeps no padded input, each dropout a
-    bool mask and level 0 with the residual no stacked filters.  The
-    arithmetic is unchanged: ``encode`` in training mode must be bit-equal
-    to the reference that keeps all three, output and gradients."""
+    bool mask and level 0 with the residual one filter, never a stacked
+    copy.  The arithmetic is unchanged: ``encode`` in training mode must be
+    bit-equal to the reference over the two-filter layout, which keeps all
+    three, output and gradients; ``level0_residual``'s gradient is level
+    0's and the residual's side by side."""
 
     @pytest.mark.parametrize("k", [1, 3, 9])
-    @pytest.mark.parametrize("rates", [(1, 2, 4), (2, 5, 9)])
-    @pytest.mark.parametrize("n", [1, 7, 200])
-    def test_train_encode_bit_equal_to_reference(self, k, rates, n):
-        rng = np.random.default_rng(k * 1000 + rates[0] * 100 + n)
-        cfg = EncoderConfig(kernel_size=k, rates=rates, num_blocks=2, dropout=0.2)
+    @pytest.mark.parametrize("rates", [(1, 2, 4), (2, 5, 9), (1,)])
+    @pytest.mark.parametrize("n", [1, 7, 225, 2000])
+    @pytest.mark.parametrize("num_blocks", [1, 2])
+    def test_train_encode_bit_equal_to_reference(self, k, rates, n, num_blocks):
+        rng = np.random.default_rng(k * 1000 + rates[-1] * 100 + n + num_blocks)
+        cfg = EncoderConfig(kernel_size=k, rates=rates, num_blocks=num_blocks, dropout=0.2)
         dim = 6
         table = Tensor(rng.standard_normal((20, dim)), requires_grad=True)
-        blocks = [init_block_params(cfg, dim, rng, prefix=f"block{b}") for b in range(2)]
-        filters = [f for b in blocks for f in (*b.level_filters, b.residual_filter)]
+        blocks = [init_block_params(cfg, dim, rng, prefix=f"block{b}") for b in range(num_blocks)]
+        twos = [two_filter_block(b) for b in blocks]
         tokens = rng.integers(0, 20, size=n)
         probe = rng.standard_normal((n, dim))
 
-        def run(encode_fn):
-            for t in (table, *filters):
-                t.zero_grad()
+        def run(encode_fn, blks):
+            table.zero_grad()
             with GradTape() as tape:
-                out = encode_fn(tokens, table, blocks, cfg, train=True,
+                out = encode_fn(tokens, table, blks, cfg, train=True,
                                 rng=np.random.default_rng(7))
                 tape.backward(tensor_sum(mul(out, Tensor(probe))))
-            return [out.data, table.grad, *(f.grad for f in filters)]
+            return [out.data, table.grad]
 
-        got, want = run(encode), run(reference_encode)
-        names = ["out", "embedding", *(f.name for f in filters)]
+        got = run(encode, blocks) + [f.grad for b in blocks for f in (b.level0_residual, *b.levels)]
+        want = run(reference_encode, twos) + [
+            g for b in twos
+            for g in (np.concatenate([b.level_filters[0].grad, b.residual_filter.grad], axis=2),
+                      *(f.grad for f in b.level_filters[1:]))]
+        names = ["out", "embedding",
+                 *(f.name for b in blocks for f in (b.level0_residual, *b.levels))]
+        assert len(got) == len(want) == len(names)
         for name, a, b in zip(names, got, want):
-            assert a.tobytes() == b.tobytes(), name
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_tape_holds_under_five_activations_per_position(self):
         """One block at K=9, d=100, n=400 in training mode.  What stays
@@ -364,9 +374,40 @@ class TestEncode:
         block = init_block_params(cfg, dim, rng)
         tokens = list(rng.integers(1, 8, size=20))
 
-        def op(tbl, *filters):
-            blk = BlockParams(level_filters=list(filters[:-1]), residual_filter=filters[-1])
-            return encode(tokens, tbl, [blk], cfg)
+        def op(tbl, fused, *levels):
+            return encode(tokens, tbl, [BlockParams(fused, list(levels))], cfg)
 
-        report = grad_check(op, [table, *block.level_filters, block.residual_filter], tol=1e-4)
+        report = grad_check(op, [table, block.level0_residual, *block.levels], tol=1e-4)
         assert report.passed, report
+
+
+class TestInitialDraws:
+    def test_level0_residual_holds_the_two_filter_draws(self):
+        """``model_from_artifacts`` draws each block's filters as the
+        two-filter layout did, from one rng after the embedding table: level
+        0's, the later levels', then the residual's.  ``level0_residual`` is
+        the first and the last side by side, bit for bit."""
+        from xmtc import corpus, graph, model
+
+        cfg = EncoderConfig(kernel_size=5, rates=(1, 2, 4), num_blocks=2, dropout=0.0)
+        dim, labels = 4, 3
+        vocab = corpus.Vocabulary([f"tok{c}" for c in "abcdef"])
+        catalog = corpus.LabelCatalog([f"c{i}" for i in range(labels)], ["toka"] * labels)
+        g = graph.CooccurrenceGraph(adjacency=np.eye(labels, dtype=bool), lam=1.0,
+                                    pair_count=0)
+        m = model.model_from_artifacts(vocab, catalog, g, dim=dim, encoder_config=cfg, seed=11)
+
+        rng = np.random.default_rng(11)
+        rng.standard_normal((len(vocab), dim))  # the embedding table
+        k = cfg.kernel_size
+        limit = np.sqrt(6.0 / (k * dim + k * dim))
+        names = [name for name, _ in m.params.items()]
+        for b in range(cfg.num_blocks):
+            level0, level1, level2, residual = (rng.uniform(-limit, limit, (k, dim, dim))
+                                                for _ in range(4))
+            fused = m.params[f"block{b}.level0_residual"].data
+            assert fused.tobytes() == np.concatenate([level0, residual], axis=2).tobytes()
+            assert m.params[f"block{b}.level1"].data.tobytes() == level1.tobytes()
+            assert m.params[f"block{b}.level2"].data.tobytes() == level2.tobytes()
+            assert names[1 + 3 * b : 4 + 3 * b] == [f"block{b}.level0_residual",
+                                                    f"block{b}.level1", f"block{b}.level2"]

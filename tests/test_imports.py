@@ -1,6 +1,7 @@
-"""Every module-level import in the package is read by its module.
+"""Every module-level import in the package is read by its module, and
+every function, class and method it defines is read somewhere in it.
 
-Standard library only: the check parses each source file with ``ast``.
+Standard library only: the checks parse each source file with ``ast``.
 An import line marked ``# noqa: F401`` is exempt, and a name listed in
 ``__all__`` counts as read.
 """
@@ -54,3 +55,43 @@ def test_no_unused_module_import(path):
 ])
 def test_checker_finds_only_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """The functions, classes and methods defined in ``sources`` (file name
+    to text) whose name nothing in any of them reads: no name or attribute
+    load, no import and no ``__all__`` entry.  Dunder methods are exempt,
+    since Python calls them."""
+    defined, read = [], set()
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((file, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= {elt.value for elt in node.value.elts}
+    return [f"{file}:{ln}: {name}" for file, ln, name in defined
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_is_read_in_the_package():
+    assert unread_definitions({p.name: p.read_text() for p in SOURCES}) == []
+
+
+@pytest.mark.parametrize("sources, unread", [
+    ({"a.py": "def f():\n    pass\n"}, ["a.py:1: f"]),
+    ({"a.py": "def f():\n    pass\n", "b.py": "from a import f\n"}, []),
+    ({"a.py": "class C:\n    def m(self):\n        pass\n    def __init__(self):\n"
+              "        pass\nC().m()\n"}, []),
+    ({"a.py": "class C:\n    def m(self):\n        pass\nC()\n"}, ["a.py:2: m"]),
+    ({"a.py": "def f():\n    pass\n__all__ = ['f']\n"}, []),
+    ({"a.py": "def f():\n    pass\ng = f\n"}, []),
+])
+def test_definition_checker_finds_only_unread_names(sources, unread):
+    assert unread_definitions(sources) == unread

@@ -16,9 +16,10 @@ from xmtc.synth import (
     split_docs,
     standard_aux_spec,
     standard_spec,
-    verify,
     write_corpus,
 )
+
+from oracles import verify
 
 
 def small_spec(**kw):

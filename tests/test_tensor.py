@@ -36,7 +36,6 @@ from xmtc.tensor import (
 )
 
 from oracles import (
-    concat_then_conv,
     conv1d_keeping_padded,
     mul_dropout,
     naive_conv1d,
@@ -108,7 +107,7 @@ class TestConv1dDilated:
         x = Tensor(rng.standard_normal((6, 3)))
         filt = np.zeros((1, 3, 3))
         filt[0] = np.eye(3)
-        out = conv1d_dilated(x, Tensor(filt), dilation=1, padding=0)
+        out = conv1d_dilated(x, Tensor(filt), dilation=1)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_paper_padding_formula(self):
@@ -118,14 +117,23 @@ class TestConv1dDilated:
         x = Tensor(np.zeros((4, 1)))
         f = Tensor(np.zeros((3, 1, 1)))
         with pytest.raises(ValueError):
-            conv1d_dilated(x, f, dilation=0, padding=2)
+            conv1d_dilated(x, f, dilation=0)
+
+    @pytest.mark.parametrize("x_shape, f_shape", [
+        ((5, 2), (4, 2, 3)),
+        ((0, 2), (3, 2, 3)),
+        ((5, 2), (3, 1, 3)),
+    ], ids=["even_k", "empty_x", "d_in_mismatch"])
+    def test_shape_errors(self, x_shape, f_shape):
+        with pytest.raises(ShapeError):
+            conv1d_dilated(Tensor(np.zeros(x_shape)), Tensor(np.zeros(f_shape)), 1)
 
     def test_small_case_matches_sliding_window_oracle(self):
-        # x=[1,2,3,4], K=3, r=2, p=2, all-ones filter.  Expected values were
-        # computed with the naive oracle and frozen here.
+        # x=[1,2,3,4], K=3, r=2, so 2 zeros of padding, all-ones filter.
+        # Expected values were computed with the naive oracle and frozen here.
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         filt = np.ones((3, 1, 1))
-        out = conv1d_dilated(Tensor(x), Tensor(filt), dilation=2, padding=2)
+        out = conv1d_dilated(Tensor(x), Tensor(filt), dilation=2)
         expect = naive_conv1d(x, filt, dilation=2, padding=2)
         np.testing.assert_array_equal(out.data, expect)
         np.testing.assert_array_equal(out.data[:, 0], [4.0, 6.0, 4.0, 6.0])
@@ -141,7 +149,7 @@ class TestConv1dDilated:
             p = same_padding(k, r)
             x = rng.standard_normal((n, d_in))
             f = rng.standard_normal((k, d_in, d_out))
-            out = conv1d_dilated(Tensor(x), Tensor(f), dilation=r, padding=p)
+            out = conv1d_dilated(Tensor(x), Tensor(f), dilation=r)
             np.testing.assert_allclose(
                 out.data, naive_conv1d(x, f, r, p), rtol=1e-12, atol=1e-12
             )
@@ -154,7 +162,7 @@ class TestConv1dDilated:
                 for n in (1, 2, 17):
                     x = Tensor(rng.standard_normal((n, 2)))
                     f = Tensor(rng.standard_normal((k, 2, 2)))
-                    out = conv1d_dilated(x, f, dilation=r, padding=same_padding(k, r))
+                    out = conv1d_dilated(x, f, dilation=r)
                     assert out.shape == (n, 2)
 
     def test_gradients(self):
@@ -162,7 +170,7 @@ class TestConv1dDilated:
         x = param(rng, 7, 3)
         f = param(rng, 3, 3, 2)
         report = grad_check(
-            lambda x_, f_: conv1d_dilated(x_, f_, dilation=2, padding=2), [x, f], tol=1e-6
+            lambda x_, f_: conv1d_dilated(x_, f_, dilation=2), [x, f], tol=1e-6
         )
         assert report.passed, report
 
@@ -178,7 +186,7 @@ class TestConv1dDilated:
         try:
             with GradTape():
                 before = tracemalloc.get_traced_memory()[0]
-                out = conv1d_dilated(x, f, dilation=1, padding=same_padding(k, 1))
+                out = conv1d_dilated(x, f, dilation=1)
                 held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -186,59 +194,32 @@ class TestConv1dDilated:
         assert held <= out.data.nbytes + 16 * 1024, (held, out.data.nbytes)
 
 
-def _conv_run(conv, x, filters, rate, k, probe):
-    """Output, input gradient and filter gradients of one conv under a
-    tape, contracted against ``probe``."""
-    for t in (x, *filters):
-        t.zero_grad()
-    with GradTape() as tape:
-        out = conv(x, filters, rate, same_padding(k, rate))
-        tape.backward(tensor_sum(mul(out, Tensor(probe))))
-    return [out.data, x.grad, *(f.grad for f in filters)]
-
-
-class TestConvFilterSequence:
-    """A sequence of filters runs side by side as one product, its stacked
-    copy never a tape node.  It must be bit-equal to the filters stacked by a
-    ``concat`` node and fed to the conv that keeps its padded input, and a
-    single filter bit-equal to that conv alone."""
+class TestConvBitEqual:
+    """The conv that keeps neither its padded input nor its window buffer
+    must be bit-equal to the one that keeps the padded input, forward and
+    backward."""
 
     @pytest.mark.parametrize("k", [1, 3, 9])
     @pytest.mark.parametrize("rates", [(1, 2, 4), (2, 5, 9)])
     @pytest.mark.parametrize("n", [1, 7, 200])
-    def test_bit_equal_to_concat_then_conv(self, k, rates, n):
+    def test_bit_equal_to_conv_keeping_padded(self, k, rates, n):
         rng = np.random.default_rng(k * 1000 + rates[0] * 100 + n)
-        d = 4
-        x = param(rng, n, d)
-        filters = (param(rng, k, d, 5), param(rng, k, d, 3), param(rng, k, d, 2))
+        x, f = param(rng, n, 4), param(rng, k, 4, 5)
         for rate in rates:
-            probe = rng.standard_normal((n, 10))
-            got = _conv_run(conv1d_dilated, x, filters, rate, k, probe)
-            want = _conv_run(concat_then_conv, x, filters, rate, k, probe)
-            for name, a, b in zip(["out", "x", "f0", "f1", "f2"], got, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, rate)
-            got = _conv_run(lambda x_, fs, r, p: conv1d_dilated(x_, fs[0], r, p),
-                            x, filters[:1], rate, k, probe[:, :5])
-            want = _conv_run(lambda x_, fs, r, p: conv1d_keeping_padded(x_, fs[0], r, p),
-                             x, filters[:1], rate, k, probe[:, :5])
-            for name, a, b in zip(["out", "x", "f0"], got, want):
+            probe = Tensor(rng.standard_normal((n, 5)))
+
+            def run(out_of):
+                x.zero_grad()
+                f.zero_grad()
+                with GradTape() as tape:
+                    out = out_of(x, f)
+                    tape.backward(tensor_sum(mul(out, probe)))
+                return out.data, x.grad, f.grad
+
+            got = run(lambda x_, f_: conv1d_dilated(x_, f_, rate))
+            want = run(lambda x_, f_: conv1d_keeping_padded(x_, f_, rate, same_padding(k, rate)))
+            for name, a, b in zip(["out", "x", "f"], got, want):
                 assert a.tobytes() == b.tobytes(), (name, rate)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(16)
-        x = param(rng, 7, 3)
-        f, g = param(rng, 3, 3, 2), param(rng, 3, 3, 4)
-        report = grad_check(
-            lambda x_, f_, g_: conv1d_dilated(x_, (f_, g_), dilation=2, padding=2),
-            [x, f, g], tol=1e-6,
-        )
-        assert report.passed, report
-
-    def test_filters_must_share_taps_and_input_channels(self):
-        x = Tensor(np.zeros((5, 2)))
-        for other in ((5, 2, 2), (3, 1, 2)):
-            with pytest.raises(ShapeError):
-                conv1d_dilated(x, (Tensor(np.zeros((3, 2, 2))), Tensor(np.zeros(other))), 1, 1)
 
 
 class TestDropout:
