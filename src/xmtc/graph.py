@@ -7,10 +7,11 @@ embeddings, so gradients can flow from the label representations back into
 the shared embedding table.
 
 At paper scale (thousands of labels) the label statistics and operators are
-almost all zeros, so they are kept sparse.  ``count_pairs`` counts the
-(row, column) pairs that occur, for the label graph here and for the
-auxiliary-code tables of ``mask``; the probabilities are numpy arrays over
-those pairs, and the graph keeps only its edges.  The descriptor average
+almost all zeros, so they are kept sparse.  ``conditional_pairs`` gives
+P(column | row) over the (row, column) pairs that occur, for the label
+graph here, for the auxiliary-code tables of ``mask`` and for the
+generator's rejection pass in ``synth``; the probabilities are numpy arrays
+over those pairs, and the graph keeps only its edges.  The descriptor average
 and the propagation matrix are CSR.  ``scipy.sparse`` is imported where a
 CSR is built, so building and saving a graph loads no scipy.  The
 adjacency is a dense bool [L, L] array, one byte per label pair (81 MB at
@@ -64,10 +65,12 @@ class CooccurrenceGraph:
         return normalize_adjacency(self.adjacency)
 
 
-def count_pairs(row_lists, col_lists, num_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each distinct (row id, column id) pair, the number of documents
-    that hold both; returns (rows, cols, counts) as int64 arrays sorted by
-    row, then column.
+def conditional_pairs(row_lists, col_lists,
+                      num_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(column | row) of each distinct (row id, column id) pair that occurs:
+    the number of documents that hold both, divided by the number that hold
+    the row id.  Returns (rows, cols, p), with int64 ids and float64
+    probabilities, sorted by row, then column.
 
     Document k holds the ids in ``row_lists[k]`` and ``col_lists[k]``; each
     list must hold distinct ids, and column ids must lie in [0, num_cols).
@@ -86,7 +89,9 @@ def count_pairs(row_lists, col_lists, num_cols: int) -> tuple[np.ndarray, np.nda
     col_at = np.repeat(first - starts, width) + np.arange(int(width.sum()))
     keys, counts = np.unique(np.repeat(rows, width) * num_cols + cols[col_at],
                              return_counts=True)
-    return *np.divmod(keys, num_cols), counts
+    pair_rows, pair_cols = np.divmod(keys, num_cols)
+    # divide, not multiply by a reciprocal, which can put a ratio of 1 below 1
+    return pair_rows, pair_cols, counts / np.bincount(rows)[pair_rows]
 
 
 def conditional_probabilities(
@@ -94,14 +99,11 @@ def conditional_probabilities(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P(j | i) of every label pair (i, j) that occurs together in
     ``train_docs``, the diagonal included, as (values, rows, cols) sorted by
-    row, then column.  Labels never seen have no entries."""
+    row, then column: ``conditional_pairs`` with labels as both rows and
+    columns.  Labels never seen have no entries."""
     label_lists = [doc.label_ids(num_labels) for doc in train_docs]
-    rows, cols, joint = count_pairs(label_lists, label_lists, num_labels)
-    single = np.zeros(num_labels, dtype=np.int64)
-    diagonal = rows == cols
-    single[rows[diagonal]] = joint[diagonal]
-    # divide, not multiply by a reciprocal, which can put a ratio of 1 below 1
-    return joint / single[rows], rows, cols
+    rows, cols, p = conditional_pairs(label_lists, label_lists, num_labels)
+    return p, rows, cols
 
 
 def build_cooccurrence(

@@ -9,7 +9,6 @@ codes.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 from .config import config_stamp
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
 from .errors import DataError, ShapeError, read_text
-from .graph import count_pairs
+from .graph import conditional_pairs
 from .tensor import Tensor, mul
 
 logger = logging.getLogger(__name__)
@@ -72,11 +71,7 @@ def build_mask_index(
         code_rows = [[row_of.setdefault(code, len(row_of))
                       for code in dict.fromkeys(doc.aux_codes.get(term, ()))]
                      for doc in train_docs]
-        rows, label, counts = count_pairs(code_rows, label_lists, num_labels)
-        # the number of records that list each code
-        totals = np.bincount(np.fromiter(itertools.chain.from_iterable(code_rows),
-                                         dtype=np.int64), minlength=len(row_of))
-        p = counts / totals[rows]
+        rows, label, p = conditional_pairs(code_rows, label_lists, num_labels)
         bounds = np.searchsorted(rows, np.arange(len(row_of) + 1))
         probs[term] = {code: (label[bounds[row]:bounds[row + 1]], p[bounds[row]:bounds[row + 1]])
                        for code, row in row_of.items() if bounds[row] < bounds[row + 1]}
@@ -175,8 +170,9 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
     """Load a saved index with its saved tau; returns (index, config_hash).
     A malformed line, a ``tau`` outside [0, 1), a probability that is not a
     number in [0, 1] or a label code absent from ``catalog`` is a
-    ``DataError`` naming the file and line; a file with no lines is one
-    naming the file."""
+    ``DataError`` naming the file and line.  A file with no lines, or one
+    that lacks any of the three section lines ``save_mask_index`` always
+    writes, is one naming the file (and the first missing section)."""
     lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty mask index file")
@@ -190,7 +186,7 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
                 raise DataError(f"{path}:1: malformed header field {part!r}") from None
             if not 0.0 <= saved_tau < 1.0:
                 raise DataError(f"{path}:1: tau {part[len('tau='):]!r} outside [0, 1)")
-    entries: dict[str, dict[str, dict[int, float]]] = {t: {} for t in TERMINOLOGIES}
+    entries: dict[str, dict[str, dict[int, float]]] = {}
     term = None
     for ln, line in enumerate(lines[header:], start=1 + header):
         if not line.strip():
@@ -199,6 +195,7 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
             term = line[1:-1]
             if term not in TERMINOLOGIES:
                 raise DataError(f"{path}:{ln}: unknown terminology {term!r}")
+            entries.setdefault(term, {})
             continue
         if term is None:
             raise DataError(f"{path}:{ln}: entry before any terminology section")
@@ -214,10 +211,13 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
         if label_code not in catalog.code_to_id:
             raise DataError(f"{path}:{ln}: label code {label_code!r} not in the catalog")
         entries[term].setdefault(code, {})[catalog.code_to_id[label_code]] = prob
+    missing = [term for term in TERMINOLOGIES if term not in entries]
+    if missing:
+        raise DataError(f"{path}: no [{missing[0]}] section")
     probs = {
         term: {code: (np.array(sorted(row)),
                       np.array([row[lab] for lab in sorted(row)]))
-               for code, row in per_term.items()}
-        for term, per_term in entries.items()
+               for code, row in entries[term].items()}
+        for term in TERMINOLOGIES
     }
     return AuxMaskIndex(num_labels=len(catalog), tau=saved_tau, probs=probs), config_stamp(lines)

@@ -16,14 +16,14 @@ edges exactly the planted cliques.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
 from .errors import ConfigError, DataError
-from .graph import conditional_probabilities
+from .graph import conditional_pairs
+from .mask import build_mask_index
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -275,37 +275,25 @@ def generate(spec: GeneratorSpec) -> tuple[list[dict], LabelCatalog, GroundTruth
         codes=[_label_code(i) for i in range(spec.num_labels)],
         descriptors=[" ".join(factory.keywords[i]) for i in range(spec.num_labels)],
     )
-    truth = _ground_truth(docs, spec, factory)
+    truth = _ground_truth(docs, label_sets, spec, factory)
     return docs, catalog, truth
 
 
 def _accidental_sources(label_sets, spec: GeneratorSpec) -> list[int]:
     """Labels i with P(j | i) = 1 for a label j outside their own clique."""
-    records = [DocumentRecord(doc_id=str(row), tokens=[], labels=labels)
-               for row, labels in enumerate(label_sets)]
-    values, rows, cols = conditional_probabilities(records, spec.num_labels)
+    label_lists = [sorted(labels) for labels in label_sets]
+    rows, cols, p = conditional_pairs(label_lists, label_lists, spec.num_labels)
     group = np.arange(spec.num_labels)  # a clique's members share its first one's id
     for clique in spec.cliques:
         group[list(clique)] = clique[0]
-    return np.unique(rows[(values >= 1.0) & (group[rows] != group[cols])]).tolist()
+    return np.unique(rows[(p >= 1.0) & (group[rows] != group[cols])]).tolist()
 
 
-def _aux_tables(docs: list[dict]) -> dict[str, dict[str, dict[str, float]]]:
-    """Empirical P(label | code) per terminology: of the documents listing a
-    code, the share that carries each label."""
-    code_counts = {t: Counter() for t in TERMINOLOGIES}
-    pair_counts: dict[str, dict[str, Counter]] = {t: {} for t in TERMINOLOGIES}
-    for doc in docs:
-        for term in TERMINOLOGIES:
-            for code in doc.get(term, ()):
-                code_counts[term][code] += 1
-                pair_counts[term].setdefault(code, Counter()).update(set(doc.get("labels", ())))
-    return {term: {code: {lab: cnt / code_counts[term][code] for lab, cnt in rows.items()}
-                   for code, rows in pair_counts[term].items()}
-            for term in TERMINOLOGIES}
-
-
-def _ground_truth(docs, spec: GeneratorSpec, factory: _DocFactory) -> GroundTruth:
+def _ground_truth(docs, label_sets, spec: GeneratorSpec, factory: _DocFactory) -> GroundTruth:
+    # empirical P(label | code): the mask index counted over every document
+    records = [DocumentRecord(doc_id=doc["doc_id"], tokens=[], labels=labels,
+                              aux_codes={t: tuple(doc[t]) for t in TERMINOLOGIES})
+               for doc, labels in zip(docs, label_sets)]
     return GroundTruth(
         doc_labels={doc["doc_id"]: tuple(doc["labels"]) for doc in docs},
         cliques=tuple(tuple(_label_code(m) for m in c) for c in spec.cliques),
@@ -314,7 +302,9 @@ def _ground_truth(docs, spec: GeneratorSpec, factory: _DocFactory) -> GroundTrut
                    for code, (labels, _) in sorted(spec.aux_spec.get(term, {}).items())}
             for term in TERMINOLOGIES
         },
-        aux_tables=_aux_tables(docs),
+        aux_tables={term: {code: dict(zip(map(_label_code, ids.tolist()), p.tolist()))
+                           for code, (ids, p) in per_term.items()}
+                    for term, per_term in build_mask_index(records, spec.num_labels).probs.items()},
         label_weights={_label_code(i): float(factory.weights[i])
                        for i in range(spec.num_labels)},
     )

@@ -9,11 +9,14 @@ dropout masks and stacked filters) and the tape's node plumbing.  The
 label statistics and the auxiliary-code tables are counted here twice: by
 recount (``conditional_prob_matrix``, ``recount_aux_tables``) and
 through CSR products (``csr_cooccurrence``, ``csr_mask_tables``); src
-counts both with one ``graph.count_pairs``.  ``verify`` audits a synthetic
-corpus against the ground truth its generator planted.
+gets both from one ``graph.conditional_pairs``.  ``verify`` audits a
+synthetic corpus against the ground truth its generator planted, with its
+own recount of the auxiliary-code tables (``recount_raw_aux_tables``),
+since the generator takes them from ``mask.build_mask_index``.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,6 +323,26 @@ def recount_aux_tables(docs, num_labels):
     return tables
 
 
+def recount_raw_aux_tables(docs):
+    """Empirical P(label | code) of raw generator documents (dicts with
+    label codes), by ``Counter`` recount: of the documents listing a code,
+    the share that carries each label.  Returns {terminology: {code:
+    {label code: probability}}}, the layout of ``GroundTruth.aux_tables``.
+    """
+    from xmtc.corpus import TERMINOLOGIES
+
+    code_counts = {t: Counter() for t in TERMINOLOGIES}
+    pair_counts = {t: {} for t in TERMINOLOGIES}
+    for doc in docs:
+        for term in TERMINOLOGIES:
+            for code in doc.get(term, ()):
+                code_counts[term][code] += 1
+                pair_counts[term].setdefault(code, Counter()).update(set(doc.get("labels", ())))
+    return {term: {code: {lab: cnt / code_counts[term][code] for lab, cnt in rows.items()}
+                   for code, rows in pair_counts[term].items()}
+            for term in TERMINOLOGIES}
+
+
 def f1_from_confusion(gold, pred):
     """Micro and macro F1 via explicit confusion-matrix counts.
 
@@ -585,7 +608,6 @@ def verify(docs, truth):
     empirical conditional tables, which must match exactly.
     """
     from xmtc.corpus import TERMINOLOGIES
-    from xmtc.synth import _aux_tables
 
     flagged: set[str] = set()
     problems: list[str] = []
@@ -620,14 +642,13 @@ def verify(docs, truth):
                     flagged.add(doc_id)
                     problems.append(f"{doc_id}: {term} code {code} fired without its labels")
 
-    for term, recomputed in _aux_tables(known).items():
+    for term, recomputed in recount_raw_aux_tables(known).items():
         expected_tables = truth.aux_tables.get(term, {})
         if set(recomputed) != set(expected_tables):
             problems.append(f"{term}: code set differs from ground truth")
         else:
             for code, rows in recomputed.items():
-                exp = expected_tables[code]
-                if set(rows) != set(exp) or any(abs(rows[k] - exp[k]) > 1e-12 for k in rows):
+                if rows != expected_tables[code]:
                     problems.append(f"{term}/{code}: conditional table differs from ground truth")
 
     return VerifyReport(passed=not flagged and not problems,

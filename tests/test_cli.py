@@ -486,6 +486,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'work' / 'mask_index.tsv'}: empty mask index file" in err
 
+    def test_header_only_mask_index_is_exit_3(self, pipeline, tmp_path, capsys):
+        """A file cut after its header line has no section lines, so it is
+        not read as an index with no codes."""
+        _, _, work, cfg = pipeline
+        assert _evaluate_copy(work, cfg, tmp_path, "mask_index.tsv",
+                              lambda raw: raw.splitlines(keepends=True)[0]) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'work' / 'mask_index.tsv'}: no [drg] section" in err
+
     def test_checkpoint_with_level0_and_residual_apart_is_exit_2(self, pipeline, tmp_path,
                                                                  capsys):
         """A checkpoint that stores a block's level-0 and residual filters as

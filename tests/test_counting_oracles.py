@@ -1,10 +1,11 @@
 """The set-up pair counter against a double loop, and the numpy set-up
 counters against the CSR counting they replaced.
 
-``graph.count_pairs`` counts label pairs for the co-occurrence graph and
-(code, label) pairs for the mask index; ``oracles.csr_cooccurrence`` and
-``oracles.csr_mask_tables`` count the same corpora through sparse products.
-Every count and every probability must be equal, not merely close.
+``graph.conditional_pairs`` gives P(column | row) of label pairs for the
+co-occurrence graph and of (code, label) pairs for the mask index;
+``oracles.csr_cooccurrence`` and ``oracles.csr_mask_tables`` count the same
+corpora through sparse products.  Every count and every probability must be
+equal, not merely close.
 """
 
 from dataclasses import fields
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmtc.corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
-from xmtc.graph import (build_cooccurrence, conditional_probabilities, count_pairs,
+from xmtc.graph import (build_cooccurrence, conditional_pairs, conditional_probabilities,
                         load_graph, save_graph)
 from xmtc.mask import build_mask_index, load_mask_index, save_mask_index
 
@@ -91,30 +92,32 @@ def over_corpora_alone(test):
     return settings(max_examples=150, deadline=None)(given(corpus=corpora())(test))
 
 
-def assert_counts_equal_double_loop(row_lists, col_lists, num_cols):
-    rows, cols, counts = count_pairs(row_lists, col_lists, num_cols)
-    expect = {}
+def assert_pairs_equal_double_loop(row_lists, col_lists, num_cols):
+    rows, cols, p = conditional_pairs(row_lists, col_lists, num_cols)
+    expect, docs_of = {}, {}
     for row_ids, col_ids in zip(row_lists, col_lists):
         for r in row_ids:
+            docs_of[r] = docs_of.get(r, 0) + 1
             for c in col_ids:
                 expect[r, c] = expect.get((r, c), 0) + 1
-    assert rows.dtype == cols.dtype == counts.dtype == np.int64
+    assert rows.dtype == cols.dtype == np.int64
+    assert p.dtype == np.float64
     assert list(zip(rows.tolist(), cols.tolist())) == sorted(expect)
-    assert counts.tolist() == [expect[pair] for pair in sorted(expect)]
+    assert p.tolist() == [expect[r, c] / docs_of[r] for r, c in sorted(expect)]
 
 
 @over_corpora_alone
-def test_count_pairs_equals_double_loop(corpus):
+def test_conditional_pairs_equals_double_loop(corpus):
     """Both uses of the counter: label x label for the graph, and each
     record's distinct codes x its labels for the mask index."""
     num_labels, docs = corpus
     label_lists = [doc.label_ids(num_labels) for doc in docs]
-    assert_counts_equal_double_loop(label_lists, label_lists, num_labels)
+    assert_pairs_equal_double_loop(label_lists, label_lists, num_labels)
     for term in TERMINOLOGIES:
         row_of = {}
         code_rows = [[row_of.setdefault(code, len(row_of))
                       for code in dict.fromkeys(doc.aux_codes[term])] for doc in docs]
-        assert_counts_equal_double_loop(code_rows, label_lists, num_labels)
+        assert_pairs_equal_double_loop(code_rows, label_lists, num_labels)
 
 
 @over_corpora

@@ -1,5 +1,7 @@
 """Every module-level import in the package is read by its module, and
-every function, class and method it defines is read somewhere in it.
+every function, class and method it defines is read somewhere in it.  The
+test oracles import no private name of the package but the tape's node
+plumbing, so they cannot check a function against itself.
 
 Standard library only: the checks parse each source file with ``ast``.
 An import line marked ``# noqa: F401`` is exempt, and a name listed in
@@ -14,6 +16,8 @@ import pytest
 import xmtc
 
 SOURCES = sorted(Path(xmtc.__file__).resolve().parent.glob("*.py"))
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TAPE_PLUMBING = {"_make", "_accumulate"}  # allowed by the oracles' docstring
 
 
 def unused_imports(source: str) -> list[str]:
@@ -95,3 +99,28 @@ def test_every_definition_is_read_in_the_package():
 ])
 def test_definition_checker_finds_only_unread_names(sources, unread):
     assert unread_definitions(sources) == unread
+
+
+def private_package_imports(source: str) -> list[str]:
+    """The private (``_``-prefixed) names that ``source`` imports from the
+    ``xmtc`` package, at any depth, other than the tape plumbing."""
+    return [f"line {node.lineno}: {node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "xmtc"
+            for alias in node.names
+            if alias.name.startswith("_") and alias.name not in TAPE_PLUMBING]
+
+
+def test_oracles_import_no_private_package_name():
+    assert private_package_imports(ORACLES.read_text()) == []
+
+
+@pytest.mark.parametrize("source, private", [
+    ("def f():\n    from xmtc.synth import _aux_tables\n",
+     ["line 2: xmtc.synth._aux_tables"]),
+    ("from xmtc.tensor import _accumulate, _make, add\n", []),
+    ("from xmtc import _x as y, z\n", ["line 1: xmtc._x"]),
+    ("from xmtcx.a import _b\nfrom other import _c\nimport xmtc\n", []),
+])
+def test_private_import_checker_finds_only_private_names(source, private):
+    assert private_package_imports(source) == private

@@ -242,6 +242,26 @@ class TestMaskIndexIO:
         with pytest.raises(DataError, match=f"mask.tsv:{line}:"):
             load_mask_index(path, catalog)
 
+    def test_index_without_entries_roundtrips(self, tmp_path):
+        catalog = LabelCatalog(["c0"], ["x"])
+        path = tmp_path / "mask.tsv"
+        save_mask_index(build_mask_index([], 1, tau=0.2), catalog, path)
+        loaded, _ = load_mask_index(path, catalog)
+        assert loaded.tau == 0.2
+        assert loaded.probs == {term: {} for term in ("drg", "cpt", "drugs")}
+
+    @pytest.mark.parametrize("body, section", [
+        ("", "drg"),
+        ("[drg]\nD\tc0\t0.5\n[cpt]\n", "drugs"),
+        ("[drugs]\n[drg]\n", "cpt"),
+    ], ids=["header-only", "no-drugs", "no-cpt"])
+    def test_missing_section_is_data_error(self, tmp_path, body, section):
+        """``save_mask_index`` writes every section line, so a file without
+        one was cut short or edited."""
+        path = tmp_path / "mask.tsv"
+        path.write_text("# xmtc-mask-index v1 config=ab tau=0.1\n" + body)
+        with pytest.raises(DataError, match=rf"mask.tsv: no \[{section}\] section"):
+            load_mask_index(path, LabelCatalog(["c0"], ["x"]))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

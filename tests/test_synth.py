@@ -19,7 +19,7 @@ from xmtc.synth import (
     write_corpus,
 )
 
-from oracles import verify
+from oracles import recount_raw_aux_tables, verify
 
 
 def small_spec(**kw):
@@ -140,6 +140,19 @@ class TestVerify:
         report = verify(tampered, truth)
         assert not report.passed
         assert report.flagged_docs == [victim["doc_id"]]
+
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        small_spec(seed=5, emit_prob=0.5, silent_per_clique=1),
+        standard_spec(num_labels=20, num_docs=120, seed=9),
+    ], ids=["small", "half-emitted", "cli-corpus"])
+    def test_aux_tables_equal_counter_recount(self, spec):
+        """The ground truth's P(label | code), which the generator takes from
+        the mask index, equals an independent recount exactly."""
+        docs, _, truth = generate(spec)
+        assert truth.aux_tables == recount_raw_aux_tables(docs)
+        assert any(0.0 < p < 1.0 for per_term in truth.aux_tables.values()
+                   for row in per_term.values() for p in row.values())
 
     def test_aux_spec_vocabulary(self):
         spec = standard_aux_spec(4, emit_prob=0.5)
