@@ -11,7 +11,7 @@ from xmtc.corpus import build_vocab, encode_documents, preprocess
 from xmtc.embeddings import train_skipgram
 from xmtc.graph import (
     build_cooccurrence,
-    conditional_probabilities,
+    conditional_pairs,
     descriptor_average_matrix,
     gcn_forward,
     init_gcn_params,
@@ -32,7 +32,8 @@ print("=" * 60)
 graph = build_cooccurrence(train_docs, len(catalog), lam=1.0)
 print(f"labels {graph.num_labels}, edges above diagonal {graph.pair_count}")
 print("planted cliques:", spec.cliques)
-values, rows, cols = conditional_probabilities(train_docs, len(catalog))
+label_lists = [doc.label_ids(len(catalog)) for doc in train_docs]
+rows, cols, values = conditional_pairs(label_lists, label_lists, len(catalog))
 cond = dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))  # absent pairs: 0
 i, j = spec.cliques[0][0], spec.cliques[0][1]
 print(f"P({catalog.codes[j]} | {catalog.codes[i]}) = {cond.get((i, j), 0.0):.3f} "

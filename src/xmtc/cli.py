@@ -9,11 +9,15 @@
     xmtc predict       --workdir WORK --config C --input DOCS.jsonl [--attention-out H.jsonl]
     xmtc ablate        --workdir WORK --config C [--variants full,no_mask,...]
 
-Every subcommand writes its artifacts plus a manifest recording the
-configuration hash and input hashes.  Artifacts stamped with a different
-configuration hash are refused.  Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numerical divergence, 1 any other error (an output
-path that cannot be written, say).
+Every subcommand writes its artifacts plus ``manifest_<subcommand>.json``,
+which records the configuration hash and the sha256 of every file it read
+and wrote.  A work-directory artifact is read only when the manifest of the
+subcommand that wrote it records that file, under the current
+configuration, from the same versions of the files the reader also reads.
+Exit codes: 0 success, 2 configuration error (a stale artifact included),
+3 data error (a missing or malformed manifest, or a file its manifest does
+not record, included), 4 numerical divergence, 1 any other error (an
+output path that cannot be written, say).
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import sys
 from pathlib import Path
 
 from . import attention, corpus, embeddings, graph, mask, model, synth, training
-from .config import config_hash, load_run_config
-from .errors import ConfigError, DataError, DivergenceError, StalenessError, XmtcError
+from .config import check_variants, config_hash, load_run_config
+from .errors import (ConfigError, DataError, DivergenceError, StalenessError, XmtcError,
+                     read_text)
 from .metrics import top_k_labels
 
 ARTIFACTS = {
@@ -56,17 +61,32 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(workdir: Path, command: str, cfg_hash: str,
-                    inputs: list[Path], outputs: list[Path]) -> None:
+                    inputs: dict[Path, str | None], outputs: list[Path]) -> None:
+    """``inputs`` maps each file read to its sha256, or to None to hash it here."""
     manifest = {"command": command, "config_hash": cfg_hash,
-                "inputs": {str(p): _sha256(p) for p in inputs},
+                "inputs": {str(p): digest or _sha256(p) for p, digest in inputs.items()},
                 "outputs": {p.name: _sha256(p) for p in outputs}}
     path = workdir / f"manifest_{command}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _read_manifest(workdir: Path, producer: str) -> dict:
+    """``workdir``'s ``manifest_<producer>.json``; a missing or malformed one
+    is a ``DataError`` naming it."""
+    path = workdir / f"manifest_{producer}.json"
+    try:
+        made = json.loads(read_text(path))
+        if not (isinstance(made["config_hash"], str) and isinstance(made["inputs"], dict)
+                and isinstance(made["outputs"], dict)):
+            raise TypeError
+    except (ValueError, TypeError, KeyError):
+        raise DataError(f"{path}: malformed manifest; re-run 'xmtc {producer}'") from None
+    return made
+
+
 class _Stage:
     """One subcommand: its configuration (``--seed`` overrides it), the
-    config hash, the work directory and the paths of every file it reads."""
+    config hash, the work directory and every file it reads."""
 
     def __init__(self, args):
         overrides = {} if args.seed_override is None else {"seed": str(args.seed_override)}
@@ -74,33 +94,44 @@ class _Stage:
         self.hash = config_hash(self.cfg)
         self.workdir = Path(args.workdir)
         self.command = args.command
-        self.inputs: list[Path] = []
+        self.inputs: dict[Path, str | None] = {}  # each file read -> its sha256, once taken
+        # (file name, sha256, artifact, producer) for each input that the
+        # manifest of an artifact's producer records
+        self.sources: list[tuple[str, str, Path, str]] = []
 
     def read(self, path):
         """Record the input ``path`` and return it."""
-        self.inputs.append(Path(path))
+        self.inputs.setdefault(Path(path), None)
         return path
 
-    def artifact(self, name: str) -> Path:
-        """The recorded path of the work-directory artifact ``name``."""
-        path = self.workdir / ARTIFACTS[name]
-        if not path.exists():
-            raise DataError(f"missing artifact {path.name}; "
-                            f"run 'xmtc {PRODUCERS.get(name, 'preprocess')}' first")
-        return self.read(path)
-
     def load(self, name: str, loader, *args):
-        """The artifact ``name`` through ``loader(path, *args)``, which also
-        returns its config stamp; a stamp from another config is refused."""
-        path = self.artifact(name)
-        loaded, found = loader(path, *args)
-        self.check(found, path)
+        """The work-directory artifact ``name`` through ``loader(path, *args)``,
+        refused unless its producer's manifest records this file, under this
+        config, from the same versions of the files this stage reads."""
+        path = self.workdir / ARTIFACTS[name]
+        producer = PRODUCERS.get(name, "preprocess")
+        if not path.exists():
+            raise DataError(f"missing artifact {path.name}; run 'xmtc {producer}' first")
+        loaded = loader(path, *args)
+        digest = self.inputs[path] = _sha256(path)
+        made = _read_manifest(self.workdir, producer)
+        if made["config_hash"] != self.hash:
+            raise StalenessError(f"{path} was built under config {made['config_hash']}, current "
+                                 f"config is {self.hash}; re-run 'xmtc {producer}'")
+        if made["outputs"].get(path.name) != digest:
+            raise DataError(f"{path} is not the file manifest_{producer}.json records; "
+                            f"re-run 'xmtc {producer}'")
+        # preprocess reads raw files, the other producers work-directory
+        # artifacts only, which the file name then identifies
+        if producer != "preprocess":
+            self.sources += [(Path(source).name, recorded, path, producer)
+                             for source, recorded in made["inputs"].items()]
+        taken = {p.name: h for p, h in self.inputs.items() if h}
+        for file, recorded, artifact, maker in self.sources:
+            if taken.get(file, recorded) != recorded:
+                raise StalenessError(f"{artifact} was built from another {file} than this "
+                                     f"stage reads; re-run 'xmtc {maker}'")
         return loaded
-
-    def check(self, found: str, path: Path) -> None:
-        if found and found != self.hash:
-            raise StalenessError(f"{path} was built under config {found}, current config is "
-                                 f"{self.hash}; re-run the producing subcommand")
 
     def splits(self, vocab, catalog, *names: str) -> list:
         return [self.load(name, corpus.load_encoded, len(vocab), len(catalog)) for name in names]
@@ -111,20 +142,16 @@ class _Stage:
 
 def _load_stage(stage: _Stage):
     """The catalog, vocabulary, graph and mask index every model stage reads."""
-    catalog = corpus.LabelCatalog.load_tsv(stage.artifact("catalog"))
+    catalog = stage.load("catalog", corpus.LabelCatalog.load_tsv)
     vocab = stage.load("vocab", corpus.Vocabulary.load)
     g = stage.load("graph", graph.load_graph, len(catalog))
-    index = stage.load("mask_index", mask.load_mask_index, catalog)
+    index, _ = stage.load("mask_index", mask.load_mask_index, catalog)
     return catalog, vocab, g, index
 
 
 def _restore_model(stage: _Stage):
     catalog, vocab, g, index = _load_stage(stage)
-    path = stage.artifact("checkpoint")
-    params, manifest = training.load_checkpoint(path)
-    stage.check(manifest["config_hash"], path)
-    if manifest["vocab_hash"] != _sha256(stage.workdir / ARTIFACTS["vocab"]):
-        raise StalenessError(f"{path} was trained on a different vocab.txt; re-run 'xmtc train'")
+    params, manifest = stage.load("checkpoint", training.load_checkpoint)
     m = model.model_from_config(stage.cfg, vocab, catalog, g, variant=manifest["variant"])
     m.params.load_arrays(params)
     return m, catalog, vocab, index
@@ -152,7 +179,7 @@ def cmd_gen_synthetic(args) -> None:
         path = workdir / f"{name}.jsonl"
         synth.write_corpus(part, path)
         split_paths.append(path)
-    _write_manifest(workdir, "gen-synthetic", "", [],
+    _write_manifest(workdir, "gen-synthetic", "", {},
                     [corpus_path, catalog_path, truth_path, *split_paths])
     print(f"generated {len(docs)} documents, {args.labels} labels -> {workdir}")
 
@@ -176,11 +203,11 @@ def cmd_preprocess(args) -> None:
     catalog_path = workdir / ARTIFACTS["catalog"]
     catalog.save_tsv(catalog_path)
     vocab_path = workdir / ARTIFACTS["vocab"]
-    vocab.save(vocab_path, config_hash=stage.hash)
+    vocab.save(vocab_path)
 
     if cfg.embedding_path:
-        table, _ = embeddings.load_embeddings(stage.read(cfg.embedding_path), vocab,
-                                              cfg.embedding_size, seed=cfg.seed)
+        table = embeddings.load_embeddings(stage.read(cfg.embedding_path), vocab,
+                                           cfg.embedding_size, seed=cfg.seed)
     else:
         table = embeddings.train_skipgram(
             [r.tokens for r in encoded["train"]],
@@ -192,12 +219,12 @@ def cmd_preprocess(args) -> None:
             seed=cfg.seed,
         )
     emb_path = workdir / ARTIFACTS["embeddings"]
-    embeddings.save_embeddings(table, vocab, emb_path, config_hash=stage.hash)
+    embeddings.save_embeddings(table, vocab, emb_path)
 
     outputs = [catalog_path, vocab_path, emb_path]
     for name, records in encoded.items():
         path = workdir / ARTIFACTS[name]
-        corpus.save_encoded(records, path, config_hash=stage.hash)
+        corpus.save_encoded(records, path)
         outputs.append(path)
     stage.write_manifest(outputs)
     print(f"preprocess: vocab {len(vocab)}, labels {len(catalog)} -> {workdir}")
@@ -205,12 +232,12 @@ def cmd_preprocess(args) -> None:
 
 def cmd_build_graph(args) -> None:
     stage = _Stage(args)
-    catalog = corpus.LabelCatalog.load_tsv(stage.artifact("catalog"))
+    catalog = stage.load("catalog", corpus.LabelCatalog.load_tsv)
     vocab = stage.load("vocab", corpus.Vocabulary.load)
     [train_docs] = stage.splits(vocab, catalog, "train")
     g = graph.build_cooccurrence(train_docs, len(catalog), lam=stage.cfg.lambda_)
     graph_path = stage.workdir / ARTIFACTS["graph"]
-    graph.save_graph(g, graph_path, config_hash=stage.hash)
+    graph.save_graph(g, graph_path)
     stage.write_manifest([graph_path])
     print(f"build-graph: {g.num_labels} labels, lambda={g.lam}, "
           f"{g.pair_count} co-occurrence pairs")
@@ -218,7 +245,7 @@ def cmd_build_graph(args) -> None:
 
 def cmd_build_mask(args) -> None:
     stage = _Stage(args)
-    catalog = corpus.LabelCatalog.load_tsv(stage.artifact("catalog"))
+    catalog = stage.load("catalog", corpus.LabelCatalog.load_tsv)
     vocab = stage.load("vocab", corpus.Vocabulary.load)
     [train_docs] = stage.splits(vocab, catalog, "train")
     index = mask.build_mask_index(train_docs, len(catalog), tau=stage.cfg.tau)
@@ -241,9 +268,8 @@ def cmd_train(args) -> None:
     result = training.train(train_docs, val_docs, m, index, cfg.train_config(), ks=cfg.p_at_k)
 
     ckpt_path = workdir / ARTIFACTS["checkpoint"]
-    vocab_hash = _sha256(workdir / ARTIFACTS["vocab"])
     training.save_checkpoint(ckpt_path, result.params_arrays, epoch=result.best_epoch,
-                             config_hash=stage.hash, vocab_hash=vocab_hash, variant=cfg.variant)
+                             variant=cfg.variant)
     history_path = workdir / ARTIFACTS["history"]
     with open(history_path, "w") as fh:
         fh.write(f"# config={stage.hash}\n")
@@ -303,13 +329,14 @@ def cmd_predict(args) -> None:
 
 
 def cmd_ablate(args) -> None:
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    check_variants(*variants)
     stage = _Stage(args)
     cfg = stage.cfg
     catalog, vocab, g, index = _load_stage(stage)
     train_docs, val_docs, test_docs = stage.splits(vocab, catalog, "train", "val", "test")
     emb = stage.load("embeddings", embeddings.load_embeddings, vocab, cfg.embedding_size, cfg.seed)
 
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     report = training.ablate(
         variants, train_docs, val_docs, test_docs, vocab, catalog, g, index, emb, cfg,
     )

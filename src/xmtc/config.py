@@ -6,7 +6,7 @@ Unknown keys and out-of-range values are rejected at load: ``RunConfig``
 builds the ``EncoderConfig`` and ``TrainConfig`` its keys map onto, so each
 rule is stated once.  Any key can be overridden by an environment variable
 ``XMTC_<KEY>`` (uppercased), and the resolved configuration hashes to a hex
-digest that stamps every derived artifact, so artifacts from different
+digest that every stage manifest records, so artifacts from different
 configurations cannot be silently mixed.
 """
 
@@ -24,10 +24,11 @@ VARIANTS = ("full", "no_label_feature", "no_mask")
 
 
 def check_variants(*variants: str) -> None:
-    """Reject any name in ``variants`` that is not a model variant."""
+    """Reject an empty ``variants`` and any name in it that is not a model
+    variant."""
     unknown = [v for v in variants if v not in VARIANTS]
-    if unknown:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {unknown}")
+    if unknown or not variants:
+        raise ConfigError(f"variant must be one of {VARIANTS}, got {unknown or 'none'}")
 
 
 def _check_range(interval: str, **values) -> None:
@@ -196,10 +197,3 @@ def canonical_text(cfg: RunConfig) -> str:
 def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()[:16]
 
-
-def config_stamp(lines: list[str]) -> str:
-    """The ``config=`` hash on the ``#`` first line of an artifact's
-    ``lines``; a file without a stamp, or with an empty one, gives ``""``."""
-    head = lines[0] if lines and lines[0].startswith("#") else ""
-    stamps = [part[len("config="):] for part in head.split() if part.startswith("config=")]
-    return stamps[0] if stamps else ""

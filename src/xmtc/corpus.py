@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import config_stamp
 from .errors import DataError, read_text
 
 PAD_ID = 0
@@ -77,25 +76,20 @@ class Vocabulary:
         get = self.token_to_id.get
         return [get(t, UNK_ID) for t in tokens]
 
-    def save(self, path, config_hash: str | None = None) -> None:
-        lines = []
-        if config_hash:
-            lines.append(f"# config={config_hash}")
-        lines.extend(self.id_to_token)
-        Path(path).write_text("\n".join(lines) + "\n")
+    def save(self, path) -> None:
+        Path(path).write_text("\n".join(self.id_to_token) + "\n")
 
     @classmethod
-    def load(cls, path) -> tuple["Vocabulary", str]:
-        """The vocabulary saved at ``path`` and its config stamp."""
-        lines = read_text(path).splitlines()
+    def load(cls, path) -> "Vocabulary":
+        """The vocabulary saved at ``path``, one token a line."""
         line_of: dict[str, int] = {}  # token -> its line, in file order
-        for ln, line in enumerate(lines, start=1):
-            if not line.startswith("#") and line_of.setdefault(line, ln) != ln:
+        for ln, line in enumerate(read_text(path).splitlines(), start=1):
+            if line_of.setdefault(line, ln) != ln:
                 raise DataError(f"{path}:{ln}: duplicate token {line!r}")
         tokens = list(line_of)
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise DataError(f"{path}: not a vocabulary file (missing special tokens)")
-        return cls(tokens[2:]), config_stamp(lines)
+        return cls(tokens[2:])
 
 
 def build_vocab(token_docs, min_count: int = 3) -> Vocabulary:
@@ -268,9 +262,9 @@ def encode_documents(
 _ENCODED_FORMAT = "xmtc-encoded-corpus"
 
 
-def save_encoded(records: list[DocumentRecord], path, config_hash: str = "") -> None:
+def save_encoded(records: list[DocumentRecord], path) -> None:
     with open(path, "w") as fh:
-        header = {"format": _ENCODED_FORMAT, "version": 1, "config": config_hash}
+        header = {"format": _ENCODED_FORMAT, "version": 1}
         fh.write(json.dumps(header) + "\n")
         for r in records:
             row = {
@@ -304,8 +298,8 @@ def _encoded_row_problem(row, vocab_size: int, num_labels: int) -> str | None:
     return None
 
 
-def load_encoded(path, vocab_size: int, num_labels: int) -> tuple[list[DocumentRecord], str]:
-    """Load an encoded corpus artifact; returns (records, config_hash).
+def load_encoded(path, vocab_size: int, num_labels: int) -> list[DocumentRecord]:
+    """Load an encoded corpus artifact.
 
     Every token id must index the ``vocab_size``-row vocabulary and every
     label id the ``num_labels``-label catalog; a malformed line is a
@@ -337,4 +331,4 @@ def load_encoded(path, vocab_size: int, num_labels: int) -> tuple[list[DocumentR
                 aux_codes={t: tuple(row.get(t, ())) for t in TERMINOLOGIES},
             )
         )
-    return records, header.get("config", "")
+    return records

@@ -1,8 +1,7 @@
 """Word embeddings: in-repo skip-gram pretraining and text-format I/O.
 
-The embedding file format is plain text: an optional leading ``#`` comment,
-a header line ``V d``, then ``V`` lines, one per token, holding the token
-followed by ``d`` floats.
+The embedding file format is plain text: a header line ``V d``, then ``V``
+lines, one per token, holding the token followed by ``d`` floats.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import itertools
 
 import numpy as np
 
-from .config import config_stamp
 from .corpus import PAD_ID, Vocabulary
 from .errors import DataError, read_text
 from .tensor import logistic, row_sums
@@ -98,26 +96,22 @@ def train_skipgram(
     return w_in
 
 
-def save_embeddings(mat: np.ndarray, vocab: Vocabulary, path, config_hash: str = "") -> None:
+def save_embeddings(mat: np.ndarray, vocab: Vocabulary, path) -> None:
     with open(path, "w") as fh:
-        if config_hash:
-            fh.write(f"# config={config_hash}\n")
         fh.write(f"{len(vocab)} {mat.shape[1]}\n")
         for i, token in enumerate(vocab.id_to_token):
             fh.write(token + " " + " ".join(repr(float(v)) for v in mat[i]) + "\n")
 
 
-def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> tuple[np.ndarray, str]:
-    """The [len(vocab), dim] embedding matrix aligned to ``vocab``, and the
-    file's config stamp.
+def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndarray:
+    """The [len(vocab), dim] embedding matrix aligned to ``vocab``.
 
     Tokens absent from the file get seeded random rows (reproducible per
     run); the PAD row is forced to zero.  A file dimension different from
     ``dim``, a row count different from the header's ``V`` or a malformed
     line is a format error; a malformed line carries its line number.
     """
-    lines = read_text(path).splitlines()
-    body = [(ln, line) for ln, line in enumerate(lines, start=1) if not line.startswith("#")]
+    body = list(enumerate(read_text(path).splitlines(), start=1))
     if not body:
         raise DataError(f"{path}: empty embedding file")
     header_ln, header = body[0]
@@ -152,4 +146,4 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> tuple[n
         if not np.isfinite(mat[idx]).all():
             raise DataError(f"{path}:{ln}: non-finite embedding value")
     mat[PAD_ID] = 0.0
-    return mat, config_stamp(lines)
+    return mat

@@ -79,8 +79,6 @@ def init_block_params(
 
 
 def _dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    if p <= 0.0:
-        return x
     return dropout(x, rng.random(x.shape) >= p, 1.0 / (1.0 - p))
 
 

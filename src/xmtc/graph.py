@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import config_stamp
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary, preprocess
 from .errors import DataError, ShapeError, read_text
 from .tensor import Tensor, matmul, relu, spmm
@@ -94,18 +93,6 @@ def conditional_pairs(row_lists, col_lists,
     return pair_rows, pair_cols, counts / np.bincount(rows)[pair_rows]
 
 
-def conditional_probabilities(
-    train_docs: list[DocumentRecord], num_labels: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(j | i) of every label pair (i, j) that occurs together in
-    ``train_docs``, the diagonal included, as (values, rows, cols) sorted by
-    row, then column: ``conditional_pairs`` with labels as both rows and
-    columns.  Labels never seen have no entries."""
-    label_lists = [doc.label_ids(num_labels) for doc in train_docs]
-    rows, cols, p = conditional_pairs(label_lists, label_lists, num_labels)
-    return p, rows, cols
-
-
 def build_cooccurrence(
     train_docs: list[DocumentRecord], num_labels: int, lam: float = 1.0
 ) -> CooccurrenceGraph:
@@ -117,8 +104,9 @@ def build_cooccurrence(
     can be edges.  Callers must pass the training split only; evaluation
     documents would leak label statistics into the graph.
     """
-    values, rows, cols = conditional_probabilities(train_docs, num_labels)
-    edge = values >= lam
+    label_lists = [doc.label_ids(num_labels) for doc in train_docs]
+    rows, cols, p = conditional_pairs(label_lists, label_lists, num_labels)
+    edge = p >= lam
     adj = np.zeros((num_labels, num_labels), dtype=bool)
     adj[rows[edge], cols[edge]] = True
     np.fill_diagonal(adj, True)
@@ -126,26 +114,24 @@ def build_cooccurrence(
     return CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
 
 
-def save_graph(graph: CooccurrenceGraph, path, config_hash: str = "") -> None:
+def save_graph(graph: CooccurrenceGraph, path) -> None:
     """Write the adjacency as a sorted coordinate list."""
     with open(path, "w") as fh:
-        fh.write(f"# xmtc-graph v1 config={config_hash}\n")
+        fh.write("# xmtc-graph v1\n")
         fh.write(f"{graph.num_labels} {float(graph.lam)!r} {graph.pair_count}\n")
         rows, cols = np.nonzero(graph.adjacency)
         for i, j in zip(rows.tolist(), cols.tolist()):
             fh.write(f"{i} {j}\n")
 
 
-def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
-    """Load a saved graph over the ``num_labels``-label catalog; returns
-    (graph, config_hash).  A header giving another label count, or a
-    malformed line, is a ``DataError`` naming the file and line.  Every
-    label's diagonal line must be present, since ``save_graph`` writes them
-    all; a missing one (a file cut short in its last row, whose lines the
-    pair count does not see) is a ``DataError`` naming the first such
-    label."""
+def load_graph(path, num_labels: int) -> CooccurrenceGraph:
+    """Load a saved graph over the ``num_labels``-label catalog.  A header
+    giving another label count, or a malformed line, is a ``DataError``
+    naming the file and line.  Every label's diagonal line must be present,
+    since ``save_graph`` writes them all; a missing one (a file cut short in
+    its last row, whose lines the pair count does not see) is a
+    ``DataError`` naming the first such label."""
     lines = read_text(path).splitlines()
-    stamp = config_stamp(lines)
     first = 1 + int(bool(lines) and lines[0].startswith("#"))  # line number of the header
     lines = lines[first - 1:]
     if not lines:
@@ -174,7 +160,7 @@ def load_graph(path, num_labels: int) -> tuple[CooccurrenceGraph, str]:
     graph = CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
     if upper != pair_count:
         raise DataError(f"{path}: pair count does not match stored coordinates")
-    return graph, stamp
+    return graph
 
 
 # ---------------------------------------------------------------------------

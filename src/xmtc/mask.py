@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import config_stamp
 from .corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
 from .errors import DataError, ShapeError, read_text
 from .graph import conditional_pairs
@@ -167,7 +166,8 @@ def save_mask_index(index: AuxMaskIndex, catalog: LabelCatalog, path, config_has
 
 
 def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
-    """Load a saved index with its saved tau; returns (index, config_hash).
+    """Load a saved index with its saved tau; returns (index, stamp), the
+    stamp being the header's ``config=`` hash, or "" when it has none.
     A malformed line, a ``tau`` outside [0, 1), a probability that is not a
     number in [0, 1] or a label code absent from ``catalog`` is a
     ``DataError`` naming the file and line.  A file with no lines, or one
@@ -176,9 +176,11 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
     lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty mask index file")
-    saved_tau = DEFAULT_TAU
+    saved_tau, stamp = DEFAULT_TAU, ""
     header = int(lines[0].startswith("#"))  # 1 if line 1 is the header
     for part in lines[0].split() if header else []:
+        if part.startswith("config="):
+            stamp = part[len("config="):]
         if part.startswith("tau="):
             try:
                 saved_tau = float(part[len("tau="):])
@@ -220,4 +222,4 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
                for code, row in entries[term].items()}
         for term in TERMINOLOGIES
     }
-    return AuxMaskIndex(num_labels=len(catalog), tau=saved_tau, probs=probs), config_stamp(lines)
+    return AuxMaskIndex(num_labels=len(catalog), tau=saved_tau, probs=probs), stamp

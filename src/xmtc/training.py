@@ -308,15 +308,13 @@ def ablate(
 # checkpointing
 
 _CKPT_MAGIC = b"XMTC-CKPT-v2\n"
-_CKPT_KEYS = ("config_hash", "epoch", "params", "variant", "vocab_hash")
+_CKPT_KEYS = ("epoch", "params", "variant")
 
 
 def save_checkpoint(
     path,
     params_arrays: dict[str, np.ndarray],
     epoch: int,
-    config_hash: str = "",
-    vocab_hash: str = "",
     variant: str = "full",
 ) -> None:
     """Self-describing binary container: magic, manifest length, JSON
@@ -328,8 +326,6 @@ def save_checkpoint(
     names = list(params_arrays)
     manifest = {
         "epoch": epoch,
-        "config_hash": config_hash,
-        "vocab_hash": vocab_hash,
         "variant": variant,
         "params": [{"name": n, "shape": list(params_arrays[n].shape)} for n in names],
     }

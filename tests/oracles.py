@@ -237,9 +237,9 @@ def conditional_prob_matrix(label_sets, num_labels):
 
 
 def dense_entries(entries, num_labels):
-    """Dense [L, L] matrix of sparse (values, rows, cols) entries, which
+    """Dense [L, L] matrix of sparse (rows, cols, values) entries, which
     must name each (row, col) once, sorted by row, then column."""
-    values, rows, cols = entries
+    rows, cols, values = entries
     assert (np.diff(rows * num_labels + cols) > 0).all(), "entries not distinct and sorted"
     dense = np.zeros((num_labels, num_labels))
     dense[rows, cols] = values

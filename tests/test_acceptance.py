@@ -275,9 +275,10 @@ def test_criterion_3_graph_oracle():
             lam = float(rng.choice([0.3, 0.5, 1.0]))
             g = graph.build_cooccurrence(docs, num_labels, lam=lam)
             cond = oracles.conditional_prob_matrix(label_sets, num_labels)
+            label_lists = [sorted(s) for s in label_sets]
             np.testing.assert_array_equal(
-                oracles.dense_entries(graph.conditional_probabilities(docs, num_labels),
-                                      num_labels), cond)
+                oracles.dense_entries(graph.conditional_pairs(label_lists, label_lists,
+                                                              num_labels), num_labels), cond)
             seen = np.array([any(i in s for s in label_sets) for i in range(num_labels)])
             expect = np.where(cond >= lam, 1.0, 0.0)
             expect[~seen] = 0.0

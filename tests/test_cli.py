@@ -68,6 +68,23 @@ def pipeline(tmp_path_factory):
     return root, data, work, cfg
 
 
+@pytest.fixture(scope="module")
+def other_data(tmp_path_factory):
+    """Another generated corpus over as many labels as the pipeline's."""
+    data = tmp_path_factory.mktemp("other") / "data"
+    assert main(["gen-synthetic", "--workdir", str(data), "--labels", "20",
+                 "--docs", "150", "--seed", "6"]) == 0
+    return data
+
+
+def _preprocess(data, work, cfg) -> int:
+    """Exit code of ``preprocess`` on the generated splits in ``data``."""
+    return main(["preprocess", "--workdir", str(work), "--config", str(cfg),
+                 "--train", str(data / "train.jsonl"), "--val", str(data / "val.jsonl"),
+                 "--test", str(data / "test.jsonl"),
+                 "--catalog", str(data / "raw_catalog.tsv")])
+
+
 class TestPipeline:
     def test_artifacts_exist(self, pipeline):
         _, _, work, _ = pipeline
@@ -112,6 +129,22 @@ class TestPipeline:
             assert set(manifest["inputs"]) == inputs, name
         manifest = json.loads((data / "manifest_gen-synthetic.json").read_text())
         assert manifest["inputs"] == {}
+
+    def test_work_directory_inputs_carry_their_producers_hashes(self, pipeline):
+        """Each work-directory input of every manifest has the sha256 that
+        its producer's manifest records for it as an output."""
+        _, _, work, _ = pipeline
+        producer_of = {file: cli.PRODUCERS.get(name, "preprocess")
+                       for name, file in cli.ARTIFACTS.items()}
+        checked = 0
+        for manifest in sorted(work.glob("manifest_*.json")):
+            for source, digest in json.loads(manifest.read_text())["inputs"].items():
+                if Path(source).parent == work:
+                    name = Path(source).name
+                    made = json.loads((work / f"manifest_{producer_of[name]}.json").read_text())
+                    assert made["outputs"][name] == digest, (manifest.name, name)
+                    checked += 1
+        assert checked >= 3 + 3 + 7 + 6 + 5  # build-graph, build-mask, train, evaluate, predict
 
     def test_inputs_of_one_name_keep_their_own_hashes(self, pipeline, tmp_path):
         _, data, _, cfg = pipeline
@@ -231,15 +264,29 @@ class TestAblate:
         assert main(["ablate", "--workdir", str(work), "--config", str(cfg),
                      "--variants", variants]) == 2
 
-    def test_stale_embeddings_refused(self, pipeline, tmp_path):
-        _, _, work, cfg = pipeline
+    def test_stale_embeddings_refused(self, pipeline, tmp_path, capsys):
+        """Embeddings re-made under another config (one more skip-gram
+        epoch) are refused, with the rest of preprocess's artifacts."""
+        _, data, work, cfg = pipeline
         stale = tmp_path / "work"
         shutil.copytree(work, stale)
-        emb = stale / "embeddings.txt"
-        lines = emb.read_text().splitlines(keepends=True)
-        emb.write_text("# config=0123456789abcdef\n" + "".join(lines[1:]))
+        other = tmp_path / "other.cfg"
+        other.write_text(CONFIG.replace("skipgram_epochs = 1", "skipgram_epochs = 2"))
+        assert _preprocess(data, stale, other) == 0
+        assert (stale / "embeddings.txt").read_bytes() != (work / "embeddings.txt").read_bytes()
         assert main(["ablate", "--workdir", str(stale), "--config", str(cfg),
                      "--variants", "full"]) == 2
+        assert "re-run 'xmtc preprocess'" in capsys.readouterr().err
+
+    def test_empty_variant_list_is_exit_2_before_anything_loads(self, pipeline, tmp_path):
+        _, _, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy, ignore=shutil.ignore_patterns("ablation.json"))
+        # the empty work directory would be exit 3 if any artifact were opened
+        for workdir in (copy, tmp_path / "empty"):
+            assert main(["ablate", "--workdir", str(workdir), "--config", str(cfg),
+                         "--variants", ","]) == 2
+        assert not (copy / "ablation.json").exists()
 
 
 class TestPretrainedEmbeddings:
@@ -248,7 +295,7 @@ class TestPretrainedEmbeddings:
 
     def _preprocess(self, pipeline, tmp_path, dim):
         _, data, work, _ = pipeline
-        vocab, _ = corpus.Vocabulary.load(work / "vocab.txt")
+        vocab = corpus.Vocabulary.load(work / "vocab.txt")
         tokens = vocab.id_to_token[2:5]
         rng = np.random.default_rng(3)
         rows = {token: rng.standard_normal(dim) for token in [*tokens, "notinvocab"]}
@@ -267,8 +314,8 @@ class TestPretrainedEmbeddings:
     def test_file_rows_seed_the_table_and_are_recorded(self, pipeline, tmp_path):
         code, out, rows = self._preprocess(pipeline, tmp_path, dim=32)
         assert code == 0
-        vocab, _ = corpus.Vocabulary.load(out / "vocab.txt")
-        table, _ = embeddings.load_embeddings(out / "embeddings.txt", vocab, 32)
+        vocab = corpus.Vocabulary.load(out / "vocab.txt")
+        table = embeddings.load_embeddings(out / "embeddings.txt", vocab, 32)
         *known, unknown = rows
         assert all(token in vocab for token in known) and unknown not in vocab
         for token in known:
@@ -282,13 +329,19 @@ class TestPretrainedEmbeddings:
         assert "embedding dimension 16" in capsys.readouterr().err
 
 
-def _evaluate_copy(work, cfg, tmp_path, name, edit):
+def _evaluate_copy(work, cfg, tmp_path, name, edit, producer=None):
     """Exit code of ``evaluate`` on a copy of ``work`` whose artifact
-    ``name`` was rewritten by ``edit`` (bytes -> bytes)."""
+    ``name`` was rewritten by ``edit`` (bytes -> bytes).  With a
+    ``producer``, its manifest records the rewritten file's hash."""
     copy = tmp_path / "work"
     shutil.copytree(work, copy)
     path = copy / name
     path.write_bytes(edit(path.read_bytes()))
+    if producer:
+        manifest = copy / f"manifest_{producer}.json"
+        made = json.loads(manifest.read_text())
+        made["outputs"][name] = cli._sha256(path)
+        manifest.write_text(json.dumps(made))
     return main(["evaluate", "--workdir", str(copy), "--config", str(cfg)])
 
 
@@ -457,28 +510,87 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'work' / name}:6: duplicate {what} {dup!r}" in err
 
-    @pytest.mark.parametrize("name", ["vocab.txt", "embeddings.txt"])
-    def test_empty_stamp_is_no_stamp(self, pipeline, tmp_path, monkeypatch, name):
-        _, _, work, cfg = pipeline
-        copy = tmp_path / "work"
-        shutil.copytree(work, copy)
-        path = copy / name
-        assert path.read_text().startswith("# config=")
-        path.write_text(_replace_line(path.read_bytes(), 0, "# config=").decode())
-        monkeypatch.setattr(training, "ablate", lambda *args: {"variants": {}})
-        assert main(["ablate", "--workdir", str(copy), "--config", str(cfg),
-                     "--variants", "full"]) == 0
-
-    def test_checkpoint_on_another_vocabulary_is_exit_2(self, pipeline, tmp_path):
+    def test_hand_edited_vocabulary_is_exit_3(self, pipeline, tmp_path, capsys):
+        """Two tokens swapped: the file still loads, and its producer's
+        manifest records another hash."""
         _, _, work, cfg = pipeline
 
         def swap_two_tokens(raw):
             lines = raw.decode().splitlines(keepends=True)
-            assert lines[0].startswith("# config=")
             lines[3], lines[4] = lines[4], lines[3]
             return "".join(lines).encode()
 
-        assert _evaluate_copy(work, cfg, tmp_path, "vocab.txt", swap_two_tokens) == 2
+        assert _evaluate_copy(work, cfg, tmp_path, "vocab.txt", swap_two_tokens) == 3
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'work' / 'vocab.txt'} is not the file manifest_preprocess.json "
+                f"records; re-run 'xmtc preprocess'") in err
+
+    def test_checkpoint_on_another_vocabulary_is_exit_2(self, pipeline, other_data, tmp_path,
+                                                        capsys):
+        """Preprocess, build-graph and build-mask re-run on another corpus:
+        the checkpoint was trained on the old vocabulary."""
+        _, _, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        base = ["--workdir", str(copy), "--config", str(cfg)]
+        assert _preprocess(other_data, copy, cfg) == 0
+        assert (copy / "vocab.txt").read_bytes() != (work / "vocab.txt").read_bytes()
+        assert main(["build-graph", *base]) == 0
+        assert main(["build-mask", *base]) == 0
+        assert main(["evaluate", *base]) == 2
+        err = capsys.readouterr().err
+        assert f"{copy / 'checkpoint.bin'} was built from another" in err
+        assert "re-run 'xmtc train'" in err
+
+    def test_same_config_rerun_on_another_corpus_is_exit_2(self, pipeline, other_data,
+                                                           tmp_path, capsys):
+        """Only preprocess re-run on another corpus: the graph and the mask
+        index were counted from the old one."""
+        _, _, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        assert _preprocess(other_data, copy, cfg) == 0
+        assert main(["train", "--workdir", str(copy), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{copy / 'graph.txt'} was built from another" in err
+        assert "re-run 'xmtc build-graph'" in err
+
+    @pytest.mark.parametrize("producer, text", [
+        ("preprocess", None), ("build-graph", "{not json"), ("build-mask", "[]"),
+        ("train", '{"config_hash": "x", "inputs": {}}'),
+    ], ids=["missing", "bad_json", "not_object", "no_outputs"])
+    def test_missing_or_malformed_manifest_is_exit_3(self, pipeline, tmp_path, capsys,
+                                                     producer, text):
+        _, _, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        manifest = copy / f"manifest_{producer}.json"
+        if text is None:
+            manifest.unlink()
+        else:
+            manifest.write_text(text)
+        assert main(["evaluate", "--workdir", str(copy), "--config", str(cfg)]) == 3
+        assert f"{manifest}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    @pytest.mark.parametrize("stage, name", [
+        (stage, name) for stage, names in [
+            ("train", ["catalog.tsv", "vocab.txt", "graph.txt", "mask_index.tsv",
+                       "train.enc.jsonl", "val.enc.jsonl", "embeddings.txt"]),
+            ("evaluate", ["catalog.tsv", "vocab.txt", "graph.txt", "mask_index.tsv",
+                          "checkpoint.bin", "test.enc.jsonl"]),
+        ] for name in names])
+    def test_artifact_cut_short_is_exit_3(self, pipeline, tmp_path, stage, name, cut):
+        """Each artifact a stage reads, short by ``cut`` lines (by 8 bytes a
+        cut for the checkpoint)."""
+        _, _, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        path = copy / name
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8 * cut] if name == "checkpoint.bin"
+                         else b"".join(raw.splitlines(keepends=True)[:-cut]))
+        assert main([stage, "--workdir", str(copy), "--config", str(cfg)]) == 3
 
     def test_empty_mask_index_is_exit_3(self, pipeline, tmp_path, capsys):
         _, _, work, cfg = pipeline
@@ -508,11 +620,11 @@ class TestErrors:
             fused = arrays.pop("block0.level0_residual")
             d = fused.shape[2] // 2
             arrays["block0.level0"], arrays["block0.residual"] = fused[..., :d], fused[..., d:]
-            training.save_checkpoint(path, arrays, meta["epoch"], meta["config_hash"],
-                                     meta["vocab_hash"], meta["variant"])
+            training.save_checkpoint(path, arrays, meta["epoch"], meta["variant"])
             return path.read_bytes()
 
-        assert _evaluate_copy(work, cfg, tmp_path, "checkpoint.bin", two_filters) == 2
+        assert _evaluate_copy(work, cfg, tmp_path, "checkpoint.bin", two_filters,
+                              producer="train") == 2
         err = capsys.readouterr().err
         assert "'block0.level0'" in err and "'block0.residual'" in err
 
@@ -544,8 +656,8 @@ class TestErrors:
         copy = tmp_path / "work"
         shutil.copytree(work, copy)
         emb = copy / "embeddings.txt"
-        stamp, header, *rows = emb.read_text().splitlines(keepends=True)
-        emb.write_text(stamp + header + "".join(rows[:10]))
+        header, *rows = emb.read_text().splitlines(keepends=True)
+        emb.write_text(header + "".join(rows[:10]))
         assert main(["train", "--workdir", str(copy), "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert f"{emb}: header promises {len(rows)} rows, file has 10" in err
@@ -747,23 +859,6 @@ class TestDefaults:
         again = load_run_config(path)
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
-
-
-class TestConfigStamp:
-    @pytest.mark.parametrize("lines, stamp", [
-        ([], ""),
-        (["<pad>"], ""),
-        (["# config="], ""),
-        (["# config=ab"], "ab"),
-        (["# xmtc-graph v1 config=ab", "2 1.0 0"], "ab"),
-        (["# xmtc-mask-index v1 config= tau=0.3"], ""),
-        (["# xmtc-mask-index v1 config=ab tau=0.3"], "ab"),
-        (["<pad>", "# config=ab"], ""),
-    ])
-    def test_stamp_is_read_from_the_first_comment_line(self, lines, stamp):
-        from xmtc.config import config_stamp
-
-        assert config_stamp(lines) == stamp
 
 
 class TestEnvOverride:

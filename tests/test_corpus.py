@@ -97,17 +97,16 @@ class TestVocabulary:
         paths = []
         for name in ("one.txt", "two.txt"):
             path = tmp_path / name
-            build_vocab(docs, min_count=1).save(path, config_hash="cafe")
+            build_vocab(docs, min_count=1).save(path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_save_load_roundtrip(self, tmp_path):
         vocab = build_vocab([["x", "y", "x"]], min_count=1)
         path = tmp_path / "vocab.txt"
-        vocab.save(path, config_hash="beef")
-        loaded, stamp = Vocabulary.load(path)
+        vocab.save(path)
+        loaded = Vocabulary.load(path)
         assert loaded.id_to_token == vocab.id_to_token
-        assert stamp == "beef"
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.one_of(st.text(max_size=8),
@@ -118,7 +117,7 @@ class TestVocabulary:
             path = Path(tmp) / "vocab.txt"
             path.write_text("\n".join(lines) + "\n")
             try:
-                vocab, _ = Vocabulary.load(path)
+                vocab = Vocabulary.load(path)
             except DataError:
                 return
         assert vocab.id_to_token[:2] == [PAD_TOKEN, UNK_TOKEN]
@@ -195,9 +194,8 @@ class TestCorpusIO:
         assert max(max(r.tokens) for r in records) < len(vocab)
 
         enc_path = tmp_path / "enc.jsonl"
-        save_encoded(records, enc_path, config_hash="feed")
-        loaded, found_hash = load_encoded(enc_path, len(vocab), len(catalog))
-        assert found_hash == "feed"
+        save_encoded(records, enc_path)
+        loaded = load_encoded(enc_path, len(vocab), len(catalog))
         assert [r.doc_id for r in loaded] == ["d1", "d2"]
         assert loaded[1].labels == {0, 1}
         assert loaded[0].tokens == records[0].tokens
@@ -254,7 +252,7 @@ class TestCorpusIO:
             save_encoded([], path)
             path.write_text(path.read_text() + json.dumps(row) + "\n")
             try:
-                records, _ = load_encoded(path, vocab_size=4, num_labels=2)
+                records = load_encoded(path, vocab_size=4, num_labels=2)
             except DataError:
                 return
         (rec,) = records

@@ -15,8 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmtc.corpus import TERMINOLOGIES, DocumentRecord, LabelCatalog
-from xmtc.graph import (build_cooccurrence, conditional_pairs, conditional_probabilities,
-                        load_graph, save_graph)
+from xmtc.graph import build_cooccurrence, conditional_pairs, load_graph, save_graph
 from xmtc.mask import build_mask_index, load_mask_index, save_mask_index
 
 from oracles import csr_cooccurrence, csr_mask_tables, dense_entries
@@ -125,9 +124,10 @@ def test_cooccurrence_equals_csr_count(corpus, lam):
     num_labels, docs = corpus
     g = build_cooccurrence(docs, num_labels, lam=lam)
     adj, cond, pair_count = csr_cooccurrence(docs, num_labels, lam=lam)
-    values, rows, cols = conditional_probabilities(docs, num_labels)
+    label_lists = [doc.label_ids(num_labels) for doc in docs]
+    rows, cols, values = conditional_pairs(label_lists, label_lists, num_labels)
     np.testing.assert_array_equal(g.adjacency, adj)
-    np.testing.assert_array_equal(dense_entries((values, rows, cols), num_labels),
+    np.testing.assert_array_equal(dense_entries((rows, cols, values), num_labels),
                                   cond.toarray())
     assert values.size == cond.nnz
     assert g.pair_count == pair_count
@@ -208,8 +208,8 @@ def test_loaded_artifacts_equal_built(tmp_path):
     index = build_mask_index(docs, num_labels, tau=0.1)
     assert not {"x", "y"} & set(index.probs["drg"])
     save_mask_index(index, catalog, tmp_path / "mask.tsv")
-    for built, (loaded, _) in [(graph, load_graph(tmp_path / "graph.txt", num_labels)),
-                               (index, load_mask_index(tmp_path / "mask.tsv", catalog))]:
+    for built, loaded in [(graph, load_graph(tmp_path / "graph.txt", num_labels)),
+                          (index, load_mask_index(tmp_path / "mask.tsv", catalog)[0])]:
         assert [f.name for f in fields(loaded)] == [f.name for f in fields(built)]
         for f in fields(built):
             assert_same(getattr(loaded, f.name), getattr(built, f.name))

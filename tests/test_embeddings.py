@@ -125,10 +125,9 @@ class TestEmbeddingIO:
         table = (np.random.default_rng(4).random((len(vocab), 8)) - 0.5) / 8
         table[PAD_ID] = 0.0
         path = tmp_path / "emb.txt"
-        save_embeddings(table, vocab, path, config_hash="f00d")
-        loaded, stamp = load_embeddings(path, vocab, 8, seed=4)
+        save_embeddings(table, vocab, path)
+        loaded = load_embeddings(path, vocab, 8, seed=4)
         np.testing.assert_array_equal(loaded, table)
-        assert stamp == "f00d"
 
     def test_missing_token_gets_seeded_random_row(self, tmp_path):
         vocab = self._vocab()
@@ -138,8 +137,8 @@ class TestEmbeddingIO:
             fh.write(f"2 {dim}\n")
             fh.write("alpha " + " ".join(["0.5"] * dim) + "\n")
             fh.write("beta " + " ".join(["0.25"] * dim) + "\n")
-        a, _ = load_embeddings(path, vocab, dim, seed=11)
-        b, _ = load_embeddings(path, vocab, dim, seed=11)
+        a = load_embeddings(path, vocab, dim, seed=11)
+        b = load_embeddings(path, vocab, dim, seed=11)
         gamma = vocab.token_to_id["gamma"]
         np.testing.assert_array_equal(a[gamma], b[gamma])
         assert not np.allclose(a[gamma], 0.5)
@@ -163,8 +162,8 @@ class TestEmbeddingIO:
     def test_non_finite_value_is_data_error_with_line(self, tmp_path, value):
         vocab = self._vocab()
         path = tmp_path / "emb.txt"
-        path.write_text(f"# config=ab\n2 3\nalpha 0.1 0.2 0.3\nbeta 0.1 {value} 0.3\n")
-        with pytest.raises(DataError, match="emb.txt:4:"):
+        path.write_text(f"2 3\nalpha 0.1 0.2 0.3\nbeta 0.1 {value} 0.3\n")
+        with pytest.raises(DataError, match="emb.txt:3:"):
             load_embeddings(path, vocab, 3, seed=0)
 
     @settings(max_examples=150, deadline=None)
@@ -183,7 +182,7 @@ class TestEmbeddingIO:
             path = Path(tmp) / "emb.txt"
             path.write_text("\n".join(lines) + "\n")
             try:
-                table, _ = load_embeddings(path, vocab, 3, seed=0)
+                table = load_embeddings(path, vocab, 3, seed=0)
             except DataError:
                 return
         assert table.shape == (len(vocab), 3)
@@ -196,5 +195,5 @@ class TestEmbeddingIO:
         with open(path, "w") as fh:
             fh.write(f"1 {dim}\n")
             fh.write("<pad> 9.0 9.0 9.0\n")
-        table, _ = load_embeddings(path, vocab, dim, seed=0)
+        table = load_embeddings(path, vocab, dim, seed=0)
         np.testing.assert_array_equal(table[PAD_ID], np.zeros(dim))

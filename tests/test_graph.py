@@ -18,7 +18,7 @@ from xmtc.graph import (
     CooccurrenceGraph,
     GcnParams,
     build_cooccurrence,
-    conditional_probabilities,
+    conditional_pairs,
     descriptor_average_matrix,
     gcn_forward,
     init_gcn_params,
@@ -48,9 +48,10 @@ def docs_from_label_sets(label_sets):
 class TestBuildCooccurrence:
     def test_hand_counted_probabilities(self):
         # docs {a,b}, {a,b}, {b}: P(b|a)=1, P(a|b)=2/3
-        docs = docs_from_label_sets([{0, 1}, {0, 1}, {1}])
+        label_lists = [[0, 1], [0, 1], [1]]
+        docs = docs_from_label_sets(label_lists)
         g = build_cooccurrence(docs, 2, lam=1.0)
-        cond = dense_entries(conditional_probabilities(docs, 2), 2)
+        cond = dense_entries(conditional_pairs(label_lists, label_lists, 2), 2)
         np.testing.assert_allclose(cond[0, 1], 1.0)
         np.testing.assert_allclose(cond[1, 0], 2 / 3)
         assert g.adjacency[0, 1] == 1.0
@@ -79,8 +80,10 @@ class TestBuildCooccurrence:
             docs = docs_from_label_sets(label_sets)
             g = build_cooccurrence(docs, num_labels, lam=lam)
             cond = conditional_prob_matrix(label_sets, num_labels)
+            label_lists = [sorted(s) for s in label_sets]
             np.testing.assert_allclose(
-                dense_entries(conditional_probabilities(docs, num_labels), num_labels),
+                dense_entries(conditional_pairs(label_lists, label_lists, num_labels),
+                              num_labels),
                 cond, atol=1e-12)
             seen = np.array([any(i in s for s in label_sets) for i in range(num_labels)])
             expect = np.where(cond >= lam, 1.0, 0.0)
@@ -114,9 +117,8 @@ class TestBuildCooccurrence:
         docs = docs_from_label_sets([{0, 1}, {1, 2}, {2}])
         g = build_cooccurrence(docs, 3, lam=0.5)
         path = tmp_path / "graph.txt"
-        save_graph(g, path, config_hash="abcd")
-        loaded, found = load_graph(path, 3)
-        assert found == "abcd"
+        save_graph(g, path)
+        loaded = load_graph(path, 3)
         assert loaded.lam == 0.5
         assert loaded.pair_count == g.pair_count
         assert g.adjacency.dtype == loaded.adjacency.dtype == bool
@@ -129,7 +131,7 @@ class TestBuildCooccurrence:
         docs = docs_from_label_sets([{0, 1}, {1, 2}, {2, 3}, {3, 0}])
         g = build_cooccurrence(docs, 4, lam=0.5)
         path = tmp_path / "graph.txt"
-        save_graph(g, path, config_hash="abcd")
+        save_graph(g, path)
         lines = path.read_text().splitlines(keepends=True)
         assert lines[-3:] == ["3 0\n", "3 2\n", "3 3\n"]
         path.write_text("".join(lines[:-cut]))
@@ -140,7 +142,7 @@ class TestBuildCooccurrence:
     def test_malformed_coordinate_is_data_error(self, tmp_path, line):
         # "-1 0" would index from the end and pass the pair-count check
         path = tmp_path / "graph.txt"
-        path.write_text(f"# xmtc-graph v1 config=abcd\n3 1.0 0\n0 0\n{line}\n")
+        path.write_text(f"# xmtc-graph v1\n3 1.0 0\n0 0\n{line}\n")
         with pytest.raises(DataError, match=f"{path}:4: "):
             load_graph(path, 3)
 
@@ -154,7 +156,7 @@ class TestBuildCooccurrence:
     @pytest.mark.parametrize("count", [2, 4, -1])
     def test_label_count_other_than_catalog_is_data_error(self, tmp_path, count):
         path = tmp_path / "graph.txt"
-        path.write_text(f"# xmtc-graph v1 config=abcd\n{count} 1.0 0\n0 0\n")
+        path.write_text(f"# xmtc-graph v1\n{count} 1.0 0\n0 0\n")
         with pytest.raises(DataError, match=f"{count} labels"):
             load_graph(path, 3)
 
@@ -174,12 +176,11 @@ class TestBuildCooccurrence:
         ), max_size=8))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "graph.txt"
-            path.write_text("\n".join(["# xmtc-graph v1 config=ab", header, *coords]) + "\n")
+            path.write_text("\n".join(["# xmtc-graph v1", header, *coords]) + "\n")
             try:
-                g, found = load_graph(path, num_labels)
+                g = load_graph(path, num_labels)
             except DataError:
                 return
-        assert found == "ab"
         assert g.adjacency.shape == (num_labels, num_labels)
         assert g.pair_count == int(np.triu(g.adjacency, k=1).sum())
 

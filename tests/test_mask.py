@@ -197,6 +197,15 @@ class TestMaskStats:
 
 
 class TestMaskIndexIO:
+    @pytest.mark.parametrize("header, stamp", [
+        ("# xmtc-mask-index v1 config= tau=0.3", ""),
+        ("# xmtc-mask-index v1 config=ab tau=0.3", "ab"),
+    ])
+    def test_stamp_is_read_from_the_header(self, tmp_path, header, stamp):
+        path = tmp_path / "mask.tsv"
+        path.write_text(header + "\n[drg]\n[cpt]\n[drugs]\n")
+        assert load_mask_index(path, LabelCatalog(["c0"], ["x"]))[1] == stamp
+
     def test_roundtrip_and_rethresholding(self, tmp_path):
         rng = np.random.default_rng(66)
         docs = random_docs(rng, n_docs=40)

@@ -441,11 +441,8 @@ class TestCheckpoint:
         before = evaluate(records, model, index, 0.5)
 
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, result.params_arrays, epoch=result.best_epoch,
-                        config_hash="c0de", vocab_hash="v0c", variant="full")
+        save_checkpoint(path, result.params_arrays, epoch=result.best_epoch, variant="full")
         params, manifest = load_checkpoint(path)
-        assert manifest["config_hash"] == "c0de"
-        assert manifest["vocab_hash"] == "v0c"
         assert manifest["epoch"] == result.best_epoch
         for name, arr in result.params_arrays.items():
             assert arr.tobytes() == params[name].tobytes()
@@ -457,8 +454,8 @@ class TestCheckpoint:
     def test_identical_saves_are_byte_identical(self, tmp_path):
         arrays = {"w": np.arange(6.0).reshape(2, 3)}
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, arrays, epoch=1, config_hash="x")
-        save_checkpoint(p2, arrays, epoch=1, config_hash="x")
+        save_checkpoint(p1, arrays, epoch=1)
+        save_checkpoint(p2, arrays, epoch=1)
         assert p1.read_bytes() == p2.read_bytes()
 
     @settings(max_examples=200, deadline=None)
