@@ -9,11 +9,13 @@
     xmtc predict       --workdir WORK --config C --input DOCS.jsonl [--attention-out H.jsonl]
     xmtc ablate        --workdir WORK --config C [--variants full,no_mask,...]
 
-Every subcommand writes its artifacts plus ``manifest_<subcommand>.json``,
-which records the configuration hash and the sha256 of every file it read
-and wrote.  A work-directory artifact is read only when the manifest of the
-subcommand that wrote it records that file, under the current
-configuration, from the same versions of the files the reader also reads.
+The ``--config`` file is the only source of a run's settings.  Every
+subcommand writes its artifacts plus ``manifest_<subcommand>.json``, which
+records the configuration hash and the sha256 of every file it read and
+wrote; the manifests are the only record of where an artifact came from.
+A work-directory artifact is read only when the manifest of the subcommand
+that wrote it records that file, under the current configuration, from the
+same versions of the files the reader also reads.
 Exit codes: 0 success, 2 configuration error (a stale artifact included),
 3 data error (a missing or malformed manifest, or a file its manifest does
 not record, included), 4 numerical divergence, 1 any other error (an
@@ -85,12 +87,11 @@ def _read_manifest(workdir: Path, producer: str) -> dict:
 
 
 class _Stage:
-    """One subcommand: its configuration (``--seed`` overrides it), the
-    config hash, the work directory and every file it reads."""
+    """One subcommand: its configuration, the config hash, the work
+    directory and every file it reads."""
 
     def __init__(self, args):
-        overrides = {} if args.seed_override is None else {"seed": str(args.seed_override)}
-        self.cfg = load_run_config(args.config, overrides=overrides)
+        self.cfg = load_run_config(args.config)
         self.hash = config_hash(self.cfg)
         self.workdir = Path(args.workdir)
         self.command = args.command
@@ -107,31 +108,38 @@ class _Stage:
     def load(self, name: str, loader, *args):
         """The work-directory artifact ``name`` through ``loader(path, *args)``,
         refused unless its producer's manifest records this file, under this
-        config, from the same versions of the files this stage reads."""
+        config, from the same versions of the files this stage reads.  Only
+        the sha256 check follows the loader, whose per-line errors come first."""
         path = self.workdir / ARTIFACTS[name]
         producer = PRODUCERS.get(name, "preprocess")
         if not path.exists():
             raise DataError(f"missing artifact {path.name}; run 'xmtc {producer}' first")
-        loaded = loader(path, *args)
-        digest = self.inputs[path] = _sha256(path)
+        digest = _sha256(path)
         made = _read_manifest(self.workdir, producer)
         if made["config_hash"] != self.hash:
             raise StalenessError(f"{path} was built under config {made['config_hash']}, current "
                                  f"config is {self.hash}; re-run 'xmtc {producer}'")
-        if made["outputs"].get(path.name) != digest:
-            raise DataError(f"{path} is not the file manifest_{producer}.json records; "
-                            f"re-run 'xmtc {producer}'")
         # preprocess reads raw files, the other producers work-directory
         # artifacts only, which the file name then identifies
         if producer != "preprocess":
             self.sources += [(Path(source).name, recorded, path, producer)
                              for source, recorded in made["inputs"].items()]
+        self._check_sources()
+        loaded = loader(path, *args)
+        if made["outputs"].get(path.name) != digest:
+            raise DataError(f"{path} is not the file manifest_{producer}.json records; "
+                            f"re-run 'xmtc {producer}'")
+        self.inputs[path] = digest
+        self._check_sources()
+        return loaded
+
+    def _check_sources(self) -> None:
+        """Refuse an artifact built from another version of a file read here."""
         taken = {p.name: h for p, h in self.inputs.items() if h}
         for file, recorded, artifact, maker in self.sources:
             if taken.get(file, recorded) != recorded:
                 raise StalenessError(f"{artifact} was built from another {file} than this "
                                      f"stage reads; re-run 'xmtc {maker}'")
-        return loaded
 
     def splits(self, vocab, catalog, *names: str) -> list:
         return [self.load(name, corpus.load_encoded, len(vocab), len(catalog)) for name in names]
@@ -151,8 +159,8 @@ def _load_stage(stage: _Stage):
 
 def _restore_model(stage: _Stage):
     catalog, vocab, g, index = _load_stage(stage)
-    params, manifest = stage.load("checkpoint", training.load_checkpoint)
-    m = model.model_from_config(stage.cfg, vocab, catalog, g, variant=manifest["variant"])
+    params, _ = stage.load("checkpoint", training.load_checkpoint)
+    m = model.model_from_config(stage.cfg, vocab, catalog, g)
     m.params.load_arrays(params)
     return m, catalog, vocab, index
 
@@ -268,11 +276,9 @@ def cmd_train(args) -> None:
     result = training.train(train_docs, val_docs, m, index, cfg.train_config(), ks=cfg.p_at_k)
 
     ckpt_path = workdir / ARTIFACTS["checkpoint"]
-    training.save_checkpoint(ckpt_path, result.params_arrays, epoch=result.best_epoch,
-                             variant=cfg.variant)
+    training.save_checkpoint(ckpt_path, result.params_arrays, epoch=result.best_epoch)
     history_path = workdir / ARTIFACTS["history"]
     with open(history_path, "w") as fh:
-        fh.write(f"# config={stage.hash}\n")
         fh.write("epoch,train_loss,val_micro_f1,lr\n")
         for row in result.history:
             fh.write(f"{row.epoch},{row.train_loss!r},{row.val_micro_f1!r},{row.lr!r}\n")
@@ -288,11 +294,11 @@ def cmd_evaluate(args) -> None:
     report = training.evaluate(docs, m, index, stage.cfg.prediction_threshold,
                                ks=stage.cfg.p_at_k, label_codes=catalog.codes)
     metrics_path = stage.workdir / ARTIFACTS["metrics"]
-    metrics_path.write_text(report.to_json(config_hash=stage.hash) + "\n")
+    metrics_path.write_text(report.to_json() + "\n")
     per_label_path = stage.workdir / ARTIFACTS["per_label"]
     report.write_per_label_tsv(per_label_path)
     stage.write_manifest([metrics_path, per_label_path])
-    print(report.to_json(config_hash=stage.hash))
+    print(report.to_json())
 
 
 def cmd_predict(args) -> None:
@@ -308,7 +314,7 @@ def cmd_predict(args) -> None:
     # the heat file is opened first, so an unwritable path fails before any scoring
     heat_file = open(args.attention_out, "w") if args.attention_out else contextlib.nullcontext()
     with heat_file as heat, open(out_path, "w") as fh:
-        fh.write(json.dumps({"format": "xmtc-predictions", "config": stage.hash}) + "\n")
+        fh.write(json.dumps({"format": "xmtc-predictions"}) + "\n")
         for doc, doc_mask in zip(records, training.doc_masks(records, m, index)):
             out = m.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id,
                                    with_attention=heat is not None)
@@ -317,7 +323,7 @@ def cmd_predict(args) -> None:
             row = {
                 "doc_id": doc.doc_id,
                 "topk": [[catalog.codes[i], float(scores[i])] for i in top],
-                "masked": training.uses_masks(m, index) and not doc_mask.empty,
+                "masked": training.uses_masks(m) and not doc_mask.empty,
             }
             fh.write(json.dumps(row) + "\n")
             if heat is not None:
@@ -354,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--workdir", required=True, help="artifact directory")
         p.add_argument("--config", default=None, help="key=value configuration file")
-        p.add_argument("--seed", dest="seed_override", type=int, default=None,
-                       help="override the configured seed")
 
     p = sub.add_parser("gen-synthetic", help="generate a planted synthetic corpus")
     p.add_argument("--workdir", required=True)

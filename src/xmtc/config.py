@@ -4,31 +4,32 @@ Defaults are the tuned operating point (embedding 100, filter 9, rates
 [1,2,4], dropout 0.2, lr 1e-4, batch 32, prediction threshold 0.0005).
 Unknown keys and out-of-range values are rejected at load: ``RunConfig``
 builds the ``EncoderConfig`` and ``TrainConfig`` its keys map onto, so each
-rule is stated once.  Any key can be overridden by an environment variable
-``XMTC_<KEY>`` (uppercased), and the resolved configuration hashes to a hex
-digest that every stage manifest records, so artifacts from different
-configurations cannot be silently mixed.
+rule is stated once.  The file is the only source of a run's settings:
+nothing is read from the environment or the command line.  The loaded
+configuration hashes to a hex digest that every stage manifest records, so
+artifacts from different configurations cannot be silently mixed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, fields
 
 from .encoder import EncoderConfig
 from .errors import ConfigError, read_text
 
-ENV_PREFIX = "XMTC_"
 VARIANTS = ("full", "no_label_feature", "no_mask")
 
 
 def check_variants(*variants: str) -> None:
-    """Reject an empty ``variants`` and any name in it that is not a model
-    variant."""
+    """Reject an empty ``variants``, any name in it that is not a model
+    variant, and a name given twice."""
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown or not variants:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {unknown or 'none'}")
+    repeated = sorted({v for v in variants if variants.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"each variant may be named once, got {repeated} more than once")
 
 
 def _check_range(interval: str, **values) -> None:
@@ -140,42 +141,24 @@ def _parser_for(default):
 _PARSERS = {_key_for(f.name): _parser_for(f.default) for f in fields(RunConfig)}
 
 
-def load_run_config(
-    path=None,
-    overrides: dict[str, str] | None = None,
-    env: dict[str, str] | None = None,
-) -> RunConfig:
-    """Resolve a configuration from file, environment, and CLI overrides
-    (in that order of increasing precedence)."""
+def load_run_config(path=None) -> RunConfig:
+    """The configuration in the file at ``path``, with defaults for the keys
+    it omits; with no ``path``, the defaults."""
     values: dict[str, object] = {}
-
-    def apply(key: str, raw: str, origin: str) -> None:
+    lines = [] if path is None else read_text(path, ConfigError).splitlines()
+    for ln, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{ln}: expected 'key = value', got {line!r}")
+        key, _, raw = (part.strip() for part in stripped.partition("="))
         if key not in _PARSERS:
-            raise ConfigError(f"{origin}: unknown configuration key {key!r}")
+            raise ConfigError(f"{path}:{ln}: unknown configuration key {key!r}")
         try:
             values[_attr_for(key)] = _PARSERS[key](raw)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from None
-
-    if path is not None:
-        for ln, line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value', got {line!r}")
-            key, _, raw = stripped.partition("=")
-            apply(key.strip(), raw.strip(), f"{path}:{ln}")
-
-    env = os.environ if env is None else env
-    for key in _PARSERS:
-        env_key = ENV_PREFIX + key.upper()
-        if env_key in env:
-            apply(key, env[env_key], f"environment variable {env_key}")
-
-    for key, raw in (overrides or {}).items():
-        apply(key, raw, "command line")
-
+            raise ConfigError(f"{path}:{ln}: bad value for {key!r}: {exc}") from None
     return RunConfig(**values)
 
 

@@ -104,9 +104,8 @@ class MetricsReport:
     skipped_labels_auc: int = 0
     per_label: list[dict] = field(default_factory=list, repr=False)
 
-    def to_json(self, config_hash: str = "") -> str:
+    def to_json(self) -> str:
         payload = {
-            "config_hash": config_hash,
             "micro_f1": self.micro_f1,
             "macro_f1": self.macro_f1,
             "micro_auc": self.micro_auc,

@@ -131,16 +131,16 @@ class TrainResult:
     history: list[EpochStats] = field(default_factory=list)
 
 
-def uses_masks(model: CodingModel, index: AuxMaskIndex | None) -> bool:
+def uses_masks(model: CodingModel) -> bool:
     """Whether ``model`` is trained and scored under candidate masks: every
-    variant but ``no_mask`` is, when there is an index to draw them from."""
-    return index is not None and model.variant != "no_mask"
+    variant but ``no_mask`` is."""
+    return model.variant != "no_mask"
 
 
 def doc_masks(docs: list[DocumentRecord], model: CodingModel,
-              index: AuxMaskIndex | None) -> list[DocMask]:
+              index: AuxMaskIndex) -> list[DocMask]:
     """One candidate mask per document; all-ones where ``uses_masks`` is false."""
-    if not uses_masks(model, index):
+    if not uses_masks(model):
         return [DocMask.all_ones(model.num_labels) for _ in docs]
     return [make_doc_mask(doc, index) for doc in docs]
 
@@ -162,7 +162,7 @@ def train(
     train_docs: list[DocumentRecord],
     val_docs: list[DocumentRecord],
     model: CodingModel,
-    mask_index: AuxMaskIndex | None,
+    mask_index: AuxMaskIndex,
     config: TrainConfig,
     ks: tuple[int, ...] = (5, 8, 15),
 ) -> TrainResult:
@@ -225,7 +225,7 @@ def train(
 def collect_scores(
     docs: list[DocumentRecord],
     model: CodingModel,
-    mask_index: AuxMaskIndex | None,
+    mask_index: AuxMaskIndex,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(gold, gated scores) matrices for an evaluation split, fixed doc order."""
     masks = doc_masks(docs, model, mask_index)
@@ -241,7 +241,7 @@ def collect_scores(
 def evaluate(
     docs: list[DocumentRecord],
     model: CodingModel,
-    mask_index: AuxMaskIndex | None,
+    mask_index: AuxMaskIndex,
     threshold: float,
     ks: tuple[int, ...] = (5, 8, 15),
     label_codes: list[str] | None = None,
@@ -274,7 +274,7 @@ def ablate(
     vocab: Vocabulary,
     catalog: LabelCatalog,
     graph: CooccurrenceGraph,
-    mask_index: AuxMaskIndex | None,
+    mask_index: AuxMaskIndex,
     embedding_matrix: np.ndarray,
     cfg,
 ) -> dict:
@@ -308,15 +308,10 @@ def ablate(
 # checkpointing
 
 _CKPT_MAGIC = b"XMTC-CKPT-v2\n"
-_CKPT_KEYS = ("epoch", "params", "variant")
+_CKPT_KEYS = ("epoch", "params")
 
 
-def save_checkpoint(
-    path,
-    params_arrays: dict[str, np.ndarray],
-    epoch: int,
-    variant: str = "full",
-) -> None:
+def save_checkpoint(path, params_arrays: dict[str, np.ndarray], epoch: int) -> None:
     """Self-describing binary container: magic, manifest length, JSON
     manifest, then one raw blob per parameter.
 
@@ -326,7 +321,6 @@ def save_checkpoint(
     names = list(params_arrays)
     manifest = {
         "epoch": epoch,
-        "variant": variant,
         "params": [{"name": n, "shape": list(params_arrays[n].shape)} for n in names],
     }
     payload = json.dumps(manifest, sort_keys=True).encode()

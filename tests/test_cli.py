@@ -6,7 +6,6 @@ import json
 import math
 import os
 import shutil
-import struct
 import subprocess
 import sys
 import tempfile
@@ -264,6 +263,14 @@ class TestAblate:
         assert main(["ablate", "--workdir", str(work), "--config", str(cfg),
                      "--variants", variants]) == 2
 
+    def test_repeated_variant_is_exit_2_before_anything_loads(self, pipeline, tmp_path,
+                                                              capsys):
+        _, _, _, cfg = pipeline
+        # the empty work directory would be exit 3 if any artifact were opened
+        assert main(["ablate", "--workdir", str(tmp_path / "empty"), "--config", str(cfg),
+                     "--variants", "full,no_mask,full"]) == 2
+        assert "['full'] more than once" in capsys.readouterr().err
+
     def test_stale_embeddings_refused(self, pipeline, tmp_path, capsys):
         """Embeddings re-made under another config (one more skip-gram
         epoch) are refused, with the rest of preprocess's artifacts."""
@@ -345,15 +352,6 @@ def _evaluate_copy(work, cfg, tmp_path, name, edit, producer=None):
     return main(["evaluate", "--workdir", str(copy), "--config", str(cfg)])
 
 
-def _drop_manifest_key(raw, key="variant"):
-    head = len(b"XMTC-CKPT-v2\n")
-    (length,) = struct.unpack_from("<Q", raw, head)
-    manifest = json.loads(raw[head + 8 : head + 8 + length])
-    del manifest[key]
-    payload = json.dumps(manifest, sort_keys=True).encode()
-    return raw[:head] + struct.pack("<Q", len(payload)) + payload + raw[head + 8 + length :]
-
-
 def _replace_line(raw, index, text):
     lines = raw.decode().splitlines(keepends=True)
     lines[index] = text + "\n"
@@ -407,9 +405,8 @@ class TestErrors:
         lambda raw: raw[:30],
         lambda raw: raw[:2000],
         lambda raw: raw + b"\0" * 8,
-        _drop_manifest_key,
         lambda raw: raw.replace(b"XMTC-CKPT-v2", b"XMTC-CKPT-v1", 1),
-    ], ids=["cut18", "cut30", "cut2000", "trailing", "no_variant", "v1_magic"])
+    ], ids=["cut18", "cut30", "cut2000", "trailing", "v1_magic"])
     def test_malformed_checkpoint_is_exit_3(self, pipeline, tmp_path, edit):
         _, _, work, cfg = pipeline
         assert _evaluate_copy(work, cfg, tmp_path, "checkpoint.bin", edit) == 3
@@ -555,6 +552,21 @@ class TestErrors:
         assert f"{copy / 'graph.txt'} was built from another" in err
         assert "re-run 'xmtc build-graph'" in err
 
+    def test_graph_for_another_label_count_is_stale(self, pipeline, tmp_path, capsys):
+        """Only preprocess re-run on a 19-label corpus: the graph, counted
+        from the 20-label one, is stale before its loader sees the count."""
+        _, _, work, cfg = pipeline
+        data = tmp_path / "data"
+        assert main(["gen-synthetic", "--workdir", str(data), "--labels", "19",
+                     "--docs", "150", "--seed", "5"]) == 0
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        assert _preprocess(data, copy, cfg) == 0
+        assert main(["train", "--workdir", str(copy), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{copy / 'graph.txt'} was built from another" in err
+        assert "re-run 'xmtc build-graph'" in err
+
     @pytest.mark.parametrize("producer, text", [
         ("preprocess", None), ("build-graph", "{not json"), ("build-mask", "[]"),
         ("train", '{"config_hash": "x", "inputs": {}}'),
@@ -620,7 +632,7 @@ class TestErrors:
             fused = arrays.pop("block0.level0_residual")
             d = fused.shape[2] // 2
             arrays["block0.level0"], arrays["block0.residual"] = fused[..., :d], fused[..., d:]
-            training.save_checkpoint(path, arrays, meta["epoch"], meta["variant"])
+            training.save_checkpoint(path, arrays, meta["epoch"])
             return path.read_bytes()
 
         assert _evaluate_copy(work, cfg, tmp_path, "checkpoint.bin", two_filters,
@@ -642,11 +654,12 @@ class TestErrors:
         code = main(["train", "--workdir", str(work), "--config", str(other)])
         assert code == 2
 
-    def test_mixed_artifacts_refused(self, pipeline, capsys):
-        _, data, work, cfg = pipeline
+    def test_mixed_artifacts_refused(self, pipeline, tmp_path, capsys):
+        _, data, work, _ = pipeline
         # rebuilding the graph under a different seed leaves a stale graph
-        code = main(["build-graph", "--workdir", str(work), "--config", str(cfg),
-                     "--seed", "99"])
+        cfg = tmp_path / "seed99.cfg"
+        cfg.write_text(CONFIG.replace("seed = 5", "seed = 99"))
+        code = main(["build-graph", "--workdir", str(work), "--config", str(cfg)])
         assert code == 2  # encoded corpus was produced under seed 5
         err = capsys.readouterr().err
         assert "re-run" in err
@@ -785,8 +798,10 @@ class TestConfigRanges:
         ("prediction_threshold", "1"), ("tau", "0"), ("lambda", "1"), ("p_at_k", "1"),
         ("seed", "0"), ("skipgram_negatives", "0"), ("skipgram_epochs", "0"),
     ])
-    def test_range_edges_load(self, key, value):
-        load_run_config(None, overrides={key: value})
+    def test_range_edges_load(self, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        load_run_config(cfg)
 
     @pytest.mark.parametrize("flag, value", [("--labels", "0"), ("--labels", "-3"),
                                              ("--docs", "0"), ("--docs", "-1")])
@@ -853,7 +868,9 @@ class TestDefaults:
     def test_roundtrip_through_canonical_text(self, tmp_path):
         from xmtc.config import canonical_text, config_hash, load_run_config
 
-        cfg = load_run_config(None, overrides={"tau": "0.25", "dilation_rates": "2,5,9"})
+        given = tmp_path / "given.cfg"
+        given.write_text("tau = 0.25\ndilation_rates = 2,5,9\n")
+        cfg = load_run_config(given)
         path = tmp_path / "cfg.txt"
         path.write_text(canonical_text(cfg))
         again = load_run_config(path)
@@ -862,24 +879,34 @@ class TestDefaults:
 
 
 class TestEnvOverride:
-    def test_env_var_overrides_config(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau = 0.3\n")
-        monkeypatch.setenv("XMTC_TAU", "not-a-float")
-        code = main(["build-graph", "--workdir", str(tmp_path), "--config", str(cfg)])
-        assert code == 2  # the override is parsed (and rejected), so it applies
+    """The configuration file is the only source of a run's settings."""
 
-    def test_env_var_value_used(self, monkeypatch):
-        from xmtc.config import RunConfig, load_run_config
-
+    def test_environment_sets_no_key(self, pipeline, monkeypatch):
+        _, _, work, cfg = pipeline
         monkeypatch.setenv("XMTC_TAU", "0.125")
-        cfg = load_run_config(None)
-        assert cfg.tau == 0.125
+        monkeypatch.setenv("XMTC_SEED", "7")
+        assert load_run_config(None).tau == 0.005
+        stage = cli._Stage(cli.build_parser().parse_args(
+            ["evaluate", "--workdir", str(work), "--config", str(cfg)]))
+        made = json.loads((work / "manifest_evaluate.json").read_text())
+        assert stage.hash == made["config_hash"]
 
-    def test_seed_flag_propagates(self, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--train", "t.jsonl", "--catalog", "c.tsv"], ["build-graph"],
+        ["build-mask"], ["train"], ["evaluate"], ["predict", "--input", "d.jsonl"], ["ablate"],
+    ], ids=lambda argv: argv[0])
+    def test_model_subcommand_takes_no_seed(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workdir", str(tmp_path), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_seed_flag_propagates(self, tmp_path):
         from xmtc.config import config_hash, load_run_config
 
-        a = load_run_config(None, overrides={"seed": "1"})
-        b = load_run_config(None, overrides={"seed": "2"})
+        for seed in (1, 2):
+            (tmp_path / f"seed{seed}.cfg").write_text(f"seed = {seed}\n")
+        a = load_run_config(tmp_path / "seed1.cfg")
+        b = load_run_config(tmp_path / "seed2.cfg")
         assert a.seed == 1 and b.seed == 2
         assert config_hash(a) != config_hash(b)

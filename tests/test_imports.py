@@ -1,7 +1,8 @@
-"""Every module-level import in the package is read by its module, and
-every function, class and method it defines is read somewhere in it.  The
-test oracles import no private name of the package but the tape's node
-plumbing, so they cannot check a function against itself.
+"""Every module-level import in the package is read by its module, every
+function, class and method it defines is read somewhere in it, and no
+module reads the process environment.  The test oracles import no private
+name of the package but the tape's node plumbing, so they cannot check a
+function against itself.
 
 Standard library only: the checks parse each source file with ``ast``.
 An import line marked ``# noqa: F401`` is exempt, and a name listed in
@@ -59,6 +60,40 @@ def test_no_unused_module_import(path):
 ])
 def test_checker_finds_only_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def environment_reads(source: str) -> list[str]:
+    """Where ``source`` reads the process environment: ``os.environ``,
+    ``os.getenv``, or either name imported from ``os``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: os.{n}" for n in names if n in ("environ", "getenv")]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_reads_the_environment(path):
+    """The configuration file is the only source of a run's settings."""
+    assert environment_reads(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("import os\nos.environ.get('XMTC_TAU')\n", ["line 2: os.environ"]),
+    ("import os\nx = os.getenv('A', '1')\n", ["line 2: os.getenv"]),
+    ("from os import environ, sep\n", ["line 1: os.environ"]),
+    ("from os import getenv as g\n", ["line 1: os.getenv"]),
+    ("import os\nos.path.join('a', 'b')\nenv = {}\nenv.get('environ')\n", []),
+    ("from subprocess import run\nrun(['x'], env={})\n", []),
+])
+def test_environment_checker_finds_only_reads(source, reads):
+    assert environment_reads(source) == reads
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:

@@ -1,5 +1,6 @@
 """Tests for the optimizer, training loop, checkpointing, and ablation."""
 
+import json
 import struct
 import tempfile
 import tracemalloc
@@ -441,7 +442,7 @@ class TestCheckpoint:
         before = evaluate(records, model, index, 0.5)
 
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, result.params_arrays, epoch=result.best_epoch, variant="full")
+        save_checkpoint(path, result.params_arrays, epoch=result.best_epoch)
         params, manifest = load_checkpoint(path)
         assert manifest["epoch"] == result.best_epoch
         for name, arr in result.params_arrays.items():
@@ -488,6 +489,21 @@ class TestCheckpoint:
         params, _ = load_checkpoint(path)
         for name, arr in arrays.items():
             assert params[name].tobytes() == arr.tobytes()
+
+    def test_manifest_with_an_extra_key_loads(self, tmp_path):
+        """A checkpoint whose manifest carries a key no longer written, such
+        as the ``variant`` of older ones, loads: extra keys are ignored."""
+        arrays = {"w": np.arange(6.0).reshape(2, 3)}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, arrays, epoch=3)
+        raw = path.read_bytes()
+        (length,) = struct.unpack_from("<Q", raw, 13)
+        manifest = json.loads(raw[21 : 21 + length])
+        payload = json.dumps({**manifest, "variant": "no_mask"}, sort_keys=True).encode()
+        path.write_bytes(raw[:13] + struct.pack("<Q", len(payload)) + payload + raw[21 + length :])
+        params, loaded = load_checkpoint(path)
+        assert loaded["epoch"] == 3
+        assert params["w"].tobytes() == arrays["w"].tobytes()
 
 
 class TestGatingInvariant:
