@@ -84,6 +84,6 @@ print("=" * 60)
 print(f"{'tau':>6} {'recall':>8} {'mean size':>10} {'fraction':>9}")
 for tau in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
     index.tau = tau
-    stats = mask_stats(index, eval_docs)
+    stats = mask_stats(eval_docs, [make_doc_mask(d, index) for d in eval_docs])
     print(f"{tau:>6.1f} {stats.recall_of_gold:>8.4f} {stats.mean_mask_size:>10.1f} "
           f"{stats.mask_fraction:>9.3f}")

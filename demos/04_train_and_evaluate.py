@@ -76,12 +76,14 @@ print("=" * 60)
 print("4. Where does a prediction attend?")
 print("=" * 60)
 
+h_label = model.label_representations()
 doc = next(
     d for d in test_docs
-    if int(np.argmax(model.predict_scores(d.tokens, make_doc_mask(d, index)))) in d.labels
+    if int(np.argmax(model.predict_scores(d.tokens, make_doc_mask(d, index), h_label)))
+    in d.labels
 )
 doc_mask = make_doc_mask(doc, index)
-scores, alpha = model.predict_scores(doc.tokens, doc_mask, doc_id=doc.doc_id,
+scores, alpha = model.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id,
                                      with_attention=True)
 top = int(np.argmax(scores))
 heavy = np.argsort(-alpha[top])[:5]

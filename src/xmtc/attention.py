@@ -7,7 +7,6 @@ vectors feed a shared linear map with per-label bias and a sigmoid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +75,3 @@ def attention_heat_records(doc_id: str, alpha: np.ndarray, label_codes: list[str
             records.append({"doc_id": doc_id, "label": code,
                             "token_index": pos, "weight": float(weights[pos])})
     return records
-
-
-def write_attention_heat(records: list[dict], fh) -> None:
-    """Append ``records`` to the open text stream ``fh``, one JSON line each."""
-    for rec in records:
-        fh.write(json.dumps(rec) + "\n")

@@ -259,7 +259,7 @@ def cmd_build_mask(args) -> None:
     index = mask.build_mask_index(train_docs, len(catalog), tau=stage.cfg.tau)
     mask_path = stage.workdir / ARTIFACTS["mask_index"]
     mask.save_mask_index(index, catalog, mask_path, config_hash=stage.hash)
-    stats = mask.mask_stats(index, train_docs)
+    stats = mask.mask_stats(train_docs, [mask.make_doc_mask(doc, index) for doc in train_docs])
     stage.write_manifest([mask_path])
     print(f"build-mask: tau={stage.cfg.tau}, train recall {stats.recall_of_gold:.4f}, "
           f"mean mask size {stats.mean_mask_size:.1f}")
@@ -309,16 +309,13 @@ def cmd_predict(args) -> None:
     records = corpus.encode_documents(raw_docs, vocab, catalog, max_len=cfg.max_len,
                                       source=args.input)
 
-    h_label = m.label_representations()
     out_path = stage.workdir / ARTIFACTS["predictions"]
     # the heat file is opened first, so an unwritable path fails before any scoring
     heat_file = open(args.attention_out, "w") if args.attention_out else contextlib.nullcontext()
     with heat_file as heat, open(out_path, "w") as fh:
         fh.write(json.dumps({"format": "xmtc-predictions"}) + "\n")
-        for doc, doc_mask in zip(records, training.doc_masks(records, m, index)):
-            out = m.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id,
-                                   with_attention=heat is not None)
-            scores, alpha = out if heat is not None else (out, None)
+        for doc, doc_mask, scores, alpha in training.score_docs(
+                records, m, index, with_attention=heat is not None):
             top = top_k_labels(scores, cfg.predict_top_k)
             row = {
                 "doc_id": doc.doc_id,
@@ -327,8 +324,9 @@ def cmd_predict(args) -> None:
             }
             fh.write(json.dumps(row) + "\n")
             if heat is not None:
-                attention.write_attention_heat(attention.attention_heat_records(
-                    doc.doc_id, alpha[top], [catalog.codes[i] for i in top]), heat)
+                for rec in attention.attention_heat_records(
+                        doc.doc_id, alpha[top], [catalog.codes[i] for i in top]):
+                    heat.write(json.dumps(rec) + "\n")
     heat_path = [Path(args.attention_out)] if args.attention_out else []
     stage.write_manifest([out_path, *heat_path])
     print(f"predict: wrote top-{cfg.predict_top_k} lists for {len(records)} docs")

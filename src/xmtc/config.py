@@ -143,8 +143,9 @@ _PARSERS = {_key_for(f.name): _parser_for(f.default) for f in fields(RunConfig)}
 
 def load_run_config(path=None) -> RunConfig:
     """The configuration in the file at ``path``, with defaults for the keys
-    it omits; with no ``path``, the defaults."""
+    it omits; with no ``path``, the defaults.  A key may be set once."""
     values: dict[str, object] = {}
+    line_of: dict[str, int] = {}  # each key read -> the line that sets it
     lines = [] if path is None else read_text(path, ConfigError).splitlines()
     for ln, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -155,6 +156,8 @@ def load_run_config(path=None) -> RunConfig:
         key, _, raw = (part.strip() for part in stripped.partition("="))
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{ln}: unknown configuration key {key!r}")
+        if line_of.setdefault(key, ln) != ln:
+            raise ConfigError(f"{path}:{ln}: {key!r} is set again (first on line {line_of[key]})")
         try:
             values[_attr_for(key)] = _PARSERS[key](raw)
         except (ValueError, TypeError) as exc:

@@ -127,23 +127,21 @@ class MaskStats:
     recall_of_gold: float
     mean_mask_size: float
     mask_fraction: float
+    empty_docs: int  # documents whose hard gating is suspended
 
 
-def mask_stats(index: AuxMaskIndex, docs: list[DocumentRecord]) -> MaskStats:
-    """Gold-label recall and size statistics of the document masks."""
-    covered = 0
-    gold_pairs = 0
-    sizes = []
-    for doc in docs:
-        mask = make_doc_mask(doc, index)
-        sizes.append(len(mask.labels))
-        gold_pairs += len(doc.labels)
-        covered += len(doc.labels & mask.labels)
+def mask_stats(docs: list[DocumentRecord], masks: list[DocMask]) -> MaskStats:
+    """Gold-label recall, size statistics and the empty count of ``masks``,
+    the masks of ``docs`` in the same order."""
+    sizes = [len(mask.labels) for mask in masks]
+    gold_pairs = sum(len(doc.labels) for doc in docs)
+    covered = sum(len(doc.labels & mask.labels) for doc, mask in zip(docs, masks))
     mean_size = float(np.mean(sizes)) if sizes else 0.0
     return MaskStats(
         recall_of_gold=covered / gold_pairs if gold_pairs else 0.0,
         mean_mask_size=mean_size,
-        mask_fraction=mean_size / index.num_labels if index.num_labels else 0.0,
+        mask_fraction=mean_size / masks[0].vec.size if masks else 0.0,
+        empty_docs=sizes.count(0),
     )
 
 

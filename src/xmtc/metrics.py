@@ -40,7 +40,7 @@ def micro_macro_f1(gold: np.ndarray, pred: np.ndarray) -> tuple[float, float, in
         macro = float(np.mean([_binary_f1(tp[i], fp[i], fn[i]) for i in np.nonzero(has_pos)[0]]))
     else:
         macro = 0.0
-    return micro, macro, int((~has_pos).sum())
+    return float(micro), macro, int((~has_pos).sum())
 
 
 def _auc(y: np.ndarray, s: np.ndarray) -> float | None:

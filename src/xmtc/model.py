@@ -15,7 +15,6 @@ consumers.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,8 +31,6 @@ from .tensor import Tensor, concat, gather_rows, matmul, mean, reshape, spmm
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-logger = logging.getLogger(__name__)
 
 
 class ModelParams:
@@ -142,24 +139,21 @@ class CodingModel:
             alpha[np.ix_(cand, real)] = att.alpha.data
         return y_hat, alpha
 
-    def predict_scores(self, token_ids, doc_mask: DocMask, h_label: Tensor | None = None,
+    def predict_scores(self, token_ids, doc_mask: DocMask, h_label: Tensor,
                        doc_id: str = "?", with_attention: bool = False):
         """Inference scores under hard gating.
 
         Labels outside the candidate set get probability 0; an all-ones mask
         (unmasked models) gates nothing.  An empty candidate set suspends
-        gating for the document (otherwise nothing could ever be predicted)
-        and is logged.  ``with_attention`` also returns the [L, n] attention
-        weights of the same pass; a masked label's row is uniform.
+        gating for the document (otherwise nothing could ever be predicted).
+        ``with_attention`` also returns the [L, n] attention weights of the
+        same pass; a masked label's row is uniform.
         """
-        if h_label is None:
-            h_label = self.label_representations()
+        # ``doc_id`` names perfbench's span (its ``doc_ref``) until src records its own
         y_hat, alpha = self.forward_doc(token_ids, doc_mask, h_label,
                                         with_attention=with_attention)
         scores = y_hat.data.copy()
-        if doc_mask.empty:
-            logger.info("doc %s: empty candidate mask; hard gating suspended", doc_id)
-        else:
+        if not doc_mask.empty:
             scores *= doc_mask.vec
         return (scores, alpha) if with_attention else scores
 

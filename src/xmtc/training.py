@@ -16,7 +16,7 @@ from .config import TrainConfig, check_variants
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary
 from .errors import DataError, DivergenceError
 from .graph import CooccurrenceGraph
-from .mask import AuxMaskIndex, DocMask, make_doc_mask
+from .mask import AuxMaskIndex, DocMask, make_doc_mask, mask_stats
 from .metrics import MetricsReport, compute_metrics
 from .model import CodingModel, ModelParams, model_from_config
 from .tensor import GradTape, Tensor, add, bce_loss, mul
@@ -222,19 +222,33 @@ def train(
     return best
 
 
+def score_docs(docs: list[DocumentRecord], model: CodingModel, mask_index: AuxMaskIndex,
+               with_attention: bool = False):
+    """``(doc, mask, gated scores, alpha)`` for each of ``docs`` in order; ``alpha``,
+    the [L, n] attention weights, is None unless ``with_attention``.  When the split
+    is done, one line logs its mask statistics, the empty (ungated) count among them."""
+    masks = doc_masks(docs, model, mask_index)
+    h_label = model.label_representations()
+    for doc, doc_mask in zip(docs, masks):
+        out = model.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id,
+                                   with_attention=with_attention)
+        yield (doc, doc_mask, *out) if with_attention else (doc, doc_mask, out, None)
+    stats = mask_stats(docs, masks)
+    logger.info("scored %d docs: %d empty masks (gating suspended), mean size %.1f, recall %.4f",
+                len(docs), stats.empty_docs, stats.mean_mask_size, stats.recall_of_gold)
+
+
 def collect_scores(
     docs: list[DocumentRecord],
     model: CodingModel,
     mask_index: AuxMaskIndex,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(gold, gated scores) matrices for an evaluation split, fixed doc order."""
-    masks = doc_masks(docs, model, mask_index)
-    h_label = model.label_representations()
     gold = np.zeros((len(docs), model.num_labels), dtype=bool)
     scores = np.zeros((len(docs), model.num_labels))
-    for row, (doc, doc_mask) in enumerate(zip(docs, masks)):
+    for row, (doc, _, doc_scores, _) in enumerate(score_docs(docs, model, mask_index)):
         gold[row] = doc.label_vector(model.num_labels) > 0
-        scores[row] = model.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id)
+        scores[row] = doc_scores
     return gold, scores
 
 

@@ -243,12 +243,13 @@ def test_criterion_2_shapes_and_padding_invariance():
         )
         doc_mask = mask.DocMask.all_ones(l)
         tokens = rng.integers(2, v, size=37).tolist()
-        base = m.predict_scores(tokens, doc_mask)
+        h_label = m.label_representations()
+        base = m.predict_scores(tokens, doc_mask, h_label)
         for extra in (1, 5, 40):
-            padded = m.predict_scores(tokens + [corpus.PAD_ID] * extra, doc_mask)
+            padded = m.predict_scores(tokens + [corpus.PAD_ID] * extra, doc_mask, h_label)
             np.testing.assert_allclose(padded, base, atol=1e-10)
-        alpha_base = m.predict_scores(tokens, doc_mask, with_attention=True)[1]
-        alpha_padded = m.predict_scores(tokens + [corpus.PAD_ID] * 6, doc_mask,
+        alpha_base = m.predict_scores(tokens, doc_mask, h_label, with_attention=True)[1]
+        alpha_padded = m.predict_scores(tokens + [corpus.PAD_ID] * 6, doc_mask, h_label,
                                         with_attention=True)[1]
         np.testing.assert_allclose(alpha_padded[:, : len(tokens)], alpha_base, atol=1e-10)
         np.testing.assert_array_equal(alpha_padded[:, len(tokens):], 0.0)
@@ -341,14 +342,14 @@ def test_criterion_4_mask_oracle(planted):
         recalls, sizes = [], []
         for tau in taus:
             index.tau = float(tau)
-            stats = mask.mask_stats(index, eval_docs)
+            stats = mask.mask_stats(eval_docs, [mask.make_doc_mask(d, index) for d in eval_docs])
             recalls.append(stats.recall_of_gold)
             sizes.append(stats.mean_mask_size)
         assert all(a >= b - 1e-12 for a, b in zip(recalls, recalls[1:])), recalls
         assert all(a >= b - 1e-12 for a, b in zip(sizes, sizes[1:])), sizes
 
         index.tau = 0.5
-        stats = mask.mask_stats(index, eval_docs)
+        stats = mask.mask_stats(eval_docs, [mask.make_doc_mask(d, index) for d in eval_docs])
         assert stats.recall_of_gold >= 0.99, stats
         assert stats.mask_fraction <= 1 / 3, stats
 

@@ -74,7 +74,7 @@ class TestLabelAttention:
     def test_padded_positions_get_zero_weight(self):
         m = _padding_model()
         _, alpha = m.predict_scores([3, 4, 5, PAD_ID, PAD_ID], DocMask.all_ones(m.num_labels),
-                                    with_attention=True)
+                                    m.label_representations(), with_attention=True)
         assert alpha.shape == (m.num_labels, 5)
         np.testing.assert_array_equal(alpha[:, 3:], np.zeros((m.num_labels, 2)))
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
@@ -82,7 +82,8 @@ class TestLabelAttention:
     def test_all_padded_rejected(self):
         m = _padding_model()
         with pytest.raises(DataError):
-            m.predict_scores([PAD_ID] * 3, DocMask.all_ones(m.num_labels))
+            m.predict_scores([PAD_ID] * 3, DocMask.all_ones(m.num_labels),
+                             m.label_representations())
 
     def test_interior_padding_is_dropped_exactly(self):
         """PAD tokens anywhere in a document give exactly the scores of the
@@ -91,8 +92,9 @@ class TestLabelAttention:
         doc_mask = DocMask.all_ones(m.num_labels)
         tokens = np.random.default_rng(7).integers(2, 20, size=15).tolist()
         padded = tokens[:4] + [PAD_ID] * 3 + tokens[4:9] + [PAD_ID] + tokens[9:] + [PAD_ID] * 2
-        base, alpha_base = m.predict_scores(tokens, doc_mask, with_attention=True)
-        scores, alpha = m.predict_scores(padded, doc_mask, with_attention=True)
+        h_label = m.label_representations()
+        base, alpha_base = m.predict_scores(tokens, doc_mask, h_label, with_attention=True)
+        scores, alpha = m.predict_scores(padded, doc_mask, h_label, with_attention=True)
         np.testing.assert_array_equal(scores, base)
         real = np.asarray(padded) != PAD_ID
         np.testing.assert_array_equal(alpha[:, real], alpha_base)

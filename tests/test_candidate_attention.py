@@ -160,7 +160,8 @@ def test_mask_of_another_length_is_shape_error(world):
     model, init, docs, _ = world
     model.params.load_arrays(init)
     with pytest.raises(ShapeError):
-        model.predict_scores(docs[0].tokens, DocMask.all_ones(model.num_labels - 1))
+        model.predict_scores(docs[0].tokens, DocMask.all_ones(model.num_labels - 1),
+                             model.label_representations())
 
 
 def test_empty_mask_batch_matches_dense_after_adam_step(world):

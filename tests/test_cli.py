@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import shutil
@@ -171,6 +172,46 @@ class TestPipeline:
             scores = [s for _, s in row["topk"]]
             assert scores == sorted(scores, reverse=True)
             assert all(s > 0 for s in scores)
+
+    def test_history_fields_parse_as_numbers(self, pipeline):
+        _, _, work, _ = pipeline
+        lines = (work / "history.csv").read_text().splitlines()
+        assert lines[0] == "epoch,train_loss,val_micro_f1,lr"
+        assert len(lines) > 1
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 4
+            assert all(math.isfinite(float(field)) for field in fields), line
+
+    def test_each_scored_split_logs_one_summary_line(self, pipeline, tmp_path, caplog):
+        """evaluate and predict log one line per split with its empty-mask
+        count, and no line per document."""
+        _, data, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        stage = cli._Stage(cli.build_parser().parse_args(
+            ["evaluate", "--workdir", str(copy), "--config", str(cfg)]))
+        _, catalog, vocab, index = cli._restore_model(stage)
+        [test_docs] = stage.splits(vocab, catalog, "test")
+        test_empty = sum(mask.make_doc_mask(d, index).empty for d in test_docs)
+        rows = [json.loads(line) for line in (data / "test.jsonl").read_text().splitlines()]
+        for row in rows[::2]:  # half the documents lose their codes, so their masks are empty
+            row.update(drg=[], cpt=[], drugs=[])
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        base = ["--workdir", str(copy), "--config", str(cfg)]
+        records = corpus.encode_documents(rows, vocab, catalog)
+        docs_empty = sum(mask.make_doc_mask(d, index).empty for d in records)
+        assert docs_empty >= len(rows) // 2 > 0
+        for argv, count, empty in ((["evaluate", *base], len(test_docs), test_empty),
+                                   (["predict", *base, "--input", str(docs)], len(rows),
+                                    docs_empty)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="xmtc"):
+                assert main(argv) == 0
+            lines = [rec.getMessage() for rec in caplog.records]
+            assert len(lines) == 1, lines
+            assert lines[0].startswith(f"scored {count} docs: {empty} empty masks"), lines
 
     def test_predict_without_aux_codes_falls_back_to_unmasked(self, pipeline):
         root, data, work, cfg = pipeline
@@ -364,6 +405,15 @@ class TestErrors:
         cfg.write_text("no_such_key = 1\n")
         code = main(["build-graph", "--workdir", str(tmp_path), "--config", str(cfg)])
         assert code == 2
+
+    def test_key_given_twice_is_exit_2_naming_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("tau = 0.3\nseed = 1\ntau = 0.7\n")
+        with pytest.raises(ConfigError, match=r"twice\.cfg:3: 'tau' .*line 1\b"):
+            load_run_config(cfg)
+        code = main(["build-graph", "--workdir", str(tmp_path), "--config", str(cfg)])
+        assert code == 2
+        assert "twice.cfg:3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["causal_conv", "norm_mode", "tau_drg", "tau_cpt",
                                      "tau_drugs", "hard_gating"])

@@ -151,19 +151,22 @@ class TestMaskStats:
         return random_docs(rng, n_docs=80)
 
     def test_recall_and_size_from_definition(self):
-        docs = self._corpus()
+        docs = self._corpus() + [doc("bare", [0])]  # no codes: an empty mask
         index = build_mask_index(docs, 8, tau=0.2)
-        stats = mask_stats(index, docs)
-        covered = total = 0
+        stats = mask_stats(docs, [make_doc_mask(d, index) for d in docs])
+        covered = total = empty = 0
         sizes = []
         for d in docs:
             m = make_doc_mask(d, index)
             sizes.append(len(m.labels))
             covered += len(d.labels & m.labels)
             total += len(d.labels)
+            empty += not m.labels
+        assert empty >= 1
         assert stats.recall_of_gold == pytest.approx(covered / total)
         assert stats.mean_mask_size == pytest.approx(np.mean(sizes))
         assert stats.mask_fraction == pytest.approx(np.mean(sizes) / 8)
+        assert stats.empty_docs == empty
 
     def test_monotone_in_tau(self):
         docs = self._corpus()
@@ -172,7 +175,7 @@ class TestMaskStats:
         recalls, sizes = [], []
         for tau in taus:
             index.tau = float(tau)
-            stats = mask_stats(index, docs)
+            stats = mask_stats(docs, [make_doc_mask(d, index) for d in docs])
             recalls.append(stats.recall_of_gold)
             sizes.append(stats.mean_mask_size)
         assert all(a >= b - 1e-12 for a, b in zip(recalls, recalls[1:]))
@@ -181,7 +184,7 @@ class TestMaskStats:
     def test_tau_one_empties_masks(self):
         docs = self._corpus()
         index = build_mask_index(docs, 8, tau=1.0)
-        stats = mask_stats(index, docs)
+        stats = mask_stats(docs, [make_doc_mask(d, index) for d in docs])
         assert stats.mask_fraction <= 0.05
 
     def test_candidate_sets_nested_in_tau(self):

@@ -53,6 +53,13 @@ class TestHandCounted:
         assert p[1] == 0.0
         assert p[2] == 0.5
 
+    def test_f1_values_are_python_floats(self):
+        gold = np.array([[True, False], [True, True]])
+        pred = np.array([[True, True], [False, True]])
+        micro, macro, skipped = micro_macro_f1(gold, pred)
+        assert (type(micro), type(macro), type(skipped)) == (float, float, int)
+        assert micro == 2 / 3
+
 
 class TestBruteForceEquivalence:
     def test_f1_and_auc_and_p_at_k(self):

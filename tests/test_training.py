@@ -1,6 +1,7 @@
 """Tests for the optimizer, training loop, checkpointing, and ablation."""
 
 import json
+import logging
 import struct
 import tempfile
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adam_step_expression, keep_everything_backward
-from xmtc.corpus import PAD_ID, LabelCatalog, build_vocab
+from xmtc.corpus import PAD_ID, DocumentRecord, LabelCatalog, build_vocab
 from xmtc.encoder import EncoderConfig
 from xmtc.errors import ConfigError, DataError, DivergenceError, GradTapeError
 from xmtc.graph import build_cooccurrence
@@ -26,9 +27,11 @@ from xmtc.training import (
     TrainConfig,
     batch_loss,
     clip_global_norm,
+    collect_scores,
     evaluate,
     load_checkpoint,
     save_checkpoint,
+    score_docs,
     train,
 )
 
@@ -524,3 +527,53 @@ class TestGatingInvariant:
             outside = scores[row][mask.vec == 0.0]
             assert np.all(outside == 0.0)
             assert all(mask.vec[i] == 1.0 for i in top_k_labels(scores[row], 5))
+
+
+class TestScoreDocs:
+    """``score_docs`` is the one loop that scores a split under its masks."""
+
+    @staticmethod
+    def _split(variant="full"):
+        """Two documents with candidates around one without codes, whose
+        mask is empty under a masked model."""
+        records, _, _, _, index, model = tiny_world(seed=4, n_docs=12, variant=variant)
+        first, second = [d for d in records if not make_doc_mask(d, index).empty][:2]
+        bare = DocumentRecord("bare", first.tokens, first.labels)
+        return [first, bare, second], index, model
+
+    @pytest.mark.parametrize("with_attention", [False, True])
+    @pytest.mark.parametrize("variant", ["full", "no_mask"])
+    def test_yields_predict_scores_bits_in_input_order(self, variant, with_attention):
+        docs, index, model = self._split(variant)
+        h_label = model.label_representations()
+        rows = list(score_docs(docs, model, index, with_attention=with_attention))
+        assert [doc for doc, _, _, _ in rows] == docs
+        masks = [doc_mask for _, doc_mask, _, _ in rows]
+        if variant == "no_mask":
+            assert all(m.vec.tobytes() == np.ones(model.num_labels).tobytes() for m in masks)
+        else:
+            assert [m.empty for m in masks] == [False, True, False]
+            for doc, m in zip(docs, masks):
+                assert m.vec.tobytes() == make_doc_mask(doc, index).vec.tobytes()
+        for doc, doc_mask, scores, alpha in rows:
+            want = model.predict_scores(doc.tokens, doc_mask, h_label)
+            assert scores.tobytes() == want.tobytes()
+            if with_attention:
+                _, want_alpha = model.predict_scores(doc.tokens, doc_mask, h_label,
+                                                     with_attention=True)
+                assert alpha.tobytes() == want_alpha.tobytes()
+            else:
+                assert alpha is None
+
+    def test_one_summary_line_per_split_and_none_per_document(self, caplog):
+        docs, index, model = self._split()
+        empty = sum(make_doc_mask(d, index).empty for d in docs)
+        assert empty == 1
+        with caplog.at_level(logging.DEBUG, logger="xmtc"):
+            collect_scores(docs, model, index)
+            for _ in score_docs(docs, model, index, with_attention=True):
+                pass
+        lines = [rec.getMessage() for rec in caplog.records]
+        assert len(lines) == 2, lines
+        for line in lines:
+            assert line.startswith(f"scored {len(docs)} docs: {empty} empty masks"), line
