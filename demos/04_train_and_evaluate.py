@@ -13,7 +13,7 @@ from xmtc.encoder import EncoderConfig
 from xmtc.graph import build_cooccurrence
 from xmtc.mask import build_mask_index, make_doc_mask
 from xmtc.model import model_from_artifacts
-from xmtc.training import TrainConfig, evaluate, train
+from xmtc.training import TrainConfig, doc_masks, evaluate, train
 
 # one member of each clique is "silent": it never leaves a keyword trace in
 # the text and has to be inferred from co-occurrence and auxiliary codes.
@@ -66,7 +66,8 @@ print("=" * 60)
 print("3. Evaluate on the held-out split")
 print("=" * 60)
 
-report = evaluate(test_docs, model, index, 0.4, ks=(5, 8, 15), label_codes=catalog.codes)
+report = evaluate(test_docs, model, doc_masks(test_docs, model, index), 0.4, ks=(5, 8, 15),
+                  label_codes=catalog.codes)
 print(f"micro-F1 {report.micro_f1:.4f}  macro-F1 {report.macro_f1:.4f}")
 print(f"micro-AUC {report.micro_auc:.4f}  macro-AUC {report.macro_auc:.4f}")
 print("P@K:", {k: round(v, 4) for k, v in sorted(report.p_at_k.items())})
@@ -100,5 +101,5 @@ print("=" * 60)
 for variant in ("full", "no_mask", "no_label_feature"):
     m = make_model(variant)
     train(train_docs, val_docs, m, index, config)
-    rep = evaluate(test_docs, m, index, 0.4)
+    rep = evaluate(test_docs, m, doc_masks(test_docs, m, index), 0.4)
     print(f"{variant:>18}: micro-F1 {rep.micro_f1:.4f}")

@@ -261,7 +261,7 @@ def cmd_build_mask(args) -> None:
     mask.save_mask_index(index, catalog, mask_path, config_hash=stage.hash)
     stats = mask.mask_stats(train_docs, [mask.make_doc_mask(doc, index) for doc in train_docs])
     stage.write_manifest([mask_path])
-    print(f"build-mask: tau={stage.cfg.tau}, train recall {stats.recall_of_gold:.4f}, "
+    print(f"build-mask: tau={stage.cfg.tau}, train recall {stats.recall_text}, "
           f"mean mask size {stats.mean_mask_size:.1f}")
 
 
@@ -291,8 +291,9 @@ def cmd_evaluate(args) -> None:
     stage = _Stage(args)
     m, catalog, vocab, index = _restore_model(stage)
     [docs] = stage.splits(vocab, catalog, args.split)
-    report = training.evaluate(docs, m, index, stage.cfg.prediction_threshold,
-                               ks=stage.cfg.p_at_k, label_codes=catalog.codes)
+    report = training.evaluate(docs, m, training.doc_masks(docs, m, index),
+                               stage.cfg.prediction_threshold, ks=stage.cfg.p_at_k,
+                               label_codes=catalog.codes)
     metrics_path = stage.workdir / ARTIFACTS["metrics"]
     metrics_path.write_text(report.to_json() + "\n")
     per_label_path = stage.workdir / ARTIFACTS["per_label"]
@@ -315,7 +316,8 @@ def cmd_predict(args) -> None:
     with heat_file as heat, open(out_path, "w") as fh:
         fh.write(json.dumps({"format": "xmtc-predictions"}) + "\n")
         for doc, doc_mask, scores, alpha in training.score_docs(
-                records, m, index, with_attention=heat is not None):
+                records, m, training.doc_masks(records, m, index),
+                with_attention=heat is not None):
             top = top_k_labels(scores, cfg.predict_top_k)
             row = {
                 "doc_id": doc.doc_id,

@@ -124,10 +124,14 @@ def apply_mask(h_label: Tensor, mask: DocMask) -> Tensor:
 
 @dataclass
 class MaskStats:
-    recall_of_gold: float
+    recall_of_gold: float | None  # None when the documents hold no gold label
     mean_mask_size: float
     mask_fraction: float
     empty_docs: int  # documents whose hard gating is suspended
+
+    @property
+    def recall_text(self) -> str:
+        return "n/a" if self.recall_of_gold is None else f"{self.recall_of_gold:.4f}"
 
 
 def mask_stats(docs: list[DocumentRecord], masks: list[DocMask]) -> MaskStats:
@@ -138,7 +142,7 @@ def mask_stats(docs: list[DocumentRecord], masks: list[DocMask]) -> MaskStats:
     covered = sum(len(doc.labels & mask.labels) for doc, mask in zip(docs, masks))
     mean_size = float(np.mean(sizes)) if sizes else 0.0
     return MaskStats(
-        recall_of_gold=covered / gold_pairs if gold_pairs else 0.0,
+        recall_of_gold=covered / gold_pairs if gold_pairs else None,
         mean_mask_size=mean_size,
         mask_fraction=mean_size / masks[0].vec.size if masks else 0.0,
         empty_docs=sizes.count(0),

@@ -15,7 +15,11 @@ backward reads: the convolution its input's and its filters' own arrays
 (no padded copy or window buffer), relu and dropout a bool mask, add,
 reshape, transpose, the reductions and the row gather no array of their
 inputs at all.  So an activation lives only while user code or a backward
-that reads it holds it.  The replay consumes the tape: each node is
+that reads it holds it, and ``matmul``'s right operand and the
+convolution's input are held as their ``rebuild`` where they have one:
+a function that repeats the forward on arrays that live anyway (a
+transpose's input, a gathered parameter, under a dropout's mask) and so
+re-makes ``data`` bit for bit.  The replay consumes the tape: each node is
 dropped, with its output's gradient and the arrays its closure holds, as
 soon as it has run, so after ``backward`` only the leaves (the parameters)
 hold a gradient.
@@ -75,12 +79,13 @@ class GradCell:
     """The gradient side of a tensor: what the tape and the backward
     closures hold in its place, so that they never keep its ``data``."""
 
-    __slots__ = ("grad", "requires_grad", "shape")
+    __slots__ = ("grad", "requires_grad", "shape", "leaf")
 
     def __init__(self, requires_grad: bool, shape: tuple[int, ...]):
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.shape = shape
+        self.leaf = True  # made by no operation: a parameter when it requires grad
 
 
 class Tensor:
@@ -92,12 +97,13 @@ class Tensor:
     in ``cell``, which the tape holds instead of the tensor.
     """
 
-    __slots__ = ("data", "cell", "name")
+    __slots__ = ("data", "cell", "name", "rebuild")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.cell = GradCell(bool(requires_grad), self.data.shape)
         self.name = name
+        self.rebuild = None  # re-makes ``data`` bit for bit, for a backward that reads it
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -194,12 +200,19 @@ def _accumulate(cell: GradCell, g: np.ndarray) -> None:
     cell.grad += g
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, rebuild=None) -> Tensor:
     out = Tensor(data, requires_grad=any(p.cell.requires_grad for p in parents))
+    out.cell.leaf, out.rebuild = False, rebuild
     tape = _active_tape()
     if tape is not None and out.cell.requires_grad:
         tape._record(out.cell, backward_fn)
     return out
+
+
+def _kept(t: Tensor):
+    """What a backward that reads ``t.data`` holds: ``t.rebuild``, else the array."""
+    data = t.data
+    return t.rebuild or (lambda: data)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -217,7 +230,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-d tensors; gradients for both operands."""
+    """Matrix product of two 2-d tensors; gradients for both operands.  The
+    node keeps the left operand's array and the right one's ``_kept``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
@@ -226,11 +240,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ac, bc = a.cell, b.cell
     # each operand is read only for the other's gradient
     ad = a.data if bc.requires_grad else None
-    bd = b.data if ac.requires_grad else None
+    bd = _kept(b) if ac.requires_grad else None
 
     def bwd(g):
         if ac.requires_grad:
-            _accumulate(ac, g @ bd.T)
+            _accumulate(ac, g @ bd().T)
         if bc.requires_grad:
             _accumulate(bc, ad.T @ g)
 
@@ -255,16 +269,17 @@ def spmm(s, x: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
+    """A copy of ``x.data.T``, whose rebuild copies ``x``'s array again."""
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-d tensor, got {x.shape}")
 
-    xc = x.cell
+    xc, xd = x.cell, x.data
 
     def bwd(g):
         _accumulate(xc, g.T)
 
-    return _make(x.data.T.copy(), (x,), bwd)
+    return _make(xd.T.copy(), (x,), bwd, rebuild=lambda: xd.T.copy())
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -303,9 +318,9 @@ def conv1d_dilated(x: Tensor, filters: Tensor, dilation: int) -> Tensor:
     spaced ``dilation`` positions apart, and ``same_padding(K, dilation)``
     zeros are added on both ends (centered convolution).  The padded input
     and the [n, K*d_in] window buffer are freed after the forward product:
-    backward keeps only the input's and the filters' own arrays and their
-    cells, and re-pads the input to rebuild the windows for the filter
-    gradient.
+    backward keeps only the filters' array, the input's rebuild if it has
+    one (else its array) and their cells, and re-pads the input to rebuild
+    the windows for the filter gradient.
     """
     x, filters = _as_tensor(x), _as_tensor(filters)
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
@@ -319,18 +334,18 @@ def conv1d_dilated(x: Tensor, filters: Tensor, dilation: int) -> Tensor:
     n, d_in = x.shape
     k, _, d_out = filters.shape
     padding = same_padding(k, dilation)
-    xd, w2d = x.data, filters.data.reshape(k * d_in, d_out)
+    xd, w2d = _kept(x), filters.data.reshape(k * d_in, d_out)
 
-    def padded():
-        return np.pad(xd, ((padding, padding), (0, 0)))
+    def padded(arr):
+        return np.pad(arr, ((padding, padding), (0, 0)))
 
-    out = _windows(padded(), k, dilation, n) @ w2d
+    out = _windows(padded(x.data), k, dilation, n) @ w2d
 
     xc, fc = x.cell, filters.cell
 
     def bwd(g):
         if fc.requires_grad:
-            _accumulate(fc, (_windows(padded(), k, dilation, n).T @ g).reshape(k, d_in, d_out))
+            _accumulate(fc, (_windows(padded(xd()), k, dilation, n).T @ g).reshape(k, d_in, d_out))
         if xc.requires_grad:
             gwin = (g @ w2d.T).reshape(n, k, d_in)
             gxp = np.zeros((n + 2 * padding, d_in))
@@ -378,17 +393,19 @@ def mul(a, b) -> Tensor:
 def dropout(x, keep, scale: float) -> Tensor:
     """Inverted dropout: ``x * (keep * scale)`` for a bool mask ``keep`` of
     x's shape.  The node keeps the bool mask, one byte per element, and
-    forms the float factor each time it runs."""
+    forms the float factor each time it runs.  Over a rebuildable ``x``
+    the output's rebuild applies the same mask to ``x``'s rebuild."""
     x = _as_tensor(x)
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != x.shape:
         raise ShapeError(f"dropout mask shape {keep.shape} != input shape {x.shape}")
-    xc = x.cell
+    xc, xr = x.cell, x.rebuild
 
     def bwd(g):
         _accumulate(xc, g * (keep * scale))
 
-    return _make(x.data * (keep * scale), (x,), bwd)
+    return _make(x.data * (keep * scale), (x,), bwd,
+                 rebuild=None if xr is None else (lambda: xr() * (keep * scale)))
 
 
 def relu(x) -> Tensor:
@@ -537,7 +554,8 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     Duplicate ids accumulate their gradient contributions additively, first
     into one row per distinct id (``row_sums``), so backward touches only
-    the gathered rows of the table's gradient.
+    the gathered rows of the table's gradient.  A gather from a parameter,
+    whose array lives through backward, rebuilds by gathering again.
     """
     table = _as_tensor(table)
     if table.data.ndim != 2:
@@ -548,8 +566,8 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         bad = ids[(ids < 0) | (ids >= v)]
         if bad.size:
             raise IndexError(f"row id {int(bad[0])} out of range for table with {v} rows")
-    out = table.data[ids] if ids.size else np.zeros((0, table.shape[1]))
-    tc = table.cell
+    td, tc = table.data, table.cell
+    out = td[ids] if ids.size else np.zeros((0, table.shape[1]))
 
     def bwd(g):
         if tc.requires_grad and ids.size:
@@ -558,7 +576,8 @@ def gather_rows(table: Tensor, ids) -> Tensor:
                 tc.grad = np.zeros(tc.shape)
             tc.grad[uniq] += part
 
-    return _make(out, (table,), bwd)
+    return _make(out, (table,), bwd,
+                 rebuild=(lambda: td[ids]) if tc.requires_grad and tc.leaf else None)
 
 
 def row_sums(ids, values: np.ndarray, rows=None, weights=None) -> tuple[np.ndarray, np.ndarray]:

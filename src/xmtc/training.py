@@ -175,6 +175,7 @@ def train(
     if not train_docs:
         raise DataError("empty training split")
     train_masks = doc_masks(train_docs, model, mask_index)
+    val_masks = doc_masks(val_docs, model, mask_index)
 
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, lr=config.lr)
@@ -200,7 +201,7 @@ def train(
             epoch_loss += loss_value * len(batch)
         epoch_loss /= len(train_docs)
 
-        val_report = evaluate(val_docs, model, mask_index, config.prediction_threshold, ks)
+        val_report = evaluate(val_docs, model, val_masks, config.prediction_threshold, ks)
         stats = EpochStats(epoch=epoch, train_loss=epoch_loss,
                            val_micro_f1=val_report.micro_f1, lr=optimizer.lr)
         best.history.append(stats)
@@ -222,31 +223,31 @@ def train(
     return best
 
 
-def score_docs(docs: list[DocumentRecord], model: CodingModel, mask_index: AuxMaskIndex,
+def score_docs(docs: list[DocumentRecord], model: CodingModel, masks: list[DocMask],
                with_attention: bool = False):
-    """``(doc, mask, gated scores, alpha)`` for each of ``docs`` in order; ``alpha``,
-    the [L, n] attention weights, is None unless ``with_attention``.  When the split
-    is done, one line logs its mask statistics, the empty (ungated) count among them."""
-    masks = doc_masks(docs, model, mask_index)
+    """``(doc, mask, gated scores, alpha)`` for each of ``docs`` and its ``masks``
+    entry in order; ``alpha``, the [L, n] attention weights, is None unless
+    ``with_attention``.  When the split is done, one line logs its mask statistics,
+    the empty (ungated) count among them."""
     h_label = model.label_representations()
-    for doc, doc_mask in zip(docs, masks):
+    for doc, doc_mask in zip(docs, masks, strict=True):
         out = model.predict_scores(doc.tokens, doc_mask, h_label, doc_id=doc.doc_id,
                                    with_attention=with_attention)
         yield (doc, doc_mask, *out) if with_attention else (doc, doc_mask, out, None)
     stats = mask_stats(docs, masks)
-    logger.info("scored %d docs: %d empty masks (gating suspended), mean size %.1f, recall %.4f",
-                len(docs), stats.empty_docs, stats.mean_mask_size, stats.recall_of_gold)
+    logger.info("scored %d docs: %d empty masks (gating suspended), mean size %.1f, recall %s",
+                len(docs), stats.empty_docs, stats.mean_mask_size, stats.recall_text)
 
 
 def collect_scores(
     docs: list[DocumentRecord],
     model: CodingModel,
-    mask_index: AuxMaskIndex,
+    masks: list[DocMask],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(gold, gated scores) matrices for an evaluation split, fixed doc order."""
     gold = np.zeros((len(docs), model.num_labels), dtype=bool)
     scores = np.zeros((len(docs), model.num_labels))
-    for row, (doc, _, doc_scores, _) in enumerate(score_docs(docs, model, mask_index)):
+    for row, (doc, _, doc_scores, _) in enumerate(score_docs(docs, model, masks)):
         gold[row] = doc.label_vector(model.num_labels) > 0
         scores[row] = doc_scores
     return gold, scores
@@ -255,12 +256,12 @@ def collect_scores(
 def evaluate(
     docs: list[DocumentRecord],
     model: CodingModel,
-    mask_index: AuxMaskIndex,
+    masks: list[DocMask],
     threshold: float,
     ks: tuple[int, ...] = (5, 8, 15),
     label_codes: list[str] | None = None,
 ) -> MetricsReport:
-    gold, scores = collect_scores(docs, model, mask_index)
+    gold, scores = collect_scores(docs, model, masks)
     return compute_metrics(gold, scores, threshold, ks, label_codes=label_codes)
 
 
@@ -303,8 +304,8 @@ def ablate(
     for variant in variants:
         model = model_from_config(cfg, vocab, catalog, graph, embedding_matrix, variant=variant)
         result = train(train_docs, val_docs, model, mask_index, cfg.train_config(), ks=cfg.p_at_k)
-        test_report = evaluate(test_docs, model, mask_index, cfg.prediction_threshold,
-                               ks=cfg.p_at_k)
+        test_report = evaluate(test_docs, model, doc_masks(test_docs, model, mask_index),
+                               cfg.prediction_threshold, ks=cfg.p_at_k)
         report["variants"][variant] = _report_summary(test_report, result)
         logger.info("ablate %s: test micro-F1 %.4f", variant, test_report.micro_f1)
 

@@ -5,7 +5,8 @@ counting, direct recounts, sparse products) and deliberately shares no code
 with the implementations it checks, except the plain compositions of engine
 ops that an optimised path must reproduce (the dense label side, the
 unfused encoder block, the encoder whose tape keeps padded inputs, float
-dropout masks and stacked filters) and the tape's node plumbing.  The
+dropout masks and stacked filters, the transpose and the convolution that
+keep what backward could re-make) and the tape's node plumbing.  The
 label statistics and the auxiliary-code tables are counted here twice: by
 recount (``conditional_prob_matrix``, ``recount_aux_tables``) and
 through CSR products (``csr_cooccurrence``, ``csr_mask_tables``); src
@@ -127,6 +128,28 @@ def conv1d_keeping_padded(x, filters, dilation, padding):
             _accumulate(x.cell, gxp[padding : padding + n, :])
 
     return _make(windows() @ w2d, (x, filters), bwd)
+
+
+def conv1d_keeping_input(x, filters, dilation):
+    """A convolution with ``tensor.conv1d_dilated``'s signature whose node
+    keeps its input's array (padded), whatever rebuild the input carries.
+    The shipped convolution holds a rebuildable input's rebuild instead and
+    must be bit-equal to this."""
+    from xmtc.tensor import same_padding
+
+    return conv1d_keeping_padded(x, filters, dilation, same_padding(filters.shape[0], dilation))
+
+
+def transpose_keeping_copy(x):
+    """The transpose whose output carries no rebuild, so a ``matmul`` that
+    reads it as its right operand keeps the [d, n] copy on the tape.  The
+    shipped transpose re-copies in backward and must be bit-equal to this."""
+    from xmtc.tensor import _accumulate, _make
+
+    def bwd(g):
+        _accumulate(x.cell, g.T)
+
+    return _make(np.ascontiguousarray(x.data.T), (x,), bwd)
 
 
 def concat_then_conv(x, filters, dilation, padding):

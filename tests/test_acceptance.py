@@ -413,7 +413,7 @@ def test_criterion_6a_overfit_small_corpus():
         cfg = training.TrainConfig(lr=3e-3, lr_decay=0.97, max_epochs=100, batch_size=8,
                                    seed=0, prediction_threshold=0.5, patience=100)
         training.train(records, records, m, index, cfg)
-        report = training.evaluate(records, m, index, 0.5)
+        report = training.evaluate(records, m, training.doc_masks(records, m, index), 0.5)
         elapsed = time.time() - start
         assert report.micro_f1 >= 0.95, report.micro_f1
         assert elapsed < 600.0, f"overfit took {elapsed:.0f}s (budget 600s)"
@@ -422,7 +422,9 @@ def test_criterion_6a_overfit_small_corpus():
 def test_criterion_6b_heldout_planted_corpus(trained_big):
     with criterion(6, "held-out micro-F1 >= 0.80 on the 200-label corpus"):
         report = training.evaluate(
-            trained_big["test_docs"], trained_big["model"], trained_big["index"],
+            trained_big["test_docs"], trained_big["model"],
+            training.doc_masks(trained_big["test_docs"], trained_big["model"],
+                               trained_big["index"]),
             trained_big["threshold"],
         )
         print(f"  held-out micro-F1 {report.micro_f1:.4f}, "
@@ -467,7 +469,8 @@ def test_criterion_7_ablation_direction():
                                            batch_size=16, seed=seed,
                                            prediction_threshold=0.4, patience=2)
                 training.train(train_docs, val_docs, m, index, cfg)
-                report = training.evaluate(test_docs, m, index, 0.4)
+                report = training.evaluate(test_docs, m, training.doc_masks(test_docs, m, index),
+                                           0.4)
                 scores[variant].append(report.micro_f1)
 
         means = {v: float(np.mean(s)) for v, s in scores.items()}
@@ -526,7 +529,8 @@ def test_criterion_9_gating_invariant(trained_big):
         index = trained_big["index"]
         test_docs = trained_big["test_docs"]
         threshold = trained_big["threshold"]
-        gold, scores = training.collect_scores(test_docs, m, index)
+        gold, scores = training.collect_scores(test_docs, m,
+                                               training.doc_masks(test_docs, m, index))
         checked = 0
         for row, doc in enumerate(test_docs):
             doc_mask = mask.make_doc_mask(doc, index)

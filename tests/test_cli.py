@@ -254,7 +254,7 @@ class TestUngatedPredict:
         cfg = stage.cfg
         m, catalog, vocab, index = cli._restore_model(stage)
         [docs] = stage.splits(vocab, catalog, "test")
-        _, scores = training.collect_scores(docs, m, index)
+        _, scores = training.collect_scores(docs, m, training.doc_masks(docs, m, index))
         rows = [json.loads(line)
                 for line in (work / "predictions.jsonl").read_text().splitlines()[1:]]
         assert len(rows) == len(docs) > 0

@@ -187,6 +187,19 @@ class TestMaskStats:
         stats = mask_stats(docs, [make_doc_mask(d, index) for d in docs])
         assert stats.mask_fraction <= 0.05
 
+    def test_recall_undefined_without_gold_labels(self):
+        """With no gold label among the documents the recall is None and
+        reads ``n/a``; the size statistics are those of the labelled copies."""
+        docs = self._corpus()
+        index = build_mask_index(docs, 8, tau=0.2)
+        bare = [doc(d.doc_id, [], **d.aux_codes) for d in docs]
+        stats = mask_stats(bare, [make_doc_mask(d, index) for d in bare])
+        labelled = mask_stats(docs, [make_doc_mask(d, index) for d in docs])
+        assert stats.recall_of_gold is None and stats.recall_text == "n/a"
+        assert labelled.recall_text == f"{labelled.recall_of_gold:.4f}"
+        assert stats.mean_mask_size == labelled.mean_mask_size > 0
+        assert stats.empty_docs == labelled.empty_docs
+
     def test_candidate_sets_nested_in_tau(self):
         docs = self._corpus()
         index = build_mask_index(docs, 8)

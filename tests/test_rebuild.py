@@ -1,0 +1,176 @@
+"""Tensors that backward re-makes instead of keeping.
+
+A transpose, a gather from a parameter and a dropout over a rebuildable
+input carry a ``rebuild`` function; ``matmul``'s right operand and the
+convolution's input are held as that function instead of the array.  These
+tests hold the model to the keeping path of ``oracles`` bit for bit over
+two train steps, bound what one document's tape holds, and check that a
+rebuild holds only arrays that live anyway.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oracles
+from xmtc import attention, encoder
+from xmtc.corpus import build_vocab, encode_documents, preprocess
+from xmtc.encoder import EncoderConfig
+from xmtc.graph import build_cooccurrence
+from xmtc.mask import DocMask, build_mask_index
+from xmtc.model import model_from_artifacts
+from xmtc.synth import generate, standard_spec
+from xmtc.tensor import GradTape, Tensor, dropout, gather_rows, matmul, relu, transpose
+from xmtc.training import Adam, batch_loss, clip_global_norm, doc_masks
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    spec = standard_spec(num_labels=40, num_docs=60, seed=5, doc_length=(20, 40))
+    docs, catalog, _ = generate(spec)
+    vocab = build_vocab([preprocess(d["text"]) for d in docs], min_count=1)
+    records = encode_documents(docs, vocab, catalog)
+    graph = build_cooccurrence(records, len(catalog))
+    index = build_mask_index(records, len(catalog), tau=0.05)
+    return vocab, catalog, graph, index, records
+
+
+def _two_steps(corpus, variant, dropout_p, num_blocks, masks_kind, batch):
+    """Loss, every parameter's gradient and every parameter after each of
+    two Adam steps, as bytes, from one fixed initialisation."""
+    vocab, catalog, graph, index, records = corpus
+    model = model_from_artifacts(
+        vocab, catalog, graph, dim=8, seed=2, variant=variant,
+        encoder_config=EncoderConfig(kernel_size=3, rates=(1, 2), dropout=dropout_p,
+                                     num_blocks=num_blocks),
+    )
+    docs = records[:batch]
+    if masks_kind == "empty":
+        masks = [DocMask(labels=set(), vec=np.zeros(model.num_labels)) for _ in docs]
+    else:
+        masks = doc_masks(docs, model, index)
+    optimizer = Adam(model.params, lr=1e-2)
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(2):
+        model.params.zero_grads()
+        with GradTape() as tape:
+            loss = batch_loss(model, docs, masks, rng)
+            tape.backward(loss)
+        out.append(("loss", loss.data.tobytes()))
+        out += [(f"grad {name}", None if p.grad is None else p.grad.tobytes())
+                for name, p in model.params.items()]
+        clip_global_norm(model.params, 5.0)
+        optimizer.step()
+        out += [(f"param {name}", p.data.tobytes()) for name, p in model.params.items()]
+    return out
+
+
+CASES = {
+    "dropout": ("full", 0.2, 1, "aux", 4),
+    "no_dropout": ("full", 0.0, 1, "aux", 4),  # conv 0 reads the gather's rebuild
+    "two_blocks": ("full", 0.2, 2, "aux", 4),  # block 1's level-0 input stays kept
+    "empty_masks": ("full", 0.2, 1, "empty", 4),
+    "no_mask": ("no_mask", 0.2, 1, "aux", 4),
+    "no_label_feature": ("no_label_feature", 0.2, 1, "aux", 4),
+    "batch_of_one": ("full", 0.2, 1, "aux", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_two_train_steps_bit_equal_to_keeping_path(corpus, case, monkeypatch):
+    got = _two_steps(corpus, *CASES[case])
+    monkeypatch.setattr(attention, "transpose", oracles.transpose_keeping_copy)
+    monkeypatch.setattr(encoder, "conv1d_dilated", oracles.conv1d_keeping_input)
+    want = _two_steps(corpus, *CASES[case])
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, a), (_, b) in zip(got, want):
+        assert a == b, name
+
+
+def test_forward_doc_tape_holds_three_activations_and_alpha(corpus):
+    """One training document at n=400, d=100, K=9, rates (1, 2, 4): the tape
+    holds level 1's and level 2's inputs and the encoded rows (3 float
+    [n, d] arrays), alpha [K_c, n] and three bool masks (both dropouts and
+    the relu).  The dropped-out embedding and the transposed copy are
+    re-made in backward.  The slack, 128 KiB (under half of one [n, d]
+    array), covers the label side's [K_c, d] and [K_c + 1, d] arrays, its
+    [L] arrays and the token ids, about 48 KB here."""
+    vocab, catalog, graph, index, records = corpus
+    n, d = 400, 100
+    model = model_from_artifacts(
+        vocab, catalog, graph, dim=d, seed=3,
+        encoder_config=EncoderConfig(kernel_size=9, rates=(1, 2, 4), dropout=0.2),
+    )
+    tokens = np.random.default_rng(4).integers(1, len(vocab), size=n)
+    mask = doc_masks(records[:1], model, index)[0]
+    cand = len(mask.labels)
+    assert cand > 0
+    tracemalloc.start()
+    try:
+        with GradTape():
+            h_label = model.label_representations()
+            before = tracemalloc.get_traced_memory()[0]
+            y_hat, _ = model.forward_doc(tokens, mask, h_label, train=True,
+                                         rng=np.random.default_rng(0))
+            held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y_hat.shape == (model.num_labels,)
+    bound = 3 * n * d * 8 + cand * n * 8 + 3 * n * d + 128 * 1024
+    assert held <= bound, (held, held / (n * d * 8))
+
+
+def _float_arrays(fn, seen=None):
+    """The float arrays a rebuild's closure holds, through nested rebuilds."""
+    seen = set() if seen is None else seen
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+            found.append(value)
+        elif callable(value) and getattr(value, "__closure__", None) and id(value) not in seen:
+            seen.add(id(value))
+            found += _float_arrays(value, seen)
+    return found
+
+
+class TestRebuildHoldsWhatLivesAnyway:
+    def setup_method(self):
+        rng = np.random.default_rng(8)
+        self.table = Tensor(rng.standard_normal((12, 5)), requires_grad=True, name="embedding")
+        self.ids = rng.integers(0, 12, size=30)
+        self.keep = rng.random((30, 5)) >= 0.2
+
+    def test_gather_from_a_parameter_holds_the_parameter_array(self):
+        with GradTape():
+            out = gather_rows(self.table, self.ids)
+        [held] = _float_arrays(out.rebuild)
+        assert held is self.table.data
+        assert out.rebuild().tobytes() == out.data.tobytes()
+
+    def test_dropout_over_a_gather_holds_the_parameter_array(self):
+        with GradTape():
+            out = dropout(gather_rows(self.table, self.ids), self.keep, 1.25)
+        [held] = _float_arrays(out.rebuild)
+        assert held is self.table.data
+        assert out.rebuild().tobytes() == out.data.tobytes()
+
+    def test_transpose_holds_its_input_array(self):
+        with GradTape():
+            x = relu(gather_rows(self.table, self.ids))
+            out = transpose(x)
+        [held] = _float_arrays(out.rebuild)
+        assert held is x.data
+        assert out.rebuild().tobytes() == out.data.tobytes()
+        assert out.rebuild().flags.c_contiguous
+
+    def test_what_cannot_be_re_made_from_a_live_array_has_no_rebuild(self):
+        with GradTape():
+            computed = matmul(self.table, Tensor(np.ones((5, 5))))
+            assert gather_rows(computed, self.ids).rebuild is None  # not a parameter
+            assert gather_rows(Tensor(self.table.data), self.ids).rebuild is None  # a constant
+            activated = relu(gather_rows(self.table, self.ids))
+            assert activated.rebuild is None
+            assert dropout(activated, self.keep, 1.25).rebuild is None

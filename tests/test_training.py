@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adam_step_expression, keep_everything_backward
+from xmtc import training as training_mod
 from xmtc.corpus import PAD_ID, DocumentRecord, LabelCatalog, build_vocab
 from xmtc.encoder import EncoderConfig
 from xmtc.errors import ConfigError, DataError, DivergenceError, GradTapeError
@@ -28,6 +30,7 @@ from xmtc.training import (
     batch_loss,
     clip_global_norm,
     collect_scores,
+    doc_masks,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -238,7 +241,7 @@ class TestTrainLoop:
         cfg = TrainConfig(lr=5e-3, lr_decay=0.97, max_epochs=90, batch_size=8, seed=0,
                           prediction_threshold=0.5, patience=90)
         result = train(records, records, model, index, cfg)
-        report = evaluate(records, model, index, 0.5)
+        report = evaluate(records, model, doc_masks(records, model, index), 0.5)
         assert report.micro_f1 >= 0.9
 
     def test_deterministic_across_runs(self):
@@ -442,7 +445,7 @@ class TestCheckpoint:
         cfg = TrainConfig(lr=2e-3, max_epochs=2, batch_size=8, seed=0,
                           prediction_threshold=0.5)
         result = train(records[:12], records[12:], model, index, cfg)
-        before = evaluate(records, model, index, 0.5)
+        before = evaluate(records, model, doc_masks(records, model, index), 0.5)
 
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, result.params_arrays, epoch=result.best_epoch)
@@ -452,7 +455,7 @@ class TestCheckpoint:
             assert arr.tobytes() == params[name].tobytes()
 
         model.params.load_arrays(params)
-        after = evaluate(records, model, index, 0.5)
+        after = evaluate(records, model, doc_masks(records, model, index), 0.5)
         assert after == before
 
     def test_identical_saves_are_byte_identical(self, tmp_path):
@@ -519,7 +522,7 @@ class TestGatingInvariant:
         from xmtc.metrics import top_k_labels
         from xmtc.training import collect_scores
 
-        gold, scores = collect_scores(records, model, index)
+        gold, scores = collect_scores(records, model, doc_masks(records, model, index))
         for row, doc in enumerate(records):
             mask = make_doc_mask(doc, index)
             if mask.empty:
@@ -546,7 +549,8 @@ class TestScoreDocs:
     def test_yields_predict_scores_bits_in_input_order(self, variant, with_attention):
         docs, index, model = self._split(variant)
         h_label = model.label_representations()
-        rows = list(score_docs(docs, model, index, with_attention=with_attention))
+        rows = list(score_docs(docs, model, doc_masks(docs, model, index),
+                               with_attention=with_attention))
         assert [doc for doc, _, _, _ in rows] == docs
         masks = [doc_mask for _, doc_mask, _, _ in rows]
         if variant == "no_mask":
@@ -570,10 +574,45 @@ class TestScoreDocs:
         empty = sum(make_doc_mask(d, index).empty for d in docs)
         assert empty == 1
         with caplog.at_level(logging.DEBUG, logger="xmtc"):
-            collect_scores(docs, model, index)
-            for _ in score_docs(docs, model, index, with_attention=True):
+            collect_scores(docs, model, doc_masks(docs, model, index))
+            for _ in score_docs(docs, model, doc_masks(docs, model, index), with_attention=True):
                 pass
         lines = [rec.getMessage() for rec in caplog.records]
         assert len(lines) == 2, lines
         for line in lines:
             assert line.startswith(f"scored {len(docs)} docs: {empty} empty masks"), line
+
+    def test_unlabelled_split_logs_recall_as_undefined(self, caplog):
+        """Documents without gold labels have no recall to report: the line
+        says ``recall n/a``, not ``recall 0.0000``; a labelled split still
+        prints four places."""
+        docs, index, model = self._split()
+        bare = [DocumentRecord(d.doc_id, d.tokens, set(), d.aux_codes) for d in docs]
+        with caplog.at_level(logging.INFO, logger="xmtc"):
+            for split in (bare, docs):
+                for _ in score_docs(split, model, doc_masks(split, model, index)):
+                    pass
+        unlabelled, labelled = [rec.getMessage() for rec in caplog.records]
+        assert unlabelled.endswith(", recall n/a"), unlabelled
+        assert re.search(r", recall \d\.\d{4}$", labelled), labelled
+
+    def test_train_builds_each_split_s_masks_once(self, monkeypatch, caplog):
+        """A split's masks never change, so ``train`` builds the training and
+        the validation masks once each, however many epochs run; every epoch
+        still scores the validation split and logs its one line."""
+        records, _, _, _, index, model = tiny_world(seed=6, n_docs=16)
+        calls = []
+
+        def counting(docs, model_, index_):
+            calls.append(len(docs))
+            return doc_masks(docs, model_, index_)
+
+        monkeypatch.setattr(training_mod, "doc_masks", counting)
+        cfg = TrainConfig(lr=1e-3, max_epochs=3, batch_size=8, seed=0, patience=10)
+        with caplog.at_level(logging.INFO, logger="xmtc"):
+            result = train(records[:12], records[12:], model, index, cfg)
+        assert len(result.history) == 3
+        assert calls == [12, 4]
+        scored = [rec.getMessage() for rec in caplog.records
+                  if rec.getMessage().startswith("scored 4 docs")]
+        assert len(scored) == 3
