@@ -12,12 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, add, gather_rows, matmul, reshape, sigmoid, softmax, transpose
+from .tensor import Tensor, add, attend, gather_rows, matmul, reshape, sigmoid
 
 
 @dataclass
 class AttentionOutput:
-    alpha: Tensor  # [L, n] row-stochastic
+    alpha: Tensor  # [L, n] row-stochastic; the gradient flows through context only
     context: Tensor  # [L, d_e]
 
 
@@ -37,15 +37,10 @@ def init_classifier_params(dim: int, num_labels: int, rng: np.random.Generator) 
 
 def label_attention(encoded: Tensor, h_masked: Tensor) -> AttentionOutput:
     """Attention weights and per-label context vectors: each label's softmax
-    runs over every encoded position."""
-    if encoded.shape[1] != h_masked.shape[1]:
-        raise ShapeError(
-            f"encoder dim {encoded.shape[1]} != label representation dim {h_masked.shape[1]}"
-        )
-    scores = matmul(h_masked, transpose(encoded))  # [L, n]
-    alpha = softmax(scores, axis=1)
-    context = matmul(alpha, encoded)
-    return AttentionOutput(alpha=alpha, context=context)
+    runs over every encoded position.  One tape node (``tensor.attend``,
+    which checks the shapes), whose backward re-derives the weights."""
+    alpha, context = attend(h_masked, encoded)
+    return AttentionOutput(alpha=Tensor(alpha), context=context)
 
 
 def classify(context: Tensor, params: ClassifierParams, rows=None) -> Tensor:

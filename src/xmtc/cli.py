@@ -11,8 +11,10 @@
 
 The ``--config`` file is the only source of a run's settings.  Every
 subcommand writes its artifacts plus ``manifest_<subcommand>.json``, which
-records the configuration hash and the sha256 of every file it read and
-wrote; the manifests are the only record of where an artifact came from.
+records the configuration hash, the sha256 of every file it read and wrote
+and the numeric environment (numpy, scipy, the BLAS build and its live
+thread count, on which trained bits also depend); the manifests are the
+only record of where an artifact came from.
 A work-directory artifact is read only when the manifest of the subcommand
 that wrote it records that file, under the current configuration, from the
 same versions of the files the reader also reads.
@@ -32,11 +34,15 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import attention, corpus, embeddings, graph, mask, model, synth, training
 from .config import check_variants, config_hash, load_run_config
 from .errors import (ConfigError, DataError, DivergenceError, StalenessError, XmtcError,
                      read_text)
-from .metrics import top_k_labels
+from .metrics import micro_macro_f1, top_k_labels
+
+logger = logging.getLogger(__name__)
 
 ARTIFACTS = {
     "catalog": "catalog.tsv",
@@ -62,12 +68,41 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _openblas_threads() -> int | str:
+    """The thread count the OpenBLAS bundled with numpy (in ``numpy.libs``)
+    runs with now, from its ``scipy_openblas_get_num_threads64_``;
+    ``"unknown"`` where that library or symbol is not there."""
+    import ctypes
+
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    get.restype, get.argtypes = ctypes.c_int, []
+    return int(get())
+
+
+def _numeric_environment() -> dict:
+    """What a stage's bits depend on besides its inputs and the config: the
+    numpy and scipy versions, numpy's BLAS build and its live thread count.
+    The scipy version is None for a stage that loaded no scipy, so that
+    the record costs such a stage no import.  A record for the reader; no
+    stage compares it."""
+    scipy = sys.modules.get("scipy")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy and scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "threads": _openblas_threads()}}
+
+
 def _write_manifest(workdir: Path, command: str, cfg_hash: str,
                     inputs: dict[Path, str | None], outputs: list[Path]) -> None:
     """``inputs`` maps each file read to its sha256, or to None to hash it here."""
     manifest = {"command": command, "config_hash": cfg_hash,
                 "inputs": {str(p): digest or _sha256(p) for p, digest in inputs.items()},
-                "outputs": {p.name: _sha256(p) for p in outputs}}
+                "outputs": {p.name: _sha256(p) for p in outputs},
+                "numeric_environment": _numeric_environment()}
     path = workdir / f"manifest_{command}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -199,6 +234,7 @@ def cmd_preprocess(args) -> None:
     sources = {name: src for name, src in
                (("train", args.train), ("val", args.val), ("test", args.test)) if src}
     raw_splits = {name: corpus.load_corpus_jsonl(stage.read(src)) for name, src in sources.items()}
+    corpus.check_disjoint([(sources[name], raw) for name, raw in raw_splits.items()])
 
     token_docs = [corpus.preprocess(d["text"], cfg.max_len) for d in raw_splits["train"]]
     vocab = corpus.build_vocab(token_docs, min_count=cfg.min_count)
@@ -287,13 +323,29 @@ def cmd_train(args) -> None:
           f"val micro-F1 {result.best_val_micro_f1:.4f}")
 
 
+def _log_gating_split(gold, scores, masks, threshold: float) -> None:
+    """One line: micro-F1 over the documents whose mask gated their scores
+    and over those whose empty mask suspended gating, with their counts,
+    so that the hard-gating rule is read apart from the blend."""
+    suspended = np.array([doc_mask.empty for doc_mask in masks], dtype=bool)
+    parts = []
+    for name, rows in (("gated", ~suspended), ("suspended", suspended)):
+        f1 = micro_macro_f1(gold[rows], scores[rows] >= threshold)[0] if rows.any() else None
+        parts.append(f"{name} {int(rows.sum())} docs, micro-F1 "
+                     + ("n/a" if f1 is None else f"{f1:.4f}"))
+    logger.info("evaluate: %s", "; ".join(parts))
+
+
 def cmd_evaluate(args) -> None:
     stage = _Stage(args)
     m, catalog, vocab, index = _restore_model(stage)
     [docs] = stage.splits(vocab, catalog, args.split)
-    report = training.evaluate(docs, m, training.doc_masks(docs, m, index),
-                               stage.cfg.prediction_threshold, ks=stage.cfg.p_at_k,
-                               label_codes=catalog.codes)
+    masks = training.doc_masks(docs, m, index)
+    gold, scores = training.collect_scores(docs, m, masks)
+    threshold = stage.cfg.prediction_threshold
+    report = training.compute_metrics(gold, scores, threshold, ks=stage.cfg.p_at_k,
+                                      label_codes=catalog.codes)
+    _log_gating_split(gold, scores, masks, threshold)
     metrics_path = stage.workdir / ARTIFACTS["metrics"]
     metrics_path.write_text(report.to_json() + "\n")
     per_label_path = stage.workdir / ARTIFACTS["per_label"]

@@ -206,11 +206,21 @@ def _raw_row_problem(rec) -> str | None:
     return None
 
 
+def _check_new_id(first_line: dict[str, int], doc_id: str, path, ln: int) -> None:
+    """Record that ``doc_id`` is on line ``ln``; an id seen on an earlier
+    line is a ``DataError`` naming the id and both lines."""
+    first = first_line.setdefault(doc_id, ln)
+    if first != ln:
+        raise DataError(f"{path}:{ln}: doc_id {doc_id!r} repeats line {first}")
+
+
 def load_corpus_jsonl(path) -> list[dict]:
-    """Read a raw JSONL corpus into dicts; a row that breaks the schema is a
-    ``DataError`` naming the file and line.  Rows end at newlines only: JSON
-    strings may hold U+2028 and the other breaks ``splitlines`` cuts at."""
-    docs = []
+    """Read a raw JSONL corpus into dicts; a row that breaks the schema, or
+    repeats the ``doc_id`` of an earlier row (as ``encode_documents`` names
+    it, a string), is a ``DataError`` naming the file and line.  Rows end at
+    newlines only: JSON strings may hold U+2028 and the other breaks
+    ``splitlines`` cuts at."""
+    docs, first_line = [], {}
     for ln, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
@@ -221,10 +231,24 @@ def load_corpus_jsonl(path) -> list[dict]:
         problem = _raw_row_problem(rec)
         if problem:
             raise DataError(f"{path}:{ln}: {problem}")
+        _check_new_id(first_line, str(rec["doc_id"]), path, ln)
         docs.append(rec)
     if not docs:
         raise DataError(f"{path}: empty corpus")
     return docs
+
+
+def check_disjoint(splits: list[tuple[str, list[dict]]]) -> None:
+    """Refuse a ``doc_id`` shared by two of ``splits``, (source file, raw
+    documents) pairs, with a ``DataError`` naming the id and both files: a
+    test document seen in training inflates every metric."""
+    split_of: dict[str, int] = {}
+    for i, (source, docs) in enumerate(splits):
+        for rec in docs:
+            doc_id = str(rec["doc_id"])
+            first = split_of.setdefault(doc_id, i)
+            if first != i:
+                raise DataError(f"doc_id {doc_id!r} is in both {splits[first][0]} and {source}")
 
 
 def encode_documents(
@@ -302,8 +326,9 @@ def load_encoded(path, vocab_size: int, num_labels: int) -> list[DocumentRecord]
     """Load an encoded corpus artifact.
 
     Every token id must index the ``vocab_size``-row vocabulary and every
-    label id the ``num_labels``-label catalog; a malformed line is a
-    ``DataError`` naming the file and line.
+    label id the ``num_labels``-label catalog; a malformed line, or one
+    that repeats an earlier line's ``doc_id``, is a ``DataError`` naming
+    the file and line.
     """
     lines = read_text(path).splitlines()
     if not lines:
@@ -314,7 +339,7 @@ def load_encoded(path, vocab_size: int, num_labels: int) -> list[DocumentRecord]
         raise DataError(f"{path}:1: invalid JSON header ({exc})") from None
     if not isinstance(header, dict) or header.get("format") != _ENCODED_FORMAT:
         raise DataError(f"{path}: not an encoded corpus artifact")
-    records = []
+    records, first_line = [], {}
     for ln, line in enumerate(lines[1:], start=2):
         try:
             row = json.loads(line)
@@ -323,6 +348,7 @@ def load_encoded(path, vocab_size: int, num_labels: int) -> list[DocumentRecord]
         problem = _encoded_row_problem(row, vocab_size, num_labels)
         if problem:
             raise DataError(f"{path}:{ln}: {problem}")
+        _check_new_id(first_line, row["doc_id"], path, ln)
         records.append(
             DocumentRecord(
                 doc_id=row["doc_id"],

@@ -7,8 +7,12 @@ residual read the same windows, so they are one [K, d, 2d] filter, level
 0's output columns first, and one convolution whose output is split into
 the chain input and the residual.  The branch outputs are summed, passed
 through the activation, and optionally dropped out; a dropout node keeps
-its bool mask only.  Every convolution is length-preserving, so the output
-keeps the input's sequence length at every level.
+its mask only, bit-packed.  In training a relu block ends in one
+``relu_dropout`` node (an all-true mask when dropout is 0), which keeps its
+output's nonzeros and re-makes the output from them in backward, so the
+dense block output is not kept by the tape.  Every convolution is
+length-preserving, so the output keeps the input's sequence length at
+every level.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import Tensor, add, conv1d_dilated, dropout, gather_rows, relu, split_columns, tanh
+from .tensor import (Tensor, add, conv1d_dilated, dropout, gather_rows, relu, relu_dropout,
+                     split_columns, tanh)
 
 _ACTIVATIONS = {"relu": relu, "tanh": tanh}
 
@@ -78,8 +83,10 @@ def init_block_params(
     )
 
 
-def _dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    return dropout(x, rng.random(x.shape) >= p, 1.0 / (1.0 - p))
+def _keep(shape: tuple[int, ...], p: float, rng: np.random.Generator | None):
+    """Dropout's keep mask and scale: all-true, with no draw, at p = 0."""
+    keep = rng.random(shape) >= p if p > 0.0 else np.ones(shape, dtype=bool)
+    return keep, 1.0 / (1.0 - p)
 
 
 def residual_block(
@@ -92,7 +99,8 @@ def residual_block(
     """One block: activation(main dilated chain + residual convolution).
 
     Level 0 and the residual are one convolution over ``level0_residual``,
-    whose output columns split into the chain input and the residual.
+    whose output columns split into the chain input and the residual.  In
+    training, relu and dropout are one ``relu_dropout`` node.
     """
     act = _ACTIVATIONS[config.activation]
     fused = params.level0_residual
@@ -100,9 +108,12 @@ def residual_block(
                                 fused.shape[2] // 2)
     for filt, rate in zip(params.levels, config.rates[1:]):
         h = conv1d_dilated(h, filt, rate)
-    out = act(add(h, residual))
+    pre = add(h, residual)
+    if train and config.activation == "relu":
+        return relu_dropout(pre, *_keep(pre.shape, config.dropout, rng))
+    out = act(pre)
     if train and config.dropout > 0.0:
-        out = _dropout(out, config.dropout, rng)
+        out = dropout(out, *_keep(out.shape, config.dropout, rng))
     return out
 
 
@@ -122,7 +133,7 @@ def encode(
         raise ValueError("training-mode encode needs an rng for dropout")
     h = gather_rows(embedding, ids)
     if train and config.dropout > 0.0:
-        h = _dropout(h, config.dropout, rng)
+        h = dropout(h, *_keep(h.shape, config.dropout, rng))
     for params in blocks:
         h = residual_block(h, params, config, train=train, rng=rng)
     return h

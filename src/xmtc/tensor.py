@@ -2,25 +2,30 @@
 
 Every numeric operation the model needs lives here: matrix product, the
 product of a constant sparse matrix and a tensor, dilated 1-d convolution,
-dropout, activations, reductions, row gather, column split, and binary
-cross-entropy.  Operations executed while a :class:`GradTape` is active are
-recorded in insertion order; ``backward`` replays the tape in reverse and
-accumulates gradients into every tensor that requires them.  A tensor that
-feeds several consumers receives the sum of all incoming contributions.
+dropout, activations, row-softmax attention, reductions, row gather, column
+split, and binary cross-entropy.  Operations executed while a
+:class:`GradTape` is active are recorded in insertion order; ``backward``
+replays the tape in reverse and accumulates gradients into every tensor
+that requires them.  A tensor that feeds several consumers receives the sum
+of all incoming contributions.
 
 A tape node holds no tensor.  It is a pair of its output's gradient cell
 (a small ``GradCell``: ``grad``, ``requires_grad`` and ``shape``) and a
 backward closure that captures its inputs' cells plus only the arrays its
 backward reads: the convolution its input's and its filters' own arrays
-(no padded copy or window buffer), relu and dropout a bool mask, add,
-reshape, transpose, the reductions and the row gather no array of their
-inputs at all.  So an activation lives only while user code or a backward
-that reads it holds it, and ``matmul``'s right operand and the
-convolution's input are held as their ``rebuild`` where they have one:
-a function that repeats the forward on arrays that live anyway (a
-transpose's input, a gathered parameter, under a dropout's mask) and so
-re-makes ``data`` bit for bit.  The replay consumes the tape: each node is
-dropped, with its output's gradient and the arrays its closure holds, as
+(no padded copy or window buffer), relu a bool mask, dropout its mask
+bit-packed (``np.packbits``, one bit per element), add, reshape,
+transpose, the reductions and the row gather no array of their inputs at
+all.  So an activation lives only while user code or a backward that reads
+it holds it, and ``matmul``'s right operand, the convolution's input and
+the attention's keys are held as their ``rebuild`` where they have one: a
+function that repeats the forward on arrays that live anyway (a
+transpose's input, a gathered parameter, under a dropout's mask) or on
+what the producing node keeps (``relu_dropout`` keeps its output's
+nonzeros and one packed mask) and so re-makes ``data`` bit for bit.
+``attend`` keeps no weights: its backward re-derives the scores and the
+softmax from its queries and keys.  The replay consumes the tape: each node
+is dropped, with its output's gradient and the arrays its closure holds, as
 soon as it has run, so after ``backward`` only the leaves (the parameters)
 hold a gradient.
 
@@ -52,7 +57,9 @@ __all__ = [
     "add",
     "mul",
     "dropout",
+    "relu_dropout",
     "softmax",
+    "attend",
     "sigmoid",
     "logistic",
     "relu",
@@ -213,6 +220,21 @@ def _kept(t: Tensor):
     """What a backward that reads ``t.data`` holds: ``t.rebuild``, else the array."""
     data = t.data
     return t.rebuild or (lambda: data)
+
+
+def _fresh_grad(g: np.ndarray) -> np.ndarray:
+    """What ``_accumulate`` leaves in a cell that held no gradient: zeros
+    plus ``g``, which is ``g`` with each -0.0 made +0.0."""
+    cell = GradCell(True, g.shape)
+    _accumulate(cell, g)
+    return cell.grad
+
+
+def _packed(mask: np.ndarray):
+    """A bool array kept as ``np.packbits`` bytes, one bit per element;
+    returns the function that unpacks it to its bool array again."""
+    shape, size, bits = mask.shape, mask.size, np.packbits(mask)
+    return lambda: np.unpackbits(bits, count=size).reshape(shape).view(bool)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -390,22 +412,63 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), bwd)
 
 
-def dropout(x, keep, scale: float) -> Tensor:
-    """Inverted dropout: ``x * (keep * scale)`` for a bool mask ``keep`` of
-    x's shape.  The node keeps the bool mask, one byte per element, and
-    forms the float factor each time it runs.  Over a rebuildable ``x``
-    the output's rebuild applies the same mask to ``x``'s rebuild."""
-    x = _as_tensor(x)
+def _checked_mask(x: Tensor, keep) -> np.ndarray:
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != x.shape:
         raise ShapeError(f"dropout mask shape {keep.shape} != input shape {x.shape}")
-    xc, xr = x.cell, x.rebuild
+    return keep
+
+
+def dropout(x, keep, scale: float) -> Tensor:
+    """Inverted dropout: ``x * (keep * scale)`` for a bool mask ``keep`` of
+    x's shape.  The node keeps the mask bit-packed, one bit per element,
+    and unpacks it and forms the float factor each time it runs.  Over a
+    rebuildable ``x`` the output's rebuild applies the same mask to ``x``'s
+    rebuild."""
+    x = _as_tensor(x)
+    keep = _checked_mask(x, keep)
+    xc, xr, kept = x.cell, x.rebuild, _packed(keep)
 
     def bwd(g):
-        _accumulate(xc, g * (keep * scale))
+        _accumulate(xc, g * (kept() * scale))
 
     return _make(x.data * (keep * scale), (x,), bwd,
-                 rebuild=None if xr is None else (lambda: xr() * (keep * scale)))
+                 rebuild=None if xr is None else (lambda: xr() * (kept() * scale)))
+
+
+def relu_dropout(x, keep, scale: float) -> Tensor:
+    """``dropout(relu(x), keep, scale)`` as one node that keeps only what
+    re-makes its output: the output's values other than +0.0 and one
+    bit-packed mask of where they sit (numpy leaves the sign of a zero from
+    ``maximum`` unspecified, so a -0.0 is kept too).  The output's
+    ``rebuild`` scatters the values into zeros by index.
+
+    Backward multiplies the gradient by ``scale`` where the re-made output
+    is positive.  There ``x > 0`` and ``keep`` hold, so this is the pair's
+    factor; elsewhere both give a zero of either sign, or NaN where the
+    gradient is not finite.  A gradient buffer starts at +0.0 and only
+    adds, so it never holds -0.0, and adding a zero of either sign leaves
+    it unchanged: the bits are the pair's."""
+    x = _as_tensor(x)
+    keep = _checked_mask(x, keep)
+    out = np.maximum(x.data, 0.0) * (keep * scale)
+    flat = out.reshape(-1)
+    stored = flat.view(np.uint64) != 0
+    shape, size, where = out.shape, out.size, _packed(stored)
+    # a gather or scatter by index runs several times faster than by bool mask
+    values = flat[np.flatnonzero(stored)]
+
+    def rebuild():
+        full = np.zeros(size)
+        full[np.flatnonzero(where())] = values
+        return full.reshape(shape)
+
+    xc = x.cell
+
+    def bwd(g):
+        _accumulate(xc, g * ((rebuild() > 0.0) * scale))
+
+    return _make(out, (x,), bwd, rebuild=rebuild)
 
 
 def relu(x) -> Tensor:
@@ -466,16 +529,64 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         raise ValueError(f"invalid softmax axis {axis} for shape {x.shape}") from exc
     if x.data.shape[axis] == 0:
         raise ValueError(f"softmax over empty axis {axis} of shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    ez = np.exp(z)
-    out = ez / ez.sum(axis=axis, keepdims=True)
+    out = _softmax(x.data, axis)
     xc = x.cell
 
     def bwd(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accumulate(xc, out * (g - inner))
+        _accumulate(xc, _softmax_grad(out, g, axis))
 
     return _make(out, (x,), bwd)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    z = x - x.max(axis=axis, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient reaching a softmax's input from ``g`` at its ``out``."""
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - inner)
+
+
+def attend(q: Tensor, x: Tensor) -> tuple[np.ndarray, Tensor]:
+    """Row-softmax attention of each query row of ``q`` [K, d] over the rows
+    of ``x`` [n, d]: returns the weights ``alpha = softmax(q @ x.T)`` along
+    rows, [K, n], as a plain array, and the context ``alpha @ x`` [K, d],
+    through which the gradient flows.
+
+    One tape node, which keeps ``q``'s array and ``_kept(x)`` and no
+    weights.  Its backward re-makes ``x``, re-derives the scores and alpha
+    exactly as the forward did, then forms the gradients that the four
+    nodes transpose, matmul, softmax and matmul would, in their order, each
+    intermediate summed into zeros as its own cell would be: the bits are
+    theirs.
+    """
+    q, x = _as_tensor(q), _as_tensor(x)
+    if q.data.ndim != 2 or x.data.ndim != 2 or q.shape[1] != x.shape[1] or x.shape[0] == 0:
+        raise ShapeError(f"attend expects q [K, d] and a nonempty x [n, d], "
+                         f"got {q.shape} and {x.shape}")
+    qd, xd, qc, xc = q.data, _kept(x), q.cell, x.cell
+
+    def weights(xa):
+        xt = xa.T.copy()
+        return xt, _softmax(qd @ xt, 1)
+
+    def bwd(g):
+        xa = xd()
+        xt, alpha = weights(xa)
+        g_alpha = _fresh_grad(g @ xa.T)
+        if xc.requires_grad:
+            _accumulate(xc, alpha.T @ g)
+        g_scores = _fresh_grad(_softmax_grad(alpha, g_alpha, 1))
+        if qc.requires_grad:
+            _accumulate(qc, g_scores @ xt.T)
+        if xc.requires_grad:
+            _accumulate(xc, _fresh_grad(qd.T @ g_scores).T)
+
+    alpha = weights(x.data)[1]
+    return alpha, _make(alpha @ x.data, (q, x), bwd)
 
 
 def mean(x: Tensor, axis=None) -> Tensor:

@@ -5,12 +5,14 @@ counting, direct recounts, sparse products) and deliberately shares no code
 with the implementations it checks, except the plain compositions of engine
 ops that an optimised path must reproduce (the dense label side, the
 unfused encoder block, the encoder whose tape keeps padded inputs, float
-dropout masks and stacked filters, the transpose and the convolution that
-keep what backward could re-make) and the tape's node plumbing.  The
-label statistics and the auxiliary-code tables are counted here twice: by
-recount (``conditional_prob_matrix``, ``recount_aux_tables``) and
-through CSR products (``csr_cooccurrence``, ``csr_mask_tables``); src
-gets both from one ``graph.conditional_pairs``.  ``verify`` audits a
+dropout masks and stacked filters, the transpose, the convolution, the
+four-node attention and the relu-then-dropout block that keep what
+backward could re-make) and the tape's node plumbing.  ``traced`` is the
+suite's one tracemalloc probe.  The label statistics and the
+auxiliary-code tables are counted here twice: by recount
+(``conditional_prob_matrix``, ``recount_aux_tables``) and through CSR
+products (``csr_cooccurrence``, ``csr_mask_tables``); src gets both from
+one ``graph.conditional_pairs``.  ``verify`` audits a
 synthetic corpus against the ground truth its generator planted, with its
 own recount of the auxiliary-code tables (``recount_raw_aux_tables``),
 since the generator takes them from ``mask.build_mask_index``.
@@ -152,6 +154,41 @@ def transpose_keeping_copy(x):
     return _make(np.ascontiguousarray(x.data.T), (x,), bwd)
 
 
+def four_node_attention(encoded, h_masked):
+    """``attention.label_attention`` as four tape nodes: the transposed copy
+    (``transpose_keeping_copy``), the score product, the softmax, which
+    keeps alpha, and the context product.  The shipped attention is one
+    node that re-derives the scores and alpha in backward and must be
+    bit-equal to this."""
+    from xmtc.attention import AttentionOutput
+    from xmtc.tensor import matmul, softmax
+
+    alpha = softmax(matmul(h_masked, transpose_keeping_copy(encoded)), axis=1)
+    return AttentionOutput(alpha=alpha, context=matmul(alpha, encoded))
+
+
+def relu_then_dropout_block(embedded, params, config, train=False, rng=None):
+    """``encoder.residual_block`` with the activation and the dropout as two
+    nodes, a relu that keeps its bool mask and a dropout (none at dropout
+    0), and every convolution keeping its input (``conv1d_keeping_input``).
+    The shipped relu block ends in one ``relu_dropout`` node, which keeps
+    only its output's nonzeros, and must be bit-equal to this.  The
+    engine's ops are read from ``xmtc.tensor`` when the block runs."""
+    from xmtc import tensor
+
+    act = {"relu": tensor.relu, "tanh": tensor.tanh}[config.activation]
+    fused = params.level0_residual
+    h, residual = tensor.split_columns(conv1d_keeping_input(embedded, fused, config.rates[0]),
+                                       fused.shape[2] // 2)
+    for filt, rate in zip(params.levels, config.rates[1:]):
+        h = conv1d_keeping_input(h, filt, rate)
+    out = act(tensor.add(h, residual))
+    if train and config.dropout > 0.0:
+        out = tensor.dropout(out, rng.random(out.shape) >= config.dropout,
+                             1.0 / (1.0 - config.dropout))
+    return out
+
+
 def concat_then_conv(x, filters, dilation, padding):
     """Filters side by side as a ``concat`` tape node, which keeps the
     stacked copy and its gradient, then one convolution that keeps ``xp``.
@@ -198,6 +235,22 @@ def reference_encode(token_ids, embedding, blocks, config, train=False, rng=None
         if drop:
             h = mul_dropout(h, config.dropout, rng)
     return h
+
+
+def traced(fn):
+    """(``fn()``, bytes still held after it, peak bytes during it), both
+    counted from the traced memory when the call starts; tracemalloc runs
+    only around the call."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
 
 
 def reference_preprocess(text, max_len=4000):

@@ -25,6 +25,8 @@ from xmtc.config import RunConfig, load_run_config
 from xmtc.errors import ConfigError, DataError
 from xmtc.metrics import top_k_labels
 
+from oracles import f1_from_confusion
+
 CONFIG = """\
 embedding_size = 32
 filter_size = 3
@@ -185,7 +187,8 @@ class TestPipeline:
 
     def test_each_scored_split_logs_one_summary_line(self, pipeline, tmp_path, caplog):
         """evaluate and predict log one line per split with its empty-mask
-        count, and no line per document."""
+        count, and no line per document; evaluate adds one line that scores
+        its gated and suspended documents apart."""
         _, data, work, cfg = pipeline
         copy = tmp_path / "work"
         shutil.copytree(work, copy)
@@ -210,8 +213,49 @@ class TestPipeline:
             with caplog.at_level(logging.DEBUG, logger="xmtc"):
                 assert main(argv) == 0
             lines = [rec.getMessage() for rec in caplog.records]
-            assert len(lines) == 1, lines
+            assert len(lines) == (2 if argv[0] == "evaluate" else 1), lines
             assert lines[0].startswith(f"scored {count} docs: {empty} empty masks"), lines
+            assert lines[1:] == [line for line in lines if line.startswith("evaluate: gated ")]
+
+    def test_evaluate_scores_gated_and_suspended_documents_apart(self, pipeline, tmp_path,
+                                                                  caplog):
+        """On a test split that mixes gated documents and empty-mask ones,
+        evaluate logs each group's count and micro-F1, as a confusion
+        recount over that group's rows gives, and metrics.json stays the
+        whole split's report."""
+        _, data, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        rows = [json.loads(line) for line in (data / "test.jsonl").read_text().splitlines()]
+        for row in rows[::2]:  # half the documents lose their codes, so their masks are empty
+            row.update(drg=[], cpt=[], drugs=[])
+        mixed = tmp_path / "test.jsonl"
+        mixed.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        base = ["--workdir", str(copy), "--config", str(cfg)]
+        assert main(["preprocess", *base, "--train", str(data / "train.jsonl"),
+                     "--val", str(data / "val.jsonl"), "--test", str(mixed),
+                     "--catalog", str(data / "raw_catalog.tsv")]) == 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="xmtc"):
+            assert main(["evaluate", *base]) == 0
+        [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evaluate:")]
+
+        stage = cli._Stage(cli.build_parser().parse_args(["evaluate", *base]))
+        m, catalog, vocab, index = cli._restore_model(stage)
+        [docs] = stage.splits(vocab, catalog, "test")
+        masks = training.doc_masks(docs, m, index)
+        gold, scores = training.collect_scores(docs, m, masks)
+        threshold = stage.cfg.prediction_threshold
+        suspended = np.array([doc_mask.empty for doc_mask in masks])
+        assert 0 < suspended.sum() < len(docs)
+        want = []
+        for name, group in (("gated", ~suspended), ("suspended", suspended)):
+            micro, _ = f1_from_confusion(gold[group], scores[group] >= threshold)
+            want.append(f"{name} {group.sum()} docs, micro-F1 {micro:.4f}")
+        assert line == "evaluate: " + "; ".join(want)
+        report = training.evaluate(docs, m, masks, threshold, ks=stage.cfg.p_at_k,
+                                   label_codes=catalog.codes)
+        assert (copy / "metrics.json").read_text() == report.to_json() + "\n"
 
     def test_predict_without_aux_codes_falls_back_to_unmasked(self, pipeline):
         root, data, work, cfg = pipeline
@@ -509,6 +553,20 @@ class TestErrors:
                     "--input", str(raw)]
         assert main(argv) == 3
         assert "raw.jsonl:2:" in capsys.readouterr().err
+
+    def test_id_in_two_splits_is_exit_3_naming_both_files(self, pipeline, tmp_path, capsys):
+        _, data, _, cfg = pipeline
+        train_row = (data / "train.jsonl").read_text().splitlines()[3]
+        leaked = tmp_path / "test.jsonl"
+        leaked.write_text((data / "test.jsonl").read_text() + train_row + "\n")
+        work = tmp_path / "work"
+        assert main(["preprocess", "--workdir", str(work), "--config", str(cfg),
+                     "--train", str(data / "train.jsonl"), "--test", str(leaked),
+                     "--catalog", str(data / "raw_catalog.tsv")]) == 3
+        doc_id = json.loads(train_row)["doc_id"]
+        assert (f"doc_id {doc_id!r} is in both {data / 'train.jsonl'} and {leaked}"
+                in capsys.readouterr().err)
+        assert not work.exists()
 
     @pytest.mark.parametrize("split", ["train", "val", "test"])
     def test_document_without_tokens_stops_preprocess_before_any_artifact(
@@ -873,6 +931,41 @@ def _scipy_modules_after(code: str) -> list[str]:
     exit_code, modules = json.loads(out.stdout.strip().splitlines()[-1])
     assert exit_code == 0, out.stderr
     return modules
+
+
+class TestNumericEnvironment:
+    def test_manifests_record_the_live_blas_thread_count(self, tmp_path):
+        """Stages run at OPENBLAS_NUM_THREADS 1 and 2 record 1 and 2 (at most
+        the usable cores), the numpy version, scipy's where the stage loaded
+        it, and the BLAS build; the config hash is the same."""
+        import scipy
+
+        src = str(Path(xmtc.__file__).resolve().parents[1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        hashes = set()
+        for threads in (1, 2):
+            data, work = tmp_path / f"data{threads}", tmp_path / f"work{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+            for argv in (["gen-synthetic", "--workdir", str(data), "--labels", "8",
+                          "--docs", "40", "--seed", "3"],
+                         ["preprocess", "--workdir", str(work), "--config", str(cfg),
+                          "--train", str(data / "train.jsonl"),
+                          "--catalog", str(data / "raw_catalog.tsv")]):
+                subprocess.run([sys.executable, "-m", "xmtc", *argv], env=env, check=True,
+                               capture_output=True)
+            live = min(threads, len(os.sched_getaffinity(0)))
+            for manifest, scipy_version in ((data / "manifest_gen-synthetic.json", None),
+                                            (work / "manifest_preprocess.json",
+                                             scipy.__version__)):
+                made = json.loads(manifest.read_text())
+                assert made["numeric_environment"] == {
+                    "numpy": np.__version__, "scipy": scipy_version,
+                    "blas": {"name": blas["name"], "version": blas["version"],
+                             "threads": live}}, manifest
+            hashes.add(json.loads((work / "manifest_preprocess.json").read_text())["config_hash"])
+        assert len(hashes) == 1
 
 
 class TestStartup:

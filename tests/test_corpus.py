@@ -208,6 +208,26 @@ class TestCorpusIO:
         with pytest.raises(DataError, match="c2"):
             encode_documents(raw, vocab, catalog)
 
+    def test_repeated_raw_doc_id_is_data_error_naming_both_lines(self, tmp_path):
+        path = self._write_corpus(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[0]]) + "\n")
+        with pytest.raises(DataError, match=r"docs\.jsonl:3: doc_id 'd1' repeats line 1"):
+            load_corpus_jsonl(path)
+        # ids are compared as ``encode_documents`` names them
+        path.write_text('{"doc_id": 7, "text": "a"}\n\n{"doc_id": "7", "text": "b"}\n')
+        with pytest.raises(DataError, match=r"docs\.jsonl:3: doc_id '7' repeats line 1"):
+            load_corpus_jsonl(path)
+
+    def test_repeated_encoded_doc_id_is_data_error_naming_both_lines(self, tmp_path):
+        path = tmp_path / "enc.jsonl"
+        save_encoded([DocumentRecord(doc_id=d, tokens=[2], labels={0}) for d in ("d0", "d1")],
+                     path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[2]]) + "\n")
+        with pytest.raises(DataError, match=r"enc\.jsonl:4: doc_id 'd1' repeats line 3"):
+            load_encoded(path, vocab_size=4, num_labels=2)
+
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"doc_id": "d1", "text": "ok"}\nnot json\n')

@@ -1,7 +1,5 @@
 """Tests for the dilated residual document encoder."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from xmtc.errors import ConfigError, DataError
 from xmtc.tensor import GradTape, Tensor, grad_check, mul, same_padding, tensor_sum
 
 from oracles import (TwoFilterBlock, dilated_stack, naive_conv1d, receptive_field,
-                     reference_encode, two_filter_block, unfused_residual_block)
+                     reference_encode, traced, two_filter_block, unfused_residual_block)
 
 
 def delta_filter(k, dim):
@@ -293,10 +291,13 @@ class TestLeanTape:
         alive is what a backward reads plus the returned output: level 0's
         half of the pair (level 1's input, a copy of its own columns),
         level 1's output (level 2's input) and the output, 3 float64 [n, d]
-        arrays, plus three bool masks (both dropouts and the relu), 3.375
-        arrays per position.  Level 0's conv input, the dropped-out
-        embedding, is re-made in backward from the table and the first
-        mask.  The gather output, the pair, the residual half, level 2's
+        arrays, plus what the ``relu_dropout`` node keeps to re-make the
+        output (its nonzeros, about 0.4 of an array) and two bit-packed
+        masks, about 3.4 arrays per position.  The caller holds the dense
+        output here, so the compact node saves nothing until it lets go
+        (``tests/test_rebuild.py`` bounds ``forward_doc``).  Level 0's conv
+        input, the dropped-out embedding, is re-made in backward from the
+        table and the first mask.  The gather output, the pair, the residual half, level 2's
         output and the sum die once no backward reads them.  A node that
         holds a tensor, a padded copy, a float mask, a relu that keeps its
         input, a half that pins the pair or a conv that keeps a rebuildable
@@ -307,14 +308,9 @@ class TestLeanTape:
         table = Tensor(rng.standard_normal((50, d)), requires_grad=True)
         blocks = [init_block_params(cfg, d, rng)]
         tokens = rng.integers(0, 50, size=n)
-        tracemalloc.start()
-        try:
-            with GradTape():
-                before = tracemalloc.get_traced_memory()[0]
-                out = encode(tokens, table, blocks, cfg, train=True, rng=np.random.default_rng(0))
-                held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        with GradTape():
+            out, held, _ = traced(lambda: encode(tokens, table, blocks, cfg, train=True,
+                                                 rng=np.random.default_rng(0)))
         assert out.shape == (n, d)
         assert held <= 4 * n * d * 8 + 64 * 1024, (held, held / (n * d * 8))
 

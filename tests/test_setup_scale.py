@@ -6,8 +6,6 @@ a build may allocate is the bool adjacency itself, one byte per label pair,
 and the mask index holds its nonzeros only.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -15,6 +13,8 @@ from xmtc.corpus import DocumentRecord
 from xmtc.errors import DataError
 from xmtc.graph import build_cooccurrence
 from xmtc.mask import build_mask_index
+
+from oracles import traced
 
 NUM_LABELS = 3000
 NUM_DOCS = 600
@@ -40,18 +40,6 @@ def docs():
         )
         for i in range(NUM_DOCS)
     ]
-
-
-def traced(fn):
-    """(result, bytes still held after ``fn``, peak bytes during ``fn``)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, held - base, peak - base
 
 
 def test_mask_index_holds_its_nonzeros_only(docs):

@@ -1,6 +1,5 @@
 """Unit tests for the tensor/autodiff core."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +11,7 @@ from xmtc.tensor import (
     GradTape,
     Tensor,
     add,
+    attend,
     bce_loss,
     concat,
     conv1d_dilated,
@@ -23,6 +23,7 @@ from xmtc.tensor import (
     mean,
     mul,
     relu,
+    relu_dropout,
     reshape,
     row_sums,
     same_padding,
@@ -37,10 +38,12 @@ from xmtc.tensor import (
 
 from oracles import (
     conv1d_keeping_padded,
+    four_node_attention,
     mul_dropout,
     naive_conv1d,
     numeric_gradient,
     row_sums_add_at,
+    traced,
 )
 
 
@@ -182,14 +185,8 @@ class TestConv1dDilated:
         rng = np.random.default_rng(6)
         x = param(rng, n, d)
         f = param(rng, k, d, d)
-        tracemalloc.start()
-        try:
-            with GradTape():
-                before = tracemalloc.get_traced_memory()[0]
-                out = conv1d_dilated(x, f, dilation=1)
-                held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        with GradTape():
+            out, held, _ = traced(lambda: conv1d_dilated(x, f, dilation=1))
         assert out.shape == (n, d)
         assert held <= out.data.nbytes + 16 * 1024, (held, out.data.nbytes)
 
@@ -241,24 +238,147 @@ class TestDropout:
             assert results[0] == results[1], p
 
     def test_tape_keeps_a_bool_mask(self):
-        """Under a tape the node holds its output and a one-byte mask per
-        element, not a float keep array."""
+        """Under a tape the node holds its output and its mask bit-packed,
+        one bit per element: not a float keep array, nor a byte per
+        element."""
         n, d = 400, 16
         rng = np.random.default_rng(18)
         x = param(rng, n, d)
-        tracemalloc.start()
-        try:
-            with GradTape():
-                before = tracemalloc.get_traced_memory()[0]
-                out = dropout(x, rng.random(x.shape) >= 0.2, 1.25)
-                held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held <= out.data.nbytes + n * d + 16 * 1024, (held, out.data.nbytes)
+        with GradTape():
+            out, held, _ = traced(lambda: dropout(x, rng.random(x.shape) >= 0.2, 1.25))
+        assert held <= out.data.nbytes + n * d // 8 + 4 * 1024, (held, out.data.nbytes)
 
     def test_mask_shape_must_match(self):
         with pytest.raises(ShapeError):
             dropout(Tensor(np.ones((3, 2))), np.ones((2, 3), dtype=bool), 2.0)
+
+
+def _probed(op, inputs, probe):
+    """Output bytes, then each input's gradient bytes, of ``op(*inputs)``
+    under the loss ``sum(out * probe)``."""
+    for t in inputs:
+        t.zero_grad()
+    with GradTape() as tape:
+        out = op(*inputs)
+        tape.backward(tensor_sum(mul(out, Tensor(probe))))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs]
+
+
+class TestReluDropout:
+    """One node for relu then dropout, bit-equal to the pair, whose output
+    is re-made from its nonzeros."""
+
+    @staticmethod
+    def _pre_activations(rng, n, d):
+        """Normal values with a share of exact zeros of both signs."""
+        x = rng.standard_normal((n, d))
+        x[rng.random((n, d)) < 0.2] = -0.0
+        x[rng.random((n, d)) < 0.1] = 0.0
+        return x
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
+    def test_bit_equal_to_relu_then_dropout(self, p):
+        rng = np.random.default_rng(21)
+        x = Tensor(self._pre_activations(rng, 60, 7), requires_grad=True)
+        keep = rng.random(x.shape) >= p if p else np.ones(x.shape, dtype=bool)
+        probe = rng.standard_normal(x.shape)
+        probe[rng.random(x.shape) < 0.1] = -0.0
+        got = _probed(lambda x_: relu_dropout(x_, keep, 1.0 / (1.0 - p)), [x], probe)
+        pair = (lambda x_: dropout(relu(x_), keep, 1.0 / (1.0 - p))) if p else relu
+        assert got == _probed(pair, [x], probe)
+
+    def test_rebuild_re_makes_every_bit(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(self._pre_activations(rng, 50, 6), requires_grad=True)
+        x.data[0, :3] = [np.nan, np.inf, 1e-320]
+        with GradTape():
+            out = relu_dropout(x, rng.random(x.shape) >= 0.3, 1.0 / 0.7)
+        rebuilt = out.rebuild()
+        assert rebuilt.shape == out.shape and rebuilt.flags.c_contiguous
+        assert rebuilt.tobytes() == out.data.tobytes()
+
+    def test_gradient(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        keep = rng.random(x.shape) >= 0.3
+        report = grad_check(lambda x_: relu_dropout(x_, keep, 1.0 / 0.7), [x], tol=1e-6)
+        assert report.passed, report
+
+    def test_tape_keeps_the_nonzeros_and_one_packed_mask(self):
+        """Under a tape the node holds, beyond its output, the output's
+        nonzeros and n*d/8 mask bytes: not the relu's bool mask, nor the
+        dropout's, nor a second dense array."""
+        n, d = 400, 16
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        with GradTape():
+            out, held, _ = traced(lambda: relu_dropout(x, rng.random(x.shape) >= 0.2, 1.25))
+        nonzeros = np.count_nonzero(out.data)
+        assert 0.3 < nonzeros / out.size < 0.5
+        assert held <= out.data.nbytes + 8 * nonzeros + n * d // 8 + 4 * 1024, held
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(ShapeError):
+            relu_dropout(Tensor(np.ones((3, 2))), np.ones((2, 3), dtype=bool), 2.0)
+
+
+class TestAttend:
+    """Row-softmax attention as one node that re-derives its weights in
+    backward, bit-equal to the four nodes it replaces."""
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (3, 1), (5, 40), (12, 200)])
+    @pytest.mark.parametrize("grads", ["both", "queries", "keys"])
+    def test_bit_equal_to_four_nodes(self, k, n, grads):
+        rng = np.random.default_rng(k * 1000 + n)
+        q = Tensor(rng.standard_normal((k, 6)), requires_grad=grads != "keys")
+        x = Tensor(rng.standard_normal((n, 6)), requires_grad=grads != "queries")
+        q.data[0] = 0.0  # a masked label's zero row: uniform weights
+        probe = rng.standard_normal((k, 6))
+        inputs = [t for t in (q, x) if t.requires_grad]
+
+        def run(attention):
+            return _probed(lambda *_: attention(q, x), inputs, probe)
+
+        assert run(lambda q_, x_: attend(q_, x_)[1]) == run(
+            lambda q_, x_: four_node_attention(x_, q_).context)
+        alpha, _ = attend(q, x)
+        assert alpha.tobytes() == four_node_attention(x, q).alpha.data.tobytes()
+
+    def test_keys_held_as_their_rebuild(self):
+        """Over rebuildable keys (a relu_dropout output) the node holds the
+        rebuild, not the dense keys, and the bits stay the four nodes'."""
+        rng = np.random.default_rng(25)
+        pre = Tensor(rng.standard_normal((30, 5)), requires_grad=True)
+        q = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        keep = rng.random(pre.shape) >= 0.2
+        probe = rng.standard_normal((4, 5))
+
+        def run(attention):
+            return _probed(lambda p_, q_: attention(relu_dropout(p_, keep, 1.25), q_),
+                           [pre, q], probe)
+
+        assert run(lambda x_, q_: attend(q_, x_)[1]) == run(
+            lambda x_, q_: four_node_attention(x_, q_).context)
+        with GradTape() as tape:
+            x = relu_dropout(pre, keep, 1.25)
+            attend(q, x)
+            _, bwd = tape.nodes[-1]
+        held = [c.cell_contents for c in bwd.__closure__]
+        assert any(h is x.rebuild for h in held)
+        assert not any(isinstance(h, np.ndarray) and h.shape == x.shape for h in held)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(26)
+        q = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+        report = grad_check(lambda q_, x_: attend(q_, x_)[1], [q, x], tol=1e-6)
+        assert report.passed, report
+
+    def test_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            attend(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        with pytest.raises(ShapeError):
+            attend(Tensor(np.ones((2, 3))), Tensor(np.ones((0, 3))))
 
 
 class TestActivations:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adam_step_expression, keep_everything_backward
+from oracles import adam_step_expression, keep_everything_backward, traced
 from xmtc import training as training_mod
 from xmtc.corpus import PAD_ID, DocumentRecord, LabelCatalog, build_vocab
 from xmtc.encoder import EncoderConfig
@@ -125,12 +125,7 @@ class TestAdam:
             params.register(t)
         opt = Adam(params, lr=1e-3)
         opt.step()
-        tracemalloc.start()
-        try:
-            opt.step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(opt.step)
         assert peak < 16 * 1024, peak
 
     def test_scratch_is_two_blocks_whatever_the_parameter_size(self):
@@ -140,14 +135,13 @@ class TestAdam:
         big = Tensor(np.ones((2048, 1024)), requires_grad=True, name="big")
         big.grad = np.full(big.shape, 0.5)
         params.register(big)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+
+        def build_and_step():
             opt = Adam(params, lr=1e-3)
             opt.step()
-            held = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
+            return opt
+
+        _, held, _ = traced(build_and_step)
         scratch = held - 2 * big.data.nbytes
         assert scratch <= 2 * ADAM_BLOCK * 8 + 16 * 1024, scratch
 
@@ -353,27 +347,29 @@ class TestTapeWalk:
         about twice the tape."""
         model, docs, masks = tape_batch(dim=32)
 
-        def traced(walk):
-            model.params.zero_grads()
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                with GradTape() as tape:
-                    loss = batch_loss(model, docs, masks, np.random.default_rng(5))
-                    forward = tracemalloc.get_traced_memory()[0] - base
-                    tracemalloc.reset_peak()
-                    walk(tape, loss)
-                    held, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            grad_bytes = sum(p.grad.nbytes for _, p in model.params.items())
-            return forward, peak - base, held - base, grad_bytes
+        def step(walk):
+            """The forward tape's bytes, and the tape and the loss, so that
+            they are held when the walk's bytes are read; the peak restarts
+            before the walk."""
+            start = tracemalloc.get_traced_memory()[0]
+            with GradTape() as tape:
+                loss = batch_loss(model, docs, masks, np.random.default_rng(5))
+                forward = tracemalloc.get_traced_memory()[0] - start
+                tracemalloc.reset_peak()
+                walk(tape, loss)
+            return forward, tape, loss
 
-        traced(GradTape.backward)
-        forward, peak, held, grad_bytes = traced(GradTape.backward)
+        def measured(walk):
+            model.params.zero_grads()
+            (forward, _, _), held, peak = traced(lambda: step(walk))
+            grad_bytes = sum(p.grad.nbytes for _, p in model.params.items())
+            return forward, peak, held, grad_bytes
+
+        measured(GradTape.backward)
+        forward, peak, held, grad_bytes = measured(GradTape.backward)
         assert held <= grad_bytes + 16 * 1024, (held, grad_bytes)
         assert peak < 1.5 * forward + grad_bytes, (peak, forward, grad_bytes)
-        forward, peak, held, grad_bytes = traced(keep_everything_backward)
+        forward, peak, held, grad_bytes = measured(keep_everything_backward)
         assert held > grad_bytes + 16 * 1024 and peak > 1.5 * forward + grad_bytes
 
 
@@ -427,7 +423,7 @@ class TestTapeHoldsNoTensor:
 
     @pytest.mark.parametrize("variant", ["full", "no_label_feature"])
     def test_no_node_of_a_full_model_tape_holds_a_tensor(self, variant):
-        model, docs, masks = tape_batch(n_docs=5, variant=variant)
+        model, docs, masks = tape_batch(n_docs=6, variant=variant)
         masks[2] = DocMask.all_ones(model.num_labels)
         with GradTape() as tape:
             loss = batch_loss(model, docs, masks, np.random.default_rng(5))
