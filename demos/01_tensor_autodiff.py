@@ -9,13 +9,13 @@ import numpy as np
 from xmtc.tensor import (
     GradTape,
     Tensor,
+    attend,
     conv1d_dilated,
     grad_check,
     matmul,
     relu,
     same_padding,
     sigmoid,
-    softmax,
     tensor_sum,
 )
 
@@ -56,8 +56,11 @@ print("=" * 60)
 print("3. Numerically stable activations")
 print("=" * 60)
 
-print("softmax([1000, 1000])  =", softmax(Tensor([1000.0, 1000.0]), axis=0).data)
-print("sigmoid(+-800)         =", sigmoid(Tensor([-800.0, 800.0])).data)
+# attend's softmax subtracts each row's largest score: one query scoring two
+# positions at 1000 each weighs them 0.5 apiece, where exp(1000) overflows
+alpha, _ = attend(Tensor([[1000.0]]), Tensor([[1.0], [1.0]]))
+print("attention weights of scores [1000, 1000] =", alpha.ravel())
+print("sigmoid(+-800)                           =", sigmoid(Tensor([-800.0, 800.0])).data)
 
 print()
 print("=" * 60)

@@ -17,7 +17,7 @@ from .tensor import Tensor, add, attend, gather_rows, matmul, reshape, sigmoid
 
 @dataclass
 class AttentionOutput:
-    alpha: Tensor  # [L, n] row-stochastic; the gradient flows through context only
+    alpha: np.ndarray  # [L, n] row-stochastic; the gradient flows through context only
     context: Tensor  # [L, d_e]
 
 
@@ -40,7 +40,7 @@ def label_attention(encoded: Tensor, h_masked: Tensor) -> AttentionOutput:
     runs over every encoded position.  One tape node (``tensor.attend``,
     which checks the shapes), whose backward re-derives the weights."""
     alpha, context = attend(h_masked, encoded)
-    return AttentionOutput(alpha=Tensor(alpha), context=context)
+    return AttentionOutput(alpha=alpha, context=context)
 
 
 def classify(context: Tensor, params: ClassifierParams, rows=None) -> Tensor:

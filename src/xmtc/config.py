@@ -74,7 +74,6 @@ class RunConfig:
     dilation_rates: tuple[int, ...] = (1, 2, 4)
     num_blocks: int = 1
     dropout: float = 0.2
-    activation: str = "relu"
     learning_rate: float = 0.0001
     lr_decay: float = 0.9
     clip_norm: float = 5.0
@@ -112,8 +111,7 @@ class RunConfig:
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(kernel_size=self.filter_size, rates=self.dilation_rates,
-                             num_blocks=self.num_blocks, dropout=self.dropout,
-                             activation=self.activation)
+                             num_blocks=self.num_blocks, dropout=self.dropout)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(lr=self.learning_rate, lr_decay=self.lr_decay,

@@ -260,14 +260,19 @@ def encode_documents(
 ) -> list[DocumentRecord]:
     """Preprocess and id-encode raw documents against a vocabulary/catalog.
 
-    A document whose text yields no tokens is a ``DataError`` naming
-    ``source`` (the file the documents came from) and the document."""
+    A document whose text yields no tokens, or whose labels hold a code the
+    catalog lacks, is a ``DataError`` naming ``source`` (the file the
+    documents came from) and the document."""
     records = []
     for rec in raw_docs:
+        where = f"{source}: document {rec['doc_id']!r}"
         tokens = vocab.encode(preprocess(rec["text"], max_len))
         if not tokens:
-            raise DataError(f"{source}: document {rec['doc_id']!r} has no tokens")
-        labels = {catalog.id_of(code) for code in rec.get("labels", [])}
+            raise DataError(f"{where} has no tokens")
+        try:
+            labels = {catalog.id_of(code) for code in rec.get("labels", [])}
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
         aux = {t: tuple(rec.get(t, ())) for t in TERMINOLOGIES}
         records.append(
             DocumentRecord(

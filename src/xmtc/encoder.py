@@ -5,14 +5,12 @@ dilated convolutions (one per dilation rate, no activation between levels)
 and a single residual convolution at the first rate.  Level 0 and the
 residual read the same windows, so they are one [K, d, 2d] filter, level
 0's output columns first, and one convolution whose output is split into
-the chain input and the residual.  The branch outputs are summed, passed
-through the activation, and optionally dropped out; a dropout node keeps
-its mask only, bit-packed.  In training a relu block ends in one
-``relu_dropout`` node (an all-true mask when dropout is 0), which keeps its
-output's nonzeros and re-makes the output from them in backward, so the
-dense block output is not kept by the tape.  Every convolution is
-length-preserving, so the output keeps the input's sequence length at
-every level.
+the chain input and the residual.  The branch outputs are summed and
+passed through relu.  In training a block ends in one ``relu_dropout``
+node (an all-true mask when dropout is 0), which keeps its output's
+nonzeros and re-makes the output from them in backward, so the dense block
+output is not kept by the tape.  Every convolution is length-preserving,
+so the output keeps the input's sequence length at every level.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .tensor import (Tensor, add, conv1d_dilated, dropout, gather_rows, relu, relu_dropout,
-                     split_columns, tanh)
-
-_ACTIVATIONS = {"relu": relu, "tanh": tanh}
+                     split_columns)
 
 
 @dataclass
@@ -34,7 +30,6 @@ class EncoderConfig:
     rates: tuple[int, ...] = (1, 2, 4)
     num_blocks: int = 1
     dropout: float = 0.2
-    activation: str = "relu"
 
     def __post_init__(self):
         # messages name the configuration file keys
@@ -46,9 +41,6 @@ class EncoderConfig:
             raise ConfigError(f"dilation_rates must be positive, got {self.rates}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {sorted(_ACTIVATIONS)}, "
-                              f"got {self.activation!r}")
         if self.num_blocks < 0:
             raise ConfigError(f"num_blocks must be nonnegative, got {self.num_blocks}")
 
@@ -96,25 +88,21 @@ def residual_block(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """One block: activation(main dilated chain + residual convolution).
+    """One block: relu(main dilated chain + residual convolution).
 
     Level 0 and the residual are one convolution over ``level0_residual``,
     whose output columns split into the chain input and the residual.  In
     training, relu and dropout are one ``relu_dropout`` node.
     """
-    act = _ACTIVATIONS[config.activation]
     fused = params.level0_residual
     h, residual = split_columns(conv1d_dilated(embedded, fused, config.rates[0]),
                                 fused.shape[2] // 2)
     for filt, rate in zip(params.levels, config.rates[1:]):
         h = conv1d_dilated(h, filt, rate)
     pre = add(h, residual)
-    if train and config.activation == "relu":
+    if train:
         return relu_dropout(pre, *_keep(pre.shape, config.dropout, rng))
-    out = act(pre)
-    if train and config.dropout > 0.0:
-        out = dropout(out, *_keep(out.shape, config.dropout, rng))
-    return out
+    return relu(pre)
 
 
 def encode(

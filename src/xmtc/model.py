@@ -136,7 +136,7 @@ class CodingModel:
         alpha = np.zeros((num_labels, ids.size))
         alpha[:, real] = 1.0 / encoded.shape[0]
         if cand.size:
-            alpha[np.ix_(cand, real)] = att.alpha.data
+            alpha[np.ix_(cand, real)] = att.alpha
         return y_hat, alpha
 
     def predict_scores(self, token_ids, doc_mask: DocMask, h_label: Tensor,

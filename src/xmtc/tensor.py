@@ -2,8 +2,8 @@
 
 Every numeric operation the model needs lives here: matrix product, the
 product of a constant sparse matrix and a tensor, dilated 1-d convolution,
-dropout, activations, row-softmax attention, reductions, row gather, column
-split, and binary cross-entropy.  Operations executed while a
+dropout, relu and sigmoid, row-softmax attention, reductions, row gather,
+column split, and binary cross-entropy.  Operations executed while a
 :class:`GradTape` is active are recorded in insertion order; ``backward``
 replays the tape in reverse and accumulates gradients into every tensor
 that requires them.  A tensor that feeds several consumers receives the sum
@@ -14,14 +14,13 @@ A tape node holds no tensor.  It is a pair of its output's gradient cell
 backward closure that captures its inputs' cells plus only the arrays its
 backward reads: the convolution its input's and its filters' own arrays
 (no padded copy or window buffer), relu a bool mask, dropout its mask
-bit-packed (``np.packbits``, one bit per element), add, reshape,
-transpose, the reductions and the row gather no array of their inputs at
-all.  So an activation lives only while user code or a backward that reads
-it holds it, and ``matmul``'s right operand, the convolution's input and
-the attention's keys are held as their ``rebuild`` where they have one: a
-function that repeats the forward on arrays that live anyway (a
-transpose's input, a gathered parameter, under a dropout's mask) or on
-what the producing node keeps (``relu_dropout`` keeps its output's
+bit-packed (``np.packbits``, one bit per element), add, reshape, the
+reductions and the row gather no array of their inputs at all.  So an
+activation lives only while user code or a backward that reads it holds
+it, and the convolution's input and the attention's keys are held as their
+``rebuild`` where they have one: a function that repeats the forward on
+arrays that live anyway (a gathered parameter, under a dropout's mask) or
+on what the producing node keeps (``relu_dropout`` keeps its output's
 nonzeros and one packed mask) and so re-makes ``data`` bit for bit.
 ``attend`` keeps no weights: its backward re-derives the scores and the
 softmax from its queries and keys.  The replay consumes the tape: each node
@@ -50,7 +49,6 @@ __all__ = [
     "GradCheckReport",
     "matmul",
     "spmm",
-    "transpose",
     "reshape",
     "conv1d_dilated",
     "same_padding",
@@ -58,12 +56,10 @@ __all__ = [
     "mul",
     "dropout",
     "relu_dropout",
-    "softmax",
     "attend",
     "sigmoid",
     "logistic",
     "relu",
-    "tanh",
     "mean",
     "tensor_sum",
     "concat",
@@ -252,8 +248,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-d tensors; gradients for both operands.  The
-    node keeps the left operand's array and the right one's ``_kept``."""
+    """Matrix product of two 2-d tensors; gradients for both operands."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
@@ -262,11 +257,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ac, bc = a.cell, b.cell
     # each operand is read only for the other's gradient
     ad = a.data if bc.requires_grad else None
-    bd = _kept(b) if ac.requires_grad else None
+    bd = b.data if ac.requires_grad else None
 
     def bwd(g):
         if ac.requires_grad:
-            _accumulate(ac, g @ bd().T)
+            _accumulate(ac, g @ bd.T)
         if bc.requires_grad:
             _accumulate(bc, ad.T @ g)
 
@@ -288,20 +283,6 @@ def spmm(s, x: Tensor) -> Tensor:
         _accumulate(xc, s.T @ g)
 
     return _make(s @ x.data, (x,), bwd)
-
-
-def transpose(x: Tensor) -> Tensor:
-    """A copy of ``x.data.T``, whose rebuild copies ``x``'s array again."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-d tensor, got {x.shape}")
-
-    xc, xd = x.cell, x.data
-
-    def bwd(g):
-        _accumulate(xc, g.T)
-
-    return _make(xd.T.copy(), (x,), bwd, rebuild=lambda: xd.T.copy())
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -482,17 +463,6 @@ def relu(x) -> Tensor:
     return _make(np.maximum(x.data, 0.0), (x,), bwd)
 
 
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    out = np.tanh(x.data)
-    xc = x.cell
-
-    def bwd(g):
-        _accumulate(xc, g * (1.0 - out * out))
-
-    return _make(out, (x,), bwd)
-
-
 def logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) on a plain array.  exp overflows to inf below
     x = -709, which gives the exact limit 0, so the overflow is not
@@ -517,39 +487,6 @@ def sigmoid(x) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along ``axis``; rows sum to 1."""
-    x = _as_tensor(x)
-    if x.data.ndim == 0:
-        raise ValueError("softmax needs at least one axis")
-    try:
-        axis = int(axis)
-        np.moveaxis(x.data, axis, -1)
-    except Exception as exc:
-        raise ValueError(f"invalid softmax axis {axis} for shape {x.shape}") from exc
-    if x.data.shape[axis] == 0:
-        raise ValueError(f"softmax over empty axis {axis} of shape {x.shape}")
-    out = _softmax(x.data, axis)
-    xc = x.cell
-
-    def bwd(g):
-        _accumulate(xc, _softmax_grad(out, g, axis))
-
-    return _make(out, (x,), bwd)
-
-
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    z = x - x.max(axis=axis, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=axis, keepdims=True)
-
-
-def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """The gradient reaching a softmax's input from ``g`` at its ``out``."""
-    inner = (g * out).sum(axis=axis, keepdims=True)
-    return out * (g - inner)
-
-
 def attend(q: Tensor, x: Tensor) -> tuple[np.ndarray, Tensor]:
     """Row-softmax attention of each query row of ``q`` [K, d] over the rows
     of ``x`` [n, d]: returns the weights ``alpha = softmax(q @ x.T)`` along
@@ -558,10 +495,10 @@ def attend(q: Tensor, x: Tensor) -> tuple[np.ndarray, Tensor]:
 
     One tape node, which keeps ``q``'s array and ``_kept(x)`` and no
     weights.  Its backward re-makes ``x``, re-derives the scores and alpha
-    exactly as the forward did, then forms the gradients that the four
-    nodes transpose, matmul, softmax and matmul would, in their order, each
-    intermediate summed into zeros as its own cell would be: the bits are
-    theirs.
+    exactly as the forward did, then forms the gradients that four nodes
+    would (a transposed copy, the score product, a max-subtracted row
+    softmax and the context product), in their order, each intermediate
+    summed into zeros as its own cell would be: the bits are theirs.
     """
     q, x = _as_tensor(q), _as_tensor(x)
     if q.data.ndim != 2 or x.data.ndim != 2 or q.shape[1] != x.shape[1] or x.shape[0] == 0:
@@ -571,7 +508,9 @@ def attend(q: Tensor, x: Tensor) -> tuple[np.ndarray, Tensor]:
 
     def weights(xa):
         xt = xa.T.copy()
-        return xt, _softmax(qd @ xt, 1)
+        scores = qd @ xt
+        ez = np.exp(scores - scores.max(axis=1, keepdims=True))  # max-subtracted
+        return xt, ez / ez.sum(axis=1, keepdims=True)
 
     def bwd(g):
         xa = xd()
@@ -579,7 +518,8 @@ def attend(q: Tensor, x: Tensor) -> tuple[np.ndarray, Tensor]:
         g_alpha = _fresh_grad(g @ xa.T)
         if xc.requires_grad:
             _accumulate(xc, alpha.T @ g)
-        g_scores = _fresh_grad(_softmax_grad(alpha, g_alpha, 1))
+        inner = (g_alpha * alpha).sum(axis=1, keepdims=True)
+        g_scores = _fresh_grad(alpha * (g_alpha - inner))
         if qc.requires_grad:
             _accumulate(qc, g_scores @ xt.T)
         if xc.requires_grad:

@@ -365,7 +365,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise DataError(f"{path}: checkpoint manifest lacks {missing}")
         shapes = {spec["name"]: tuple(int(d) for d in spec["shape"])
                   for spec in manifest["params"]}
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
     if any(d < 0 for shape in shapes.values() for d in shape):
         raise DataError(f"{path}: negative dimension in checkpoint manifest")

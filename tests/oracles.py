@@ -5,9 +5,10 @@ counting, direct recounts, sparse products) and deliberately shares no code
 with the implementations it checks, except the plain compositions of engine
 ops that an optimised path must reproduce (the dense label side, the
 unfused encoder block, the encoder whose tape keeps padded inputs, float
-dropout masks and stacked filters, the transpose, the convolution, the
-four-node attention and the relu-then-dropout block that keep what
-backward could re-make) and the tape's node plumbing.  ``traced`` is the
+dropout masks and stacked filters, the convolution, the four-node
+attention and the relu-then-dropout block that keep what backward could
+re-make) and the tape's node plumbing, on which the four-node attention
+builds its own transposed copy and softmax.  ``traced`` is the
 suite's one tracemalloc probe.  The label statistics and the
 auxiliary-code tables are counted here twice: by recount
 (``conditional_prob_matrix``, ``recount_aux_tables``) and through CSR
@@ -90,14 +91,13 @@ def dilated_stack(embedded, params, config):
 def unfused_residual_block(embedded, params, config):
     """One encoder block without dropout, its two branches run apart over a
     ``TwoFilterBlock``: the dilated chain, then the residual conv over the
-    same input, summed and activated.  The shipped block runs level 0 and
-    the residual as one product and must reproduce this."""
-    from xmtc.tensor import add, conv1d_dilated, relu, tanh
+    same input, summed and passed through relu.  The shipped block runs
+    level 0 and the residual as one product and must reproduce this."""
+    from xmtc.tensor import add, conv1d_dilated, relu
 
-    act = {"relu": relu, "tanh": tanh}[config.activation]
     main = dilated_stack(embedded, params, config)
     residual = conv1d_dilated(embedded, params.residual_filter, config.rates[0])
-    return act(add(main, residual))
+    return relu(add(main, residual))
 
 
 def conv1d_keeping_padded(x, filters, dilation, padding):
@@ -143,9 +143,8 @@ def conv1d_keeping_input(x, filters, dilation):
 
 
 def transpose_keeping_copy(x):
-    """The transpose whose output carries no rebuild, so a ``matmul`` that
-    reads it as its right operand keeps the [d, n] copy on the tape.  The
-    shipped transpose re-copies in backward and must be bit-equal to this."""
+    """A [d, n] transposed copy of ``x`` as a tape node, so a ``matmul`` that
+    reads it as its right operand keeps the copy on the tape."""
     from xmtc.tensor import _accumulate, _make
 
     def bwd(g):
@@ -154,35 +153,50 @@ def transpose_keeping_copy(x):
     return _make(np.ascontiguousarray(x.data.T), (x,), bwd)
 
 
+def row_softmax(x):
+    """Max-subtracted softmax along the rows of a 2-d tensor, as a tape node
+    that keeps its output for backward."""
+    from xmtc.tensor import _accumulate, _make
+
+    z = x.data - x.data.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    out = ez / ez.sum(axis=1, keepdims=True)
+
+    def bwd(g):
+        inner = (g * out).sum(axis=1, keepdims=True)
+        _accumulate(x.cell, out * (g - inner))
+
+    return _make(out, (x,), bwd)
+
+
 def four_node_attention(encoded, h_masked):
     """``attention.label_attention`` as four tape nodes: the transposed copy
-    (``transpose_keeping_copy``), the score product, the softmax, which
-    keeps alpha, and the context product.  The shipped attention is one
-    node that re-derives the scores and alpha in backward and must be
-    bit-equal to this."""
+    (``transpose_keeping_copy``), the score product, the softmax
+    (``row_softmax``), which keeps alpha, and the context product.  The
+    shipped attention is one node that re-derives the scores and alpha in
+    backward and must be bit-equal to this."""
     from xmtc.attention import AttentionOutput
-    from xmtc.tensor import matmul, softmax
+    from xmtc.tensor import matmul
 
-    alpha = softmax(matmul(h_masked, transpose_keeping_copy(encoded)), axis=1)
-    return AttentionOutput(alpha=alpha, context=matmul(alpha, encoded))
+    alpha = row_softmax(matmul(h_masked, transpose_keeping_copy(encoded)))
+    return AttentionOutput(alpha=alpha.data, context=matmul(alpha, encoded))
 
 
 def relu_then_dropout_block(embedded, params, config, train=False, rng=None):
-    """``encoder.residual_block`` with the activation and the dropout as two
+    """``encoder.residual_block`` with the relu and the dropout as two
     nodes, a relu that keeps its bool mask and a dropout (none at dropout
     0), and every convolution keeping its input (``conv1d_keeping_input``).
-    The shipped relu block ends in one ``relu_dropout`` node, which keeps
-    only its output's nonzeros, and must be bit-equal to this.  The
+    The shipped block ends in one ``relu_dropout`` node in training, which
+    keeps only its output's nonzeros, and must be bit-equal to this.  The
     engine's ops are read from ``xmtc.tensor`` when the block runs."""
     from xmtc import tensor
 
-    act = {"relu": tensor.relu, "tanh": tensor.tanh}[config.activation]
     fused = params.level0_residual
     h, residual = tensor.split_columns(conv1d_keeping_input(embedded, fused, config.rates[0]),
                                        fused.shape[2] // 2)
     for filt, rate in zip(params.levels, config.rates[1:]):
         h = conv1d_keeping_input(h, filt, rate)
-    out = act(tensor.add(h, residual))
+    out = tensor.relu(tensor.add(h, residual))
     if train and config.dropout > 0.0:
         out = tensor.dropout(out, rng.random(out.shape) >= config.dropout,
                              1.0 / (1.0 - config.dropout))
@@ -216,9 +230,8 @@ def reference_encode(token_ids, embedding, blocks, config, train=False, rng=None
     ``encode`` must be bit-equal to this, output and gradients, on the same
     rng; the gradient of a block's ``level0_residual`` is level 0's and the
     residual's side by side."""
-    from xmtc.tensor import add, gather_rows, relu, same_padding, split_columns, tanh
+    from xmtc.tensor import add, gather_rows, relu, same_padding, split_columns
 
-    act = {"relu": relu, "tanh": tanh}[config.activation]
     drop = train and config.dropout > 0.0
     k, rate0 = config.kernel_size, config.rates[0]
     h = gather_rows(embedding, np.asarray(token_ids, dtype=np.int64))
@@ -231,7 +244,7 @@ def reference_encode(token_ids, embedding, blocks, config, train=False, rng=None
         chain, residual = split_columns(pair, level0.shape[2])
         for filt, rate in zip(params.level_filters[1:], config.rates[1:]):
             chain = conv1d_keeping_padded(chain, filt, rate, same_padding(k, rate))
-        h = act(add(chain, residual))
+        h = relu(add(chain, residual))
         if drop:
             h = mul_dropout(h, config.dropout, rng)
     return h
@@ -584,7 +597,7 @@ def dense_forward_doc(model, token_ids, doc_mask, h_label, train=False, rng=None
                      train=train, rng=rng)
     att = label_attention(encoded, apply_mask(h_label, doc_mask))
     alpha = np.zeros((h_label.shape[0], ids.size))
-    alpha[:, real] = att.alpha.data
+    alpha[:, real] = att.alpha
     return classify(att.context, model.classifier), alpha
 
 

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from xmtc import corpus, embeddings, graph, mask, metrics, model, synth, training
 from xmtc.encoder import EncoderConfig
@@ -17,20 +18,23 @@ from xmtc.tensor import (
     GradTape,
     Tensor,
     add,
+    attend,
     bce_loss,
     concat,
     conv1d_dilated,
+    dropout,
     gather_rows,
     grad_check,
     matmul,
     mean,
     mul,
     relu,
+    relu_dropout,
+    reshape,
     sigmoid,
-    softmax,
-    tanh,
+    split_columns,
+    spmm,
     tensor_sum,
-    transpose,
 )
 
 import oracles
@@ -161,6 +165,24 @@ def test_criterion_1_gradient_suite():
             axis = int(rng.integers(0, 2))
             return (lambda t: mean(t, axis=axis), [Tensor(rng.standard_normal((3, 4)), True)])
 
+        def spmm_case(rng):
+            dense = rng.standard_normal((4, 5))
+            s = sp.csr_matrix(np.where(rng.random((4, 5)) < 0.5, dense, 0.0))  # fixed per check
+            return (lambda t: spmm(s, t), [Tensor(rng.standard_normal((5, 3)), True)])
+
+        def dropout_case(rng):
+            keep = rng.random((4, 3)) >= 0.3  # drawn once, fixed per check
+            return (lambda t: dropout(t, keep, 1.0 / 0.7),
+                    [Tensor(rng.standard_normal((4, 3)), True)])
+
+        def split_case(half):
+            def make(rng):
+                at = int(rng.integers(1, 5))
+                return (lambda t: split_columns(t, at)[half],
+                        [Tensor(rng.standard_normal((3, 5)), True)])
+
+            return make
+
         linear_cases = {
             "matmul": lambda rng: (matmul, [Tensor(rng.standard_normal((3, 4)), True),
                                             Tensor(rng.standard_normal((4, 2)), True)]),
@@ -175,18 +197,29 @@ def test_criterion_1_gradient_suite():
             "concat": lambda rng: (lambda a, b: concat([a, b], axis=0),
                                    [Tensor(rng.standard_normal((2, 3)), True),
                                     Tensor(rng.standard_normal((3, 3)), True)]),
-            "transpose": lambda rng: (transpose, [Tensor(rng.standard_normal((3, 4)), True)]),
+            "spmm": spmm_case,
+            "dropout": dropout_case,
+            "split_columns[0]": split_case(0),
+            "split_columns[1]": split_case(1),
+            "reshape": lambda rng: (lambda t: reshape(t, (2, 6)),
+                                    [Tensor(rng.standard_normal((3, 4)), True)]),
         }
         def bce_case(rng):
             gold = (rng.random(8) < 0.5).astype(float)  # drawn once, fixed per check
             return (lambda p: bce_loss(p, gold), [Tensor(rng.uniform(0.05, 0.95, 8), True)])
 
+        def relu_dropout_case(rng):
+            keep = rng.random((4, 3)) >= 0.3  # drawn once, fixed per check
+            return (lambda t: relu_dropout(t, keep, 1.0 / 0.7),
+                    [Tensor(away_from_kinks(rng, (4, 3)), True)])
+
         nonlinear_cases = {
             "relu": lambda rng: (relu, [Tensor(away_from_kinks(rng, (4, 3)), True)]),
-            "tanh": lambda rng: (tanh, [Tensor(rng.standard_normal((4, 3)), True)]),
             "sigmoid": lambda rng: (sigmoid, [Tensor(rng.standard_normal((4, 3)), True)]),
-            "softmax": lambda rng: (lambda t: softmax(t, axis=1),
-                                    [Tensor(rng.standard_normal((3, 5)), True)]),
+            "relu_dropout": relu_dropout_case,
+            "attend": lambda rng: (lambda q, x: attend(q, x)[1],
+                                   [Tensor(rng.standard_normal((3, 4)), True),
+                                    Tensor(rng.standard_normal((5, 4)), True)]),
             "bce_loss": bce_case,
         }
         for name, make in linear_cases.items():

@@ -38,7 +38,7 @@ class TestLabelAttention:
         d = Tensor(rng.standard_normal((1, 4)))
         h = Tensor(rng.standard_normal((3, 4)))
         att = label_attention(d, h)
-        np.testing.assert_allclose(att.alpha.data, np.ones((3, 1)))
+        np.testing.assert_allclose(att.alpha, np.ones((3, 1)))
         for row in att.context.data:
             np.testing.assert_allclose(row, d.data[0])
 
@@ -48,7 +48,7 @@ class TestLabelAttention:
         d = Tensor(rng.standard_normal((n, 3)))
         h = Tensor(np.vstack([np.zeros(3), rng.standard_normal(3)]))
         att = label_attention(d, h)
-        np.testing.assert_allclose(att.alpha.data[0], np.full(n, 1 / n), atol=1e-12)
+        np.testing.assert_allclose(att.alpha[0], np.full(n, 1 / n), atol=1e-12)
         np.testing.assert_allclose(att.context.data[0], d.data.mean(axis=0), atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -59,7 +59,7 @@ class TestLabelAttention:
         scores = h @ d.T
         ez = np.exp(scores - scores.max(axis=1, keepdims=True))
         alpha = ez / ez.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(att.alpha.data, alpha, atol=1e-12)
+        np.testing.assert_allclose(att.alpha, alpha, atol=1e-12)
         np.testing.assert_allclose(att.context.data, alpha @ d, atol=1e-12)
 
     def test_rows_stochastic(self):
@@ -69,7 +69,7 @@ class TestLabelAttention:
             d = Tensor(rng.standard_normal((n, 3)) * 5)
             h = Tensor(rng.standard_normal((4, 3)) * 5)
             att = label_attention(d, h)
-            np.testing.assert_allclose(att.alpha.data.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(att.alpha.sum(axis=1), 1.0, atol=1e-9)
 
     def test_padded_positions_get_zero_weight(self):
         m = _padding_model()

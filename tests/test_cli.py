@@ -460,7 +460,7 @@ class TestErrors:
         assert "twice.cfg:3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["causal_conv", "norm_mode", "tau_drg", "tau_cpt",
-                                     "tau_drugs", "hard_gating"])
+                                     "tau_drugs", "hard_gating", "activation"])
     def test_removed_config_key_is_exit_2(self, tmp_path, key):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"{key} = 1\n")
@@ -600,6 +600,39 @@ class TestErrors:
         assert f"{raw}: document 'empty1' has no tokens" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
         assert not heat.exists()
+
+    @staticmethod
+    def _with_unknown_code(data, tmp_path):
+        """The test split with its third document's labels extended by a
+        code the catalog lacks: (path, document id)."""
+        rows = [json.loads(line) for line in (data / "test.jsonl").read_text().splitlines()]
+        rows[2]["labels"] = [*rows[2]["labels"], "NOPE"]
+        raw = tmp_path / "test.jsonl"
+        raw.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return raw, rows[2]["doc_id"]
+
+    def test_unknown_label_code_stops_preprocess_naming_file_and_document(
+            self, pipeline, tmp_path, capsys):
+        _, data, _, cfg = pipeline
+        raw, doc_id = self._with_unknown_code(data, tmp_path)
+        out = tmp_path / "work"
+        assert main(["preprocess", "--workdir", str(out), "--config", str(cfg),
+                     "--train", str(data / "train.jsonl"), "--test", str(raw),
+                     "--catalog", str(data / "raw_catalog.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert f"{raw}: document {doc_id!r}: label code 'NOPE' not present" in err
+        assert not out.exists()
+
+    def test_unknown_label_code_stops_predict_naming_file_and_document(
+            self, pipeline, tmp_path, capsys):
+        _, data, work, cfg = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        raw, doc_id = self._with_unknown_code(data, tmp_path)
+        assert main(["predict", "--workdir", str(copy), "--config", str(cfg),
+                     "--input", str(raw)]) == 3
+        err = capsys.readouterr().err
+        assert f"{raw}: document {doc_id!r}: label code 'NOPE' not present" in err
 
     @pytest.mark.parametrize("name, what", [("vocab.txt", "token"),
                                             ("catalog.tsv", "label code")])
@@ -845,7 +878,6 @@ OUT_OF_RANGE = {
     "dilation_rates": _BAD_INT_LISTS,
     "num_blocks": _ints_below(0),
     "dropout": _floats_outside(lambda x: 0 <= x < 1),
-    "activation": _NAMES.filter(lambda a: a not in ("relu", "tanh")),
     "learning_rate": _floats_outside(lambda x: 0 < x < math.inf),
     "lr_decay": _floats_outside(lambda x: 0 < x <= 1),
     "clip_norm": _floats_outside(lambda x: 0 < x < math.inf),

@@ -45,10 +45,6 @@ class TestEncoderConfig:
         with pytest.raises(ConfigError):
             EncoderConfig(dropout=1.0)
 
-    def test_unknown_activation(self):
-        with pytest.raises(ConfigError):
-            EncoderConfig(activation="swish")
-
     def test_receptive_field_default(self):
         assert receptive_field(EncoderConfig()) == 57  # 1 + 8 + 16 + 32
 

@@ -5,8 +5,9 @@ name of the package but the tape's node plumbing, so they cannot check a
 function against itself.
 
 Standard library only: the checks parse each source file with ``ast``.
-An import line marked ``# noqa: F401`` is exempt, and a name listed in
-``__all__`` counts as read.
+An import line marked ``# noqa: F401`` is exempt.  A name listed in a
+module's ``__all__`` counts as an import's use; as a definition's use it
+counts only in the package's ``__init__.py``, which is the public API.
 """
 
 import ast
@@ -99,8 +100,10 @@ def test_environment_checker_finds_only_reads(source, reads):
 def unread_definitions(sources: dict[str, str]) -> list[str]:
     """The functions, classes and methods defined in ``sources`` (file name
     to text) whose name nothing in any of them reads: no name or attribute
-    load, no import and no ``__all__`` entry.  Dunder methods are exempt,
-    since Python calls them."""
+    load, no import and no ``__all__`` entry of ``__init__.py``.  A
+    submodule's ``__all__`` is no reader: it lists what the module offers,
+    not what anything uses.  Dunder methods are exempt, since Python calls
+    them."""
     defined, read = [], set()
     for file, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -112,7 +115,7 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name.split(".")[-1])
-            elif isinstance(node, ast.Assign) and any(
+            elif file == "__init__.py" and isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 read |= {elt.value for elt in node.value.elts}
     return [f"{file}:{ln}: {name}" for file, ln, name in defined
@@ -129,7 +132,8 @@ def test_every_definition_is_read_in_the_package():
     ({"a.py": "class C:\n    def m(self):\n        pass\n    def __init__(self):\n"
               "        pass\nC().m()\n"}, []),
     ({"a.py": "class C:\n    def m(self):\n        pass\nC()\n"}, ["a.py:2: m"]),
-    ({"a.py": "def f():\n    pass\n__all__ = ['f']\n"}, []),
+    ({"a.py": "def f():\n    pass\n__all__ = ['f']\n"}, ["a.py:1: f"]),
+    ({"a.py": "def f():\n    pass\n", "__init__.py": "__all__ = ['f']\n"}, []),
     ({"a.py": "def f():\n    pass\ng = f\n"}, []),
 ])
 def test_definition_checker_finds_only_unread_names(sources, unread):

@@ -28,12 +28,9 @@ from xmtc.tensor import (
     row_sums,
     same_padding,
     sigmoid,
-    softmax,
     split_columns,
     spmm,
-    tanh,
     tensor_sum,
-    transpose,
 )
 
 from oracles import (
@@ -342,7 +339,7 @@ class TestAttend:
         assert run(lambda q_, x_: attend(q_, x_)[1]) == run(
             lambda q_, x_: four_node_attention(x_, q_).context)
         alpha, _ = attend(q, x)
-        assert alpha.tobytes() == four_node_attention(x, q).alpha.data.tobytes()
+        assert alpha.tobytes() == four_node_attention(x, q).alpha.tobytes()
 
     def test_keys_held_as_their_rebuild(self):
         """Over rebuildable keys (a relu_dropout output) the node holds the
@@ -374,6 +371,13 @@ class TestAttend:
         report = grad_check(lambda q_, x_: attend(q_, x_)[1], [q, x], tol=1e-6)
         assert report.passed, report
 
+    def test_equal_large_scores_give_equal_weights(self):
+        """The softmax subtracts each row's largest score, so scores of 1000
+        neither overflow nor lose their equality."""
+        alpha, context = attend(Tensor([[1000.0]]), Tensor([[1.0], [1.0]]))
+        np.testing.assert_array_equal(alpha, [[0.5, 0.5]])
+        np.testing.assert_array_equal(context.data, [[1.0]])
+
     def test_shapes_checked(self):
         with pytest.raises(ShapeError):
             attend(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
@@ -382,25 +386,6 @@ class TestAttend:
 
 
 class TestActivations:
-    def test_softmax_symmetry(self):
-        out = softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, rtol=1e-12)
-
-    def test_softmax_overflow_guard(self):
-        out = softmax(Tensor([1000.0, 1000.0]), axis=0)
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            x = Tensor(rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6)))))
-            out = softmax(x, axis=1)
-            np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_softmax_empty_axis(self):
-        with pytest.raises(ValueError):
-            softmax(Tensor(np.zeros((2, 0))), axis=1)
-
     def test_sigmoid_at_zero(self):
         assert sigmoid(Tensor(0.0)).data == 0.5
 
@@ -423,17 +408,11 @@ class TestActivations:
         assert np.abs(got - expit(x)).max() <= 2.3e-16
         np.testing.assert_array_equal(got[-4:], [0.5, 0.5, 1.0, 0.0])
 
-    @pytest.mark.parametrize("fn", [relu, tanh, sigmoid])
+    @pytest.mark.parametrize("fn", [relu, sigmoid])
     def test_unary_gradients(self, fn):
         rng = np.random.default_rng(17)
         x = Tensor(rng.standard_normal((4, 3)) + 0.1, requires_grad=True)
         report = grad_check(fn, [x], tol=1e-4)
-        assert report.passed, report
-
-    def test_softmax_gradient(self):
-        rng = np.random.default_rng(19)
-        x = param(rng, 3, 5)
-        report = grad_check(lambda t: softmax(t, axis=1), [x], tol=1e-4)
         assert report.passed, report
 
 
@@ -632,10 +611,10 @@ class TestStructuralOps:
         report = grad_check(lambda t: mean(t, axis=1), [x], tol=1e-6)
         assert report.passed, report
 
-    def test_transpose_reshape_gradients(self):
+    def test_reshape_gradient(self):
         rng = np.random.default_rng(47)
         x = param(rng, 3, 4)
-        report = grad_check(lambda t: reshape(transpose(t), (2, 6)), [x], tol=1e-6)
+        report = grad_check(lambda t: reshape(t, (2, 6)), [x], tol=1e-6)
         assert report.passed, report
 
     def test_broadcast_add_mul(self):
@@ -667,10 +646,10 @@ class TestGradCheckHarness:
         data = rng.standard_normal((3, 3))
         x = Tensor(data.copy(), requires_grad=True)
         with GradTape() as tape:
-            loss = tensor_sum(mul(tanh(x), x))
+            loss = tensor_sum(mul(sigmoid(x), x))
             tape.backward(loss)
 
-        ref = numeric_gradient(lambda arr: float(np.sum(np.tanh(arr) * arr)), data.copy())
+        ref = numeric_gradient(lambda arr: float(np.sum(arr / (1.0 + np.exp(-arr)))), data.copy())
         np.testing.assert_allclose(x.grad, ref, rtol=1e-5, atol=1e-8)
 
 
@@ -679,5 +658,6 @@ class TestFiniteness:
         rng = np.random.default_rng(61)
         for _ in range(10):
             x = Tensor(rng.standard_normal((4, 4)) * 50)
-            for out in (relu(x), tanh(x), sigmoid(x), softmax(x, axis=1)):
-                assert np.isfinite(out.data).all()
+            alpha, context = attend(x, x)
+            for out in (relu(x).data, sigmoid(x).data, alpha, context.data):
+                assert np.isfinite(out).all()
