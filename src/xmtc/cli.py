@@ -148,7 +148,9 @@ class _Stage:
         path = self.workdir / ARTIFACTS[name]
         producer = PRODUCERS.get(name, "preprocess")
         if not path.exists():
-            raise DataError(f"missing artifact {path.name}; run 'xmtc {producer}' first")
+            # an encoded split is made only from the preprocess flag that names it
+            flag = f" with --{name}" if name in ("train", "val", "test") else ""
+            raise DataError(f"missing artifact {path.name}; run 'xmtc {producer}'{flag} first")
         digest = _sha256(path)
         made = _read_manifest(self.workdir, producer)
         if made["config_hash"] != self.hash:

@@ -9,8 +9,12 @@ the chain input and the residual.  The branch outputs are summed and
 passed through relu.  In training a block ends in one ``relu_dropout``
 node (an all-true mask when dropout is 0), which keeps its output's
 nonzeros and re-makes the output from them in backward, so the dense block
-output is not kept by the tape.  Every convolution is length-preserving,
-so the output keeps the input's sequence length at every level.
+output is not kept by the tape.  Along the chain, the tape keeps the
+input of every other level as an array (level 1's, the chain half of the
+pair) and re-makes the levels between from it and their filters, so at
+rates (1, 2, 4) a block keeps one dense [n, d] array.  Every convolution
+is length-preserving, so the output keeps the input's sequence length at
+every level.
 """
 
 from __future__ import annotations

@@ -171,10 +171,12 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
     """Load a saved index with its saved tau; returns (index, stamp), the
     stamp being the header's ``config=`` hash, or "" when it has none.
     A malformed line, a ``tau`` outside [0, 1), a probability that is not a
-    number in [0, 1] or a label code absent from ``catalog`` is a
-    ``DataError`` naming the file and line.  A file with no lines, or one
-    that lacks any of the three section lines ``save_mask_index`` always
-    writes, is one naming the file (and the first missing section)."""
+    number in [0, 1], a label code absent from ``catalog``, or a section
+    or a (code, label) entry that repeats an earlier one is a
+    ``DataError`` naming the file and line (and the earlier line).  A file
+    with no lines, or one that lacks any of the three section lines
+    ``save_mask_index`` always writes, is one naming the file (and the
+    first missing section)."""
     lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty mask index file")
@@ -191,6 +193,7 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
             if not 0.0 <= saved_tau < 1.0:
                 raise DataError(f"{path}:1: tau {part[len('tau='):]!r} outside [0, 1)")
     entries: dict[str, dict[str, dict[int, float]]] = {}
+    line_of: dict = {}  # each section and (section, code, label) -> the line it is on
     term = None
     for ln, line in enumerate(lines[header:], start=1 + header):
         if not line.strip():
@@ -199,7 +202,9 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
             term = line[1:-1]
             if term not in TERMINOLOGIES:
                 raise DataError(f"{path}:{ln}: unknown terminology {term!r}")
-            entries.setdefault(term, {})
+            if line_of.setdefault(term, ln) != ln:
+                raise DataError(f"{path}:{ln}: section {line} repeats line {line_of[term]}")
+            entries[term] = {}
             continue
         if term is None:
             raise DataError(f"{path}:{ln}: entry before any terminology section")
@@ -214,6 +219,10 @@ def load_mask_index(path, catalog: LabelCatalog) -> tuple[AuxMaskIndex, str]:
             raise DataError(f"{path}:{ln}: probability {prob_s!r} outside [0, 1]")
         if label_code not in catalog.code_to_id:
             raise DataError(f"{path}:{ln}: label code {label_code!r} not in the catalog")
+        first = line_of.setdefault((term, code, label_code), ln)
+        if first != ln:
+            raise DataError(f"{path}:{ln}: [{term}] entry {code!r} -> {label_code!r} "
+                            f"repeats line {first}")
         entries[term].setdefault(code, {})[catalog.code_to_id[label_code]] = prob
     missing = [term for term in TERMINOLOGIES if term not in entries]
     if missing:

@@ -19,9 +19,11 @@ reductions and the row gather no array of their inputs at all.  So an
 activation lives only while user code or a backward that reads it holds
 it, and the convolution's input and the attention's keys are held as their
 ``rebuild`` where they have one: a function that repeats the forward on
-arrays that live anyway (a gathered parameter, under a dropout's mask) or
-on what the producing node keeps (``relu_dropout`` keeps its output's
-nonzeros and one packed mask) and so re-makes ``data`` bit for bit.
+arrays that live anyway (a gathered parameter, under a dropout's mask; a
+convolution's input that has no rebuild, and its filters) or on what the
+producing node keeps (``relu_dropout`` keeps its output's nonzeros and one
+packed mask) and so re-makes ``data`` bit for bit.  No rebuild re-runs a
+convolution's rebuild, so a rebuild re-does at most one convolution.
 ``attend`` keeps no weights: its backward re-derives the scores and the
 softmax from its queries and keys.  The replay consumes the tape: each node
 is dropped, with its output's gradient and the arrays its closure holds, as
@@ -205,10 +207,11 @@ def _accumulate(cell: GradCell, g: np.ndarray) -> None:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, rebuild=None) -> Tensor:
     out = Tensor(data, requires_grad=any(p.cell.requires_grad for p in parents))
-    out.cell.leaf, out.rebuild = False, rebuild
+    out.cell.leaf = False
     tape = _active_tape()
     if tape is not None and out.cell.requires_grad:
         tape._record(out.cell, backward_fn)
+        out.rebuild = rebuild  # only a backward reads it; unrecorded, it would pin arrays
     return out
 
 
@@ -324,6 +327,12 @@ def conv1d_dilated(x: Tensor, filters: Tensor, dilation: int) -> Tensor:
     backward keeps only the filters' array, the input's rebuild if it has
     one (else its array) and their cells, and re-pads the input to rebuild
     the windows for the filter gradient.
+
+    An output over an input with no rebuild gets one: it repeats
+    the product on the input's array, which the node keeps anyway, and the
+    filters', so the next convolution keeps no array of its input.  Over a
+    rebuildable input it gets none, so no rebuild re-runs another
+    convolution's: in a chain every other output is re-made.
     """
     x, filters = _as_tensor(x), _as_tensor(filters)
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
@@ -342,7 +351,8 @@ def conv1d_dilated(x: Tensor, filters: Tensor, dilation: int) -> Tensor:
     def padded(arr):
         return np.pad(arr, ((padding, padding), (0, 0)))
 
-    out = _windows(padded(x.data), k, dilation, n) @ w2d
+    def product(arr):
+        return _windows(padded(arr), k, dilation, n) @ w2d
 
     xc, fc = x.cell, filters.cell
 
@@ -356,7 +366,8 @@ def conv1d_dilated(x: Tensor, filters: Tensor, dilation: int) -> Tensor:
                 gxp[j * dilation : j * dilation + n] += gwin[:, j, :]
             _accumulate(xc, gxp[padding : padding + n, :])
 
-    return _make(out, (x, filters), bwd)
+    return _make(product(x.data), (x, filters), bwd,
+                 rebuild=(lambda: product(xd())) if x.rebuild is None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +435,13 @@ def relu_dropout(x, keep, scale: float) -> Tensor:
     ``maximum`` unspecified, so a -0.0 is kept too).  The output's
     ``rebuild`` scatters the values into zeros by index.
 
-    Backward multiplies the gradient by ``scale`` where the re-made output
-    is positive.  There ``x > 0`` and ``keep`` hold, so this is the pair's
-    factor; elsewhere both give a zero of either sign, or NaN where the
-    gradient is not finite.  A gradient buffer starts at +0.0 and only
-    adds, so it never holds -0.0, and adding a zero of either sign leaves
-    it unchanged: the bits are the pair's."""
+    Backward multiplies the gradient by ``scale`` where the output is
+    positive, a bool mask it scatters from the kept values without
+    re-making the output.  There ``x > 0`` and ``keep`` hold, so this is
+    the pair's factor; elsewhere both give a zero of either sign, or NaN
+    where the gradient is not finite.  A gradient buffer starts at +0.0 and
+    only adds, so it never holds -0.0, and adding a zero of either sign
+    leaves it unchanged: the bits are the pair's."""
     x = _as_tensor(x)
     keep = _checked_mask(x, keep)
     out = np.maximum(x.data, 0.0) * (keep * scale)
@@ -447,7 +459,9 @@ def relu_dropout(x, keep, scale: float) -> Tensor:
     xc = x.cell
 
     def bwd(g):
-        _accumulate(xc, g * ((rebuild() > 0.0) * scale))
+        positive = np.zeros(size, dtype=bool)
+        positive[np.flatnonzero(where())] = values > 0.0
+        _accumulate(xc, g * (positive.reshape(shape) * scale))
 
     return _make(out, (x,), bwd, rebuild=rebuild)
 

@@ -787,6 +787,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "preprocess" in err
 
+    def test_split_preprocess_did_not_make_names_its_flag(self, pipeline, tmp_path, capsys):
+        """``--val`` is optional, so a work directory without the split
+        was preprocessed, just not with that flag."""
+        _, data, _, cfg = pipeline
+        base = ["--workdir", str(tmp_path / "work"), "--config", str(cfg)]
+        assert main(["preprocess", *base, "--train", str(data / "train.jsonl"),
+                     "--catalog", str(data / "raw_catalog.tsv")]) == 0
+        assert main(["build-graph", *base]) == 0
+        assert main(["build-mask", *base]) == 0
+        capsys.readouterr()
+        assert main(["train", *base]) == 3
+        err = capsys.readouterr().err
+        assert "missing artifact val.enc.jsonl; run 'xmtc preprocess' with --val first" in err
+
     def test_stale_artifact_is_exit_2(self, pipeline, tmp_path):
         _, data, work, cfg = pipeline
         other = tmp_path / "other.cfg"

@@ -9,15 +9,19 @@ a line deleted, doubled or inserted blank, one byte replaced, the file cut
 short, or one field replaced by a value such as ``nan``, ``-1``, ``1e400``
 or ``null``.  A checkpoint's JSON manifest is also mutated on its own, with
 its length prefix rewritten, so that the damage reaches past the JSON
-parser.  Hypothesis runs derandomized, so the examples are the same on
-every run.
+parser.  The same mutations of a work-directory artifact, under the
+stage that reads it next, run in-process through ``cli.main``, must stop
+it with exit 2 or 3: the loader or the sha256 its producer's manifest
+records refuses the file.  Hypothesis runs derandomized, so the examples
+are the same on every run.
 """
 
 import re
+import shutil
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from xmtc import corpus, embeddings, graph, mask, training
@@ -203,3 +207,33 @@ def test_checkpoint_dimension_past_every_int_is_data_error(workdir):
     path.write_bytes(raw[:start - 8] + struct.pack("<Q", len(manifest)) + manifest + raw[end:])
     with pytest.raises(DataError, match="malformed checkpoint manifest"):
         training.load_checkpoint(path)
+
+
+# the next stage that reads each work-directory artifact
+READERS = {"catalog": "build-graph", "vocab": "build-graph", "train": "build-graph",
+           "val": "train", "embeddings": "train", "graph": "evaluate",
+           "mask_index": "evaluate", "checkpoint": "evaluate", "test": "evaluate"}
+
+
+@pytest.mark.parametrize("key", sorted(READERS))
+@settings(max_examples=25, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_stage_refuses_a_mutated_artifact(workdir, key, data):
+    """Exit 3 (a loader's ``DataError`` or a file its manifest does not
+    record) or 2 (a stale artifact); exit 0 would mean a stage used a file
+    no stage wrote, exit 1 a failure that names no cause."""
+    _, work, cfg, out = workdir
+    copy = out / f"work-{key}"
+    if not copy.exists():
+        shutil.copytree(work, copy)
+    path = copy / ARTIFACTS[key]
+    original = _artifact(workdir, key)
+    raw = data.draw(mutated(original))
+    assume(raw != original)
+    path.write_bytes(raw)
+    try:
+        code = main([READERS[key], "--workdir", str(copy), "--config", str(cfg)])
+    finally:
+        path.write_bytes(original)
+    assert code in (2, 3)

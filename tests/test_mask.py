@@ -1,6 +1,7 @@
 """Tests for the auxiliary-knowledge candidate mask machinery."""
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -266,6 +267,19 @@ class TestMaskIndexIO:
         catalog = LabelCatalog(["c0"], ["x"])
         with pytest.raises(DataError, match=f"mask.tsv:{line}:"):
             load_mask_index(path, catalog)
+
+    @pytest.mark.parametrize("body, line, first, what", [
+        ("[drg]\nD\tc0\t1.0\nD\tc0\t0.25\n[cpt]\n[drugs]\n", 4, 3, "[drg] entry 'D' -> 'c0'"),
+        ("[drg]\nD\tc0\t1.0\n[cpt]\n[drg]\nD\tc1\t0.5\n[drugs]\n", 5, 2, "section [drg]"),
+    ], ids=["entry", "section"])
+    def test_repeat_is_data_error_naming_both_lines(self, tmp_path, body, line, first, what):
+        """A repeat would overwrite or merge into the earlier one, so that
+        a hand edit changes P(label | code) without a word."""
+        path = tmp_path / "mask.tsv"
+        path.write_text("# xmtc-mask-index v1 config=ab tau=0.1\n" + body)
+        with pytest.raises(DataError, match=rf"mask.tsv:{line}: {re.escape(what)} "
+                                            rf"repeats line {first}$"):
+            load_mask_index(path, LabelCatalog(["c0", "c1"], ["x", "y"]))
 
     def test_index_without_entries_roundtrips(self, tmp_path):
         catalog = LabelCatalog(["c0"], ["x"])

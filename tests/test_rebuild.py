@@ -1,13 +1,14 @@
 """Tensors that backward re-makes instead of keeping.
 
-A gather from a parameter, a dropout over a rebuildable input and a
-training block's ``relu_dropout`` output carry a ``rebuild`` function; the
-convolution's input and the attention's keys are held as that function
-instead of the array, and the attention re-derives its weights in
-backward.  These tests hold the model to the keeping paths of ``oracles``
-bit for bit over two train steps, bound what one document's tape holds,
-and check that a rebuild holds only arrays that live anyway or what its
-node keeps.
+A gather from a parameter, a dropout over a rebuildable input, a recorded
+convolution over an input with no rebuild and a training block's
+``relu_dropout`` output carry a ``rebuild`` function; the convolution's
+input and the attention's keys are held as that function instead of the
+array, and the attention re-derives its weights in backward.  These tests
+hold the model to the keeping paths of ``oracles`` bit for bit over two
+train steps, bound what one document's tape holds, check that a rebuild
+holds only arrays that live anyway or what its node keeps, and that no
+rebuild re-runs another convolution's.
 """
 
 import numpy as np
@@ -21,7 +22,8 @@ from xmtc.graph import build_cooccurrence
 from xmtc.mask import DocMask, build_mask_index
 from xmtc.model import model_from_artifacts
 from xmtc.synth import generate, standard_spec
-from xmtc.tensor import GradTape, Tensor, dropout, gather_rows, matmul, relu
+from xmtc.tensor import (GradTape, Tensor, conv1d_dilated, dropout, gather_rows, matmul, relu,
+                         tensor_sum)
 from xmtc.training import Adam, batch_loss, clip_global_norm, doc_masks
 
 
@@ -105,17 +107,18 @@ def test_two_train_steps_bit_equal_to_keeping_path(corpus, case, monkeypatch):
         assert a == b, name
 
 
-def test_forward_doc_tape_holds_two_activations_and_the_nonzeros(corpus):
+def test_forward_doc_tape_holds_one_activation_and_the_nonzeros(corpus):
     """One training document at n=400, d=100, K=9, rates (1, 2, 4): the tape
-    holds level 1's and level 2's inputs (2 float [n, d] arrays), the
-    encoded rows' nonzeros (about 0.4 of one array under dropout 0.2,
-    bounded by 0.5) and two bit-packed masks (the embedding dropout's and
-    the ``relu_dropout`` node's, n*d/8 bytes each).  The dropped-out
-    embedding, the transposed copy, alpha and the dense encoded rows are
-    re-made in backward.  The slack, 128 KiB, covers the label side's
-    [K_c, d] and [K_c + 1, d] arrays, its [L] arrays and the token ids,
-    about 48 KB here.  The four-node attention's alpha and the kept encoded
-    rows break the bound."""
+    holds level 1's input (1 float [n, d] array), the encoded rows'
+    nonzeros (about 0.4 of one array under dropout 0.2, bounded by 0.5)
+    and two bit-packed masks (the embedding dropout's and the
+    ``relu_dropout`` node's, n*d/8 bytes each).  The dropped-out
+    embedding, level 1's output (level 2's input), the transposed copy,
+    alpha and the dense encoded rows are re-made in backward.  The slack,
+    128 KiB, covers the label side's [K_c, d] and [K_c + 1, d] arrays, its
+    [L] arrays and the token ids, about 48 KB here.  The four-node
+    attention's alpha, the kept encoded rows and a kept level-2 input each
+    break the bound."""
     vocab, catalog, graph, index, records = corpus
     n, d = 400, 100
     model = model_from_artifacts(
@@ -130,7 +133,7 @@ def test_forward_doc_tape_holds_two_activations_and_the_nonzeros(corpus):
         (y_hat, _), held, _ = oracles.traced(lambda: model.forward_doc(
             tokens, mask, h_label, train=True, rng=np.random.default_rng(0)))
     assert y_hat.shape == (model.num_labels,)
-    bound = 2.5 * n * d * 8 + 2 * n * d // 8 + 128 * 1024
+    bound = 1.5 * n * d * 8 + 2 * n * d // 8 + 128 * 1024
     assert held <= bound, (held, held / (n * d * 8))
 
 
@@ -169,7 +172,20 @@ class TestRebuildHoldsWhatLivesAnyway:
         assert held is self.table.data
         assert out.rebuild().tobytes() == out.data.tobytes()
 
+    def test_convolution_over_a_plain_input_holds_its_input_and_its_filters(self):
+        x = Tensor(np.random.default_rng(9).standard_normal((30, 5)))
+        filters = Tensor(np.random.default_rng(10).standard_normal((3, 5, 4)), requires_grad=True)
+        with GradTape():
+            out = conv1d_dilated(x, filters, 2)
+        held = _float_arrays(out.rebuild)
+        assert len(held) == 2
+        assert {id(a if a.base is None else a.base) for a in held} == {id(x.data), id(filters.data)}
+        assert out.rebuild().tobytes() == out.data.tobytes()
+
     def test_what_cannot_be_re_made_from_a_live_array_has_no_rebuild(self):
+        filters = Tensor(np.ones((3, 5, 5)), requires_grad=True)
+        # unrecorded, a convolution's rebuild would only pin its input
+        assert conv1d_dilated(Tensor(self.table.data), filters, 1).rebuild is None
         with GradTape():
             computed = matmul(self.table, Tensor(np.ones((5, 5))))
             assert gather_rows(computed, self.ids).rebuild is None  # not a parameter
@@ -177,3 +193,41 @@ class TestRebuildHoldsWhatLivesAnyway:
             activated = relu(gather_rows(self.table, self.ids))
             assert activated.rebuild is None
             assert dropout(activated, self.keep, 1.25).rebuild is None
+            # over a rebuildable input, a rebuild would re-run the input's
+            assert conv1d_dilated(gather_rows(self.table, self.ids), filters, 1).rebuild is None
+
+
+def test_no_rebuild_re_runs_another_convolutions(monkeypatch):
+    """Rates (1, 2, 4, 8): levels 1 and 3 carry a rebuild over their plain
+    inputs, and each rebuild runs one window product.  A training block's
+    backward runs five: one per convolution for its filter gradient and
+    one for level 1's output, which level 2 reads; level 3's output feeds
+    only the sum, which reads nothing.  A rebuild over a rebuild, at any
+    depth, runs more."""
+    n, d = 40, 6
+    rng = np.random.default_rng(12)
+    cfg = EncoderConfig(kernel_size=3, rates=(1, 2, 4, 8), dropout=0.2)
+    table = Tensor(rng.standard_normal((20, d)), requires_grad=True)
+    params = encoder.init_block_params(cfg, d, rng)
+    windows = []
+    products = tensor._windows
+    monkeypatch.setattr(tensor, "_windows", lambda *a: windows.append(1) or products(*a))
+
+    x = Tensor(rng.standard_normal((n, d)))
+    with GradTape():
+        chain = [x]
+        for filters, rate in zip(params.levels, cfg.rates[1:]):
+            chain.append(conv1d_dilated(chain[-1], filters, rate))
+    assert [t.rebuild is not None for t in chain[1:]] == [True, False, True]
+    for t in chain[1::2]:
+        windows.clear()
+        assert t.rebuild().tobytes() == t.data.tobytes()
+        assert len(windows) == 1
+
+    with GradTape() as tape:
+        out = encoder.encode(rng.integers(0, 20, size=n), table, [params], cfg, train=True,
+                             rng=np.random.default_rng(0))
+        loss = tensor_sum(out)
+        windows.clear()
+        tape.backward(loss)
+    assert len(windows) == 5
