@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Tour of the tensor core: tape-based autodiff and the dilated convolution.
+"""Tour of the tensor core: tape-based autodiff, the dilated convolution
+and the encoder block built on it.
 
 Run:  python demos/01_tensor_autodiff.py
 """
@@ -10,7 +11,8 @@ from xmtc.tensor import (
     GradTape,
     Tensor,
     attend,
-    conv1d_dilated,
+    conv_product,
+    dilated_block,
     grad_check,
     matmul,
     relu,
@@ -46,10 +48,10 @@ print("=" * 60)
 for k, r in [(9, 1), (9, 2), (9, 4)]:
     print(f"kernel {k}, dilation {r}: padding {same_padding(k, r)}")
 
-signal = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
-box = Tensor(np.ones((3, 1, 1)))  # sums three taps spaced `dilation` apart
-out = conv1d_dilated(signal, box, dilation=2)
-print("conv([1,2,3,4], ones(3), dilation=2, same padding) ->", out.data.ravel())
+signal = np.array([[1.0], [2.0], [3.0], [4.0]])
+box = np.ones((3, 1, 1))  # sums three taps spaced `dilation` apart
+out = conv_product(signal, box, dilation=2)
+print("conv([1,2,3,4], ones(3), dilation=2, same padding) ->", out.ravel())
 
 print()
 print("=" * 60)
@@ -73,7 +75,13 @@ b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 report = grad_check(matmul, [a, b], tol=1e-6)
 print(f"matmul: max relative error {report.max_rel_err:.2e} (tolerance {report.tol})")
 
-filters = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
+# an encoder block: level 0 and the residual as one [K, d, 2d] filter, one
+# more level at dilation 2, relu, then dropout under a fixed mask; one tape
+# node, whose backward re-makes the convolutions' activations
+fused = Tensor(rng.standard_normal((3, 4, 8)) / 4, requires_grad=True)
+level1 = Tensor(rng.standard_normal((3, 4, 4)) / 4, requires_grad=True)
 seq = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
-report = grad_check(lambda s, f: conv1d_dilated(s, f, 2), [seq, filters], tol=1e-6)
-print(f"conv1d: max relative error {report.max_rel_err:.2e} (tolerance {report.tol})")
+keep = rng.random((7, 4)) >= 0.2
+report = grad_check(lambda s, f0, f1: dilated_block(s, f0, [f1], (1, 2), keep, 1.25),
+                    [seq, fused, level1], tol=1e-4)
+print(f"block: max relative error {report.max_rel_err:.2e} (tolerance {report.tol})")

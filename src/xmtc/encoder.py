@@ -4,17 +4,17 @@ Each block runs two parallel branches over the embedded sequence: a chain of
 dilated convolutions (one per dilation rate, no activation between levels)
 and a single residual convolution at the first rate.  Level 0 and the
 residual read the same windows, so they are one [K, d, 2d] filter, level
-0's output columns first, and one convolution whose output is split into
-the chain input and the residual.  The branch outputs are summed and
-passed through relu.  In training a block ends in one ``relu_dropout``
-node (an all-true mask when dropout is 0), which keeps its output's
-nonzeros and re-makes the output from them in backward, so the dense block
-output is not kept by the tape.  Along the chain, the tape keeps the
-input of every other level as an array (level 1's, the chain half of the
-pair) and re-makes the levels between from it and their filters, so at
-rates (1, 2, 4) a block keeps one dense [n, d] array.  Every convolution
-is length-preserving, so the output keeps the input's sequence length at
-every level.
+0's output columns first, and one product whose columns are the chain
+input and the residual.  The branch outputs are summed and passed through
+relu, then dropout in training.  A block is one ``tensor.dilated_block``
+node that runs on plain arrays and keeps only its input's rebuild, the
+filters and its output's nonzeros with one bit-packed mask: per document
+the tape holds about 0.4 of an [n, d] array per block, not the dense
+level-1 input.  The price is in backward, which re-makes the fused
+product and every chain input but the last: at rates (1, 2, 4) three of
+the four level-sized products the forward ran (the fused one counts
+twice), per block and document.  Every convolution is length-preserving,
+so the output keeps the input's sequence length at every level.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import (Tensor, add, conv1d_dilated, dropout, gather_rows, relu, relu_dropout,
-                     split_columns)
+from .tensor import Tensor, dilated_block, dropout, gather_rows
 
 
 @dataclass
@@ -79,10 +78,9 @@ def init_block_params(
     )
 
 
-def _keep(shape: tuple[int, ...], p: float, rng: np.random.Generator | None):
-    """Dropout's keep mask and scale: all-true, with no draw, at p = 0."""
-    keep = rng.random(shape) >= p if p > 0.0 else np.ones(shape, dtype=bool)
-    return keep, 1.0 / (1.0 - p)
+def _keep(shape: tuple[int, ...], p: float, rng: np.random.Generator):
+    """Dropout's keep mask, drawn from ``rng``, and scale."""
+    return rng.random(shape) >= p, 1.0 / (1.0 - p)
 
 
 def residual_block(
@@ -92,21 +90,15 @@ def residual_block(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """One block: relu(main dilated chain + residual convolution).
-
-    Level 0 and the residual are one convolution over ``level0_residual``,
-    whose output columns split into the chain input and the residual.  In
-    training, relu and dropout are one ``relu_dropout`` node.
-    """
-    fused = params.level0_residual
-    h, residual = split_columns(conv1d_dilated(embedded, fused, config.rates[0]),
-                                fused.shape[2] // 2)
-    for filt, rate in zip(params.levels, config.rates[1:]):
-        h = conv1d_dilated(h, filt, rate)
-    pre = add(h, residual)
-    if train:
-        return relu_dropout(pre, *_keep(pre.shape, config.dropout, rng))
-    return relu(pre)
+    """One block, relu(main dilated chain + residual convolution), then
+    dropout in training: one ``dilated_block`` node, whose mask is drawn
+    here (none at dropout 0)."""
+    keep, scale = None, 1.0
+    if train and config.dropout > 0.0:
+        shape = (embedded.shape[0], params.level0_residual.shape[2] // 2)
+        keep, scale = _keep(shape, config.dropout, rng)
+    return dilated_block(embedded, params.level0_residual, params.levels, config.rates,
+                         keep, scale)
 
 
 def encode(

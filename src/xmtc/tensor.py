@@ -1,29 +1,33 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Every numeric operation the model needs lives here: matrix product, the
-product of a constant sparse matrix and a tensor, dilated 1-d convolution,
-dropout, relu and sigmoid, row-softmax attention, reductions, row gather,
-column split, and binary cross-entropy.  Operations executed while a
-:class:`GradTape` is active are recorded in insertion order; ``backward``
-replays the tape in reverse and accumulates gradients into every tensor
-that requires them.  A tensor that feeds several consumers receives the sum
-of all incoming contributions.
+product of a constant sparse matrix and a tensor, the dilated residual
+encoder block (built on the dilated 1-d convolution, ``conv_product`` and
+``conv_backward``), dropout, relu and sigmoid, row-softmax attention,
+reductions, row gather and binary cross-entropy.  Operations executed
+while a :class:`GradTape` is active are recorded in insertion order;
+``backward`` replays the tape in reverse and accumulates gradients into
+every tensor that requires them.  A tensor that feeds several consumers
+receives the sum of all incoming contributions.
 
 A tape node holds no tensor.  It is a pair of its output's gradient cell
 (a small ``GradCell``: ``grad``, ``requires_grad`` and ``shape``) and a
 backward closure that captures its inputs' cells plus only the arrays its
-backward reads: the convolution its input's and its filters' own arrays
-(no padded copy or window buffer), relu a bool mask, dropout its mask
-bit-packed (``np.packbits``, one bit per element), add, reshape, the
-reductions and the row gather no array of their inputs at all.  So an
-activation lives only while user code or a backward that reads it holds
-it, and the convolution's input and the attention's keys are held as their
-``rebuild`` where they have one: a function that repeats the forward on
-arrays that live anyway (a gathered parameter, under a dropout's mask; a
-convolution's input that has no rebuild, and its filters) or on what the
-producing node keeps (``relu_dropout`` keeps its output's nonzeros and one
-packed mask) and so re-makes ``data`` bit for bit.  No rebuild re-runs a
-convolution's rebuild, so a rebuild re-does at most one convolution.
+backward reads: relu a bool mask, dropout its mask bit-packed
+(``np.packbits``, one bit per element), add, reshape, the reductions and
+the row gather no array of their inputs at all.  So an activation lives
+only while user code or a backward that reads it holds it, and a block's
+input and the attention's keys are held as their ``rebuild`` where they
+have one: a function that repeats the forward on arrays that live anyway
+(a gathered parameter, under a dropout's mask) or on what the producing
+node keeps, and so re-makes ``data`` bit for bit.  ``dilated_block``
+keeps its input's rebuild, its filters and its output's nonzeros with one
+packed mask, about 0.4 of an [n, d] array: no activation of its
+convolutions.  Its backward pays for that by re-making the fused level-0
+product and every chain input but the last (at rates (1, 2, 4) three of
+the four level-sized products the forward ran, the fused one counting
+twice), one block at a time, so the re-made arrays live only while that
+block's gradients form.
 ``attend`` keeps no weights: its backward re-derives the scores and the
 softmax from its queries and keys.  The replay consumes the tape: each node
 is dropped, with its output's gradient and the arrays its closure holds, as
@@ -52,12 +56,13 @@ __all__ = [
     "matmul",
     "spmm",
     "reshape",
-    "conv1d_dilated",
     "same_padding",
+    "conv_product",
+    "conv_backward",
+    "dilated_block",
     "add",
     "mul",
     "dropout",
-    "relu_dropout",
     "attend",
     "sigmoid",
     "logistic",
@@ -65,7 +70,6 @@ __all__ = [
     "mean",
     "tensor_sum",
     "concat",
-    "split_columns",
     "gather_rows",
     "row_sums",
     "bce_loss",
@@ -74,10 +78,6 @@ __all__ = [
 _TAPE_STACK: list["GradTape"] = []
 
 _SIGMOID_EPS = 1e-12
-
-
-def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 class GradCell:
@@ -170,6 +170,11 @@ class GradTape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
+    @staticmethod
+    def active() -> "GradTape | None":
+        """The innermost open tape, the one operations record on, or None."""
+        return _TAPE_STACK[-1] if _TAPE_STACK else None
+
     def _record(self, cell: GradCell, backward_fn) -> None:
         self.nodes.append((cell, backward_fn))
 
@@ -198,19 +203,26 @@ class GradTape:
 
 
 def _accumulate(cell: GradCell, g: np.ndarray) -> None:
+    """Add ``g``, of the cell's shape or broadcastable to it, into the
+    cell's gradient; a cell that holds none gets ``_fresh_grad``."""
     if not cell.requires_grad:
         return
     if cell.grad is None:
-        cell.grad = np.zeros(cell.shape)
-    cell.grad += g
+        cell.grad = _fresh_grad(g, cell.shape)
+    else:
+        cell.grad += g
+
+
+def _recorded(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an operation over ``parents`` goes on the tape."""
+    return GradTape.active() is not None and any(p.cell.requires_grad for p in parents)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, rebuild=None) -> Tensor:
     out = Tensor(data, requires_grad=any(p.cell.requires_grad for p in parents))
     out.cell.leaf = False
-    tape = _active_tape()
-    if tape is not None and out.cell.requires_grad:
-        tape._record(out.cell, backward_fn)
+    if _recorded(parents):
+        GradTape.active()._record(out.cell, backward_fn)
         out.rebuild = rebuild  # only a backward reads it; unrecorded, it would pin arrays
     return out
 
@@ -221,12 +233,12 @@ def _kept(t: Tensor):
     return t.rebuild or (lambda: data)
 
 
-def _fresh_grad(g: np.ndarray) -> np.ndarray:
-    """What ``_accumulate`` leaves in a cell that held no gradient: zeros
-    plus ``g``, which is ``g`` with each -0.0 made +0.0."""
-    cell = GradCell(True, g.shape)
-    _accumulate(cell, g)
-    return cell.grad
+def _fresh_grad(g: np.ndarray, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """What a cell that held no gradient keeps of ``g``: zeros plus ``g``
+    (broadcast to ``shape``), which is ``g`` with each -0.0 made +0.0, in
+    one pass.  IEEE addition commutes, so ``g + 0.0`` has the bits of
+    ``0.0 + g``, NaN payloads included."""
+    return np.add(g, 0.0, out=np.empty(g.shape if shape is None else shape))
 
 
 def _packed(mask: np.ndarray):
@@ -316,58 +328,154 @@ def _windows(xp: np.ndarray, k: int, dilation: int, n_out: int) -> np.ndarray:
     return windows.reshape(n_out, k * d_in)
 
 
-def conv1d_dilated(x: Tensor, filters: Tensor, dilation: int) -> Tensor:
-    """Length-preserving stride-1 dilated 1-d convolution, [n, d_in] ->
-    [n, d_out] for n > 0.
+def _padded(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    p = same_padding(k, dilation)
+    return np.pad(x, ((p, p), (0, 0)))
 
-    ``filters`` has shape [K, d_in, d_out] with K odd.  Kernel taps are
-    spaced ``dilation`` positions apart, and ``same_padding(K, dilation)``
-    zeros are added on both ends (centered convolution).  The padded input
-    and the [n, K*d_in] window buffer are freed after the forward product:
-    backward keeps only the filters' array, the input's rebuild if it has
-    one (else its array) and their cells, and re-pads the input to rebuild
-    the windows for the filter gradient.
 
-    An output over an input with no rebuild gets one: it repeats
-    the product on the input's array, which the node keeps anyway, and the
-    filters', so the next convolution keeps no array of its input.  Over a
-    rebuildable input it gets none, so no rebuild re-runs another
-    convolution's: in a chain every other output is re-made.
+def conv_product(x: np.ndarray, filters: np.ndarray, dilation: int) -> np.ndarray:
+    """The length-preserving stride-1 dilated 1-d convolution of an [n,
+    d_in] array with [K, d_in, d_out] filters, K odd: kernel taps are
+    ``dilation`` positions apart and ``same_padding(K, dilation)`` zeros
+    are added on both ends (centered).  One product of the [n, K*d_in]
+    window buffer of a padded copy of ``x``; the copy dies once the buffer
+    is built, the buffer with the call."""
+    k, d_in, d_out = filters.shape
+    return _windows(_padded(x, k, dilation), k, dilation, x.shape[0]) @ filters.reshape(
+        k * d_in, d_out)
+
+
+def conv_backward(g: np.ndarray, x, filters: np.ndarray, dilation: int,
+                  xc: GradCell, fc: GradCell) -> None:
+    """The gradients of ``conv_product`` for its output's gradient ``g``:
+    the filters' into ``fc`` and the input's into ``xc``, each only where
+    the cell requires one.  ``x`` is a function that returns the input
+    array; only the filter gradient calls it, to build the window buffer
+    again, and holds what it returns no longer than that."""
+    k, d_in, d_out = filters.shape
+    n = g.shape[0]
+    if fc.requires_grad:
+        windows = _windows(_padded(x(), k, dilation), k, dilation, n)
+        _accumulate(fc, (windows.T @ g).reshape(k, d_in, d_out))
+        del windows
+    if xc.requires_grad:
+        padding = same_padding(k, dilation)
+        gwin = (g @ filters.reshape(k * d_in, d_out).T).reshape(n, k, d_in)
+        gxp = np.zeros((n + 2 * padding, d_in))
+        for j in range(k):
+            gxp[j * dilation : j * dilation + n] += gwin[:, j, :]
+        del gwin
+        _accumulate(xc, gxp[padding : padding + n, :])
+
+
+def dilated_block(x: Tensor, level0_residual: Tensor, levels, rates, keep=None,
+                  scale: float = 1.0) -> Tensor:
+    """One dilated residual block, [n, d] -> [n, c], as one tape node.
+
+    ``level0_residual`` [K, d, 2c] holds level 0's filter and the
+    residual's side by side; ``levels`` [K, c, c] are the chain's later
+    filters, and ``rates`` gives one dilation per filter.  The output is
+    ``relu(chain + residual)``, where the chain runs level 0's columns of
+    the fused product through ``levels``, times ``keep * scale`` (inverted
+    dropout with a bool mask) when ``keep`` is given.  The forward runs on
+    plain arrays with ``conv_product``, so no intermediate outlives it.
+
+    The node keeps ``_kept(x)``, the filters' arrays, and its output's
+    values other than +0.0 with one bit-packed mask of where they sit (a
+    -0.0 is kept too); the output's ``rebuild`` scatters them into zeros.
+    Its backward re-makes the fused product and every chain input but the
+    last from ``x``'s rebuild, then forms the gradients that the per-op
+    block's seven nodes would (the fused convolution, the two column
+    halves, the chain's convolutions, the sum and relu with dropout), in
+    their order and through ``conv_backward``, each intermediate summed
+    into zeros as its own cell would be: the bits are theirs.  Where the
+    output is positive, relu and dropout pass ``g * scale``; elsewhere the
+    pair gives a zero of either sign (NaN where ``g`` is not finite), and
+    a zero added into a gradient that starts at +0.0 changes nothing.
     """
-    x, filters = _as_tensor(x), _as_tensor(filters)
-    if not isinstance(dilation, (int, np.integer)) or dilation < 1:
-        raise ValueError(f"dilation must be a positive integer, got {dilation!r}")
-    if (x.data.ndim != 2 or filters.data.ndim != 3 or x.shape[0] == 0
-            or filters.shape[0] % 2 == 0 or filters.shape[1] != x.shape[1]):
-        raise ShapeError(
-            f"conv1d_dilated expects a nonempty x [n, d_in] and filters [K, d_in, d_out] "
-            f"with K odd, got {x.shape} and {filters.shape}"
-        )
-    n, d_in = x.shape
-    k, _, d_out = filters.shape
-    padding = same_padding(k, dilation)
-    xd, w2d = _kept(x), filters.data.reshape(k * d_in, d_out)
+    x, fused = _as_tensor(x), _as_tensor(level0_residual)
+    filters = [fused, *(_as_tensor(f) for f in levels)]
+    rates, m = tuple(rates), len(filters) - 1
+    if (x.data.ndim != 2 or x.shape[0] == 0 or fused.data.ndim != 3
+            or fused.shape[2] == 0 or fused.shape[2] % 2):
+        raise ShapeError(f"dilated_block expects a nonempty x [n, d] and level0_residual "
+                         f"[K, d, 2c], got {x.shape} and {fused.shape}")
+    n, c = x.shape[0], fused.shape[2] // 2
+    for f, io in zip(filters, [(x.shape[1], 2 * c)] + [(c, c)] * m):
+        if f.data.ndim != 3 or f.shape[0] % 2 == 0 or f.shape[1:] != io:
+            raise ShapeError(f"dilated_block: filter of shape {f.shape} where [K, {io[0]}, "
+                             f"{io[1]}] with K odd was expected")
+    if len(rates) != m + 1 or not all(isinstance(r, (int, np.integer)) and r >= 1 for r in rates):
+        raise ValueError(f"dilated_block needs one positive integer rate per filter, "
+                         f"got {rates!r} for {m + 1} filters")
 
-    def padded(arr):
-        return np.pad(arr, ((padding, padding), (0, 0)))
+    pair = conv_product(x.data, fused.data, rates[0])
+    h, residual = pair[:, :c].copy(), pair[:, c:].copy()  # so the pair dies here
+    del pair
+    for f, rate in zip(filters[1:], rates[1:]):
+        h = conv_product(h, f.data, rate)
+    h += residual
+    del residual
+    out = np.maximum(h, 0.0, out=h)
+    del h
+    if keep is not None:
+        out *= _checked_mask(out.shape, keep) * scale
+    parents = (x, *filters)
+    if not _recorded(parents):
+        return _make(out, parents, None)
 
-    def product(arr):
-        return _windows(padded(arr), k, dilation, n) @ w2d
+    flat = out.reshape(-1)
+    stored = flat.view(np.uint64) != 0
+    shape, size, where = out.shape, out.size, _packed(stored)
+    # a gather or scatter by index runs several times faster than by bool mask
+    values = flat[np.flatnonzero(stored)]
 
-    xc, fc = x.cell, filters.cell
+    def rebuild():
+        full = np.zeros(size)
+        full[np.flatnonzero(where())] = values
+        return full.reshape(shape)
+
+    xd, xc = _kept(x), x.cell
+    arrays, cells = [f.data for f in filters], [f.cell for f in filters]
+    # the intermediates' cells as the per-op block makes them: the fused
+    # product and its halves need a gradient iff x or level 0's filter
+    # does, a chain output iff its input or its filter does
+    pair_grad = xc.requires_grad or cells[0].requires_grad
+    chain_cells = [GradCell(pair_grad, (n, c))]
+    for fc in cells[1:]:
+        chain_cells.append(GradCell(chain_cells[-1].requires_grad or fc.requires_grad, (n, c)))
 
     def bwd(g):
-        if fc.requires_grad:
-            _accumulate(fc, (_windows(padded(xd()), k, dilation, n).T @ g).reshape(k, d_in, d_out))
-        if xc.requires_grad:
-            gwin = (g @ w2d.T).reshape(n, k, d_in)
-            gxp = np.zeros((n + 2 * padding, d_in))
-            for j in range(k):
-                gxp[j * dilation : j * dilation + n] += gwin[:, j, :]
-            _accumulate(xc, gxp[padding : padding + n, :])
+        chain = []  # level i's input at i - 1; level 0's half is copied out of the pair
+        if m:
+            chain.append(np.ascontiguousarray(conv_product(xd(), arrays[0], rates[0])[:, :c]))
+        for w, rate in zip(arrays[1:m], rates[1:m]):
+            chain.append(conv_product(chain[-1], w, rate))
+        positive = np.zeros(size, dtype=bool)
+        positive[np.flatnonzero(where())] = values > 0.0
+        g_sum = _fresh_grad(g * (positive.reshape(shape) * scale))
+        del positive
+        # the sum passes its gradient to both terms' empty cells; zeros plus
+        # a fresh gradient has its bits (no -0.0 is left), so both share it
+        if chain_cells[m].requires_grad:
+            chain_cells[m].grad = g_sum
+        g_residual = g_sum if pair_grad else None
+        del g_sum
+        for i in range(m, 0, -1):
+            g_out, chain_cells[i].grad = chain_cells[i].grad, None
+            if g_out is not None:  # handed over, the input dies once its windows exist
+                conv_backward(g_out, chain.pop, arrays[i], rates[i], chain_cells[i - 1],
+                              cells[i])
+            del chain[i - 1:], g_out
+        if pair_grad:  # the residual's half runs first, then the chain's
+            g_pair = np.zeros((n, 2 * c))
+            g_pair[:, c:] += g_residual
+            g_pair[:, :c] += chain_cells[0].grad
+            del g_residual
+            chain_cells[0].grad = None
+            conv_backward(g_pair, xd, arrays[0], rates[0], xc, cells[0])
 
-    return _make(product(x.data), (x, filters), bwd,
-                 rebuild=(lambda: product(xd())) if x.rebuild is None else None)
+    return _make(out, parents, bwd, rebuild=rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +512,10 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), bwd)
 
 
-def _checked_mask(x: Tensor, keep) -> np.ndarray:
+def _checked_mask(shape: tuple[int, ...], keep) -> np.ndarray:
     keep = np.asarray(keep, dtype=bool)
-    if keep.shape != x.shape:
-        raise ShapeError(f"dropout mask shape {keep.shape} != input shape {x.shape}")
+    if keep.shape != shape:
+        raise ShapeError(f"dropout mask shape {keep.shape} != input shape {shape}")
     return keep
 
 
@@ -418,7 +526,7 @@ def dropout(x, keep, scale: float) -> Tensor:
     rebuildable ``x`` the output's rebuild applies the same mask to ``x``'s
     rebuild."""
     x = _as_tensor(x)
-    keep = _checked_mask(x, keep)
+    keep = _checked_mask(x.shape, keep)
     xc, xr, kept = x.cell, x.rebuild, _packed(keep)
 
     def bwd(g):
@@ -426,44 +534,6 @@ def dropout(x, keep, scale: float) -> Tensor:
 
     return _make(x.data * (keep * scale), (x,), bwd,
                  rebuild=None if xr is None else (lambda: xr() * (kept() * scale)))
-
-
-def relu_dropout(x, keep, scale: float) -> Tensor:
-    """``dropout(relu(x), keep, scale)`` as one node that keeps only what
-    re-makes its output: the output's values other than +0.0 and one
-    bit-packed mask of where they sit (numpy leaves the sign of a zero from
-    ``maximum`` unspecified, so a -0.0 is kept too).  The output's
-    ``rebuild`` scatters the values into zeros by index.
-
-    Backward multiplies the gradient by ``scale`` where the output is
-    positive, a bool mask it scatters from the kept values without
-    re-making the output.  There ``x > 0`` and ``keep`` hold, so this is
-    the pair's factor; elsewhere both give a zero of either sign, or NaN
-    where the gradient is not finite.  A gradient buffer starts at +0.0 and
-    only adds, so it never holds -0.0, and adding a zero of either sign
-    leaves it unchanged: the bits are the pair's."""
-    x = _as_tensor(x)
-    keep = _checked_mask(x, keep)
-    out = np.maximum(x.data, 0.0) * (keep * scale)
-    flat = out.reshape(-1)
-    stored = flat.view(np.uint64) != 0
-    shape, size, where = out.shape, out.size, _packed(stored)
-    # a gather or scatter by index runs several times faster than by bool mask
-    values = flat[np.flatnonzero(stored)]
-
-    def rebuild():
-        full = np.zeros(size)
-        full[np.flatnonzero(where())] = values
-        return full.reshape(shape)
-
-    xc = x.cell
-
-    def bwd(g):
-        positive = np.zeros(size, dtype=bool)
-        positive[np.flatnonzero(where())] = values > 0.0
-        _accumulate(xc, g * (positive.reshape(shape) * scale))
-
-    return _make(out, (x,), bwd, rebuild=rebuild)
 
 
 def relu(x) -> Tensor:
@@ -555,8 +625,8 @@ def mean(x: Tensor, axis=None) -> Tensor:
     def bwd(g):
         if axis is None:
             _accumulate(xc, np.full(xc.shape, 1.0 / denom) * g)
-        else:
-            _accumulate(xc, np.expand_dims(g, axis) / denom * np.ones(xc.shape))
+        else:  # q * 1.0 == q, so a broadcast q has the bits of q * ones
+            _accumulate(xc, np.broadcast_to(np.expand_dims(g, axis) / denom, xc.shape))
 
     return _make(x.data.mean(axis=axis), (x,), bwd)
 
@@ -589,29 +659,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
             _accumulate(cell, piece)
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
-
-
-def split_columns(x: Tensor, at: int) -> tuple[Tensor, Tensor]:
-    """Split a [n, c] tensor into its columns [0, at) and [at, c).
-
-    Each half owns a copy of its columns, so neither keeps ``x``'s array
-    alive.  Each half's backward adds its gradient into its own columns of
-    ``x.grad``, so a tensor split this way gets one gradient buffer.
-    """
-    x = _as_tensor(x)
-    if x.data.ndim != 2 or not 0 < at < x.shape[1]:
-        raise ShapeError(f"split_columns needs 0 < at < columns, got at={at} for {x.shape}")
-    xc = x.cell
-
-    def half(cols):
-        def bwd(g):
-            if xc.grad is None:
-                xc.grad = np.zeros(xc.shape)
-            xc.grad[:, cols] += g
-
-        return _make(x.data[:, cols].copy(), (x,), bwd)
-
-    return half(slice(0, at)), half(slice(at, None))
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:

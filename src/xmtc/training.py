@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import TrainConfig, check_variants
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary
-from .errors import DataError, DivergenceError
+from .errors import DataError, DivergenceError, GradTapeError
 from .graph import CooccurrenceGraph
 from .mask import AuxMaskIndex, DocMask, make_doc_mask, mask_stats
 from .metrics import MetricsReport, compute_metrics
@@ -58,7 +58,15 @@ class Adam:
         ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * g * g`` and
         ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``, applied element by
         element, so the result is bit-equal to evaluating those expressions
-        over whole arrays."""
+        over whole arrays.
+
+        Raises ``GradTapeError`` while a ``GradTape`` is open: backward
+        re-reads the parameters' arrays (the rebuilds of the embedding rows
+        and of each block's activations), so a step before it would change
+        the gradients silently."""
+        if GradTape.active() is not None:
+            raise GradTapeError("Adam.step while a GradTape is open: its backward re-reads "
+                                "the parameters")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         b1t = 1.0 - b1 ** self.t

@@ -8,13 +8,15 @@ unfused encoder block, the encoder whose tape keeps padded inputs, float
 dropout masks and stacked filters, the convolution, the four-node
 attention and the relu-then-dropout block that keep what backward could
 re-make) and the tape's node plumbing, on which the four-node attention
-builds its own transposed copy and softmax.  ``traced`` is the
-suite's one tracemalloc probe.  The label statistics and the
-auxiliary-code tables are counted here twice: by recount
-(``conditional_prob_matrix``, ``recount_aux_tables``) and through CSR
-products (``csr_cooccurrence``, ``csr_mask_tables``); src gets both from
-one ``graph.conditional_pairs``.  ``verify`` audits a
-synthetic corpus against the ground truth its generator planted, with its
+builds its own transposed copy and softmax and the seven-node encoder
+block its per-level convolutions (``tensor.conv_product`` and
+``tensor.conv_backward`` as a node), column halves and relu with
+dropout.  ``traced`` is the suite's one tracemalloc probe.  The label
+statistics and the auxiliary-code tables are counted here twice: by
+recount (``conditional_prob_matrix``, ``recount_aux_tables``) and through
+CSR products (``csr_cooccurrence``, ``csr_mask_tables``); src gets both
+from one ``graph.conditional_pairs``.  ``verify`` audits a synthetic
+corpus against the ground truth its generator planted, with its
 own recount of the auxiliary-code tables (``recount_raw_aux_tables``),
 since the generator takes them from ``mask.build_mask_index``.
 """
@@ -77,11 +79,103 @@ def two_filter_block(block):
                           residual_filter=leaf(fused[:, :, d:]))
 
 
+def conv1d_dilated(x, filters, dilation):
+    """``tensor.conv_product`` as a tape node of its own, whose backward is
+    ``tensor.conv_backward``: the convolution the encoder block recorded
+    per level before it became one node.  Its input is held as its
+    ``rebuild`` where it has one, else as its array; a recorded output over
+    an input with no rebuild gets one that repeats the product on that
+    array, so that in a chain every other input is re-made and no rebuild
+    re-runs another convolution's."""
+    from xmtc.tensor import _make, conv_backward, conv_product
+
+    data, f, xc, fc = x.data, filters.data, x.cell, filters.cell
+    xd = x.rebuild or (lambda: data)
+
+    def bwd(g):
+        conv_backward(g, xd, f, dilation, xc, fc)
+
+    return _make(conv_product(data, f, dilation), (x, filters), bwd,
+                 rebuild=(lambda: conv_product(xd(), f, dilation)) if x.rebuild is None else None)
+
+
+def split_columns(x, at):
+    """Split a [n, c] tensor into its columns [0, at) and [at, c), each half
+    a copy of its columns and a tape node that adds its gradient into its
+    own columns of ``x``'s one gradient buffer."""
+    from xmtc.tensor import _make
+
+    xc = x.cell
+
+    def half(cols):
+        def bwd(g):
+            if xc.grad is None:
+                xc.grad = np.zeros(xc.shape)
+            xc.grad[:, cols] += g
+
+        return _make(x.data[:, cols].copy(), (x,), bwd)
+
+    return half(slice(0, at)), half(slice(at, None))
+
+
+def relu_dropout(x, keep, scale):
+    """``dropout(relu(x), keep, scale)`` as one node that keeps its output's
+    values other than +0.0 and one bit-packed mask of where they sit; the
+    output's ``rebuild`` scatters them into zeros, and backward passes
+    ``g * scale`` where the kept value is positive."""
+    from xmtc.tensor import _accumulate, _make
+
+    keep = np.asarray(keep, dtype=bool)
+    assert keep.shape == x.shape
+    out = np.maximum(x.data, 0.0) * (keep * scale)
+    flat = out.reshape(-1)
+    stored = flat.view(np.uint64) != 0
+    shape, size, bits = out.shape, out.size, np.packbits(stored)
+    values = flat[np.flatnonzero(stored)]
+
+    def where():
+        return np.flatnonzero(np.unpackbits(bits, count=size))
+
+    def rebuild():
+        full = np.zeros(size)
+        full[where()] = values
+        return full.reshape(shape)
+
+    xc = x.cell
+
+    def bwd(g):
+        positive = np.zeros(size, dtype=bool)
+        positive[where()] = values > 0.0
+        _accumulate(xc, g * (positive.reshape(shape) * scale))
+
+    return _make(out, (x,), bwd, rebuild=rebuild)
+
+
+def seven_node_block(embedded, params, config, train=False, rng=None):
+    """``encoder.residual_block`` as seven tape nodes: the fused level-0 and
+    residual convolution, its two column halves, the chain's convolutions
+    (``conv1d_dilated``, so the dense level-1 input stays on the tape and
+    level 1's output is re-made), the sum and one ``relu_dropout`` (relu
+    alone outside training).  The shipped block is one node and must be
+    bit-equal to this while keeping less."""
+    from xmtc.tensor import add, relu
+
+    fused = params.level0_residual
+    h, residual = split_columns(conv1d_dilated(embedded, fused, config.rates[0]),
+                                fused.shape[2] // 2)
+    for filt, rate in zip(params.levels, config.rates[1:]):
+        h = conv1d_dilated(h, filt, rate)
+    pre = add(h, residual)
+    if not train:
+        return relu(pre)
+    keep = (rng.random(pre.shape) >= config.dropout if config.dropout > 0.0
+            else np.ones(pre.shape, dtype=bool))
+    return relu_dropout(pre, keep, 1.0 / (1.0 - config.dropout))
+
+
 def dilated_stack(embedded, params, config):
     """Chain of dilated convolutions, one level per rate, over a
     ``TwoFilterBlock``."""
-    from xmtc.tensor import conv1d_dilated
-
     h = embedded
     for filt, rate in zip(params.level_filters, config.rates):
         h = conv1d_dilated(h, filt, rate)
@@ -93,7 +187,7 @@ def unfused_residual_block(embedded, params, config):
     ``TwoFilterBlock``: the dilated chain, then the residual conv over the
     same input, summed and passed through relu.  The shipped block runs
     level 0 and the residual as one product and must reproduce this."""
-    from xmtc.tensor import add, conv1d_dilated, relu
+    from xmtc.tensor import add, relu
 
     main = dilated_stack(embedded, params, config)
     residual = conv1d_dilated(embedded, params.residual_filter, config.rates[0])
@@ -183,17 +277,18 @@ def four_node_attention(encoded, h_masked):
 
 
 def relu_then_dropout_block(embedded, params, config, train=False, rng=None):
-    """``encoder.residual_block`` with the relu and the dropout as two
-    nodes, a relu that keeps its bool mask and a dropout (none at dropout
-    0), and every convolution keeping its input (``conv1d_keeping_input``).
-    The shipped block ends in one ``relu_dropout`` node in training, which
-    keeps only its output's nonzeros, and must be bit-equal to this.  The
-    engine's ops are read from ``xmtc.tensor`` when the block runs."""
+    """``encoder.residual_block`` as per-op nodes that keep what they read:
+    every convolution keeps its input (``conv1d_keeping_input``), the fused
+    product splits into two column copies (``split_columns``), then the
+    sum, a relu that keeps its bool mask and a dropout (none at dropout 0).
+    The shipped block is one node that re-makes its activations in
+    backward and must be bit-equal to this.  The engine's ops are read from
+    ``xmtc.tensor`` when the block runs."""
     from xmtc import tensor
 
     fused = params.level0_residual
-    h, residual = tensor.split_columns(conv1d_keeping_input(embedded, fused, config.rates[0]),
-                                       fused.shape[2] // 2)
+    h, residual = split_columns(conv1d_keeping_input(embedded, fused, config.rates[0]),
+                                fused.shape[2] // 2)
     for filt, rate in zip(params.levels, config.rates[1:]):
         h = conv1d_keeping_input(h, filt, rate)
     out = tensor.relu(tensor.add(h, residual))
@@ -230,7 +325,7 @@ def reference_encode(token_ids, embedding, blocks, config, train=False, rng=None
     ``encode`` must be bit-equal to this, output and gradients, on the same
     rng; the gradient of a block's ``level0_residual`` is level 0's and the
     residual's side by side."""
-    from xmtc.tensor import add, gather_rows, relu, same_padding, split_columns
+    from xmtc.tensor import add, gather_rows, relu, same_padding
 
     drop = train and config.dropout > 0.0
     k, rate0 = config.kernel_size, config.rates[0]

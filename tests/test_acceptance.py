@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from xmtc import corpus, embeddings, graph, mask, metrics, model, synth, training
-from xmtc.encoder import EncoderConfig
+from xmtc.encoder import BlockParams, EncoderConfig, init_block_params, residual_block
 from xmtc.tensor import (
     GradTape,
     Tensor,
@@ -21,7 +21,6 @@ from xmtc.tensor import (
     attend,
     bce_loss,
     concat,
-    conv1d_dilated,
     dropout,
     gather_rows,
     grad_check,
@@ -29,15 +28,14 @@ from xmtc.tensor import (
     mean,
     mul,
     relu,
-    relu_dropout,
     reshape,
     sigmoid,
-    split_columns,
     spmm,
     tensor_sum,
 )
 
 import oracles
+from oracles import conv1d_dilated, relu_dropout, split_columns
 
 
 @contextmanager
@@ -213,10 +211,22 @@ def test_criterion_1_gradient_suite():
             return (lambda t: relu_dropout(t, keep, 1.0 / 0.7),
                     [Tensor(away_from_kinks(rng, (4, 3)), True)])
 
+        def block_case(rng):
+            n, k = int(rng.integers(1, 8)), int(rng.choice([1, 3]))
+            rates = tuple(int(r) for r in rng.integers(1, 4, size=int(rng.integers(1, 4))))
+            cfg = EncoderConfig(kernel_size=k, rates=rates, dropout=0.3)
+            params = init_block_params(cfg, 3, rng)
+            seed = int(rng.integers(1 << 30))  # one dropout mask, drawn again per call
+            return (lambda x, *f: residual_block(x, BlockParams(f[0], list(f[1:])), cfg,
+                                                 train=True, rng=np.random.default_rng(seed)),
+                    [Tensor(rng.standard_normal((n, 3)), True), params.level0_residual,
+                     *params.levels])
+
         nonlinear_cases = {
             "relu": lambda rng: (relu, [Tensor(away_from_kinks(rng, (4, 3)), True)]),
             "sigmoid": lambda rng: (sigmoid, [Tensor(rng.standard_normal((4, 3)), True)]),
             "relu_dropout": relu_dropout_case,
+            "dilated_block": block_case,
             "attend": lambda rng: (lambda q, x: attend(q, x)[1],
                                    [Tensor(rng.standard_normal((3, 4)), True),
                                     Tensor(rng.standard_normal((5, 4)), True)]),
@@ -251,7 +261,6 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_shapes_and_padding_invariance():
     with criterion(2, "encoder shape preservation and padding invariance"):
         rng = np.random.default_rng(0)
-        from xmtc.encoder import init_block_params, residual_block
 
         dim = 8
         for k in (3, 5, 9):

@@ -981,24 +981,30 @@ def _scipy_modules_after(code: str) -> list[str]:
 
 class TestNumericEnvironment:
     def test_manifests_record_the_live_blas_thread_count(self, tmp_path):
-        """Stages run at OPENBLAS_NUM_THREADS 1 and 2 record 1 and 2 (at most
-        the usable cores), the numpy version, scipy's where the stage loaded
-        it, and the BLAS build; the config hash is the same."""
+        """The pipeline through train, run at OPENBLAS_NUM_THREADS 1 and 2.
+        The manifests record 1 and 2 (at most the usable cores), the numpy
+        version, scipy's where the stage loaded it, and the BLAS build; the
+        config hash is the same.  Every set-up artifact is byte-identical
+        across the two runs.  The checkpoint and the training history may
+        differ only where the two train manifests record different thread
+        counts: a one-core runner records 1 twice, and they must match."""
         import scipy
 
         src = str(Path(xmtc.__file__).resolve().parents[1])
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG)
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        hashes = set()
+        hashes, runs = set(), []
         for threads in (1, 2):
             data, work = tmp_path / f"data{threads}", tmp_path / f"work{threads}"
             env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+            base = ["--workdir", str(work), "--config", str(cfg)]
             for argv in (["gen-synthetic", "--workdir", str(data), "--labels", "8",
                           "--docs", "40", "--seed", "3"],
-                         ["preprocess", "--workdir", str(work), "--config", str(cfg),
-                          "--train", str(data / "train.jsonl"),
-                          "--catalog", str(data / "raw_catalog.tsv")]):
+                         ["preprocess", *base, "--train", str(data / "train.jsonl"),
+                          "--val", str(data / "val.jsonl"),
+                          "--catalog", str(data / "raw_catalog.tsv")],
+                         ["build-graph", *base], ["build-mask", *base], ["train", *base]):
                 subprocess.run([sys.executable, "-m", "xmtc", *argv], env=env, check=True,
                                capture_output=True)
             live = min(threads, len(os.sched_getaffinity(0)))
@@ -1011,7 +1017,26 @@ class TestNumericEnvironment:
                     "blas": {"name": blas["name"], "version": blas["version"],
                              "threads": live}}, manifest
             hashes.add(json.loads((work / "manifest_preprocess.json").read_text())["config_hash"])
+            trained = json.loads((work / "manifest_train.json").read_text())
+            assert trained["numeric_environment"]["blas"]["threads"] == live
+            runs.append((data, work, live))
         assert len(hashes) == 1
+
+        (data1, work1, live1), (data2, work2, live2) = runs
+        trained = {"checkpoint.bin", "history.csv"}
+        for one, two in ((data1, data2), (work1, work2)):
+            names = sorted(p.name for p in one.iterdir()
+                           if not p.name.startswith("manifest_") and p.name not in trained)
+            assert names == sorted(p.name for p in two.iterdir()
+                                   if not p.name.startswith("manifest_")
+                                   and p.name not in trained)
+            for name in names:
+                assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        assert {"graph.txt", "mask_index.tsv", "embeddings.txt"} <= set(
+            p.name for p in work1.iterdir())
+        if live1 == live2:
+            for name in sorted(trained):
+                assert (work1 / name).read_bytes() == (work2 / name).read_bytes(), name
 
 
 class TestStartup:

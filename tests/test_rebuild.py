@@ -1,29 +1,32 @@
 """Tensors that backward re-makes instead of keeping.
 
-A gather from a parameter, a dropout over a rebuildable input, a recorded
-convolution over an input with no rebuild and a training block's
-``relu_dropout`` output carry a ``rebuild`` function; the convolution's
-input and the attention's keys are held as that function instead of the
-array, and the attention re-derives its weights in backward.  These tests
-hold the model to the keeping paths of ``oracles`` bit for bit over two
-train steps, bound what one document's tape holds, check that a rebuild
-holds only arrays that live anyway or what its node keeps, and that no
-rebuild re-runs another convolution's.
+A gather from a parameter, a dropout over a rebuildable input and an
+encoder block's output carry a ``rebuild`` function; a block's input and
+the attention's keys are held as that function instead of the array, the
+attention re-derives its weights in backward, and a block, one
+``dilated_block`` node, re-makes its fused product and chain inputs in
+backward.  These tests hold the model to the per-op paths of ``oracles``
+(the block whose nodes keep their inputs, and the seven-node block) bit
+for bit over two train steps, bound what one block, one document and one
+long multi-document step hold, check that a rebuild holds only arrays that
+live anyway or what its node keeps, and that a block's backward re-makes
+each of its products at most once.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from xmtc import encoder, model as model_mod, tensor
-from xmtc.corpus import build_vocab, encode_documents, preprocess
+from xmtc.corpus import DocumentRecord, build_vocab, encode_documents, preprocess
 from xmtc.encoder import EncoderConfig
 from xmtc.graph import build_cooccurrence
 from xmtc.mask import DocMask, build_mask_index
 from xmtc.model import model_from_artifacts
 from xmtc.synth import generate, standard_spec
-from xmtc.tensor import (GradTape, Tensor, conv1d_dilated, dropout, gather_rows, matmul, relu,
-                         tensor_sum)
+from xmtc.tensor import GradTape, Tensor, dropout, gather_rows, matmul, relu, tensor_sum
 from xmtc.training import Adam, batch_loss, clip_global_norm, doc_masks
 
 
@@ -38,13 +41,13 @@ def corpus():
     return vocab, catalog, graph, index, records
 
 
-def _two_steps(corpus, variant, dropout_p, num_blocks, masks_kind, batch):
+def _two_steps(corpus, variant, dropout_p, num_blocks, rates, masks_kind, batch):
     """Loss, every parameter's gradient and every parameter after each of
     two Adam steps, as bytes, from one fixed initialisation."""
     vocab, catalog, graph, index, records = corpus
     model = model_from_artifacts(
         vocab, catalog, graph, dim=8, seed=2, variant=variant,
-        encoder_config=EncoderConfig(kernel_size=3, rates=(1, 2), dropout=dropout_p,
+        encoder_config=EncoderConfig(kernel_size=3, rates=rates, dropout=dropout_p,
                                      num_blocks=num_blocks),
     )
     docs = records[:batch]
@@ -69,55 +72,105 @@ def _two_steps(corpus, variant, dropout_p, num_blocks, masks_kind, batch):
     return out
 
 
-CASES = {
-    "dropout": ("full", 0.2, 1, "aux", 4),
-    "no_dropout": ("full", 0.0, 1, "aux", 4),  # conv 0 reads the gather's rebuild
-    "two_blocks": ("full", 0.2, 2, "aux", 4),  # block 1's level-0 input is re-made
-    "signed_zeros": ("full", 0.2, 2, "aux", 4),  # -0.0 pre-activations, see below
-    "empty_masks": ("full", 0.2, 1, "empty", 4),
-    "no_mask": ("no_mask", 0.2, 1, "aux", 4),
-    "no_label_feature": ("no_label_feature", 0.2, 1, "aux", 4),
-    "batch_of_one": ("full", 0.2, 1, "aux", 1),
+CASES = {  # variant, dropout, blocks, rates, masks, batch
+    "rates_1_2_4": ("full", 0.3, 1, (1, 2, 4), "aux", 4),
+    "rates_2_5_9": ("full", 0.3, 1, (2, 5, 9), "aux", 4),
+    "rates_1": ("full", 0.3, 1, (1,), "aux", 4),  # no chain level after level 0
+    "rates_1_2_4_8": ("full", 0.3, 1, (1, 2, 4, 8), "aux", 4),
+    "no_dropout": ("full", 0.0, 1, (1, 2, 4), "aux", 4),  # level 0 reads the gather's rebuild
+    "no_blocks": ("full", 0.3, 0, (1, 2, 4), "aux", 4),
+    "two_blocks": ("full", 0.3, 2, (1, 2, 4), "aux", 4),  # block 1's input is re-made
+    "two_blocks_no_dropout": ("full", 0.0, 2, (1, 2, 4, 8), "aux", 4),
+    "signed_zeros": ("full", 0.3, 2, (1, 2, 4), "aux", 4),  # -0.0 pre-activations, see below
+    "empty_masks": ("full", 0.3, 1, (1, 2, 4), "empty", 4),
+    "no_mask": ("no_mask", 0.3, 1, (1, 2, 4), "aux", 4),
+    "no_label_feature": ("no_label_feature", 0.3, 1, (2, 5, 9), "aux", 4),
+    "batch_of_one": ("full", 0.3, 1, (1, 2, 4), "aux", 1),
 }
 
 
-def _signed_zeros(add):
-    """``add`` whose output holds exactly -0.0 wherever it is not positive:
-    the encoder's pre-activations that relu zeroes (``add``'s backward
-    reads no array, so the gradients stay those of the changed values)."""
-    def add_with_signed_zeros(a, b):
-        out = add(a, b)
-        out.data[out.data <= 0.0] = -0.0
+def _signed_zeros(conv_product):
+    """``conv_product`` whose output holds exactly -0.0 wherever it is not
+    positive, so that a block's pre-activations hold -0.0 where both terms
+    do.  Both blocks re-make what they read through it, so the gradients
+    stay those of the changed values."""
+    def conv_product_with_signed_zeros(x, filters, dilation):
+        out = conv_product(x, filters, dilation)
+        out[out <= 0.0] = -0.0
         return out
 
-    return add_with_signed_zeros
+    return conv_product_with_signed_zeros
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_two_train_steps_bit_equal_to_keeping_path(corpus, case, monkeypatch):
-    if case == "signed_zeros":  # the block reads encoder.add, the oracle tensor.add
-        monkeypatch.setattr(encoder, "add", _signed_zeros(encoder.add))
-        monkeypatch.setattr(tensor, "add", _signed_zeros(tensor.add))
+def test_two_train_steps_bit_equal_to_per_op_blocks(corpus, case, monkeypatch):
+    """Against the seven-node block and, where the convolution is not
+    patched, the block whose nodes keep their inputs with the four-node
+    attention: the loss, every gradient and every parameter after each
+    step."""
+    if case == "signed_zeros":
+        monkeypatch.setattr(tensor, "conv_product", _signed_zeros(tensor.conv_product))
     got = _two_steps(corpus, *CASES[case])
-    monkeypatch.setattr(model_mod, "label_attention", oracles.four_node_attention)
-    monkeypatch.setattr(encoder, "residual_block", oracles.relu_then_dropout_block)
-    want = _two_steps(corpus, *CASES[case])
-    assert [name for name, _ in got] == [name for name, _ in want]
-    for (name, a), (_, b) in zip(got, want):
-        assert a == b, name
+    references = [oracles.seven_node_block]
+    if case != "signed_zeros":  # the keeping block has a convolution of its own
+        references.append(oracles.relu_then_dropout_block)
+    for reference in references:
+        with monkeypatch.context() as patch:
+            patch.setattr(encoder, "residual_block", reference)
+            if reference is oracles.relu_then_dropout_block:
+                patch.setattr(model_mod, "label_attention", oracles.four_node_attention)
+            want = _two_steps(corpus, *CASES[case])
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, a), (_, b) in zip(got, want):
+            assert a == b, (reference.__name__, name)
 
 
-def test_forward_doc_tape_holds_one_activation_and_the_nonzeros(corpus):
+BLOCKS = {"one_node": encoder.residual_block, "seven_nodes": oracles.seven_node_block}
+
+
+def _block_input(n, d, rng):
+    """What ``encode`` gives a first block in training: dropped-out rows of
+    a parameter table, rebuildable from it and the packed mask."""
+    table = Tensor(rng.standard_normal((50, d)), requires_grad=True, name="embedding")
+    return dropout(gather_rows(table, rng.integers(0, 50, size=n)),
+                   rng.random((n, d)) >= 0.2, 1.25)
+
+
+@pytest.mark.parametrize("block", ["one_node", "seven_nodes"])
+def test_block_node_holds_half_an_activation_and_one_packed_mask(block):
+    """One training block at n=400, d=100, K=9, rates (1, 2, 4), dropout
+    0.2, over a rebuildable input, its output dropped at once: the tape
+    keeps the output's nonzeros (about 0.4 of an [n, d] float64 array,
+    bounded by 0.5) and one bit-packed mask of n*d/8 bytes, plus 16 KiB
+    of slack for the cells and closures.  The input is held as its
+    rebuild, whose arrays the producing node keeps anyway.  The seven
+    per-op nodes also keep the dense level-1 input and break the bound."""
+    n, d = 400, 100
+    rng = np.random.default_rng(30)
+    cfg = EncoderConfig(kernel_size=9, rates=(1, 2, 4), dropout=0.2)
+    params = encoder.init_block_params(cfg, d, rng)
+    with GradTape():
+        x = _block_input(n, d, rng)
+        _, held, _ = oracles.traced(
+            lambda: BLOCKS[block](x, params, cfg, train=True, rng=np.random.default_rng(0))
+            and None)
+    bound = 0.5 * n * d * 8 + n * d // 8 + 16 * 1024
+    if block == "one_node":
+        assert held <= bound, (held, held / (n * d * 8))
+    else:
+        assert held > bound, (held, held / (n * d * 8))
+
+
+def test_forward_doc_tape_holds_the_nonzeros(corpus):
     """One training document at n=400, d=100, K=9, rates (1, 2, 4): the tape
-    holds level 1's input (1 float [n, d] array), the encoded rows'
-    nonzeros (about 0.4 of one array under dropout 0.2, bounded by 0.5)
-    and two bit-packed masks (the embedding dropout's and the
-    ``relu_dropout`` node's, n*d/8 bytes each).  The dropped-out
-    embedding, level 1's output (level 2's input), the transposed copy,
+    holds the encoded rows' nonzeros (about 0.4 of one float [n, d] array
+    under dropout 0.2, bounded by 0.5) and two bit-packed masks (the
+    embedding dropout's and the block's, n*d/8 bytes each).  The
+    dropped-out embedding, every block activation, the transposed copy,
     alpha and the dense encoded rows are re-made in backward.  The slack,
     128 KiB, covers the label side's [K_c, d] and [K_c + 1, d] arrays, its
     [L] arrays and the token ids, about 48 KB here.  The four-node
-    attention's alpha, the kept encoded rows and a kept level-2 input each
+    attention's alpha, the kept encoded rows and a kept level-1 input each
     break the bound."""
     vocab, catalog, graph, index, records = corpus
     n, d = 400, 100
@@ -133,8 +186,52 @@ def test_forward_doc_tape_holds_one_activation_and_the_nonzeros(corpus):
         (y_hat, _), held, _ = oracles.traced(lambda: model.forward_doc(
             tokens, mask, h_label, train=True, rng=np.random.default_rng(0)))
     assert y_hat.shape == (model.num_labels,)
-    bound = 1.5 * n * d * 8 + 2 * n * d // 8 + 128 * 1024
+    bound = 0.5 * n * d * 8 + 2 * n * d // 8 + 128 * 1024
     assert held <= bound, (held, held / (n * d * 8))
+
+
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_long_step_tape_and_backward_peak(corpus, block, monkeypatch):
+    """A 16-document training step at d=100, K=9, rates (1, 2, 4), dropout
+    0.2, documents 1,500-2,500 tokens long (long-docs' batch and lengths), under
+    tracemalloc.  The forward tape holds at most 500 bytes per token: the
+    block's nonzeros (about 320), two packed masks (25) and the token ids
+    (8), plus the label side.  The backward peak is at most that plus 20
+    float64 [n_max, d] arrays, the one-document transient of the block's
+    backward (its re-made activations, the window buffers of K*d columns
+    and the gradients in flight).  With the seven-node block, which keeps
+    each document's dense level-1 input, the step breaks both bounds."""
+    vocab, catalog, graph, index, records = corpus
+    d = 100
+    rng = np.random.default_rng(31)
+    lengths = rng.integers(1500, 2500, size=16)
+    docs = [DocumentRecord(doc_id=f"long{i}", labels=rec.labels, aux_codes=rec.aux_codes,
+                           tokens=rng.integers(1, len(vocab), size=n).tolist())
+            for i, (rec, n) in enumerate(zip(records, lengths))]
+    model = model_from_artifacts(vocab, catalog, graph, dim=d, seed=3,
+                                 encoder_config=EncoderConfig(dropout=0.2))
+    masks = doc_masks(docs, model, index)
+    monkeypatch.setattr(encoder, "residual_block", BLOCKS[block])
+
+    def step():
+        """Bytes held after the forward and the peak of the backward, both
+        counted from when tracing starts."""
+        with GradTape() as tape:
+            loss = batch_loss(model, docs, masks, np.random.default_rng(0))
+            forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            return forward, tracemalloc.get_traced_memory()[1]
+
+    (forward, peak), _, _ = oracles.traced(step)
+    tokens, n_max = sum(len(doc.tokens) for doc in docs), max(len(doc.tokens) for doc in docs)
+    tape_bound = 500 * tokens
+    peak_bound = tape_bound + 20 * n_max * d * 8
+    seen = (forward / tokens, (peak - forward) / (n_max * d * 8))
+    if block == "one_node":
+        assert forward <= tape_bound and peak <= peak_bound, seen
+    else:
+        assert forward > tape_bound and peak > peak_bound, seen
 
 
 def _float_arrays(fn, seen=None):
@@ -157,6 +254,8 @@ class TestRebuildHoldsWhatLivesAnyway:
         self.table = Tensor(rng.standard_normal((12, 5)), requires_grad=True, name="embedding")
         self.ids = rng.integers(0, 12, size=30)
         self.keep = rng.random((30, 5)) >= 0.2
+        self.cfg = EncoderConfig(kernel_size=3, rates=(1, 2), dropout=0.2)
+        self.params = encoder.init_block_params(self.cfg, 5, rng)
 
     def test_gather_from_a_parameter_holds_the_parameter_array(self):
         with GradTape():
@@ -172,20 +271,21 @@ class TestRebuildHoldsWhatLivesAnyway:
         assert held is self.table.data
         assert out.rebuild().tobytes() == out.data.tobytes()
 
-    def test_convolution_over_a_plain_input_holds_its_input_and_its_filters(self):
-        x = Tensor(np.random.default_rng(9).standard_normal((30, 5)))
-        filters = Tensor(np.random.default_rng(10).standard_normal((3, 5, 4)), requires_grad=True)
+    def test_block_output_holds_only_its_nonzeros(self):
+        """A block's output rebuild holds one float array, the output's
+        values other than +0.0, and no array of its input or filters."""
         with GradTape():
-            out = conv1d_dilated(x, filters, 2)
-        held = _float_arrays(out.rebuild)
-        assert len(held) == 2
-        assert {id(a if a.base is None else a.base) for a in held} == {id(x.data), id(filters.data)}
+            x = Tensor(np.random.default_rng(9).standard_normal((30, 5)))
+            out = encoder.residual_block(x, self.params, self.cfg, train=True,
+                                         rng=np.random.default_rng(1))
+        [held] = _float_arrays(out.rebuild)
+        assert held.size == np.count_nonzero(out.data.view(np.uint64)) < out.size
         assert out.rebuild().tobytes() == out.data.tobytes()
 
     def test_what_cannot_be_re_made_from_a_live_array_has_no_rebuild(self):
-        filters = Tensor(np.ones((3, 5, 5)), requires_grad=True)
-        # unrecorded, a convolution's rebuild would only pin its input
-        assert conv1d_dilated(Tensor(self.table.data), filters, 1).rebuild is None
+        # unrecorded, a block's rebuild would only pin its values
+        x = Tensor(self.table.data[self.ids])
+        assert encoder.residual_block(x, self.params, self.cfg).rebuild is None
         with GradTape():
             computed = matmul(self.table, Tensor(np.ones((5, 5))))
             assert gather_rows(computed, self.ids).rebuild is None  # not a parameter
@@ -193,41 +293,28 @@ class TestRebuildHoldsWhatLivesAnyway:
             activated = relu(gather_rows(self.table, self.ids))
             assert activated.rebuild is None
             assert dropout(activated, self.keep, 1.25).rebuild is None
-            # over a rebuildable input, a rebuild would re-run the input's
-            assert conv1d_dilated(gather_rows(self.table, self.ids), filters, 1).rebuild is None
 
 
-def test_no_rebuild_re_runs_another_convolutions(monkeypatch):
-    """Rates (1, 2, 4, 8): levels 1 and 3 carry a rebuild over their plain
-    inputs, and each rebuild runs one window product.  A training block's
-    backward runs five: one per convolution for its filter gradient and
-    one for level 1's output, which level 2 reads; level 3's output feeds
-    only the sum, which reads nothing.  A rebuild over a rebuild, at any
-    depth, runs more."""
+def test_block_backward_re_makes_each_product_once(monkeypatch):
+    """Rates (1, 2, 4, 8), two training blocks: each block's forward runs
+    four window products, and its backward seven: the fused product and
+    the inputs of levels 2 and 3 re-made, then one per convolution for its
+    filter gradient.  A block's input is re-made by a gather and a mask or
+    by a scatter of the previous block's values, never by a convolution,
+    so no re-make runs another block's products."""
     n, d = 40, 6
     rng = np.random.default_rng(12)
-    cfg = EncoderConfig(kernel_size=3, rates=(1, 2, 4, 8), dropout=0.2)
+    cfg = EncoderConfig(kernel_size=3, rates=(1, 2, 4, 8), num_blocks=2, dropout=0.2)
     table = Tensor(rng.standard_normal((20, d)), requires_grad=True)
-    params = encoder.init_block_params(cfg, d, rng)
+    blocks = [encoder.init_block_params(cfg, d, rng, prefix=f"block{b}") for b in range(2)]
     windows = []
     products = tensor._windows
     monkeypatch.setattr(tensor, "_windows", lambda *a: windows.append(1) or products(*a))
-
-    x = Tensor(rng.standard_normal((n, d)))
-    with GradTape():
-        chain = [x]
-        for filters, rate in zip(params.levels, cfg.rates[1:]):
-            chain.append(conv1d_dilated(chain[-1], filters, rate))
-    assert [t.rebuild is not None for t in chain[1:]] == [True, False, True]
-    for t in chain[1::2]:
-        windows.clear()
-        assert t.rebuild().tobytes() == t.data.tobytes()
-        assert len(windows) == 1
-
     with GradTape() as tape:
-        out = encoder.encode(rng.integers(0, 20, size=n), table, [params], cfg, train=True,
+        out = encoder.encode(rng.integers(0, 20, size=n), table, blocks, cfg, train=True,
                              rng=np.random.default_rng(0))
+        assert len(windows) == 2 * 4
         loss = tensor_sum(out)
         windows.clear()
         tape.backward(loss)
-    assert len(windows) == 5
+    assert len(windows) == 2 * 7

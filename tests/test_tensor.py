@@ -14,7 +14,7 @@ from xmtc.tensor import (
     attend,
     bce_loss,
     concat,
-    conv1d_dilated,
+    dilated_block,
     dropout,
     gather_rows,
     grad_check,
@@ -23,23 +23,24 @@ from xmtc.tensor import (
     mean,
     mul,
     relu,
-    relu_dropout,
     reshape,
     row_sums,
     same_padding,
     sigmoid,
-    split_columns,
     spmm,
     tensor_sum,
 )
 
 from oracles import (
+    conv1d_dilated,
     conv1d_keeping_padded,
     four_node_attention,
     mul_dropout,
     naive_conv1d,
     numeric_gradient,
+    relu_dropout,
     row_sums_add_at,
+    split_columns,
     traced,
 )
 
@@ -102,6 +103,9 @@ class TestSpmm:
 
 
 class TestConv1dDilated:
+    """``tensor.conv_product`` and ``tensor.conv_backward`` through the
+    per-level convolution node of ``oracles``."""
+
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((6, 3)))
@@ -112,21 +116,6 @@ class TestConv1dDilated:
 
     def test_paper_padding_formula(self):
         assert same_padding(9, 4) == 16
-
-    def test_bad_dilation(self):
-        x = Tensor(np.zeros((4, 1)))
-        f = Tensor(np.zeros((3, 1, 1)))
-        with pytest.raises(ValueError):
-            conv1d_dilated(x, f, dilation=0)
-
-    @pytest.mark.parametrize("x_shape, f_shape", [
-        ((5, 2), (4, 2, 3)),
-        ((0, 2), (3, 2, 3)),
-        ((5, 2), (3, 1, 3)),
-    ], ids=["even_k", "empty_x", "d_in_mismatch"])
-    def test_shape_errors(self, x_shape, f_shape):
-        with pytest.raises(ShapeError):
-            conv1d_dilated(Tensor(np.zeros(x_shape)), Tensor(np.zeros(f_shape)), 1)
 
     def test_small_case_matches_sliding_window_oracle(self):
         # x=[1,2,3,4], K=3, r=2, so 2 zeros of padding, all-ones filter.
@@ -186,6 +175,116 @@ class TestConv1dDilated:
             out, held, _ = traced(lambda: conv1d_dilated(x, f, dilation=1))
         assert out.shape == (n, d)
         assert held <= out.data.nbytes + 16 * 1024, (held, out.data.nbytes)
+
+
+class TestDilatedBlock:
+    """The encoder block as one node: its checks, and its output's rebuild.
+    Its bits against the per-op blocks and its memory are pinned in
+    ``tests/test_rebuild.py``, its values in ``tests/test_encoder.py``."""
+
+    @staticmethod
+    def _filters(k=3, d=2, c=3, levels=1):
+        return Tensor(np.zeros((k, d, 2 * c))), [Tensor(np.zeros((k, c, c)))] * levels
+
+    def test_bad_rates(self):
+        x = Tensor(np.zeros((4, 2)))
+        fused, levels = self._filters()
+        for rates in [(1, 0), (1,), (1, 2, 3), (1, 1.5)]:
+            with pytest.raises(ValueError):
+                dilated_block(x, fused, levels, rates)
+
+    @pytest.mark.parametrize("x_shape, fused_shape, level_shape", [
+        ((5, 2), (4, 2, 6), (3, 3, 3)),
+        ((5, 2), (3, 2, 6), (2, 3, 3)),
+        ((0, 2), (3, 2, 6), (3, 3, 3)),
+        ((5,), (3, 2, 6), (3, 3, 3)),
+        ((5, 2), (3, 1, 6), (3, 3, 3)),
+        ((5, 2), (3, 2, 5), (3, 3, 3)),
+        ((5, 2), (3, 2, 6), (3, 3, 2)),
+        ((5, 2), (3, 2, 6), (3, 2, 3)),
+    ], ids=["even_k", "even_level_k", "empty_x", "x_1d", "d_in_mismatch", "odd_pair",
+            "level_d_out", "level_d_in"])
+    def test_shape_errors(self, x_shape, fused_shape, level_shape):
+        with pytest.raises(ShapeError):
+            dilated_block(Tensor(np.zeros(x_shape)), Tensor(np.zeros(fused_shape)),
+                          [Tensor(np.zeros(level_shape))], (1, 2))
+
+    def test_mask_shape_must_match(self):
+        fused, levels = self._filters()
+        with pytest.raises(ShapeError):
+            dilated_block(Tensor(np.ones((4, 2))), fused, levels, (1, 2),
+                          np.ones((4, 2), dtype=bool), 2.0)
+
+    def test_rebuild_re_makes_every_bit(self):
+        """One width-1 filter that copies the input into both branches and
+        no later level, so the pre-activation is 2x: the output holds NaN,
+        inf, a subnormal and zeros of either sign, and the rebuild re-makes
+        each."""
+        rng = np.random.default_rng(22)
+        d = 6
+        eye = np.eye(d)[None]
+        x = Tensor(rng.standard_normal((50, d)), requires_grad=True)
+        x.data[rng.random(x.shape) < 0.2] = -0.0
+        x.data[[0, 1, 2], [0, 1, 2]] = [np.nan, np.inf, 1e-320]
+        keep = rng.random(x.shape) >= 0.3
+        keep[[1, 2], [1, 2]] = True
+        with GradTape(), np.errstate(invalid="ignore"):
+            out = dilated_block(x, Tensor(np.concatenate([eye, eye], axis=2), requires_grad=True),
+                                [], (1,), keep, 1.0 / 0.7)
+        assert np.isnan(out.data[0, 0]) and np.isinf(out.data[1, 1])
+        assert 0.0 < out.data[2, 2] < np.finfo(float).tiny
+        rebuilt = out.rebuild()
+        assert rebuilt.shape == out.shape and rebuilt.flags.c_contiguous
+        assert rebuilt.tobytes() == out.data.tobytes()
+
+
+class TestFreshGradient:
+    """A cell that holds no gradient gets ``g + 0.0`` in one pass, with the
+    bits of ``zeros + g``."""
+
+    @staticmethod
+    def _awkward(rng, shape):
+        g = rng.standard_normal(shape)
+        flat = g.reshape(-1)
+        flat[:8] = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan, -np.nan]
+        flat[8:10] = np.array([0x7FF8_0000_0000_00AB, 0xFFF0_0000_0000_0001],
+                              dtype=np.uint64).view(np.float64)  # quiet and signalling payloads
+        return g
+
+    @pytest.mark.parametrize("g_shape", [(4, 5), (1, 5), (5,), ()], ids=str)
+    def test_bits_of_zeros_plus_g(self, g_shape):
+        from xmtc.tensor import GradCell, _accumulate, _fresh_grad
+
+        rng = np.random.default_rng(71)
+        g = self._awkward(rng, (4, 5))[tuple(slice(0, n) for n in g_shape)] if g_shape else (
+            np.float64(-0.0))
+        with np.errstate(invalid="ignore"):
+            want = np.zeros((4, 5))
+            want += g
+            cell = GradCell(True, (4, 5))
+            _accumulate(cell, g)
+        assert cell.grad.tobytes() == want.tobytes()
+        assert not np.shares_memory(cell.grad, g)
+        if g_shape == (4, 5):
+            with np.errstate(invalid="ignore"):
+                assert _fresh_grad(g).tobytes() == want.tobytes()
+
+
+class TestMeanGradient:
+    def test_broadcast_bits_of_the_ones_product(self):
+        """``mean(x, axis)``'s backward adds a broadcast ``g / denom``; the
+        bits are those of the old ``g / denom * ones`` product."""
+        rng = np.random.default_rng(72)
+        for axis, shape in [(0, (7, 3)), (1, (7, 3)), (0, (1, 4))]:
+            x = param(rng, *shape)
+            probe = rng.standard_normal(np.delete(shape, axis))
+            probe[0] = -0.0
+            with GradTape() as tape:
+                tape.backward(tensor_sum(mul(mean(x, axis=axis), Tensor(probe))))
+            g = np.expand_dims(probe * 1.0, axis)  # the gradient mul passes back
+            want = np.zeros(shape)
+            want += g / shape[axis] * np.ones(shape)
+            assert x.grad.tobytes() == want.tobytes(), axis
 
 
 class TestConvBitEqual:
@@ -314,9 +413,6 @@ class TestReluDropout:
         assert 0.3 < nonzeros / out.size < 0.5
         assert held <= out.data.nbytes + 8 * nonzeros + n * d // 8 + 4 * 1024, held
 
-    def test_mask_shape_must_match(self):
-        with pytest.raises(ShapeError):
-            relu_dropout(Tensor(np.ones((3, 2))), np.ones((2, 3), dtype=bool), 2.0)
 
 
 class TestAttend:
@@ -594,14 +690,6 @@ class TestStructuralOps:
         x = param(rng, 3, 4)
         report = grad_check(lambda t: concat(split_columns(t, 3)[::-1], axis=1), [x], tol=1e-6)
         assert report.passed, report
-
-    def test_split_columns_bad_position(self):
-        x = Tensor(np.zeros((3, 4)))
-        for at in (0, 4):
-            with pytest.raises(ShapeError):
-                split_columns(x, at)
-        with pytest.raises(ShapeError):
-            split_columns(Tensor(np.zeros(4)), 2)
 
     def test_mean_axis_and_full(self):
         rng = np.random.default_rng(43)

@@ -115,6 +115,24 @@ class TestAdam:
                 assert opt.m[name].tobytes() == m[name].tobytes(), (t, name)
                 assert opt.v[name].tobytes() == v[name].tobytes(), (t, name)
 
+    def test_step_inside_an_open_tape_raises_and_moves_nothing(self):
+        """Backward re-reads the parameters' arrays (the embedding rows and
+        each block's activations are re-made from them), so a step before
+        it would change the gradients silently."""
+        records, _, _, _, index, model = tiny_world(seed=9, n_docs=8)
+        opt = Adam(model.params, lr=0.1)
+        before = {name: p.data.tobytes() for name, p in model.params.items()}
+        with GradTape() as tape:
+            loss = batch_loss(model, records[:2], doc_masks(records[:2], model, index),
+                              np.random.default_rng(0))
+            with pytest.raises(GradTapeError):
+                opt.step()
+            tape.backward(loss)
+        assert opt.t == 0
+        assert {name: p.data.tobytes() for name, p in model.params.items()} == before
+        opt.step()
+        assert opt.t == 1
+
     def test_step_allocates_no_parameter_sized_array(self):
         """After the first step, a step over 1.6 MB of parameters peaks
         under 16 KiB of new allocations (the per-parameter views)."""
@@ -308,7 +326,7 @@ class TestTapeWalk:
     parameters the gradients of a walk that frees nothing, and nothing else."""
 
     def test_full_model_walk_frees_and_matches_keep_everything_walk(self):
-        model, docs, masks = tape_batch(n_docs=5)
+        model, docs, masks = tape_batch(n_docs=7)
         grads, cells = {}, []
         for walk in ("keep", "pop"):
             model.params.zero_grads()
@@ -339,13 +357,16 @@ class TestTapeWalk:
         """tracemalloc over one batch_loss + backward, after one warm-up
         pass that fills the first-call caches.  Bounds: after backward at
         most the parameter gradients plus 16 KiB (the loss tensor and other
-        small objects) stay held; the peak of the walk stays under 1.5 times
-        the forward tape's bytes plus the parameter gradients (the walk
-        starts with the whole tape alive and ends holding the gradients,
-        whose size does not scale with the tape).  The walk that frees
-        nothing breaks both bounds: it holds every activation and gradient,
-        about twice the tape."""
+        small objects) stay held; the peak of the walk stays under the
+        forward tape's bytes plus the parameter gradients plus 16 float64
+        [n_max, d] arrays (the walk starts with the whole tape alive and
+        ends holding the gradients, whose size does not scale with the
+        tape; in between, one block's backward re-makes its activations and
+        builds window buffers of K*d columns, about 10 such arrays at K =
+        3).  The walk that frees nothing breaks both bounds: it holds every
+        activation and gradient, about 27 such arrays beyond the tape."""
         model, docs, masks = tape_batch(dim=32)
+        n_max = max(len(doc.tokens) for doc in docs)
 
         def step(walk):
             """The forward tape's bytes, and the tape and the loss, so that
@@ -365,12 +386,15 @@ class TestTapeWalk:
             grad_bytes = sum(p.grad.nbytes for _, p in model.params.items())
             return forward, peak, held, grad_bytes
 
+        def peak_bound(forward, grad_bytes):
+            return forward + grad_bytes + 16 * n_max * 32 * 8
+
         measured(GradTape.backward)
         forward, peak, held, grad_bytes = measured(GradTape.backward)
         assert held <= grad_bytes + 16 * 1024, (held, grad_bytes)
-        assert peak < 1.5 * forward + grad_bytes, (peak, forward, grad_bytes)
+        assert peak < peak_bound(forward, grad_bytes), (peak, forward, grad_bytes)
         forward, peak, held, grad_bytes = measured(keep_everything_backward)
-        assert held > grad_bytes + 16 * 1024 and peak > 1.5 * forward + grad_bytes
+        assert held > grad_bytes + 16 * 1024 and peak > peak_bound(forward, grad_bytes)
 
 
 def held_tensors(obj, seen=None):
@@ -423,7 +447,7 @@ class TestTapeHoldsNoTensor:
 
     @pytest.mark.parametrize("variant", ["full", "no_label_feature"])
     def test_no_node_of_a_full_model_tape_holds_a_tensor(self, variant):
-        model, docs, masks = tape_batch(n_docs=6, variant=variant)
+        model, docs, masks = tape_batch(n_docs=8, variant=variant)
         masks[2] = DocMask.all_ones(model.num_labels)
         with GradTape() as tape:
             loss = batch_loss(model, docs, masks, np.random.default_rng(5))
