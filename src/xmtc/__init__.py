@@ -7,8 +7,8 @@ masks derived from auxiliary code terminologies, label-wise attention, and a
 shared sigmoid classifier trained with multi-label cross-entropy.
 """
 
-from .tensor import GradTape, Tensor, grad_check
+from .tensor import GradTape, Tensor
 
 __version__ = "0.1.0"
 
-__all__ = ["Tensor", "GradTape", "grad_check", "__version__"]
+__all__ = ["Tensor", "GradTape", "__version__"]

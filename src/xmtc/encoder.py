@@ -9,11 +9,14 @@ input and the residual.  The branch outputs are summed and passed through
 relu, then dropout in training.  A block is one ``tensor.dilated_block``
 node that runs on plain arrays and keeps only its input's rebuild, the
 filters and its output's nonzeros with one bit-packed mask: per document
-the tape holds about 0.4 of an [n, d] array per block, not the dense
-level-1 input.  The price is in backward, which re-makes the fused
-product and every chain input but the last: at rates (1, 2, 4) three of
-the four level-sized products the forward ran (the fused one counts
-twice), per block and document.  Every convolution is length-preserving,
+the tape holds about 0.4 of an [n, d] array per block.  A short
+document's block also keeps its chain inputs, m [n, d] arrays at m + 1
+rates, while they take at most ``tensor.KEEP_CHAIN_BYTES`` (1 MiB: up to
+655 tokens at d = 100 and rates (1, 2, 4)), so its backward re-makes no
+product.  A longer document's block pays in backward, which re-makes the
+fused product and the chain inputs: at rates (1, 2, 4) three of the four
+level-sized products the forward ran (the fused one counts twice), per
+block and document.  Every convolution is length-preserving,
 so the output keeps the input's sequence length at every level.
 """
 

@@ -22,25 +22,22 @@ have one: a function that repeats the forward on arrays that live anyway
 (a gathered parameter, under a dropout's mask) or on what the producing
 node keeps, and so re-makes ``data`` bit for bit.  ``dilated_block``
 keeps its input's rebuild, its filters and its output's nonzeros with one
-packed mask, about 0.4 of an [n, d] array: no activation of its
-convolutions.  Its backward pays for that by re-making the fused level-0
-product and every chain input but the last (at rates (1, 2, 4) three of
-the four level-sized products the forward ran, the fused one counting
-twice), one block at a time, so the re-made arrays live only while that
-block's gradients form.
+packed mask, about 0.4 of an [n, d] array.  Its chain inputs, m [n, c]
+arrays, it keeps too while they take at most ``KEEP_CHAIN_BYTES`` (1 MiB:
+n <= 655 at c = 100 and rates (1, 2, 4)), so a short document's backward
+re-makes no product.  Above that limit its backward re-makes the fused
+level-0 product and the chain inputs (at rates (1, 2, 4) three of the
+four level-sized products the forward ran, the fused one counting twice),
+one block at a time, so the re-made arrays live only while that block's
+gradients form.  Kept or re-made, they have the same bits.
 ``attend`` keeps no weights: its backward re-derives the scores and the
 softmax from its queries and keys.  The replay consumes the tape: each node
 is dropped, with its output's gradient and the arrays its closure holds, as
 soon as it has run, so after ``backward`` only the leaves (the parameters)
 hold a gradient.
-
-``grad_check`` compares analytic gradients against central finite
-differences and is the verification tool behind the gradient test suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -51,8 +48,6 @@ __all__ = [
     "Tensor",
     "GradTape",
     "GradCell",
-    "grad_check",
-    "GradCheckReport",
     "matmul",
     "spmm",
     "reshape",
@@ -68,7 +63,6 @@ __all__ = [
     "logistic",
     "relu",
     "mean",
-    "tensor_sum",
     "concat",
     "gather_rows",
     "row_sums",
@@ -78,6 +72,11 @@ __all__ = [
 _TAPE_STACK: list["GradTape"] = []
 
 _SIGMOID_EPS = 1e-12
+
+# A recorded ``dilated_block`` keeps its chain inputs, m float64 [n, c]
+# arrays, for backward iff they take at most this many bytes (n <= 655 at
+# c = 100 and rates (1, 2, 4)); above it, backward re-makes them.
+KEEP_CHAIN_BYTES = 1 << 20
 
 
 class GradCell:
@@ -378,20 +377,27 @@ def dilated_block(x: Tensor, level0_residual: Tensor, levels, rates, keep=None,
     ``relu(chain + residual)``, where the chain runs level 0's columns of
     the fused product through ``levels``, times ``keep * scale`` (inverted
     dropout with a bool mask) when ``keep`` is given.  The forward runs on
-    plain arrays with ``conv_product``, so no intermediate outlives it.
+    plain arrays with ``conv_product``, so no intermediate outlives it but
+    the chain inputs a recorded node keeps.
 
     The node keeps ``_kept(x)``, the filters' arrays, and its output's
     values other than +0.0 with one bit-packed mask of where they sit (a
     -0.0 is kept too); the output's ``rebuild`` scatters them into zeros.
-    Its backward re-makes the fused product and every chain input but the
-    last from ``x``'s rebuild, then forms the gradients that the per-op
-    block's seven nodes would (the fused convolution, the two column
-    halves, the chain's convolutions, the sum and relu with dropout), in
-    their order and through ``conv_backward``, each intermediate summed
-    into zeros as its own cell would be: the bits are theirs.  Where the
-    output is positive, relu and dropout pass ``g * scale``; elsewhere the
-    pair gives a zero of either sign (NaN where ``g`` is not finite), and
-    a zero added into a gradient that starts at +0.0 changes nothing.
+    Its chain inputs, level 0's half of the fused product and each later
+    level's input (m arrays of [n, c], the forward's own; the last level's
+    output takes the residual in place), it keeps while they take at most
+    ``KEEP_CHAIN_BYTES``; above that its backward re-makes the fused
+    product and them from ``x``'s rebuild, with the same bits.  An
+    unrecorded block keeps nothing.  The backward holds each chain input
+    only until ``conv_backward`` has read it, and forms the gradients that
+    the per-op block's seven nodes would (the fused convolution, the two
+    column halves, the chain's convolutions, the sum and relu with
+    dropout), in their order and through ``conv_backward``, each
+    intermediate summed into zeros as its own cell would be: the bits are
+    theirs.  Where the output is positive, relu and dropout pass ``g *
+    scale``; elsewhere the pair gives a zero of either sign (NaN where
+    ``g`` is not finite), and a zero added into a gradient that starts at
+    +0.0 changes nothing.
     """
     x, fused = _as_tensor(x), _as_tensor(level0_residual)
     filters = [fused, *(_as_tensor(f) for f in levels)]
@@ -409,10 +415,17 @@ def dilated_block(x: Tensor, level0_residual: Tensor, levels, rates, keep=None,
         raise ValueError(f"dilated_block needs one positive integer rate per filter, "
                          f"got {rates!r} for {m + 1} filters")
 
+    parents = (x, *filters)
+    recorded = _recorded(parents)
+    # level i's input at i - 1, kept where small; the last level's output is
+    # not one of them, since the residual is summed into it in place
+    kept = [] if recorded and m * n * c * 8 <= KEEP_CHAIN_BYTES else None
     pair = conv_product(x.data, fused.data, rates[0])
     h, residual = pair[:, :c].copy(), pair[:, c:].copy()  # so the pair dies here
     del pair
     for f, rate in zip(filters[1:], rates[1:]):
+        if kept is not None:
+            kept.append(h)
         h = conv_product(h, f.data, rate)
     h += residual
     del residual
@@ -420,8 +433,7 @@ def dilated_block(x: Tensor, level0_residual: Tensor, levels, rates, keep=None,
     del h
     if keep is not None:
         out *= _checked_mask(out.shape, keep) * scale
-    parents = (x, *filters)
-    if not _recorded(parents):
+    if not recorded:
         return _make(out, parents, None)
 
     flat = out.reshape(-1)
@@ -446,11 +458,14 @@ def dilated_block(x: Tensor, level0_residual: Tensor, levels, rates, keep=None,
         chain_cells.append(GradCell(chain_cells[-1].requires_grad or fc.requires_grad, (n, c)))
 
     def bwd(g):
-        chain = []  # level i's input at i - 1; level 0's half is copied out of the pair
-        if m:
-            chain.append(np.ascontiguousarray(conv_product(xd(), arrays[0], rates[0])[:, :c]))
-        for w, rate in zip(arrays[1:m], rates[1:m]):
-            chain.append(conv_product(chain[-1], w, rate))
+        nonlocal kept
+        chain, kept = kept, None  # so each kept input dies once its level is done
+        if chain is None:  # re-made as the forward made them
+            chain = []
+            if m:
+                chain.append(np.ascontiguousarray(conv_product(xd(), arrays[0], rates[0])[:, :c]))
+            for w, rate in zip(arrays[1:m], rates[1:m]):
+                chain.append(conv_product(chain[-1], w, rate))
         positive = np.zeros(size, dtype=bool)
         positive[np.flatnonzero(where())] = values > 0.0
         g_sum = _fresh_grad(g * (positive.reshape(shape) * scale))
@@ -631,21 +646,6 @@ def mean(x: Tensor, axis=None) -> Tensor:
     return _make(x.data.mean(axis=axis), (x,), bwd)
 
 
-def tensor_sum(x: Tensor, axis=None) -> Tensor:
-    x = _as_tensor(x)
-    if axis is not None:
-        axis = int(axis)
-    xc = x.cell
-
-    def bwd(g):
-        if axis is None:
-            _accumulate(xc, np.full(xc.shape, 1.0) * g)
-        else:
-            _accumulate(xc, np.expand_dims(g, axis) * np.ones(xc.shape))
-
-    return _make(x.data.sum(axis=axis), (x,), bwd)
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
@@ -744,63 +744,3 @@ def bce_loss(pred: Tensor, gold) -> Tensor:
         _accumulate(pc, g * (p - gold_arr) / (p * (1.0 - p)))
 
     return _make(np.asarray(loss), (pred,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-
-
-@dataclass
-class GradCheckReport:
-    """Outcome of one analytic-vs-numeric gradient comparison."""
-
-    max_rel_err: float
-    tol: float
-    passed: bool  # max_rel_err < tol
-
-
-def grad_check(op, inputs, tol: float = 1e-4, step: float = 1e-5, seed: int = 0) -> GradCheckReport:
-    """Compare analytic gradients of ``op(*inputs)`` against central differences.
-
-    The output is contracted to a scalar through a fixed random projection so
-    structurally degenerate reductions (e.g. summing a softmax) cannot hide a
-    wrong gradient.  Errors are measured relative to the gradient's own
-    magnitude; the report passes when the worst error is below ``tol``.
-    """
-    rng = np.random.default_rng(seed)
-    checked = [t for t in inputs if isinstance(t, Tensor) and t.requires_grad]
-    if not checked:
-        raise ValueError("grad_check needs at least one input with requires_grad")
-
-    probe = None
-
-    def scalar_loss():
-        nonlocal probe
-        out = op(*inputs)
-        if probe is None:
-            probe = rng.standard_normal(out.shape)
-        return tensor_sum(mul(out, Tensor(probe)))
-
-    for t in checked:
-        t.zero_grad()
-    with GradTape() as tape:
-        loss = scalar_loss()
-        tape.backward(loss)
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in checked]
-
-    errs = []
-    for t, a in zip(checked, analytic):
-        num = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        nflat = num.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(scalar_loss().data)
-            flat[i] = orig - step
-            lo = float(scalar_loss().data)
-            flat[i] = orig
-            nflat[i] = (hi - lo) / (2.0 * step)
-        scale = max(np.abs(a).max(initial=0.0), np.abs(num).max(initial=0.0), 1e-8)
-        errs.append(float(np.abs(a - num).max(initial=0.0) / scale))
-    return GradCheckReport(max_rel_err=max(errs), tol=tol, passed=max(errs) < tol)

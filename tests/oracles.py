@@ -11,7 +11,9 @@ re-make) and the tape's node plumbing, on which the four-node attention
 builds its own transposed copy and softmax and the seven-node encoder
 block its per-level convolutions (``tensor.conv_product`` and
 ``tensor.conv_backward`` as a node), column halves and relu with
-dropout.  ``traced`` is the suite's one tracemalloc probe.  The label
+dropout.  ``traced`` is the suite's one tracemalloc probe, and
+``grad_check`` its finite-difference check, which contracts an op's output
+to a scalar with ``tensor_sum``; no src path runs either.  The label
 statistics and the auxiliary-code tables are counted here twice: by
 recount (``conditional_prob_matrix``, ``recount_aux_tables``) and through
 CSR products (``csr_cooccurrence``, ``csr_mask_tables``); src gets both
@@ -397,6 +399,83 @@ def numeric_gradient(f, x, step=1e-5):
         flat[i] = orig
         gflat[i] = (hi - lo) / (2 * step)
     return g
+
+
+def tensor_sum(x, axis=None):
+    """The sum of a tensor's entries, over all of them or along ``axis``,
+    as a tape node whose backward broadcasts ``g`` back over the summed
+    entries."""
+    from xmtc.tensor import _accumulate, _make
+
+    if axis is not None:
+        axis = int(axis)
+    xc = x.cell
+
+    def bwd(g):
+        if axis is None:
+            _accumulate(xc, np.full(xc.shape, 1.0) * g)
+        else:
+            _accumulate(xc, np.expand_dims(g, axis) * np.ones(xc.shape))
+
+    return _make(x.data.sum(axis=axis), (x,), bwd)
+
+
+@dataclass
+class GradCheckReport:
+    """Outcome of one analytic-vs-numeric gradient comparison."""
+
+    max_rel_err: float
+    tol: float
+    passed: bool  # max_rel_err < tol
+
+
+def grad_check(op, inputs, tol=1e-4, step=1e-5, seed=0):
+    """Compare analytic gradients of ``op(*inputs)`` against central differences.
+
+    The output is contracted to a scalar through a fixed random projection so
+    structurally degenerate reductions (e.g. summing a softmax) cannot hide a
+    wrong gradient.  Errors are measured relative to the gradient's own
+    magnitude; the report passes when the worst error is below ``tol``.
+    """
+    from xmtc.tensor import GradTape, Tensor, mul
+
+    rng = np.random.default_rng(seed)
+    checked = [t for t in inputs if isinstance(t, Tensor) and t.requires_grad]
+    if not checked:
+        raise ValueError("grad_check needs at least one input with requires_grad")
+
+    probe = None
+
+    def scalar_loss():
+        nonlocal probe
+        out = op(*inputs)
+        if probe is None:
+            probe = rng.standard_normal(out.shape)
+        return tensor_sum(mul(out, Tensor(probe)))
+
+    for t in checked:
+        t.zero_grad()
+    with GradTape() as tape:
+        loss = scalar_loss()
+        tape.backward(loss)
+    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in checked]
+
+    errs = []
+    for t, a in zip(checked, analytic):
+        num = np.zeros_like(t.data)
+        flat = t.data.reshape(-1)
+        nflat = num.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = float(scalar_loss().data)
+            flat[i] = orig - step
+            lo = float(scalar_loss().data)
+            flat[i] = orig
+            nflat[i] = (hi - lo) / (2.0 * step)
+        scale = max(np.abs(a).max(initial=0.0), np.abs(num).max(initial=0.0), 1e-8)
+        errs.append(float(np.abs(a - num).max(initial=0.0) / scale))
+    return GradCheckReport(max_rel_err=max(errs), tol=tol, passed=max(errs) < tol)
 
 
 def count_cooccurrence(label_sets, num_labels):

@@ -23,7 +23,6 @@ from xmtc.tensor import (
     concat,
     dropout,
     gather_rows,
-    grad_check,
     matmul,
     mean,
     mul,
@@ -31,11 +30,10 @@ from xmtc.tensor import (
     reshape,
     sigmoid,
     spmm,
-    tensor_sum,
 )
 
 import oracles
-from oracles import conv1d_dilated, relu_dropout, split_columns
+from oracles import conv1d_dilated, grad_check, relu_dropout, split_columns, tensor_sum
 
 
 @contextmanager

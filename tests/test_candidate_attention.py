@@ -10,7 +10,7 @@ where BLAS blocks the smaller [K, n] products differently.
 import numpy as np
 import pytest
 
-from oracles import dense_batch_loss, dense_predict_scores
+from oracles import dense_batch_loss, dense_predict_scores, grad_check
 from xmtc import model as model_mod
 from xmtc.corpus import PAD_ID, DocumentRecord, build_vocab, encode_documents, preprocess
 from xmtc.encoder import EncoderConfig
@@ -19,7 +19,7 @@ from xmtc.graph import build_cooccurrence
 from xmtc.mask import DocMask, build_mask_index, make_doc_mask
 from xmtc.model import model_from_artifacts
 from xmtc.synth import generate, standard_spec
-from xmtc.tensor import GradTape, grad_check
+from xmtc.tensor import GradTape
 from xmtc.training import Adam, batch_loss, clip_global_norm
 
 TOL = 1e-12

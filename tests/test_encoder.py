@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xmtc import tensor
 from xmtc.encoder import (
     BlockParams,
     EncoderConfig,
@@ -11,10 +12,10 @@ from xmtc.encoder import (
     residual_block,
 )
 from xmtc.errors import ConfigError, DataError
-from xmtc.tensor import GradTape, Tensor, grad_check, mul, same_padding, tensor_sum
+from xmtc.tensor import GradTape, Tensor, mul, same_padding
 
-from oracles import (TwoFilterBlock, conv1d_dilated, dilated_stack, naive_conv1d,
-                     receptive_field, reference_encode, traced, two_filter_block,
+from oracles import (TwoFilterBlock, conv1d_dilated, dilated_stack, grad_check, naive_conv1d,
+                     receptive_field, reference_encode, tensor_sum, traced, two_filter_block,
                      unfused_residual_block)
 
 
@@ -237,7 +238,7 @@ class TestLocality:
 
 def _row(t, i):
     """Sum of one output row as a scalar tape target."""
-    from xmtc.tensor import gather_rows, tensor_sum
+    from xmtc.tensor import gather_rows
 
     return tensor_sum(gather_rows(t, [i]))
 
@@ -283,9 +284,26 @@ class TestLeanTape:
         for name, a, b in zip(names, got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
-    def test_tape_holds_under_two_activations_per_position(self):
-        """One block at K=9, d=100, n=400 in training mode.  What stays
-        alive is what a backward reads plus the returned output: the output,
+    @staticmethod
+    def _held():
+        """Bytes held after one training block at K=9, d=100, n=400, with
+        its output."""
+        n, d = 400, 100
+        rng = np.random.default_rng(19)
+        cfg = EncoderConfig(kernel_size=9, rates=(1, 2, 4), dropout=0.2)
+        table = Tensor(rng.standard_normal((50, d)), requires_grad=True)
+        blocks = [init_block_params(cfg, d, rng)]
+        tokens = rng.integers(0, 50, size=n)
+        with GradTape():
+            out, held, _ = traced(lambda: encode(tokens, table, blocks, cfg, train=True,
+                                                 rng=np.random.default_rng(0)))
+        assert out.shape == (n, d)
+        return held
+
+    def test_tape_holds_under_two_activations_per_position(self, monkeypatch):
+        """One block at K=9, d=100, n=400 in training mode, above the keep
+        limit (here 0 bytes).  What stays alive is what a backward reads
+        plus the returned output: the output,
         1 float64 [n, d] array, plus what the block node keeps to re-make it
         (its nonzeros, about 0.4 of an array) and two bit-packed masks, the
         embedding dropout's and the block's, about 1.45 arrays per
@@ -299,17 +317,19 @@ class TestLeanTape:
         breaks the bound of 2 arrays per position: the seven-node block
         (``oracles.seven_node_block``), which keeps the dense level-1
         input, holds about 2.46."""
+        monkeypatch.setattr(tensor, "KEEP_CHAIN_BYTES", 0)
         n, d = 400, 100
-        rng = np.random.default_rng(19)
-        cfg = EncoderConfig(kernel_size=9, rates=(1, 2, 4), dropout=0.2)
-        table = Tensor(rng.standard_normal((50, d)), requires_grad=True)
-        blocks = [init_block_params(cfg, d, rng)]
-        tokens = rng.integers(0, 50, size=n)
-        with GradTape():
-            out, held, _ = traced(lambda: encode(tokens, table, blocks, cfg, train=True,
-                                                 rng=np.random.default_rng(0)))
-        assert out.shape == (n, d)
+        held = self._held()
         assert held <= 2 * n * d * 8 + 64 * 1024, (held, held / (n * d * 8))
+
+    def test_tape_below_the_limit_also_holds_the_chain_inputs(self):
+        """The same block at the default limit keeps its two chain inputs,
+        2 * n * d * 8 bytes, for backward: the bound is the one above plus
+        exactly those."""
+        n, d, m = 400, 100, 2
+        assert m * n * d * 8 <= tensor.KEEP_CHAIN_BYTES
+        held = self._held()
+        assert held <= 2 * n * d * 8 + 64 * 1024 + m * n * d * 8, (held, held / (n * d * 8))
 
 
 class TestEncode:

@@ -27,7 +27,7 @@ from xmtc.graph import (
     save_graph,
 )
 from xmtc.model import model_from_artifacts
-from xmtc.tensor import GradTape, Tensor, grad_check, matmul, mul, spmm, tensor_sum
+from xmtc.tensor import GradTape, Tensor, matmul, mul, spmm
 
 from oracles import (
     conditional_prob_matrix,
@@ -35,6 +35,8 @@ from oracles import (
     dense_entries,
     dense_label_representations,
     dense_propagation,
+    grad_check,
+    tensor_sum,
 )
 
 

@@ -22,9 +22,9 @@ from xmtc.mask import (
     mask_stats,
     save_mask_index,
 )
-from xmtc.tensor import GradTape, Tensor, tensor_sum
+from xmtc.tensor import GradTape, Tensor
 
-from oracles import dense_row, recount_aux_tables
+from oracles import dense_row, recount_aux_tables, tensor_sum
 
 
 def doc(doc_id, labels, drg=(), cpt=(), drugs=()):

@@ -17,7 +17,6 @@ from xmtc.tensor import (
     dilated_block,
     dropout,
     gather_rows,
-    grad_check,
     logistic,
     matmul,
     mean,
@@ -28,19 +27,20 @@ from xmtc.tensor import (
     same_padding,
     sigmoid,
     spmm,
-    tensor_sum,
 )
 
 from oracles import (
     conv1d_dilated,
     conv1d_keeping_padded,
     four_node_attention,
+    grad_check,
     mul_dropout,
     naive_conv1d,
     numeric_gradient,
     relu_dropout,
     row_sums_add_at,
     split_columns,
+    tensor_sum,
     traced,
 )
 
