@@ -35,12 +35,13 @@ print("planted cliques:", spec.cliques)
 label_lists = [doc.label_ids(len(catalog)) for doc in train_docs]
 rows, cols, values = conditional_pairs(label_lists, label_lists, len(catalog))
 cond = dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))  # absent pairs: 0
+edges = set(zip(graph.rows.tolist(), graph.cols.tolist()))  # the graph keeps only these
 i, j = spec.cliques[0][0], spec.cliques[0][1]
 print(f"P({catalog.codes[j]} | {catalog.codes[i]}) = {cond.get((i, j), 0.0):.3f} "
-      f"-> edge {int(graph.adjacency[i, j])}")
+      f"-> edge {int((i, j) in edges)}")
 k = spec.cliques[1][0]
 print(f"P({catalog.codes[k]} | {catalog.codes[i]}) = {cond.get((i, k), 0.0):.3f} "
-      f"-> edge {int(graph.adjacency[i, k])}")
+      f"-> edge {int((i, k) in edges)}")
 
 print()
 print("=" * 60)

@@ -11,13 +11,12 @@ almost all zeros, so they are kept sparse.  ``conditional_pairs`` gives
 P(column | row) over the (row, column) pairs that occur, for the label
 graph here, for the auxiliary-code tables of ``mask`` and for the
 generator's rejection pass in ``synth``; the probabilities are numpy arrays
-over those pairs, and the graph keeps only its edges.  The descriptor average
-and the propagation matrix are CSR.  ``scipy.sparse`` is imported where a
-CSR is built, so building and saving a graph loads no scipy.  The
-adjacency is a dense bool [L, L] array, one byte per label pair (81 MB at
-L = 9,000).  It is not sparse yet, because the benchmark's graph counter
-(``perfbench/tracing.py``) reads it with ``np.trace``, which a scipy
-matrix does not support.
+over those pairs.  The graph keeps only its edges, as two int64 arrays in
+the order ``save_graph`` writes them, and no build, save, load or
+propagation makes an [L, L] array (a dense one would take 81 MB at
+L = 9,000).  The descriptor average and the propagation matrix are CSR.
+``scipy.sparse`` is imported where a CSR is built, so building and saving
+a graph loads no scipy.
 """
 
 from __future__ import annotations
@@ -42,26 +41,35 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class CooccurrenceGraph:
-    """Binary label-label adjacency.
+    """Binary label-label adjacency as its edge list.
 
-    ``adjacency`` is a dense bool [L, L] array, one byte per label pair, with
-    every diagonal entry set; why it is not sparse yet is in the module
-    docstring.
+    Edge k runs from label ``rows[k]`` to label ``cols[k]``.  The int64
+    arrays name each edge once, sorted by row, then column, which is the
+    order ``save_graph`` writes them; a built or loaded graph holds every
+    diagonal entry.
     """
 
-    adjacency: np.ndarray  # [L, L] bool
+    num_labels: int
+    rows: np.ndarray  # [E] int64
+    cols: np.ndarray  # [E] int64
     lam: float
-    pair_count: int  # 1-entries strictly above the diagonal
+    pair_count: int  # edges strictly above the diagonal
 
     @property
-    def num_labels(self) -> int:
-        return self.adjacency.shape[0]
+    def adjacency(self) -> np.ndarray:
+        """The edges as a dense bool [L, L] matrix, made anew on each read
+        (L² bytes).  It exists only for perfbench's traced edge counter,
+        which reads it with ``np.trace``, until ROADMAP item 10 removes
+        that pin; nothing in src reads it."""
+        adj = np.zeros((self.num_labels, self.num_labels), dtype=bool)
+        adj[self.rows, self.cols] = True
+        return adj
 
     @functools.cached_property
     def propagation(self) -> sp.csr_matrix:
         """The GCN's propagation matrix, computed on first use and kept, so
-        ``adjacency`` must not change after the first forward pass."""
-        return normalize_adjacency(self.adjacency)
+        the edges must not change after the first forward pass."""
+        return normalize_adjacency(self.num_labels, self.rows, self.cols)
 
 
 def conditional_pairs(row_lists, col_lists,
@@ -107,20 +115,31 @@ def build_cooccurrence(
     label_lists = [doc.label_ids(num_labels) for doc in train_docs]
     rows, cols, p = conditional_pairs(label_lists, label_lists, num_labels)
     edge = p >= lam
-    adj = np.zeros((num_labels, num_labels), dtype=bool)
-    adj[rows[edge], cols[edge]] = True
-    np.fill_diagonal(adj, True)
     pair_count = int(np.count_nonzero(edge & (rows < cols)))
-    return CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
+    # every label keeps its self loop, those never seen in training too
+    rows, cols = _edges(rows[edge], cols[edge], num_labels, with_loops=True)
+    return CooccurrenceGraph(num_labels, rows, cols, lam=lam, pair_count=pair_count)
+
+
+def _edges(rows, cols, num_labels: int, with_loops: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct edges among (rows[k], cols[k]), and every label's self
+    loop if ``with_loops``, as int64 (rows, cols) sorted by row, then
+    column.  Each edge is keyed row * L + col, and the keys are deduped by
+    a sort and a neighbour test, not a plain ``np.unique``, which imports
+    ``numpy.ma`` (about 15 ms per process) in numpy 2."""
+    keys = np.asarray(rows, dtype=np.int64) * num_labels + np.asarray(cols, dtype=np.int64)
+    if with_loops:
+        keys = np.concatenate([keys, np.arange(num_labels, dtype=np.int64) * (num_labels + 1)])
+    keys = np.sort(keys)
+    return np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_labels)
 
 
 def save_graph(graph: CooccurrenceGraph, path) -> None:
-    """Write the adjacency as a sorted coordinate list."""
+    """Write the edges as a sorted coordinate list."""
     with open(path, "w") as fh:
         fh.write("# xmtc-graph v1\n")
         fh.write(f"{graph.num_labels} {float(graph.lam)!r} {graph.pair_count}\n")
-        rows, cols = np.nonzero(graph.adjacency)
-        for i, j in zip(rows.tolist(), cols.tolist()):
+        for i, j in zip(graph.rows.tolist(), graph.cols.tolist()):
             fh.write(f"{i} {j}\n")
 
 
@@ -143,8 +162,7 @@ def load_graph(path, num_labels: int) -> CooccurrenceGraph:
         raise DataError(f"{path}:{first}: malformed graph header {lines[0]!r}") from None
     if found != num_labels:
         raise DataError(f"{path}:{first}: graph has {found} labels, the catalog has {num_labels}")
-    adj = np.zeros((num_labels, num_labels), dtype=bool)
-    upper = 0  # distinct coordinates strictly above the diagonal
+    rows, cols = [], []  # one entry per coordinate line, repeats included
     for ln, line in enumerate(lines[1:], start=first + 1):
         try:
             i, j = (int(x) for x in line.split())
@@ -152,15 +170,17 @@ def load_graph(path, num_labels: int) -> CooccurrenceGraph:
             raise DataError(f"{path}:{ln}: malformed coordinate line {line!r}") from None
         if not (0 <= i < num_labels and 0 <= j < num_labels):
             raise DataError(f"{path}:{ln}: coordinate {line!r} outside {num_labels} labels")
-        upper += i < j and not adj[i, j]
-        adj[i, j] = True
-    missing = np.flatnonzero(~adj.diagonal())
+        rows.append(i)
+        cols.append(j)
+    rows, cols = _edges(rows, cols, num_labels)
+    has_loop = np.zeros(num_labels, dtype=bool)
+    has_loop[rows[rows == cols]] = True
+    missing = np.flatnonzero(~has_loop)
     if missing.size:
         raise DataError(f"{path}: no diagonal line for label {missing[0]}")
-    graph = CooccurrenceGraph(adjacency=adj, lam=lam, pair_count=pair_count)
-    if upper != pair_count:
+    if np.count_nonzero(rows < cols) != pair_count:
         raise DataError(f"{path}: pair count does not match stored coordinates")
-    return graph
+    return CooccurrenceGraph(num_labels, rows, cols, lam=lam, pair_count=pair_count)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +234,20 @@ def init_gcn_params(dim: int, rng: np.random.Generator) -> GcnParams:
     return GcnParams(w1=weight("gcn.w1"), w2=weight("gcn.w2"))
 
 
-def normalize_adjacency(adjacency: np.ndarray) -> sp.csr_matrix:
-    """Propagation matrix D^-1 (A + I) for the GCN, as CSR: add a self loop
-    and row-normalize, which keeps activation scale independent of node
-    degree."""
+def normalize_adjacency(num_labels: int, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """Propagation matrix D^-1 (A + I) for the GCN, as CSR, from the edges
+    (rows, cols) of A: add a self loop and row-normalize, which keeps
+    activation scale independent of node degree.  A stored diagonal entry
+    and its self loop sum to 2, as in a dense A + I."""
     import scipy.sparse as sp
 
-    a = sp.csr_matrix(adjacency, dtype=np.float64) + sp.identity(adjacency.shape[0], format="csr")
-    a.data /= np.repeat(np.asarray(a.sum(axis=1)).ravel(), np.diff(a.indptr))
-    return a
+    stored = np.zeros(num_labels)  # 1.0 where A holds the label's self loop
+    stored[rows[rows == cols]] = 1.0
+    rows, cols = _edges(rows, cols, num_labels, with_loops=True)
+    data = np.where(rows == cols, 1.0 + stored[rows], 1.0)
+    data /= np.bincount(rows, weights=data, minlength=num_labels)[rows]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=num_labels))])
+    return sp.csr_matrix((data, cols, indptr), shape=(num_labels, num_labels))
 
 
 def gcn_forward(graph: CooccurrenceGraph, features: Tensor, params: GcnParams) -> Tensor:

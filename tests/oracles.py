@@ -810,6 +810,27 @@ def dense_descriptor_matrix(catalog, vocab):
     return s
 
 
+def graph_from_dense(adjacency, lam=1.0, pair_count=0):
+    """A ``CooccurrenceGraph`` whose edges are the nonzeros of a dense [L, L]
+    0/1 matrix, in ``save_graph``'s order; its diagonal is taken as given."""
+    from xmtc.graph import CooccurrenceGraph
+
+    rows, cols = np.nonzero(adjacency)
+    return CooccurrenceGraph(adjacency.shape[0], rows, cols, lam=lam, pair_count=pair_count)
+
+
+def csr_propagation(adjacency):
+    """The GCN propagation matrix D^-1 (A + I) built from a dense [L, L]
+    matrix: scipy's CSR sum of A and I, each row divided by its sum.  The
+    edge-list construction must give its indptr, indices and data bit for
+    bit."""
+    import scipy.sparse as sp
+
+    a = sp.csr_matrix(adjacency, dtype=np.float64) + sp.identity(adjacency.shape[0], format="csr")
+    a.data /= np.repeat(np.asarray(a.sum(axis=1)).ravel(), np.diff(a.indptr))
+    return a
+
+
 def dense_propagation(adjacency):
     """The GCN propagation matrix (A + I) / rowsum as a dense array."""
     a = adjacency + np.eye(adjacency.shape[0])

@@ -108,7 +108,7 @@ def model_toy(seed):
     cfg = EncoderConfig(kernel_size=3, rates=(1, 2), dropout=0.0)
     adj = (rng.random((l, l)) < 0.2).astype(float)
     np.fill_diagonal(adj, 1.0)
-    g = graph.CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=0)
+    g = oracles.graph_from_dense(adj)
     s = np.abs(rng.standard_normal((l, v))) / v
     tokens = list(rng.integers(1, v, size=n))
     gold = (rng.random(l) < 0.3).astype(float)
@@ -272,7 +272,7 @@ def test_criterion_2_shapes_and_padding_invariance():
         # appending PAD tokens must not move any probability
         l, v = 12, 30
         adj = np.eye(l)
-        g = graph.CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=0)
+        g = oracles.graph_from_dense(adj)
         catalog = corpus.LabelCatalog([f"c{i}" for i in range(l)], ["x"] * l)
         vocab_tokens = [f"tok{chr(97 + i)}" for i in range(v - 2)]
         vocab = corpus.Vocabulary(vocab_tokens)
@@ -324,12 +324,13 @@ def test_criterion_3_graph_oracle():
             expect = np.where(cond >= lam, 1.0, 0.0)
             expect[~seen] = 0.0
             np.fill_diagonal(expect, 1.0)
-            np.testing.assert_array_equal(g.adjacency, expect)
+            adjacency = g.adjacency
+            np.testing.assert_array_equal(adjacency, expect)
 
             if lam == 1.0:
                 for i in range(num_labels):
                     for j in range(num_labels):
-                        if i != j and g.adjacency[i, j] == 1.0 and seen[i]:
+                        if i != j and adjacency[i, j] == 1.0 and seen[i]:
                             assert not any(i in s and j not in s for s in label_sets), (
                                 f"uncertified edge ({i}->{j}) in trial {trial}"
                             )
@@ -345,6 +346,7 @@ def test_criterion_3_graph_oracle():
         features = rng.standard_normal((10, 6))
         params = graph.init_gcn_params(6, rng)
         h_base = graph.gcn_forward(base, Tensor(features), params).data
+        base_adjacency = base.adjacency
         for _ in range(50):
             perm = rng.permutation(10)
             inverse = np.argsort(perm)
@@ -354,7 +356,7 @@ def test_criterion_3_graph_oracle():
                 for d in docs
             ]
             g_perm = graph.build_cooccurrence(permuted_docs, 10, lam=1.0)
-            np.testing.assert_array_equal(g_perm.adjacency, base.adjacency[np.ix_(perm, perm)])
+            np.testing.assert_array_equal(g_perm.adjacency, base_adjacency[np.ix_(perm, perm)])
             h_perm = graph.gcn_forward(g_perm, Tensor(features[perm]), params).data
             np.testing.assert_allclose(h_perm, h_base[perm], atol=1e-10)
 

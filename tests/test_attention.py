@@ -15,19 +15,18 @@ from xmtc.attention import (
 from xmtc.corpus import PAD_ID, LabelCatalog, Vocabulary
 from xmtc.encoder import EncoderConfig
 from xmtc.errors import DataError, ShapeError
-from xmtc.graph import CooccurrenceGraph
 from xmtc.mask import DocMask
 from xmtc.model import model_from_artifacts
 from xmtc.tensor import Tensor, bce_loss
 
-from oracles import grad_check
+from oracles import grad_check, graph_from_dense
 
 
 def _padding_model(num_labels=6, vocab_size=20, dim=4):
     """A small untrained model; PAD is handled where a document enters it."""
     catalog = LabelCatalog([f"c{i}" for i in range(num_labels)], ["x"] * num_labels)
     vocab = Vocabulary([f"tok{chr(97 + i)}" for i in range(vocab_size - 2)])
-    graph = CooccurrenceGraph(adjacency=np.eye(num_labels), lam=1.0, pair_count=0)
+    graph = graph_from_dense(np.eye(num_labels))
     return model_from_artifacts(
         vocab, catalog, graph, dim=dim,
         encoder_config=EncoderConfig(kernel_size=3, rates=(1, 2), dropout=0.0), seed=1,

@@ -1039,6 +1039,35 @@ class TestNumericEnvironment:
                 assert (work1 / name).read_bytes() == (work2 / name).read_bytes(), name
 
 
+def test_pipeline_reads_no_dense_adjacency(tmp_path, monkeypatch):
+    """The criterion-8 pipeline, with ``predict --attention-out`` and
+    ``ablate``, runs with ``CooccurrenceGraph.adjacency`` made to raise: no
+    stage makes the dense [L, L] view of the label graph."""
+    def refuse(self):
+        raise AssertionError("a stage read the dense adjacency view")
+
+    monkeypatch.setattr(graph.CooccurrenceGraph, "adjacency", property(refuse))
+    data, work, cfg = tmp_path / "data", tmp_path / "work", tmp_path / "run.cfg"
+    cfg.write_text(
+        "embedding_size = 32\nfilter_size = 3\ndilation_rates = 1,2\n"
+        "dropout = 0.1\nlearning_rate = 0.003\nbatch_size = 8\nmax_epochs = 2\n"
+        "prediction_threshold = 0.4\ntau = 0.3\nseed = 9\nmin_count = 1\n"
+        "skipgram_epochs = 1\n"
+    )
+    assert main(["gen-synthetic", "--workdir", str(data), "--labels", "20",
+                 "--docs", "120", "--seed", "9"]) == 0
+    base = ["--workdir", str(work), "--config", str(cfg)]
+    assert main(["preprocess", *base, "--train", str(data / "train.jsonl"),
+                 "--val", str(data / "val.jsonl"), "--test", str(data / "test.jsonl"),
+                 "--catalog", str(data / "raw_catalog.tsv")]) == 0
+    for stage in (["build-graph"], ["build-mask"], ["train"], ["evaluate", "--split", "test"],
+                  ["predict", "--input", str(data / "test.jsonl"),
+                   "--attention-out", str(work / "heat.jsonl")],
+                  ["ablate"]):
+        assert main([stage[0], *base, *stage[1:]]) == 0, stage[0]
+    assert (work / "ablation.json").exists()
+
+
 class TestStartup:
     """Importing scipy.sparse costs about 0.3 s, paid by every CLI process
     that loads it; only the stages that multiply a sparse matrix may."""

@@ -14,9 +14,9 @@ from xmtc.encoder import (
 from xmtc.errors import ConfigError, DataError
 from xmtc.tensor import GradTape, Tensor, mul, same_padding
 
-from oracles import (TwoFilterBlock, conv1d_dilated, dilated_stack, grad_check, naive_conv1d,
-                     receptive_field, reference_encode, tensor_sum, traced, two_filter_block,
-                     unfused_residual_block)
+from oracles import (TwoFilterBlock, conv1d_dilated, dilated_stack, grad_check, graph_from_dense,
+                     naive_conv1d, receptive_field, reference_encode, tensor_sum, traced,
+                     two_filter_block, unfused_residual_block)
 
 
 def delta_filter(k, dim):
@@ -402,14 +402,13 @@ class TestInitialDraws:
         two-filter layout did, from one rng after the embedding table: level
         0's, the later levels', then the residual's.  ``level0_residual`` is
         the first and the last side by side, bit for bit."""
-        from xmtc import corpus, graph, model
+        from xmtc import corpus, model
 
         cfg = EncoderConfig(kernel_size=5, rates=(1, 2, 4), num_blocks=2, dropout=0.0)
         dim, labels = 4, 3
         vocab = corpus.Vocabulary([f"tok{c}" for c in "abcdef"])
         catalog = corpus.LabelCatalog([f"c{i}" for i in range(labels)], ["toka"] * labels)
-        g = graph.CooccurrenceGraph(adjacency=np.eye(labels, dtype=bool), lam=1.0,
-                                    pair_count=0)
+        g = graph_from_dense(np.eye(labels, dtype=bool))
         m = model.model_from_artifacts(vocab, catalog, g, dim=dim, encoder_config=cfg, seed=11)
 
         rng = np.random.default_rng(11)

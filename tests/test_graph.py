@@ -15,7 +15,6 @@ from xmtc import graph as graph_module
 from xmtc.encoder import EncoderConfig
 from xmtc.errors import DataError, ShapeError
 from xmtc.graph import (
-    CooccurrenceGraph,
     GcnParams,
     build_cooccurrence,
     conditional_pairs,
@@ -23,7 +22,6 @@ from xmtc.graph import (
     gcn_forward,
     init_gcn_params,
     load_graph,
-    normalize_adjacency,
     save_graph,
 )
 from xmtc.model import model_from_artifacts
@@ -31,11 +29,13 @@ from xmtc.tensor import GradTape, Tensor, matmul, mul, spmm
 
 from oracles import (
     conditional_prob_matrix,
+    csr_propagation,
     dense_descriptor_matrix,
     dense_entries,
     dense_label_representations,
     dense_propagation,
     grad_check,
+    graph_from_dense,
     tensor_sum,
 )
 
@@ -101,9 +101,10 @@ class TestBuildCooccurrence:
             for _ in range(40)
         ]
         g = build_cooccurrence(docs_from_label_sets(label_sets), 6, lam=1.0)
+        adjacency = g.adjacency
         for i in range(6):
             for j in range(6):
-                if i != j and g.adjacency[i, j] == 1.0:
+                if i != j and adjacency[i, j] == 1.0:
                     assert not any(i in s and j not in s for s in label_sets)
 
     def test_label_outside_catalog(self):
@@ -241,7 +242,7 @@ class TestLabelFeatures:
 
 class TestGcn:
     def test_identity_propagation(self):
-        g = CooccurrenceGraph(adjacency=np.eye(3), lam=1.0, pair_count=0)
+        g = graph_from_dense(np.eye(3))
         v = Tensor(np.abs(np.random.default_rng(0).standard_normal((3, 4))))
         params = GcnParams(w1=Tensor(np.eye(4)), w2=Tensor(np.eye(4)))
         out = gcn_forward(g, v, params)
@@ -250,21 +251,21 @@ class TestGcn:
     def test_one_layer_path_graph_matches_dense_oracle(self):
         # 3-node path, both layers checked by direct arithmetic
         adj = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-        g = CooccurrenceGraph(adjacency=adj, lam=0.0, pair_count=2)
+        g = graph_from_dense(adj, lam=0.0, pair_count=2)
         rng = np.random.default_rng(5)
         v = rng.standard_normal((3, 2))
         w1 = rng.standard_normal((2, 2))
         w2 = rng.standard_normal((2, 2))
         params = GcnParams(w1=Tensor(w1), w2=Tensor(w2))
         out = gcn_forward(g, Tensor(v), params)
-        a_hat = normalize_adjacency(adj)
+        a_hat = csr_propagation(adj)
         h1 = np.maximum(a_hat @ v @ w1, 0.0)
         expect = a_hat @ h1 @ w2
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_self_loop_row_norm(self):
         adj = np.array([[1.0, 1.0], [0.0, 1.0]])
-        norm = normalize_adjacency(adj).toarray()
+        norm = graph_from_dense(adj).propagation.toarray()
         np.testing.assert_allclose(norm.sum(axis=1), 1.0)
         np.testing.assert_allclose(norm[0], [2 / 3, 1 / 3])
 
@@ -276,18 +277,18 @@ class TestGcn:
             np.fill_diagonal(adj, 1.0)
             v = rng.standard_normal((n, 3))
             params = init_gcn_params(3, rng)
-            g = CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=0)
+            g = graph_from_dense(adj)
             base = gcn_forward(g, Tensor(v), params).data
 
             perm = rng.permutation(n)
-            g_p = CooccurrenceGraph(adjacency=adj[np.ix_(perm, perm)], lam=1.0, pair_count=0)
+            g_p = graph_from_dense(adj[np.ix_(perm, perm)])
             permuted = gcn_forward(g_p, Tensor(v[perm]), params).data
             np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
 
     def test_gradients_through_both_layers_and_features(self):
         rng = np.random.default_rng(41)
         adj = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-        g = CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=2)
+        g = graph_from_dense(adj, pair_count=2)
         table = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
         s = np.abs(rng.standard_normal((3, 6)))
         params = init_gcn_params(3, rng)
@@ -300,7 +301,7 @@ class TestGcn:
         assert report.passed, report
 
     def test_feature_row_mismatch(self):
-        g = CooccurrenceGraph(adjacency=np.eye(2), lam=1.0, pair_count=0)
+        g = graph_from_dense(np.eye(2))
         params = GcnParams(w1=Tensor(np.eye(3)), w2=Tensor(np.eye(3)))
         with pytest.raises(ShapeError):
             gcn_forward(g, Tensor(np.ones((5, 3))), params)
@@ -311,7 +312,7 @@ class TestPropagationCache:
         catalog = LabelCatalog(["a", "b", "c"], ["alpha beta", "beta", "gamma"])
         vocab = build_vocab([["alpha", "beta", "gamma"]], min_count=1)
         adj = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        g = CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=1)
+        g = graph_from_dense(adj, pair_count=1)
         return model_from_artifacts(vocab, catalog, g, dim=4, variant=variant,
                                     encoder_config=EncoderConfig(kernel_size=3, rates=(1,)))
 
@@ -319,9 +320,9 @@ class TestPropagationCache:
         calls = []
         real = graph_module.normalize_adjacency
 
-        def counting(adjacency):
+        def counting(*edges):
             calls.append(1)
-            return real(adjacency)
+            return real(*edges)
 
         monkeypatch.setattr(graph_module, "normalize_adjacency", counting)
         return calls
@@ -335,7 +336,7 @@ class TestPropagationCache:
         assert len(calls) == 1
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(m.graph.propagation.toarray(),
-                                      normalize_adjacency(m.graph.adjacency).toarray())
+                                      csr_propagation(m.graph.adjacency).toarray())
 
     def test_no_label_feature_never_normalizes(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
@@ -374,7 +375,7 @@ class TestSparseLabelSide:
             adj = self._adjacency(9, seed)
             if seed == 2:
                 adj[4, 4] = 0.0  # a node without a stored self loop
-            a_hat = CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=0).propagation
+            a_hat = graph_from_dense(adj).propagation
             assert sp.isspmatrix_csr(a_hat)
             assert np.array_equal(a_hat.toarray(), dense_propagation(adj))
 
@@ -383,8 +384,8 @@ class TestSparseLabelSide:
         adj = rng.random((40, 40)) < 0.1
         np.fill_diagonal(adj, True)
         adj[[3, 21, 39]] = False  # labels whose rows are empty, self loop included
-        got = normalize_adjacency(adj)
-        ref = normalize_adjacency(adj.astype(np.float64))
+        got = graph_from_dense(adj).propagation
+        ref = csr_propagation(adj.astype(np.float64))
         for part in ("indptr", "indices", "data"):
             a, b = getattr(got, part), getattr(ref, part)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
@@ -392,8 +393,7 @@ class TestSparseLabelSide:
 
     def test_label_representations_and_gradients_match_dense_oracle(self):
         vocab, catalog = self._catalog()
-        g = CooccurrenceGraph(adjacency=self._adjacency(len(catalog), 11), lam=1.0,
-                              pair_count=0)
+        g = graph_from_dense(self._adjacency(len(catalog), 11))
         m = model_from_artifacts(vocab, catalog, g, dim=5, seed=3,
                                  encoder_config=EncoderConfig(kernel_size=3, rates=(1,)))
         probe = Tensor(np.random.default_rng(4).standard_normal((len(catalog), 5)))
@@ -423,10 +423,82 @@ class TestSparseLabelSide:
         rng = np.random.default_rng(8)
         adj[rng.integers(0, num_labels, 2000), rng.integers(0, num_labels, 2000)] = 1.0
         edges = int(adj.sum() - np.trace(adj))
-        g = CooccurrenceGraph(adjacency=adj, lam=1.0, pair_count=0)
+        g = graph_from_dense(adj)
         m = model_from_artifacts(vocab, catalog, g, dim=4,
                                  encoder_config=EncoderConfig(kernel_size=3, rates=(1,)))
         assert m.label_representations().shape == (num_labels, 4)
         distinct = sum(len(set(d.split())) for d in descriptors)
         assert sp.issparse(m.feature_matrix) and m.feature_matrix.nnz == distinct
         assert sp.issparse(g.propagation) and g.propagation.nnz == edges + num_labels
+
+
+class TestEdgeList:
+    """The graph keeps its edges only; its propagation and its dense view
+    are those the dense [L, L] adjacency gave."""
+
+    def _label_sets(self, seed, num_labels=30, n_docs=80):
+        rng = np.random.default_rng(seed)
+        return [set(rng.choice(num_labels, size=int(rng.integers(1, 6)), replace=False).tolist())
+                for _ in range(n_docs)]
+
+    def _graph(self, kind, tmp_path):
+        if kind in ("built", "loaded"):
+            g = build_cooccurrence(docs_from_label_sets(self._label_sets(5)), 30, lam=0.5)
+            if kind == "loaded":
+                save_graph(g, tmp_path / "graph.txt")
+                g = load_graph(tmp_path / "graph.txt", 30)
+            return g
+        rng = np.random.default_rng(6)
+        adj = rng.random((30, 30)) < 0.15
+        adj[[4, 17]] = False  # rows with no entry at all
+        np.fill_diagonal(adj, False)
+        if kind == "dense_half_diagonal":
+            adj[np.arange(0, 30, 2), np.arange(0, 30, 2)] = True
+        return graph_from_dense(adj)
+
+    @pytest.mark.parametrize("kind", ["built", "loaded", "dense_without_diagonal",
+                                      "dense_half_diagonal"])
+    def test_propagation_bytes_equal_to_csr_sum(self, tmp_path, kind):
+        """A dense matrix with its diagonal is
+        ``TestSparseLabelSide.test_bool_adjacency_propagation_bit_equal_to_float64``."""
+        g = self._graph(kind, tmp_path)
+        loops = np.count_nonzero(g.rows == g.cols)
+        assert loops == {"dense_without_diagonal": 0, "dense_half_diagonal": 15}.get(kind, 30)
+        got, ref = g.propagation, csr_propagation(g.adjacency)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(ref, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+    def test_edges_sorted_distinct_with_every_diagonal(self, tmp_path):
+        g = self._graph("built", tmp_path)
+        assert g.rows.dtype == g.cols.dtype == np.int64
+        assert (np.diff(g.rows * g.num_labels + g.cols) > 0).all()
+        assert np.array_equal(g.rows[g.rows == g.cols], np.arange(g.num_labels))
+
+    def test_load_sorts_and_merges_repeated_lines(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("# xmtc-graph v1\n3 1.0 1\n2 2\n0 1\n1 1\n0 0\n0 1\n")
+        g = load_graph(path, 3)
+        assert g.rows.tolist() == [0, 0, 1, 2] and g.cols.tolist() == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_dense_view_and_its_edge_count(self, lam):
+        """The view is the bool matrix the dense build made, and
+        ``sum - trace`` over it (perfbench's ``graph.edges``) is the
+        brute-force count of off-diagonal edges."""
+        label_sets = self._label_sets(7, n_docs=25)
+        g = build_cooccurrence(docs_from_label_sets(label_sets), 30, lam=lam)
+        adjacency = g.adjacency
+        assert adjacency.dtype == bool and adjacency.shape == (30, 30)
+        cond = conditional_prob_matrix(label_sets, 30)
+        seen = [any(i in s for s in label_sets) for i in range(30)]
+        expect = np.eye(30, dtype=bool)
+        brute = 0
+        for i in range(30):
+            for j in range(30):
+                if seen[i] and cond[i, j] >= lam:
+                    expect[i, j] = True
+                    brute += i != j
+        np.testing.assert_array_equal(adjacency, expect)
+        assert brute > 0
+        assert int(adjacency.sum() - np.trace(adjacency)) == brute

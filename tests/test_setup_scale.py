@@ -1,17 +1,18 @@
 """Memory guards for the set-up counting at paper scale.
 
 At L = 3,000 labels the co-occurrence and candidate-mask statistics are
-almost all zeros.  The builders count them sparse, so the only [L, L] array
-a build may allocate is the bool adjacency itself, one byte per label pair,
-and the mask index holds its nonzeros only.
+almost all zeros.  The builders count them sparse: the label graph is an
+edge list that no build, save, load or propagation turns into an [L, L]
+array, and the mask index holds its nonzeros only.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse  # noqa: F401  loaded before tracing, so its import is not counted
 
 from xmtc.corpus import DocumentRecord
 from xmtc.errors import DataError
-from xmtc.graph import build_cooccurrence
+from xmtc.graph import build_cooccurrence, load_graph, save_graph
 from xmtc.mask import build_mask_index
 
 from oracles import traced
@@ -48,12 +49,20 @@ def test_mask_index_holds_its_nonzeros_only(docs):
     assert held < 10 * 2**20, f"mask index holds {held / 2**20:.1f} MB"
 
 
-def test_cooccurrence_peak_is_the_adjacency(docs):
+def test_graph_round_trip_peaks_below_one_byte_per_label_pair(docs, tmp_path):
+    """Building, saving, loading and propagating the graph peak below L²
+    bytes, so none of them allocates a dense [L, L] bool array, or any
+    other block that large."""
     pairs = NUM_LABELS * NUM_LABELS
-    graph, _, peak = traced(lambda: build_cooccurrence(docs, NUM_LABELS))
-    assert graph.adjacency.shape == (NUM_LABELS, NUM_LABELS)
-    assert graph.adjacency.dtype == bool
-    assert peak < 1.5 * pairs, f"build peaked at {peak / pairs:.2f} bytes per label pair"
+    path = tmp_path / "graph.txt"
+
+    def round_trip():
+        save_graph(build_cooccurrence(docs, NUM_LABELS), path)
+        return load_graph(path, NUM_LABELS).propagation
+
+    a_hat, _, peak = traced(round_trip)
+    assert a_hat.shape == (NUM_LABELS, NUM_LABELS)
+    assert peak < pairs, f"graph round trip peaked at {peak / pairs:.2f} bytes per label pair"
 
 
 @pytest.mark.parametrize("build", [build_cooccurrence, build_mask_index],

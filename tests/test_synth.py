@@ -68,11 +68,12 @@ class TestPlantedStructure:
         seen = set()
         for r in records:
             seen |= r.labels
+        adjacency = g.adjacency
         found = {
             (i, j)
             for i in range(spec.num_labels)
             for j in range(spec.num_labels)
-            if i != j and g.adjacency[i, j] == 1.0
+            if i != j and adjacency[i, j] == 1.0
         }
         assert found == {(i, j) for (i, j) in planted if i in seen}
 
