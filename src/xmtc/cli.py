@@ -40,7 +40,7 @@ from . import attention, corpus, embeddings, graph, mask, model, synth, training
 from .config import check_variants, config_hash, load_run_config
 from .errors import (ConfigError, DataError, DivergenceError, StalenessError, XmtcError,
                      read_text)
-from .metrics import micro_macro_f1, top_k_labels
+from .metrics import top_k_labels
 
 logger = logging.getLogger(__name__)
 
@@ -325,29 +325,13 @@ def cmd_train(args) -> None:
           f"val micro-F1 {result.best_val_micro_f1:.4f}")
 
 
-def _log_gating_split(gold, scores, masks, threshold: float) -> None:
-    """One line: micro-F1 over the documents whose mask gated their scores
-    and over those whose empty mask suspended gating, with their counts,
-    so that the hard-gating rule is read apart from the blend."""
-    suspended = np.array([doc_mask.empty for doc_mask in masks], dtype=bool)
-    parts = []
-    for name, rows in (("gated", ~suspended), ("suspended", suspended)):
-        f1 = micro_macro_f1(gold[rows], scores[rows] >= threshold)[0] if rows.any() else None
-        parts.append(f"{name} {int(rows.sum())} docs, micro-F1 "
-                     + ("n/a" if f1 is None else f"{f1:.4f}"))
-    logger.info("evaluate: %s", "; ".join(parts))
-
-
 def cmd_evaluate(args) -> None:
     stage = _Stage(args)
     m, catalog, vocab, index = _restore_model(stage)
     [docs] = stage.splits(vocab, catalog, args.split)
-    masks = training.doc_masks(docs, m, index)
-    gold, scores = training.collect_scores(docs, m, masks)
-    threshold = stage.cfg.prediction_threshold
-    report = training.compute_metrics(gold, scores, threshold, ks=stage.cfg.p_at_k,
-                                      label_codes=catalog.codes)
-    _log_gating_split(gold, scores, masks, threshold)
+    report = training.evaluate(docs, m, training.doc_masks(docs, m, index),
+                               stage.cfg.prediction_threshold, ks=stage.cfg.p_at_k,
+                               label_codes=catalog.codes)
     metrics_path = stage.workdir / ARTIFACTS["metrics"]
     metrics_path.write_text(report.to_json() + "\n")
     per_label_path = stage.workdir / ARTIFACTS["per_label"]

@@ -15,6 +15,7 @@ from .errors import DataError, read_text
 from .tensor import logistic, row_sums
 
 DEFAULT_DIM = 100
+SKIPGRAM_LR = 0.025  # the first SGD step; it decays linearly, floored at 1e-4 of it
 
 
 def _subsample_pairs(tokens: np.ndarray, window: int, rng: np.random.Generator):
@@ -39,7 +40,6 @@ def train_skipgram(
     negatives: int = 5,
     epochs: int = 5,
     seed: int = 0,
-    lr: float = 0.025,
 ) -> np.ndarray:
     """Skip-gram with negative sampling over id-encoded documents; returns
     the [V, d] input-vector matrix with a zero PAD row.
@@ -75,7 +75,7 @@ def train_skipgram(
             step += 1
             if centers.size == 0:
                 continue
-            cur_lr = max(lr * (1.0 - step / steps_total), lr * 1e-4)
+            cur_lr = max(SKIPGRAM_LR * (1.0 - step / steps_total), SKIPGRAM_LR * 1e-4)
 
             n_pairs = centers.size
             neg = np.searchsorted(noise_cdf, rng.random((n_pairs, negatives)))

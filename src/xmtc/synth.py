@@ -286,7 +286,9 @@ def _accidental_sources(label_sets, spec: GeneratorSpec) -> list[int]:
     group = np.arange(spec.num_labels)  # a clique's members share its first one's id
     for clique in spec.cliques:
         group[list(clique)] = clique[0]
-    return np.unique(rows[(p >= 1.0) & (group[rows] != group[cols])]).tolist()
+    # bincount, not np.unique, whose numpy 2 hash path imports numpy.ma
+    sources = rows[(p >= 1.0) & (group[rows] != group[cols])]
+    return np.flatnonzero(np.bincount(sources, minlength=spec.num_labels)).tolist()
 
 
 def _ground_truth(docs, label_sets, spec: GeneratorSpec, factory: _DocFactory) -> GroundTruth:

@@ -31,10 +31,13 @@ four level-sized products the forward ran, the fused one counting twice),
 one block at a time, so the re-made arrays live only while that block's
 gradients form.  Kept or re-made, they have the same bits.
 ``attend`` keeps no weights: its backward re-derives the scores and the
-softmax from its queries and keys.  The replay consumes the tape: each node
-is dropped, with its output's gradient and the arrays its closure holds, as
-soon as it has run, so after ``backward`` only the leaves (the parameters)
-hold a gradient.
+softmax from its queries and keys.  Either fused node's backward is the
+chain rule on plain arrays: it computes every gradient, each
+intermediate's what its own cell would hold, and ``_accumulate`` drops
+those no cell requires.  The replay consumes the tape: each node is
+dropped, with its output's gradient and the arrays its closure holds, as
+soon as it has run, so after ``backward`` only the leaves (the
+parameters) hold a gradient.
 """
 
 from __future__ import annotations
@@ -345,26 +348,23 @@ def conv_product(x: np.ndarray, filters: np.ndarray, dilation: int) -> np.ndarra
 
 
 def conv_backward(g: np.ndarray, x, filters: np.ndarray, dilation: int,
-                  xc: GradCell, fc: GradCell) -> None:
+                  fc: GradCell) -> np.ndarray:
     """The gradients of ``conv_product`` for its output's gradient ``g``:
-    the filters' into ``fc`` and the input's into ``xc``, each only where
-    the cell requires one.  ``x`` is a function that returns the input
-    array; only the filter gradient calls it, to build the window buffer
-    again, and holds what it returns no longer than that."""
+    sums the filters' into ``fc`` (``_accumulate`` drops it where ``fc``
+    requires none) and returns the input's.  ``x`` is a function that
+    returns the input array; the filter gradient calls it to build the
+    window buffer again and holds what it returns no longer than that."""
     k, d_in, d_out = filters.shape
     n = g.shape[0]
-    if fc.requires_grad:
-        windows = _windows(_padded(x(), k, dilation), k, dilation, n)
-        _accumulate(fc, (windows.T @ g).reshape(k, d_in, d_out))
-        del windows
-    if xc.requires_grad:
-        padding = same_padding(k, dilation)
-        gwin = (g @ filters.reshape(k * d_in, d_out).T).reshape(n, k, d_in)
-        gxp = np.zeros((n + 2 * padding, d_in))
-        for j in range(k):
-            gxp[j * dilation : j * dilation + n] += gwin[:, j, :]
-        del gwin
-        _accumulate(xc, gxp[padding : padding + n, :])
+    windows = _windows(_padded(x(), k, dilation), k, dilation, n)
+    _accumulate(fc, (windows.T @ g).reshape(k, d_in, d_out))
+    del windows
+    padding = same_padding(k, dilation)
+    gwin = (g @ filters.reshape(k * d_in, d_out).T).reshape(n, k, d_in)
+    gxp = np.zeros((n + 2 * padding, d_in))
+    for j in range(k):
+        gxp[j * dilation : j * dilation + n] += gwin[:, j, :]
+    return gxp[padding : padding + n]
 
 
 def dilated_block(x: Tensor, level0_residual: Tensor, levels, rates, keep=None,
@@ -388,16 +388,16 @@ def dilated_block(x: Tensor, level0_residual: Tensor, levels, rates, keep=None,
     output takes the residual in place), it keeps while they take at most
     ``KEEP_CHAIN_BYTES``; above that its backward re-makes the fused
     product and them from ``x``'s rebuild, with the same bits.  An
-    unrecorded block keeps nothing.  The backward holds each chain input
-    only until ``conv_backward`` has read it, and forms the gradients that
-    the per-op block's seven nodes would (the fused convolution, the two
-    column halves, the chain's convolutions, the sum and relu with
-    dropout), in their order and through ``conv_backward``, each
-    intermediate summed into zeros as its own cell would be: the bits are
-    theirs.  Where the output is positive, relu and dropout pass ``g *
-    scale``; elsewhere the pair gives a zero of either sign (NaN where
-    ``g`` is not finite), and a zero added into a gradient that starts at
-    +0.0 changes nothing.
+    unrecorded block keeps nothing.  The backward is the chain rule on
+    plain arrays in the order of the per-op block's seven nodes (relu with
+    dropout, the sum, the chain's convolutions, the column halves, the
+    fused convolution): it forms every gradient, each intermediate's the
+    ``_fresh_grad`` of its one contribution, as its own cell would hold it,
+    so the bits are theirs, and ``_accumulate`` drops those no cell
+    requires.  It holds each chain input until ``conv_backward`` reads it.
+    Where the output is positive, relu and dropout pass ``g * scale``;
+    elsewhere they give a zero of either sign (NaN where ``g`` is not
+    finite), which changes nothing added into a gradient that starts at +0.0.
     """
     x, fused = _as_tensor(x), _as_tensor(level0_residual)
     filters = [fused, *(_as_tensor(f) for f in levels)]
@@ -449,13 +449,6 @@ def dilated_block(x: Tensor, level0_residual: Tensor, levels, rates, keep=None,
 
     xd, xc = _kept(x), x.cell
     arrays, cells = [f.data for f in filters], [f.cell for f in filters]
-    # the intermediates' cells as the per-op block makes them: the fused
-    # product and its halves need a gradient iff x or level 0's filter
-    # does, a chain output iff its input or its filter does
-    pair_grad = xc.requires_grad or cells[0].requires_grad
-    chain_cells = [GradCell(pair_grad, (n, c))]
-    for fc in cells[1:]:
-        chain_cells.append(GradCell(chain_cells[-1].requires_grad or fc.requires_grad, (n, c)))
 
     def bwd(g):
         nonlocal kept
@@ -468,27 +461,17 @@ def dilated_block(x: Tensor, level0_residual: Tensor, levels, rates, keep=None,
                 chain.append(conv_product(chain[-1], w, rate))
         positive = np.zeros(size, dtype=bool)
         positive[np.flatnonzero(where())] = values > 0.0
-        g_sum = _fresh_grad(g * (positive.reshape(shape) * scale))
+        # the sum passes its gradient to both terms; zeros plus a fresh
+        # gradient has its bits (no -0.0 is left), so both share it
+        g_residual = g_h = _fresh_grad(g * (positive.reshape(shape) * scale))
         del positive
-        # the sum passes its gradient to both terms' empty cells; zeros plus
-        # a fresh gradient has its bits (no -0.0 is left), so both share it
-        if chain_cells[m].requires_grad:
-            chain_cells[m].grad = g_sum
-        g_residual = g_sum if pair_grad else None
-        del g_sum
-        for i in range(m, 0, -1):
-            g_out, chain_cells[i].grad = chain_cells[i].grad, None
-            if g_out is not None:  # handed over, the input dies once its windows exist
-                conv_backward(g_out, chain.pop, arrays[i], rates[i], chain_cells[i - 1],
-                              cells[i])
-            del chain[i - 1:], g_out
-        if pair_grad:  # the residual's half runs first, then the chain's
-            g_pair = np.zeros((n, 2 * c))
-            g_pair[:, c:] += g_residual
-            g_pair[:, :c] += chain_cells[0].grad
-            del g_residual
-            chain_cells[0].grad = None
-            conv_backward(g_pair, xd, arrays[0], rates[0], xc, cells[0])
+        for i in range(m, 0, -1):  # handed over, each input dies once its windows exist
+            g_h = _fresh_grad(conv_backward(g_h, chain.pop, arrays[i], rates[i], cells[i]))
+        g_pair = np.zeros((n, 2 * c))  # the residual's half first, then the chain's
+        g_pair[:, c:] += g_residual
+        g_pair[:, :c] += g_h
+        del g_residual, g_h
+        _accumulate(xc, conv_backward(g_pair, xd, arrays[0], rates[0], cells[0]))
 
     return _make(out, parents, bwd, rebuild=rebuild)
 
@@ -615,14 +598,11 @@ def attend(q: Tensor, x: Tensor) -> tuple[np.ndarray, Tensor]:
         xa = xd()
         xt, alpha = weights(xa)
         g_alpha = _fresh_grad(g @ xa.T)
-        if xc.requires_grad:
-            _accumulate(xc, alpha.T @ g)
+        _accumulate(xc, alpha.T @ g)
         inner = (g_alpha * alpha).sum(axis=1, keepdims=True)
         g_scores = _fresh_grad(alpha * (g_alpha - inner))
-        if qc.requires_grad:
-            _accumulate(qc, g_scores @ xt.T)
-        if xc.requires_grad:
-            _accumulate(xc, _fresh_grad(qd.T @ g_scores).T)
+        _accumulate(qc, g_scores @ xt.T)
+        _accumulate(xc, _fresh_grad(qd.T @ g_scores).T)
 
     alpha = weights(x.data)[1]
     return alpha, _make(alpha @ x.data, (q, x), bwd)

@@ -17,7 +17,7 @@ from .corpus import DocumentRecord, LabelCatalog, Vocabulary
 from .errors import DataError, DivergenceError, GradTapeError
 from .graph import CooccurrenceGraph
 from .mask import AuxMaskIndex, DocMask, make_doc_mask, mask_stats
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsReport, compute_metrics, micro_macro_f1
 from .model import CodingModel, ModelParams, model_from_config
 from .tensor import GradTape, Tensor, add, bce_loss, mul
 
@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 # elements per block of Adam's walk over a parameter; its two scratch
 # buffers are one block each, 1 MiB together, whatever the model size
 ADAM_BLOCK = 65_536
+
+# Adam's moment decay rates and the guard added to its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -38,11 +41,9 @@ class Adam:
     parameters.
     """
 
-    def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ModelParams, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         # C-ordered, so that their flat reshapes in ``step`` are views
         self.m = {name: np.zeros(p.shape) for name, p in params.items()}
@@ -68,7 +69,7 @@ class Adam:
             raise GradTapeError("Adam.step while a GradTape is open: its backward re-reads "
                                 "the parameters")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         b1t = 1.0 - b1 ** self.t
         b2t = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -92,7 +93,7 @@ class Adam:
                 num *= self.lr
                 np.divide(v, b2t, out=den)
                 np.sqrt(den, out=den)
-                den += self.eps
+                den += ADAM_EPS
                 num /= den
                 data[lo:hi] -= num
 
@@ -261,6 +262,19 @@ def collect_scores(
     return gold, scores
 
 
+def _log_gating_split(gold, scores, masks, threshold: float) -> None:
+    """One line: micro-F1 over the documents whose mask gated their scores
+    and over those whose empty mask suspended gating, with their counts,
+    so that the hard-gating rule is read apart from the blend."""
+    suspended = np.array([doc_mask.empty for doc_mask in masks], dtype=bool)
+    parts = []
+    for name, rows in (("gated", ~suspended), ("suspended", suspended)):
+        f1 = micro_macro_f1(gold[rows], scores[rows] >= threshold)[0] if rows.any() else None
+        parts.append(f"{name} {int(rows.sum())} docs, micro-F1 "
+                     + ("n/a" if f1 is None else f"{f1:.4f}"))
+    logger.info("evaluate: %s", "; ".join(parts))
+
+
 def evaluate(
     docs: list[DocumentRecord],
     model: CodingModel,
@@ -269,7 +283,10 @@ def evaluate(
     ks: tuple[int, ...] = (5, 8, 15),
     label_codes: list[str] | None = None,
 ) -> MetricsReport:
+    """The split's metrics report, after one line that scores its gated
+    and its gating-suspended documents apart."""
     gold, scores = collect_scores(docs, model, masks)
+    _log_gating_split(gold, scores, masks, threshold)
     return compute_metrics(gold, scores, threshold, ks, label_codes=label_codes)
 
 

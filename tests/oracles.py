@@ -89,13 +89,13 @@ def conv1d_dilated(x, filters, dilation):
     an input with no rebuild gets one that repeats the product on that
     array, so that in a chain every other input is re-made and no rebuild
     re-runs another convolution's."""
-    from xmtc.tensor import _make, conv_backward, conv_product
+    from xmtc.tensor import _accumulate, _make, conv_backward, conv_product
 
     data, f, xc, fc = x.data, filters.data, x.cell, filters.cell
     xd = x.rebuild or (lambda: data)
 
     def bwd(g):
-        conv_backward(g, xd, f, dilation, xc, fc)
+        _accumulate(xc, conv_backward(g, xd, f, dilation, fc))
 
     return _make(conv_product(data, f, dilation), (x, filters), bwd,
                  rebuild=(lambda: conv_product(xd(), f, dilation)) if x.rebuild is None else None)

@@ -30,7 +30,7 @@ from xmtc.graph import build_cooccurrence
 from xmtc.mask import DocMask, build_mask_index
 from xmtc.model import model_from_artifacts
 from xmtc.synth import generate, standard_spec
-from xmtc.tensor import GradTape, Tensor, dropout, gather_rows, matmul, relu
+from xmtc.tensor import GradTape, Tensor, dropout, gather_rows, matmul, mul, relu
 from xmtc.training import Adam, batch_loss, clip_global_norm, doc_masks
 
 
@@ -475,6 +475,52 @@ def test_unrecorded_block_keeps_nothing(how):
     else:
         assert nodes == [] and out.rebuild is None
         assert held <= out.data.nbytes + 4 * 1024, held
+
+
+FROZEN = {  # the block inputs that require no gradient
+    "x": ("x",),
+    "level0_residual": ("level0_residual",),
+    "level1": ("level1",),
+    "level2": ("level2",),
+    "x_level0_residual": ("x", "level0_residual"),
+    "x_level0_residual_level1": ("x", "level0_residual", "level1"),
+}
+
+
+def _frozen_block(block, frozen):
+    """One training block at n=40, d=6, K=3, rates (1, 2, 4), dropout 0.2,
+    with the inputs named in ``frozen`` requiring no gradient, under a
+    probe loss: its output's bytes and each input's gradient as bytes, or
+    None where it has none."""
+    n, d = 40, 6
+    rng = np.random.default_rng(43)
+    cfg = EncoderConfig(kernel_size=3, rates=(1, 2, 4), dropout=0.2)
+    params = encoder.init_block_params(cfg, d, rng)
+    inputs = {"x": Tensor(rng.standard_normal((n, d)), requires_grad=True),
+              "level0_residual": params.level0_residual,
+              "level1": params.levels[0], "level2": params.levels[1]}
+    for name in frozen:
+        inputs[name].requires_grad = False
+    probe = rng.standard_normal((n, d))
+    with GradTape() as tape:
+        out = block(inputs["x"], params, cfg, train=True, rng=np.random.default_rng(0))
+        tape.backward(oracles.tensor_sum(mul(out, probe)))
+    return out.data.tobytes(), {name: None if t.grad is None else t.grad.tobytes()
+                                for name, t in inputs.items()}
+
+
+@pytest.mark.parametrize("limit", ["default", "zero"])
+@pytest.mark.parametrize("frozen", sorted(FROZEN))
+def test_block_with_frozen_inputs_bit_equal_to_seven_nodes(frozen, limit, monkeypatch):
+    """With some of its inputs frozen the block still forms every gradient,
+    and only the frozen inputs' are dropped: its output and each gradient
+    are the seven-node block's bits, kept or re-made, and a frozen input's
+    ``grad`` stays None."""
+    if limit == "zero":
+        monkeypatch.setattr(tensor, "KEEP_CHAIN_BYTES", 0)
+    got = _frozen_block(encoder.residual_block, FROZEN[frozen])
+    assert got == _frozen_block(oracles.seven_node_block, FROZEN[frozen])
+    assert [name for name, g in got[1].items() if g is None] == list(FROZEN[frozen])
 
 
 def test_short_step_holds_only_parameter_gradients_after_backward(corpus, monkeypatch):

@@ -5,16 +5,23 @@ Importing ``scipy.sparse`` costs about 0.3 s per process, so a module
 imports it inside the function that builds or multiplies a sparse matrix;
 the CLI stages that do neither (``gen-synthetic``, ``build-graph``,
 ``build-mask``) then load no scipy.  An import under ``if TYPE_CHECKING:``
-never runs and is allowed.  Standard library only: the check parses each
-source file with ``ast``.
+never runs and is allowed.  The check parses each source file with
+``ast``.  Those three stages, each run in a fresh interpreter, also end
+without ``numpy.ma``, which numpy 2's hash path of a plain ``np.unique``
+imports (about 15 ms per process).
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import xmtc
+from xmtc.cli import main
 
 SOURCES = sorted(Path(xmtc.__file__).resolve().parent.glob("*.py"))
 
@@ -79,3 +86,29 @@ def test_no_scipy_import_at_module_level(path):
 ])
 def test_checker_finds_scipy_imports(source, problems):
     assert scipy_import_problems(source) == problems
+
+
+def _heavy_modules_after(argv) -> list[str]:
+    """The ``scipy`` and ``numpy.ma`` modules loaded by a fresh interpreter
+    that runs ``cli.main(argv)``; asserts that it returns 0."""
+    src = str(Path(xmtc.__file__).resolve().parents[1])
+    script = (f"import json, sys\nfrom xmtc import cli\nexit_code = cli.main({argv!r})\n"
+              "print(json.dumps([exit_code, sorted(m for m in sys.modules if "
+              "m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])]))")
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    exit_code, modules = json.loads(out.stdout.strip().splitlines()[-1])
+    assert exit_code == 0, out.stderr
+    return modules
+
+
+def test_numpy_only_stages_load_neither_scipy_nor_numpy_ma(tmp_path):
+    data, work, cfg = tmp_path / "data", tmp_path / "work", tmp_path / "run.cfg"
+    cfg.write_text("embedding_size = 8\nmin_count = 1\nskipgram_epochs = 1\n")
+    base = ["--workdir", str(work), "--config", str(cfg)]
+    assert _heavy_modules_after(["gen-synthetic", "--workdir", str(data), "--labels", "30",
+                                 "--docs", "200", "--seed", "3"]) == []
+    assert main(["preprocess", *base, "--train", str(data / "train.jsonl"),
+                 "--catalog", str(data / "raw_catalog.tsv")]) == 0
+    for stage in ("build-graph", "build-mask"):
+        assert _heavy_modules_after([stage, *base]) == [], stage
