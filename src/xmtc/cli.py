@@ -12,8 +12,8 @@
 The ``--config`` file is the only source of a run's settings.  Every
 subcommand writes its artifacts plus ``manifest_<subcommand>.json``, which
 records the configuration hash, the sha256 of every file it read and wrote
-and the numeric environment (numpy, scipy, the BLAS build and its live
-thread count, on which trained bits also depend); the manifests are the
+and the numeric environment (numpy, the BLAS build and its live thread
+count, on which trained bits also depend); the manifests are the
 only record of where an artifact came from.
 A work-directory artifact is read only when the manifest of the subcommand
 that wrote it records that file, under the current configuration, from the
@@ -85,13 +85,10 @@ def _openblas_threads() -> int | str:
 
 def _numeric_environment() -> dict:
     """What a stage's bits depend on besides its inputs and the config: the
-    numpy and scipy versions, numpy's BLAS build and its live thread count.
-    The scipy version is None for a stage that loaded no scipy, so that
-    the record costs such a stage no import.  A record for the reader; no
-    stage compares it."""
-    scipy = sys.modules.get("scipy")
+    numpy version, numpy's BLAS build and its live thread count.  A record
+    for the reader; no stage compares it."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "scipy": scipy and scipy.__version__,
+    return {"numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version"),
                      "threads": _openblas_threads()}}
 

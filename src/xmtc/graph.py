@@ -14,9 +14,9 @@ generator's rejection pass in ``synth``; the probabilities are numpy arrays
 over those pairs.  The graph keeps only its edges, as two int64 arrays in
 the order ``save_graph`` writes them, and no build, save, load or
 propagation makes an [L, L] array (a dense one would take 81 MB at
-L = 9,000).  The descriptor average and the propagation matrix are CSR.
-``scipy.sparse`` is imported where a CSR is built, so building and saving
-a graph loads no scipy.
+L = 9,000).  The descriptor average and the propagation matrix are
+``tensor.Csr`` records, built from their entries with the ``indptr``,
+``indices`` and ``data`` that scipy's CSR constructions give them.
 """
 
 from __future__ import annotations
@@ -25,16 +25,12 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import DocumentRecord, LabelCatalog, Vocabulary, preprocess
 from .errors import DataError, ShapeError, read_text
-from .tensor import Tensor, matmul, relu, spmm
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .tensor import Csr, Tensor, matmul, relu, row_sums, spmm
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +62,7 @@ class CooccurrenceGraph:
         return adj
 
     @functools.cached_property
-    def propagation(self) -> sp.csr_matrix:
+    def propagation(self) -> Csr:
         """The GCN's propagation matrix, computed on first use and kept, so
         the edges must not change after the first forward pass."""
         return normalize_adjacency(self.num_labels, self.rows, self.cols)
@@ -187,28 +183,31 @@ def load_graph(path, num_labels: int) -> CooccurrenceGraph:
 # label features
 
 
-def descriptor_average_matrix(catalog: LabelCatalog, vocab: Vocabulary) -> sp.csr_matrix:
+def descriptor_average_matrix(catalog: LabelCatalog, vocab: Vocabulary) -> Csr:
     """Averaging operator S [L, V] as CSR, with S[i, tok] = 1/Z_i for each
     occurrence of ``tok`` among label i's Z descriptor tokens.
 
     Multiplying S by the embedding table yields every label's mean
     descriptor embedding in one product, keeping the whole feature
-    construction differentiable with respect to the table.
+    construction differentiable with respect to the table.  Each row lists
+    its tokens in ascending order, a repeated token once, with its 1/Z
+    added up occurrence by occurrence (``row_sums``), as scipy's duplicate
+    sum does.
     """
-    import scipy.sparse as sp
-
-    rows, cols, vals = [], [], []
+    size = len(vocab)
+    keys, vals = [], []  # one (label * V + token, 1/Z) per occurrence
     for i, descriptor in enumerate(catalog.descriptors):
         ids = vocab.encode(preprocess(descriptor))
         if not ids:
             logger.warning("label %s has an empty descriptor; feature row is zero",
                            catalog.codes[i])
             continue
-        rows.extend([i] * len(ids))
-        cols.extend(ids)
+        keys.extend(i * size + t for t in ids)
         vals.extend([1.0 / len(ids)] * len(ids))
-    # the COO -> CSR conversion sums a repeated token's entries
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(catalog), len(vocab)))
+    keys, data = row_sums(np.asarray(keys, dtype=np.int64), np.asarray(vals).reshape(-1, 1))
+    rows, cols = np.divmod(keys, size)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(catalog)))])
+    return Csr(indptr, cols, data[:, 0], (len(catalog), size))
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +233,18 @@ def init_gcn_params(dim: int, rng: np.random.Generator) -> GcnParams:
     return GcnParams(w1=weight("gcn.w1"), w2=weight("gcn.w2"))
 
 
-def normalize_adjacency(num_labels: int, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+def normalize_adjacency(num_labels: int, rows: np.ndarray, cols: np.ndarray) -> Csr:
     """Propagation matrix D^-1 (A + I) for the GCN, as CSR, from the edges
     (rows, cols) of A: add a self loop and row-normalize, which keeps
     activation scale independent of node degree.  A stored diagonal entry
     and its self loop sum to 2, as in a dense A + I."""
-    import scipy.sparse as sp
-
     stored = np.zeros(num_labels)  # 1.0 where A holds the label's self loop
     stored[rows[rows == cols]] = 1.0
     rows, cols = _edges(rows, cols, num_labels, with_loops=True)
     data = np.where(rows == cols, 1.0 + stored[rows], 1.0)
     data /= np.bincount(rows, weights=data, minlength=num_labels)[rows]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=num_labels))])
-    return sp.csr_matrix((data, cols, indptr), shape=(num_labels, num_labels))
+    return Csr(indptr, cols, data, (num_labels, num_labels))
 
 
 def gcn_forward(graph: CooccurrenceGraph, features: Tensor, params: GcnParams) -> Tensor:

@@ -16,7 +16,6 @@ consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,10 +26,7 @@ from .encoder import BlockParams, EncoderConfig, encode, init_block_params
 from .errors import ConfigError, ShapeError
 from .graph import CooccurrenceGraph, GcnParams, descriptor_average_matrix, gcn_forward, init_gcn_params
 from .mask import DocMask, apply_mask  # noqa: F401  (perfbench/tracing.py wraps it by this name)
-from .tensor import Tensor, concat, gather_rows, matmul, mean, reshape, spmm
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .tensor import Csr, Tensor, concat, gather_rows, matmul, mean, reshape, spmm
 
 
 class ModelParams:
@@ -78,7 +74,7 @@ class CodingModel:
     blocks: list[BlockParams]
     gcn: GcnParams | None
     classifier: ClassifierParams
-    feature_matrix: sp.csr_matrix | None  # [L, V] descriptor averaging operator
+    feature_matrix: Csr | None  # [L, V] descriptor averaging operator
     variant: str
 
     @property

@@ -1,14 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Every numeric operation the model needs lives here: matrix product, the
-product of a constant sparse matrix and a tensor, the dilated residual
-encoder block (built on the dilated 1-d convolution, ``conv_product`` and
-``conv_backward``), dropout, relu and sigmoid, row-softmax attention,
-reductions, row gather and binary cross-entropy.  Operations executed
-while a :class:`GradTape` is active are recorded in insertion order;
-``backward`` replays the tape in reverse and accumulates gradients into
-every tensor that requires them.  A tensor that feeds several consumers
-receives the sum of all incoming contributions.
+product of a constant sparse matrix (``Csr``, a numpy kernel with scipy's
+bits) and a tensor, the dilated residual encoder block (built on the
+dilated 1-d convolution, ``conv_product`` and ``conv_backward``), dropout,
+relu and sigmoid, row-softmax attention, reductions, row gather and binary
+cross-entropy.  Operations executed while a :class:`GradTape` is active
+are recorded in insertion order; ``backward`` replays the tape in reverse
+and accumulates gradients into every tensor that requires them.  A tensor
+that feeds several consumers receives the sum of all incoming
+contributions.
 
 A tape node holds no tensor.  It is a pair of its output's gradient cell
 (a small ``GradCell``: ``grad``, ``requires_grad`` and ``shape``) and a
@@ -42,6 +43,8 @@ parameters) hold a gradient.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -51,6 +54,7 @@ __all__ = [
     "Tensor",
     "GradTape",
     "GradCell",
+    "Csr",
     "matmul",
     "spmm",
     "reshape",
@@ -75,6 +79,11 @@ __all__ = [
 _TAPE_STACK: list["GradTape"] = []
 
 _SIGMOID_EPS = 1e-12
+
+# A sparse product gathers its terms in chunks of at most this many float64
+# values (512 KiB), or one row's terms where a row has more, so its
+# transients do not grow with the matrix.
+_SPARSE_BLOCK = 1 << 16
 
 # A recorded ``dilated_block`` keeps its chain inputs, m float64 [n, c]
 # arrays, for backward iff they take at most this many bytes (n <= 655 at
@@ -285,9 +294,131 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), bwd)
 
 
-def spmm(s, x: Tensor) -> Tensor:
-    """Product of a constant ``scipy.sparse`` matrix [m, k] and a 2-d tensor
-    [k, d]; the gradient flows to ``x`` only, as ``s.T @ g``."""
+class Csr:
+    """A constant sparse [m, k] matrix in compressed-row form: row i holds
+    ``data[a]`` at column ``indices[a]`` for a in ``indptr[i]:indptr[i+1]``,
+    in that order; a column may repeat.  ``data`` None means every entry
+    is 1.0.  ``indptr`` and ``indices`` take scipy's index dtype: int32
+    where the shape and the entry count fit in it, else int64.
+
+    ``csr @ x``, for an array x [k, d], is the [m, d] array whose row i is
+    ``+0.0 + data[a0] * x[indices[a0]] + data[a1] * x[indices[a1]] + ...``,
+    summed left to right in entry order: the sum scipy's CSR product
+    forms, so the bits are scipy's.  An empty row is +0.0.  ``T`` is the
+    transpose, built on first read and kept; its row j lists column j's
+    entries by ascending row (a stable sort), the order in which scipy's
+    product with a CSR's transpose (CSC) adds them.  The product's plan is
+    kept per width d, so the matrix must not change after its first
+    product.
+    """
+
+    def __init__(self, indptr, indices, data, shape):
+        self.shape = (int(shape[0]), int(shape[1]))
+        index = np.int32 if max(*self.shape, len(indices)) < 2**31 else np.int64
+        self.indptr = np.asarray(indptr, dtype=index)
+        self.indices = np.asarray(indices, dtype=index)
+        self.data = None if data is None else np.asarray(data, dtype=np.float64)
+        self._plans: dict[int, tuple] = {}
+
+    @functools.cached_property
+    def T(self) -> "Csr":
+        m, k = self.shape
+        order = np.argsort(self.indices, kind="stable")
+        rows = np.repeat(np.arange(m), np.diff(self.indptr))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(self.indices, minlength=k))])
+        return Csr(indptr, rows[order], None if self.data is None else self.data[order], (k, m))
+
+    def _plan(self, d: int) -> tuple:
+        """How a product with d columns gathers and sums: (rows [N], columns
+        [T], weights [T] or None, chunks).  Each nonempty row takes a width
+        S of slots: its entry count n up to 8, above that n rounded up to a
+        multiple of 2**(e - 3), for 2**(e - 1) < n <= 2**e (four widths an
+        octave, so less than 25% padding).  Runs of at most ``_SPARSE_BLOCK
+        // (S * d)`` rows of one width form slot-major [S, R] blocks, laid
+        end to end; slot s of a row holds its entry s, or, past its last
+        entry, padding, which reads the row's first entry and is zeroed
+        after the gather.  A chunk is a run of whole blocks of at most
+        ``_SPARSE_BLOCK`` floats (or one larger block): (start, end, the
+        padding as a bool mask or None, [(offset, S, R, first row)])."""
+        plan = self._plans.get(d)
+        if plan is not None:
+            return plan
+        lengths = np.diff(self.indptr)
+        rows = np.flatnonzero(lengths)
+        n = lengths[rows]
+        step = np.maximum(np.frexp(n - 1)[1] - 3, 0)
+        width = ((n + (1 << step) - 1) >> step) << step
+        order = np.argsort(width, kind="stable")
+        rows, n, width = rows[order], n[order], width[order]
+        k = np.arange(rows.size)
+        new_width = np.ones(rows.size, dtype=bool)
+        new_width[1:] = width[1:] != width[:-1]
+        in_run = k - np.maximum.accumulate(np.where(new_width, k, 0))
+        first = new_width | (in_run % np.maximum(1, _SPARSE_BLOCK // (width * max(d, 1))) == 0)
+        starts = np.flatnonzero(first)
+        counts = np.diff(np.append(starts, rows.size))
+        size = width[starts] * counts
+        offset = np.cumsum(size) - size
+        # position q of block b is slot q // R of row starts[b] + q % R
+        b = np.repeat(np.arange(starts.size), size)
+        slot, j = np.divmod(np.arange(b.size) - offset[b], counts[b])
+        row = starts[b] + j
+        pad = slot >= n[row]
+        entry = self.indptr[rows[row]] + np.where(pad, 0, slot)
+        chunks, blocks, lo = [], [], 0
+        for o, s, r, r0 in zip(offset.tolist(), width[starts].tolist(), counts.tolist(),
+                                starts.tolist()):
+            if blocks and (o + s * r - lo) * d > _SPARSE_BLOCK:
+                chunks.append((lo, o, blocks))
+                lo, blocks = o, []
+            blocks.append((o - lo, s, r, r0))
+        if blocks:
+            chunks.append((lo, b.size, blocks))
+        padded = np.logical_or.reduceat(pad, [c[0] for c in chunks]).tolist() if chunks else []
+        plan = (rows, self.indices[entry].astype(np.intp),
+                None if self.data is None else self.data[entry],
+                [(lo, hi, pad[lo:hi] if any_pad else None, blocks)
+                 for (lo, hi, blocks), any_pad in zip(chunks, padded)])
+        self._plans[d] = plan
+        return plan
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Chunk by chunk, in one reused buffer: the terms gathered and
+        weighted, the padding set to +0.0 (never 0 * x, which is NaN at an
+        inf), and each [S, R, d] block summed along S from +0.0
+        (``np.add.reduce`` with ``initial``, which adds S's slots in order
+        when R * d > 1, its inner loop then running over R * d; a [S, 1, 1]
+        block it would sum pairwise, so that one goes through
+        ``np.cumsum``).  A 1.0 weight is skipped, since ``1.0 * v`` has
+        ``v``'s bits."""
+        d = x.shape[1]
+        rows, cols, weights, chunks = self._plan(d)
+        sums = np.empty((rows.size, d))
+        buf = np.empty(max((hi - lo for lo, hi, _, _ in chunks), default=0) * d)
+        for lo, hi, pad, blocks in chunks:
+            # mode="clip" (the columns are in range) lets take write into buf unbuffered
+            terms = buf[:(hi - lo) * d].reshape(hi - lo, d)
+            np.take(x, cols[lo:hi], axis=0, out=terms, mode="clip")
+            if weights is not None:
+                terms *= weights[lo:hi, None]
+            if pad is not None:
+                terms[pad] = 0.0
+            for o, s, r, r0 in blocks:
+                block = terms[o:o + s * r].reshape(s, r, d)
+                if s > 1 and r * d > 1:
+                    np.add.reduce(block, axis=0, out=sums[r0:r0 + r], initial=0.0)
+                else:  # one slot, or an [S, 1, 1] block, which reduce would sum pairwise
+                    np.add(np.cumsum(block, axis=0)[-1] if s > 1 else block[0], 0.0,
+                           out=sums[r0:r0 + r])
+        out = (np.empty if rows.size == self.shape[0] else np.zeros)((self.shape[0], d))
+        out[rows] = sums
+        return out
+
+
+def spmm(s: Csr, x: Tensor) -> Tensor:
+    """Product of a constant ``Csr`` matrix [m, k] and a 2-d tensor [k, d];
+    the gradient flows to ``x`` only, as ``s.T @ g``.  Both products have
+    scipy's bits."""
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"spmm expects a 2-d dense operand, got {x.shape}")
@@ -677,15 +808,13 @@ def row_sums(ids, values: np.ndarray, rows=None, weights=None) -> tuple[np.ndarr
     ``weights[j] * values[rows[j]]``; returns (distinct ids ascending,
     [U, d] sums).
 
-    ``rows`` defaults to ``j`` and ``weights`` to 1.  The sum is one product
-    of a CSR [U, len(values)] matrix, whose rows hold each id's entries in
-    input order, with ``values``; its size scales with the entries, not
-    with the largest id.  With unit weights and distinct rows each sum
-    starts from zero and adds in input order, as a scatter-add into a zero
-    buffer does, so the result is bit-equal to one.
+    ``rows`` defaults to ``j`` and ``weights`` to 1.  The sum is one
+    ``Csr`` product of a [U, len(values)] matrix, whose rows hold each id's
+    entries in input order, with ``values``; its size scales with the
+    entries, not with the largest id.  With unit weights and distinct rows
+    each sum starts from zero and adds in input order, as a scatter-add
+    into a zero buffer does, so the result is bit-equal to one.
     """
-    import scipy.sparse as sp
-
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     # ids * n + j is distinct per entry, so a plain sort keeps input order
     # within an id (and runs several times faster than a stable one)
@@ -695,9 +824,8 @@ def row_sums(ids, values: np.ndarray, rows=None, weights=None) -> tuple[np.ndarr
     first[1:] = sorted_ids[1:] != sorted_ids[:-1]
     starts = np.flatnonzero(first)
     cols = order if rows is None else np.asarray(rows, dtype=np.int64).reshape(-1)[order]
-    data = np.ones(ids.size) if weights is None else np.asarray(weights).reshape(-1)[order]
-    s = sp.csr_matrix((data, cols, np.append(starts, ids.size)),
-                      shape=(starts.size, values.shape[0]))
+    data = None if weights is None else np.asarray(weights).reshape(-1)[order]
+    s = Csr(np.append(starts, ids.size), cols, data, (starts.size, values.shape[0]))
     return sorted_ids[starts], s @ values
 
 

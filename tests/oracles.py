@@ -17,7 +17,11 @@ to a scalar with ``tensor_sum``; no src path runs either.  The label
 statistics and the auxiliary-code tables are counted here twice: by
 recount (``conditional_prob_matrix``, ``recount_aux_tables``) and through
 CSR products (``csr_cooccurrence``, ``csr_mask_tables``); src gets both
-from one ``graph.conditional_pairs``.  ``verify`` audits a synthetic
+from one ``graph.conditional_pairs``.  scipy is the reference for the
+engine's sparse products and the CSR constructions: ``scipy_csr`` and
+``csr_from_scipy`` convert between its CSR and ``tensor.Csr``, and
+``scipy_descriptor_matrix`` and ``csr_propagation`` build S and Â as
+scipy does.  ``verify`` audits a synthetic
 corpus against the ground truth its generator planted, with its
 own recount of the auxiliary-code tables (``recount_raw_aux_tables``),
 since the generator takes them from ``mask.build_mask_index``.
@@ -753,6 +757,21 @@ def row_sums_add_at(ids, values, rows=None, weights=None):
     return uniq, sums
 
 
+def scipy_row_sums(ids, values, rows=None, weights=None):
+    """``tensor.row_sums`` as scipy computes it: one product of a scipy CSR
+    [U, len(values)] matrix, whose row u holds distinct id u's entries in
+    input order (``weights[j]`` at column ``rows[j]``), with ``values``."""
+    import scipy.sparse as sp
+
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    order = np.argsort(ids, kind="stable")
+    uniq, counts = np.unique(ids[order], return_counts=True)
+    cols = order if rows is None else np.asarray(rows, dtype=np.int64).reshape(-1)[order]
+    data = np.ones(ids.size) if weights is None else np.asarray(weights).reshape(-1)[order]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return uniq, sp.csr_matrix((data, cols, indptr), shape=(uniq.size, values.shape[0])) @ values
+
+
 def dense_forward_doc(model, token_ids, doc_mask, h_label, train=False, rng=None):
     """One document through the dense label side: every label attends over
     every position, a masked label through its zeroed representation row
@@ -795,6 +814,42 @@ def dense_predict_scores(model, token_ids, doc_mask):
     if doc_mask.labels:
         scores *= doc_mask.vec
     return scores, alpha
+
+
+def scipy_csr(m):
+    """A ``tensor.Csr`` as the scipy CSR matrix that holds its ``indptr``,
+    ``indices`` and ``data`` (1.0 where it holds none), so that a test can
+    read it densely or by row, or multiply it by scipy's own product."""
+    import scipy.sparse as sp
+
+    data = np.ones(m.indices.size) if m.data is None else m.data
+    return sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+
+
+def csr_from_scipy(s):
+    """The ``tensor.Csr`` that holds a scipy CSR matrix's ``indptr``,
+    ``indices`` and ``data`` as they stand, repeated columns included."""
+    from xmtc.tensor import Csr
+
+    return Csr(s.indptr, s.indices, s.data, s.shape)
+
+
+def scipy_descriptor_matrix(catalog, vocab):
+    """The descriptor-average operator S [L, V] as scipy builds it from one
+    (row, token, 1/Z) entry per descriptor-token occurrence: its COO -> CSR
+    conversion sorts each row's tokens and sums a repeated token's
+    entries."""
+    import scipy.sparse as sp
+    from xmtc.corpus import preprocess
+
+    rows, cols, vals = [], [], []
+    for i, descriptor in enumerate(catalog.descriptors):
+        ids = vocab.encode(preprocess(descriptor))
+        if ids:
+            rows.extend([i] * len(ids))
+            cols.extend(ids)
+            vals.extend([1.0 / len(ids)] * len(ids))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(catalog), len(vocab)))
 
 
 def dense_descriptor_matrix(catalog, vocab):

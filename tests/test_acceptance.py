@@ -33,7 +33,8 @@ from xmtc.tensor import (
 )
 
 import oracles
-from oracles import conv1d_dilated, grad_check, relu_dropout, split_columns, tensor_sum
+from oracles import (conv1d_dilated, csr_from_scipy, grad_check, relu_dropout, split_columns,
+                     tensor_sum)
 
 
 @contextmanager
@@ -163,7 +164,8 @@ def test_criterion_1_gradient_suite():
 
         def spmm_case(rng):
             dense = rng.standard_normal((4, 5))
-            s = sp.csr_matrix(np.where(rng.random((4, 5)) < 0.5, dense, 0.0))  # fixed per check
+            sparse = sp.csr_matrix(np.where(rng.random((4, 5)) < 0.5, dense, 0.0))
+            s = csr_from_scipy(sparse)  # fixed per check
             return (lambda t: spmm(s, t), [Tensor(rng.standard_normal((5, 3)), True)])
 
         def dropout_case(rng):

@@ -983,13 +983,11 @@ class TestNumericEnvironment:
     def test_manifests_record_the_live_blas_thread_count(self, tmp_path):
         """The pipeline through train, run at OPENBLAS_NUM_THREADS 1 and 2.
         The manifests record 1 and 2 (at most the usable cores), the numpy
-        version, scipy's where the stage loaded it, and the BLAS build; the
-        config hash is the same.  Every set-up artifact is byte-identical
+        version and the BLAS build, and no scipy version, since no stage
+        loads scipy; the config hash is the same.  Every set-up artifact is byte-identical
         across the two runs.  The checkpoint and the training history may
         differ only where the two train manifests record different thread
         counts: a one-core runner records 1 twice, and they must match."""
-        import scipy
-
         src = str(Path(xmtc.__file__).resolve().parents[1])
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG)
@@ -1008,12 +1006,11 @@ class TestNumericEnvironment:
                 subprocess.run([sys.executable, "-m", "xmtc", *argv], env=env, check=True,
                                capture_output=True)
             live = min(threads, len(os.sched_getaffinity(0)))
-            for manifest, scipy_version in ((data / "manifest_gen-synthetic.json", None),
-                                            (work / "manifest_preprocess.json",
-                                             scipy.__version__)):
+            for manifest in (data / "manifest_gen-synthetic.json",
+                             work / "manifest_preprocess.json"):
                 made = json.loads(manifest.read_text())
                 assert made["numeric_environment"] == {
-                    "numpy": np.__version__, "scipy": scipy_version,
+                    "numpy": np.__version__,
                     "blas": {"name": blas["name"], "version": blas["version"],
                              "threads": live}}, manifest
             hashes.add(json.loads((work / "manifest_preprocess.json").read_text())["config_hash"])
@@ -1069,8 +1066,9 @@ def test_pipeline_reads_no_dense_adjacency(tmp_path, monkeypatch):
 
 
 class TestStartup:
-    """Importing scipy.sparse costs about 0.3 s, paid by every CLI process
-    that loads it; only the stages that multiply a sparse matrix may."""
+    """Importing scipy.sparse costs every process that loads it about 16 MB
+    of RSS and 0.13 s; the engine's sparse products are its own, so no
+    subcommand loads scipy."""
 
     def test_cli_and_model_import_load_no_scipy(self):
         assert _scipy_modules_after("from xmtc import cli, model\nexit_code = 0") == []
@@ -1080,12 +1078,22 @@ class TestStartup:
                 "--docs", "30", "--seed", "3"]
         assert _scipy_modules_after(f"from xmtc import cli\nexit_code = cli.main({argv!r})") == []
 
-    @pytest.mark.parametrize("stage", ["build-graph", "build-mask"])
-    def test_setup_stage_loads_no_scipy(self, pipeline, tmp_path, stage):
-        _, _, work, cfg = pipeline
+    @pytest.mark.parametrize("stage", ["preprocess", "build-graph", "build-mask", "train",
+                                       "evaluate", "predict", "ablate"])
+    def test_stage_loads_no_scipy(self, pipeline, tmp_path, stage):
+        """Each subcommand after the generator, in a fresh interpreter, on a
+        copy of the shared pipeline's work directory."""
+        _, data, work, cfg = pipeline
         copy = tmp_path / "work"
         shutil.copytree(work, copy)
-        argv = [stage, "--workdir", str(copy), "--config", str(cfg)]
+        extra = {"preprocess": ["--train", str(data / "train.jsonl"),
+                                "--val", str(data / "val.jsonl"),
+                                "--test", str(data / "test.jsonl"),
+                                "--catalog", str(data / "raw_catalog.tsv")],
+                 "evaluate": ["--split", "test"],
+                 "predict": ["--input", str(data / "test.jsonl"),
+                             "--attention-out", str(copy / "heat.jsonl")]}.get(stage, [])
+        argv = [stage, "--workdir", str(copy), "--config", str(cfg), *extra]
         assert _scipy_modules_after(f"from xmtc import cli\nexit_code = cli.main({argv!r})") == []
 
 

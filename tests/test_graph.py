@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,7 @@ from xmtc.graph import (
     save_graph,
 )
 from xmtc.model import model_from_artifacts
-from xmtc.tensor import GradTape, Tensor, matmul, mul, spmm
+from xmtc.tensor import Csr, GradTape, Tensor, matmul, mul, spmm
 
 from oracles import (
     conditional_prob_matrix,
@@ -36,6 +35,7 @@ from oracles import (
     dense_propagation,
     grad_check,
     graph_from_dense,
+    scipy_csr,
     tensor_sum,
 )
 
@@ -235,7 +235,7 @@ class TestLabelFeatures:
     def test_duplicate_tokens_weighted_per_occurrence(self):
         vocab = build_vocab([["aa", "bb"]], min_count=1)
         catalog = LabelCatalog(["l1"], ["aa aa bb"])
-        s = descriptor_average_matrix(catalog, vocab)
+        s = scipy_csr(descriptor_average_matrix(catalog, vocab))
         assert s[0, vocab.token_to_id["aa"]] == pytest.approx(2 / 3)
         assert s[0, vocab.token_to_id["bb"]] == pytest.approx(1 / 3)
 
@@ -265,7 +265,7 @@ class TestGcn:
 
     def test_self_loop_row_norm(self):
         adj = np.array([[1.0, 1.0], [0.0, 1.0]])
-        norm = graph_from_dense(adj).propagation.toarray()
+        norm = scipy_csr(graph_from_dense(adj).propagation).toarray()
         np.testing.assert_allclose(norm.sum(axis=1), 1.0)
         np.testing.assert_allclose(norm[0], [2 / 3, 1 / 3])
 
@@ -335,7 +335,7 @@ class TestPropagationCache:
         second = m.label_representations().data
         assert len(calls) == 1
         np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(m.graph.propagation.toarray(),
+        np.testing.assert_array_equal(scipy_csr(m.graph.propagation).toarray(),
                                       csr_propagation(m.graph.adjacency).toarray())
 
     def test_no_label_feature_never_normalizes(self, monkeypatch):
@@ -365,9 +365,9 @@ class TestSparseLabelSide:
     def test_descriptor_matrix_equals_dense_construction(self):
         vocab, catalog = self._catalog()
         s = descriptor_average_matrix(catalog, vocab)
-        assert sp.isspmatrix_csr(s)
+        assert isinstance(s, Csr)
         dense = dense_descriptor_matrix(catalog, vocab)
-        assert np.array_equal(s.toarray(), dense)
+        assert np.array_equal(scipy_csr(s).toarray(), dense)
         assert not dense[1].any()  # the empty descriptor's row
 
     def test_propagation_equals_dense_row_normalization(self):
@@ -376,8 +376,8 @@ class TestSparseLabelSide:
             if seed == 2:
                 adj[4, 4] = 0.0  # a node without a stored self loop
             a_hat = graph_from_dense(adj).propagation
-            assert sp.isspmatrix_csr(a_hat)
-            assert np.array_equal(a_hat.toarray(), dense_propagation(adj))
+            assert isinstance(a_hat, Csr)
+            assert np.array_equal(scipy_csr(a_hat).toarray(), dense_propagation(adj))
 
     def test_bool_adjacency_propagation_bit_equal_to_float64(self):
         rng = np.random.default_rng(17)
@@ -389,7 +389,7 @@ class TestSparseLabelSide:
         for part in ("indptr", "indices", "data"):
             a, b = getattr(got, part), getattr(ref, part)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
-        assert got.getrow(21).nnz == 1  # the self loop D^-1 (A + I) adds
+        assert scipy_csr(got).getrow(21).nnz == 1  # the self loop D^-1 (A + I) adds
 
     def test_label_representations_and_gradients_match_dense_oracle(self):
         vocab, catalog = self._catalog()
@@ -428,8 +428,8 @@ class TestSparseLabelSide:
                                  encoder_config=EncoderConfig(kernel_size=3, rates=(1,)))
         assert m.label_representations().shape == (num_labels, 4)
         distinct = sum(len(set(d.split())) for d in descriptors)
-        assert sp.issparse(m.feature_matrix) and m.feature_matrix.nnz == distinct
-        assert sp.issparse(g.propagation) and g.propagation.nnz == edges + num_labels
+        assert isinstance(m.feature_matrix, Csr) and scipy_csr(m.feature_matrix).nnz == distinct
+        assert isinstance(g.propagation, Csr) and scipy_csr(g.propagation).nnz == edges + num_labels
 
 
 class TestEdgeList:

@@ -1,7 +1,8 @@
 """No module in the package calls a numpy ufunc's ``.at`` scatter.
 
 ``np.add.at`` runs one unbuffered update per entry, several times slower
-than the one sparse product of ``tensor.row_sums`` that sums the same rows.
+than ``tensor.row_sums``, which sums the same rows with one ``tensor.Csr``
+product.
 Standard library only: the check parses each source file with ``ast``.
 """
 

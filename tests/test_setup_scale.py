@@ -8,7 +8,6 @@ array, and the mask index holds its nonzeros only.
 
 import numpy as np
 import pytest
-import scipy.sparse  # noqa: F401  loaded before tracing, so its import is not counted
 
 from xmtc.corpus import DocumentRecord
 from xmtc.errors import DataError

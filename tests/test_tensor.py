@@ -32,6 +32,7 @@ from xmtc.tensor import (
 from oracles import (
     conv1d_dilated,
     conv1d_keeping_padded,
+    csr_from_scipy,
     four_node_attention,
     grad_check,
     mul_dropout,
@@ -39,6 +40,7 @@ from oracles import (
     numeric_gradient,
     relu_dropout,
     row_sums_add_at,
+    scipy_csr,
     split_columns,
     tensor_sum,
     traced,
@@ -82,13 +84,13 @@ class TestMatmul:
 class TestSpmm:
     def _operands(self, seed):
         rng = np.random.default_rng(seed)
-        s = sp.random(5, 7, density=0.4, format="csr", random_state=seed)
+        s = csr_from_scipy(sp.random(5, 7, density=0.4, format="csr", random_state=seed))
         return s, param(rng, 7, 3)
 
     def test_matches_dense_matmul(self):
         s, x = self._operands(3)
         out = spmm(s, x)
-        np.testing.assert_allclose(out.data, matmul(Tensor(s.toarray()), x).data,
+        np.testing.assert_allclose(out.data, matmul(Tensor(scipy_csr(s).toarray()), x).data,
                                    rtol=0, atol=1e-15)
 
     def test_gradient(self):
